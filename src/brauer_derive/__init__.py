@@ -30,6 +30,7 @@ from .graph import (
 )
 from .homological import (
     ChainMap,
+    ChainMapFailure,
     NotAComplex,
     ProjComplex,
     check_complex,

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import rewriting
 from .linalg import QQ, det_int
-from .quiver import ALPHA, BETA, BrauerQuiver, cycle_at
+from .quiver import ALPHA, BETA, BrauerQuiver, build_quiver, cycle_at
 
 
 class NotStabilized(Exception):
@@ -142,7 +142,7 @@ def a_n_presentation(n: int) -> Presentation:
     """The comparison algebra on the loop-star quiver with a square-zero loop."""
     from .graph import loop_star
 
-    q = build_quiver_cached(loop_star(n))
+    q = build_quiver(loop_star(n))
     a1 = q.loop_arrow.name
     b_full = cycle_at(q, q.loop_vertex, BETA).names()
     rels = [
@@ -156,19 +156,6 @@ def a_n_presentation(n: int) -> Presentation:
         b_word = cycle_at(q, v, BETA).names()
         rels.append(_word_element(q, [b_word + (q.beta_out[v].name,)], [1]))
     return Presentation(q, tuple(rels))
-
-
-_quiver_cache = {}
-
-
-def build_quiver_cached(g):
-    from .graph import serialize_graph
-    from .quiver import build_quiver
-
-    key = serialize_graph(g)
-    if key not in _quiver_cache:
-        _quiver_cache[key] = build_quiver(g)
-    return _quiver_cache[key]
 
 
 @dataclass(frozen=True)
@@ -300,12 +287,23 @@ class AlgebraElement:
         return f"<{self.source}->{self.target}: {self}>"
 
 
+def _sparse_sum(scaled):
+    """Sum of a * entries over (entries, a) pairs; entries are (position,
+    coefficient) pairs.  Returns sorted pairs with zeros dropped."""
+    acc = {}
+    for entries, a in scaled:
+        for pos, c in entries:
+            acc[pos] = acc[pos] + a * c if pos in acc else a * c
+    return tuple((pos, c) for pos, c in sorted(acc.items()) if c)
+
+
 class QuotientAlgebra:
     """Exact basis, reduction map and structure constants of a presentation.
 
-    Completed algebras are immutable apart from an internal product-table
-    cache that only ever fills in deterministic values, so concurrent reads
-    (reduce, multiply, cartan) are safe.
+    Completed algebras are immutable apart from internal caches of product
+    tables and of products with basis elements, which only ever fill in
+    deterministic values, so concurrent reads (reduce, multiply, cartan) are
+    safe.
     """
 
     def __init__(self, presentation, cap, margin, field, rsys, blocks, dropped=frozenset()):
@@ -328,6 +326,7 @@ class QuotientAlgebra:
         self.arrow_ids = {a.name: i for i, a in enumerate(self.quiver.arrows)}
         self.arrow_names = {i: a.name for i, a in enumerate(self.quiver.arrows)}
         self._products = {}
+        self._basis_products = {}
 
     def _vidx(self, v):
         return self.quiver.graph.canonical_index[v]
@@ -438,6 +437,35 @@ class QuotientAlgebra:
             table.append(row)
         self._products[key] = table
         return table
+
+    def times_basis(self, x: AlgebraElement, k):
+        """Coordinates of x * b for every basis element b of block (x.target, k).
+
+        One tuple of (position, coefficient) pairs per b, zeros dropped, read
+        straight from the product table and memoized by x's coordinates.
+        """
+        key = ("left", x.source, x.target, k, x.coeffs)
+        out = self._basis_products.get(key)
+        if out is None:
+            table = self._product_table(x.source, x.target, k)
+            terms = [(row, a) for row, a in zip(table, x.coeffs) if a]
+            out = tuple(
+                _sparse_sum((row[b], a) for row, a in terms)
+                for b in range(len(self.block(x.target, k)))
+            )
+            self._basis_products[key] = out
+        return out
+
+    def basis_times(self, i, y: AlgebraElement):
+        """Coordinates of b * y for every basis element b of block (i, y.source)."""
+        key = ("right", i, y.source, y.target, y.coeffs)
+        out = self._basis_products.get(key)
+        if out is None:
+            table = self._product_table(i, y.source, y.target)
+            terms = [(col, a) for col, a in enumerate(y.coeffs) if a]
+            out = tuple(_sparse_sum((row[col], a) for col, a in terms) for row in table)
+            self._basis_products[key] = out
+        return out
 
     def cartan(self) -> CartanMatrix:
         order = self.vertices

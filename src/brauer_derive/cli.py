@@ -35,7 +35,7 @@ from .graph import (
     validate,
     _canonical_obj,
 )
-from .homological import NotAComplex
+from .homological import ChainMapFailure, NotAComplex
 from .linalg import parse_field
 from .quiver import InternalError, build_quiver, quiver_to_dot
 from .reduction import certify_trace, classify, reduce_to_normal_form
@@ -382,6 +382,7 @@ def run(argv) -> int:
         RelationFailure,
         NonUniqueHom,
         NotAComplex,
+        ChainMapFailure,
         InternalError,
         CompositionMismatch,
         QuiverMismatch,

@@ -8,14 +8,21 @@ row per summand of the higher (respectively target) term and one column per
 summand of the lower (source) term; entry [r][c] lives in the block from the
 column vertex to the row vertex.
 
-Homotopy Hom spaces are computed by two exact rank computations: the
-solution space of the chain-map conditions and the image of the homotopy map
-s -> ds + sd inside it.  ``minimize`` strips contractible two-term pieces by
-Gaussian elimination on differential entries that are units of the local
-endomorphism rings.
+Homotopy Hom spaces are computed by two exact rank computations over the
+algebra's field: the solution space of the chain-map conditions and the
+image of the homotopy map s -> ds + sd inside it, both on the whole of the
+two complexes.  The solver builds these systems from the nonzero
+differential entries only, walking each differential once per degree, and
+reads every product of an entry with a basis element from the algebra's
+product table (memoized on the algebra).  A shift at which no summand of
+C^n has a nonzero block to a summand of D^(n+r) has no variables, so
+``homotopy_hom`` returns 0 there before shifting D or building a solver.
+``minimize`` strips contractible two-term pieces by Gaussian elimination on
+differential entries that are units of the local endomorphism rings.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, CartanMatrix, QuotientAlgebra
@@ -24,6 +31,13 @@ from .linalg import SparseEchelon, nullspace, solve_dense
 
 class NotAComplex(Exception):
     """d following d is nonzero; the message names the degree and entry."""
+
+
+class ChainMapFailure(Exception):
+    """An internal chain-map computation failed: a component in the wrong
+    block, a square that does not commute, maps that do not compose, or a
+    local-ring unit without an inverse.  These come from the program's own
+    constructions, never from the input."""
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ class ProjComplex:
     def shift(self, k):
         """C[k] with (C[k])^n = C^(n+k) and differential scaled by (-1)^k."""
         terms = {n - k: t for n, t in self.terms.items()}
-        sign = self.algebra.field.from_int((-1) ** k)
+        sign = self.algebra.field.from_int(-1 if k % 2 else 1)
         diffs = {}
         for n, matrix in self.diffs.items():
             diffs[n - k] = tuple(
@@ -230,7 +244,7 @@ class ChainMap:
                     if e is not None and (
                         e.source != C.term(n)[c] or e.target != D.term(n)[r]
                     ):
-                        raise ValueError(f"component ({r},{c}) at degree {n} in wrong block")
+                        raise ChainMapFailure(f"component ({r},{c}) at degree {n} in wrong block")
         degs = set()
         for n in list(C.diffs) + list(self.comps):
             degs.add(n)
@@ -253,13 +267,13 @@ class ChainMap:
                         p = (a * b).scale(self.source.algebra.field.from_int(-1))
                         acc = p if acc is None else acc + p
                     if acc is not None and not acc.is_zero():
-                        raise ValueError(f"square at degree {n} does not commute")
+                        raise ChainMapFailure(f"square at degree {n} does not commute")
         return True
 
     def compose(self, other):
         """self followed by other (other.source == self.target)."""
         if other.source is not self.target and other.source != self.target:
-            raise ValueError("chain maps do not compose")
+            raise ChainMapFailure("chain maps do not compose")
         comps = {}
         C, E = self.source, other.target
         for n in self.comps:
@@ -284,7 +298,7 @@ class ChainMap:
 
     def _combine(self, other, sign):
         if other.source != self.source or other.target != self.target:
-            raise ValueError("chain maps between different complexes")
+            raise ChainMapFailure("chain maps between different complexes")
         comps = {}
         for n in set(self.comps) | set(other.comps):
             rows = len(self.target.term(n))
@@ -392,7 +406,7 @@ def _local_inverse(u: AlgebraElement):
     rhs = A.e(i).coeffs
     sol = solve_dense(matrix, list(rhs), A.field)
     if sol is None:
-        raise ValueError("entry is not a unit")
+        raise ChainMapFailure("entry is not a unit")
     out = A.zero(i, i)
     for b, c in zip(basis, sol):
         out = out + b.scale(c)
@@ -478,125 +492,141 @@ def is_stalk(C: ProjComplex):
     return C.term(degs[0])[0], degs[0]
 
 
+def _nonzero_entries(matrix):
+    """(row, column, entry) for every nonzero entry of a stored matrix."""
+    if matrix is None:
+        return []
+    return [
+        (r, c, e)
+        for r, row in enumerate(matrix)
+        for c, e in enumerate(row)
+        if e is not None and not e.is_zero()
+    ]
+
+
 class _HomSolver:
-    """Exact solver for chain maps C -> D and null homotopies."""
+    """Exact solver for chain maps C -> D and null homotopies.
+
+    The variables are the basis coordinates of the components f^n[r][c],
+    numbered by degree, target row, source column and basis word; the block
+    f^n[r][c] holds the variables from offset[(n, r, c)] on.  Blocks between
+    vertices with no nonzero maps get no variables.  The rows and columns
+    walk the nonzero differential entries only, and take each product with
+    a basis element from the algebra's memoized product table.  Nothing
+    needs summing: a variable of f^(n+1)[r][m] meets the rows of square
+    (n, r, c) only through d_C^n[m][c], one of f^n[m][c] only through
+    d_D^n[r][m], and likewise each homotopy coordinate reaches each variable
+    through one differential entry.
+    """
 
     def __init__(self, C, D):
         self.C, self.D = C, D
         self.A = C.algebra
         self.field = self.A.field
-        self.fvars = []
-        self.findex = {}
-        for n in sorted(set(C.degrees()) & set(D.degrees())):
-            for r, tv in enumerate(D.term(n)):
-                for c, sv in enumerate(C.term(n)):
-                    dim = len(self.A.block(sv, tv))
-                    for b in range(dim):
-                        self.findex[(n, r, c, b)] = len(self.fvars)
-                        self.fvars.append((n, r, c, b))
+        self.nvars = 0
+        self.offset = {}
+        self.by_source = {}  # (n, c) -> [(r, target vertex, offset)]
+        self.by_target = {}  # (n, r) -> [(c, source vertex, offset)]
+        dims = {}
+        for n in sorted(set(C.terms) & set(D.terms)):
+            sources = C.terms[n]
+            for r, tv in enumerate(D.terms[n]):
+                for c, sv in enumerate(sources):
+                    dim = dims.get((sv, tv))
+                    if dim is None:
+                        dim = dims[(sv, tv)] = len(self.A.block(sv, tv))
+                    if not dim:
+                        continue
+                    base = self.offset[(n, r, c)] = self.nvars
+                    self.by_source.setdefault((n, c), []).append((r, tv, base))
+                    self.by_target.setdefault((n, r), []).append((c, sv, base))
+                    self.nvars += dim
 
     def constraint_rows(self):
-        """Sparse rows (over fvar columns) expressing commutation squares."""
-        C, D, A = self.C, self.D, self.A
-        rows = {}
-        for n in sorted(set(C.degrees())):
-            for c, sv in enumerate(C.term(n)):
-                for r, tv in enumerate(D.term(n + 1)):
-                    block = A.block(sv, tv)
-                    for t in range(len(block)):
-                        rows[(n, r, c, t)] = {}
-        for n in sorted(set(C.degrees())):
-            for c, sv in enumerate(C.term(n)):
-                # d_C then f^{n+1}
-                for m, mv in enumerate(C.term(n + 1)):
-                    d = C.entry(n, m, c)
-                    if d is None:
-                        continue
-                    for r, tv in enumerate(D.term(n + 1)):
-                        for b, basis in enumerate(self.A.block_basis(mv, tv)):
-                            var = self.findex.get((n + 1, r, m, b))
-                            if var is None:
-                                continue
-                            prod = d * basis
-                            for t, coeff in enumerate(prod.coeffs):
-                                if coeff:
-                                    row = rows[(n, r, c, t)]
-                                    row[var] = row.get(var, self.field.zero) + coeff
-                # minus f^n then d_D
-                for m, mv in enumerate(D.term(n)):
-                    for r, tv in enumerate(D.term(n + 1)):
-                        e = D.entry(n, r, m)
-                        if e is None:
-                            continue
-                        for b, basis in enumerate(self.A.block_basis(sv, mv)):
-                            var = self.findex.get((n, m, c, b))
-                            if var is None:
-                                continue
-                            prod = basis * e
-                            for t, coeff in enumerate(prod.coeffs):
-                                if coeff:
-                                    row = rows[(n, r, c, t)]
-                                    row[var] = row.get(var, self.field.zero) - coeff
-        return [row for row in rows.values() if row]
+        """Sparse rows (over variable columns) expressing commutation squares.
 
-    def svars(self):
-        out = []
-        for n in sorted(set(self.C.degrees())):
-            for r, tv in enumerate(self.D.term(n - 1)):
-                for c, sv in enumerate(self.C.term(n)):
-                    dim = len(self.A.block(sv, tv))
-                    for b in range(dim):
-                        out.append((n, r, c, b))
-        return out
+        Row (n, r, c, t) is coordinate t of the (r, c) entry of
+        f^(n+1) d_C^n - d_D^n f^n, read in application order.  Rows come in
+        the order (n, c, r, t).
+        """
+        A = self.A
+        rows = {}  # (n, c, r) -> {t: row}
+        # d_C then f^(n+1)
+        for n, matrix in self.C.diffs.items():
+            for m, c, d in _nonzero_entries(matrix):
+                for r, tv, base in self.by_source.get((n + 1, m), ()):
+                    block = rows.setdefault((n, c, r), {})
+                    for var, coords in enumerate(A.times_basis(d, tv), base):
+                        for t, coeff in coords:
+                            block.setdefault(t, {})[var] = coeff
+        # minus f^n then d_D
+        for n, matrix in self.D.diffs.items():
+            for r, m, e in _nonzero_entries(matrix):
+                for c, sv, base in self.by_target.get((n, m), ()):
+                    block = rows.setdefault((n, c, r), {})
+                    for var, coords in enumerate(A.basis_times(sv, e), base):
+                        for t, coeff in coords:
+                            block.setdefault(t, {})[var] = -coeff
+        return [
+            rows[key][t] for key in sorted(rows) for t in sorted(rows[key])
+        ]
 
     def homotopy_columns(self):
-        """Image vectors of the map s -> d s + s d, one per s basis vector."""
-        C, D, A = self.C, self.D, self.A
+        """Image vectors of the map s -> d s + s d, one per s basis vector.
+
+        s^n[r][c] maps C^n[c] to D^(n-1)[r]; it reaches f^(n-1) through row c
+        of d_C^(n-1) and f^n through column r of d_D^(n-1).
+        """
+        C, D, A, offset = self.C, self.D, self.A, self.offset
         cols = []
-        for (n, r, c, b) in self.svars():
-            sv, tv = C.term(n)[c], D.term(n - 1)[r]
-            basis = A.block_basis(sv, tv)[b]
-            col = {}
-            # d_C^{n-1} then s at degree n: contributes to f^{n-1}
-            for c2, sv2 in enumerate(C.term(n - 1)):
-                d = C.entry(n - 1, c, c2)
-                if d is None:
-                    continue
-                prod = d * basis
-                for t, coeff in enumerate(prod.coeffs):
-                    if coeff:
-                        var = self.findex[(n - 1, r, c2, t)]
-                        col[var] = col.get(var, self.field.zero) + coeff
-            # s at degree n then d_D^{n-1}: contributes to f^n
-            for r2, tv2 in enumerate(D.term(n)):
-                e = D.entry(n - 1, r2, r)
-                if e is None:
-                    continue
-                prod = basis * e
-                for t, coeff in enumerate(prod.coeffs):
-                    if coeff:
-                        var = self.findex[(n, r2, c, t)]
-                        col[var] = col.get(var, self.field.zero) + coeff
-            if col:
-                cols.append(col)
+        for n in sorted(C.terms):
+            if n - 1 not in D.terms:
+                continue
+            below = {}  # c -> [(c2, d_C^(n-1)[c][c2])]
+            for c, c2, d in _nonzero_entries(C.diffs.get(n - 1)):
+                below.setdefault(c, []).append((c2, d))
+            above = {}  # r -> [(r2, d_D^(n-1)[r2][r])]
+            for r2, r, e in _nonzero_entries(D.diffs.get(n - 1)):
+                above.setdefault(r, []).append((r2, e))
+            for r, tv in enumerate(D.terms[n - 1]):
+                ups = above.get(r, ())
+                for c, sv in enumerate(C.terms[n]):
+                    downs = below.get(c, ())
+                    dim = len(A.block(sv, tv)) if ups or downs else 0
+                    if not dim:
+                        continue
+                    block = [{} for _ in range(dim)]
+                    for c2, d in downs:
+                        base = offset.get((n - 1, r, c2))
+                        if base is not None:
+                            for col, coords in zip(block, A.times_basis(d, tv)):
+                                for t, coeff in coords:
+                                    col[base + t] = coeff
+                    for r2, e in ups:
+                        base = offset.get((n, r2, c))
+                        if base is not None:
+                            for col, coords in zip(block, A.basis_times(sv, e)):
+                                for t, coeff in coords:
+                                    col[base + t] = coeff
+                    cols.extend(col for col in block if col)
         return cols
 
     def vectorize(self, f: ChainMap):
         vec = {}
         for n, matrix in f.comps.items():
-            for r, row in enumerate(matrix):
-                for c, e in enumerate(row):
-                    if e is None:
-                        continue
-                    for b, coeff in enumerate(e.coeffs):
-                        if coeff:
-                            vec[self.findex[(n, r, c, b)]] = coeff
+            for r, c, e in _nonzero_entries(matrix):
+                base = self.offset[(n, r, c)]
+                for b, coeff in enumerate(e.coeffs):
+                    if coeff:
+                        vec[base + b] = coeff
         return vec
 
     def chain_map_from_vector(self, vec):
+        keys, bases = list(self.offset), list(self.offset.values())
         comps = {}
         for var, coeff in vec.items():
-            n, r, c, b = self.fvars[var]
+            k = bisect_right(bases, var) - 1
+            n, r, c = keys[k]
             matrix = comps.setdefault(
                 n,
                 [
@@ -605,18 +635,27 @@ class _HomSolver:
                 ],
             )
             sv, tv = self.C.term(n)[c], self.D.term(n)[r]
-            add = self.A.block_basis(sv, tv)[b].scale(coeff)
+            add = self.A.block_basis(sv, tv)[var - bases[k]].scale(coeff)
             matrix[r][c] = add if matrix[r][c] is None else matrix[r][c] + add
         return ChainMap(self.C, self.D, comps, check=False)
 
 
+def _has_variables(C: ProjComplex, D: ProjComplex, shift_by: int) -> bool:
+    """Whether some C^n, D^(n+shift_by) pair of summands has a nonzero block."""
+    A = C.algebra
+    for n, sources in C.terms.items():
+        targets = set(D.term(n + shift_by))
+        if targets and any(A.block(s, t) for s in set(sources) for t in targets):
+            return True
+    return False
+
+
 def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0, with_basis=False) -> HomotopyHom:
     """Hom in the homotopy category from C to D[shift_by]; exact dimension."""
-    E = D.shift(shift_by)
-    solver = _HomSolver(C, E)
-    nvars = len(solver.fvars)
-    if nvars == 0:
+    if not _has_variables(C, D, shift_by):
         return HomotopyHom(0, ())
+    solver = _HomSolver(C, D.shift(shift_by))
+    nvars = solver.nvars
     constraints = solver.constraint_rows()
     hcols = solver.homotopy_columns()
     hech = SparseEchelon()
@@ -653,33 +692,31 @@ def is_null_homotopic(f: ChainMap) -> bool:
     return ech.contains(vec)
 
 
-def homotopy_equivalent_to_stalk(C: ProjComplex, vertex, degree) -> bool:
-    """Decide C ~ P(vertex)[-degree] via the minimal form."""
-    M = minimize(C)
-    return is_stalk(M) == (vertex, degree)
-
-
 def happel_cartan(summands, C: CartanMatrix, labels=None) -> CartanMatrix:
     """Cartan matrix of the endomorphism ring of a direct sum of complexes.
 
     Entry (z, z') is the alternating double sum over degrees r, s of
     (-1)^(r-s) dim Hom(Q_r, Q'_s), with the module Hom dimensions read off
-    the Cartan matrix of the base algebra.
+    the Cartan matrix of the base algebra.  As (-1)^(r-s) = (-1)^r (-1)^s,
+    this is S C S^T, where row z of S counts the summands of Q_z at each
+    vertex with the sign of their degree.
     """
-    n = len(summands)
     if labels is None:
-        labels = tuple(str(i) for i in range(n))
+        labels = tuple(str(i) for i in range(len(summands)))
+    index = {v: k for k, v in enumerate(C.order)}
+    signed = []  # sparse rows of S
+    for Q in summands:
+        row = {}
+        for n, term in Q.terms.items():
+            sign = -1 if n % 2 else 1
+            for v in term:
+                row[index[v]] = row.get(index[v], 0) + sign
+        signed.append([(k, m) for k, m in row.items() if m])
     rows = []
-    for Qz in summands:
-        row = []
-        for Qw in summands:
-            total = 0
-            for r in Qz.degrees():
-                for s in Qw.degrees():
-                    sign = -1 if (r - s) % 2 else 1
-                    for i in Qz.term(r):
-                        for j in Qw.term(s):
-                            total += sign * C.entry(i, j)
-            row.append(total)
-        rows.append(tuple(row))
+    for sz in signed:
+        sc = [0] * len(C.order)  # row z of S C
+        for k, m in sz:
+            for j, value in enumerate(C.rows[k]):
+                sc[j] += m * value
+        rows.append(tuple(sum(sc[j] * m for j, m in sw) for sw in signed))
     return CartanMatrix(tuple(labels), tuple(rows))

@@ -7,6 +7,7 @@ support the usual operators, so the elimination code is field agnostic.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,7 +91,7 @@ class PrimeField:
         self.name = f"GF({p})"
 
     def from_int(self, n):
-        return PrimeFieldElement(n % self.p, self.p)
+        return PrimeFieldElement(operator.index(n) % self.p, self.p)
 
     @property
     def zero(self):
@@ -176,13 +177,6 @@ class SparseEchelon:
 
     def contains(self, vec):
         return not self.reduce(vec)
-
-
-def rank_of(rows, sort_key=None):
-    ech = SparseEchelon(sort_key)
-    for row in rows:
-        ech.add(row)
-    return ech.rank
 
 
 def nullspace(rows, nvars, field=QQ):

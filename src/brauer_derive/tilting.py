@@ -277,7 +277,7 @@ def check_tilting(Q: TiltingComplex) -> TiltCertificate:
 # -- endomorphism-ring generators ------------------------------------
 
 
-def _mult_map(A, src_complex, tgt_complex, elt):
+def _mult_map(src_complex, tgt_complex, elt):
     """Chain map between stalk-bottomed complexes given by one degree-0 entry."""
     comps = {0: [[elt]]}
     return ChainMap(src_complex, tgt_complex, comps, check=True)
@@ -400,7 +400,7 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
         elif s == at and len(siblings) > 1 and t == siblings[1]:
             word = (q.alpha_out[at].name, q.alpha_out[succ].name)
             maps[arrow.name] = _mult_map(
-                A, Q.summands[at], Q.summands[t], A.path_element(word)
+                Q.summands[at], Q.summands[t], A.path_element(word)
             )
         elif top is not None and s == succ and t == top:
             maps[arrow.name] = row(1, A.e(top), top)
@@ -415,7 +415,7 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
         elif len(fan) >= 2 and s == top and t == fan[0]:
             word = (q.beta_out[top].name, q.beta_out[succ].name)
             maps[arrow.name] = _mult_map(
-                A, Q.summands[top], Q.summands[t], A.path_element(word)
+                Q.summands[top], Q.summands[t], A.path_element(word)
             )
         else:
             old = q.by_name.get(arrow.name)
@@ -424,7 +424,7 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
                     f"arrow {arrow.name}: no matching generator map ({s}->{t})"
                 )
             maps[arrow.name] = _mult_map(
-                A, Q.summands[s], Q.summands[t], A.arrow_element(old.name)
+                Q.summands[s], Q.summands[t], A.arrow_element(old.name)
             )
     return maps
 

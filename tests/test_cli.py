@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from brauer_derive.cli import run
+from brauer_derive import tilting
+from brauer_derive.cli import EXIT_CERTIFICATE, run
+from brauer_derive.homological import ChainMap
 
-from conftest import G_MIN_TEXT
+from conftest import CORPUS_TEXTS, G_MIN_TEXT
 
 
 @pytest.fixture()
@@ -137,3 +139,23 @@ def test_field_flag(capsys):
 def test_not_stabilized_exit_code(capsys):
     assert run(["cartan", "--omega", "3", "--cap", "2", "--margin", "1"]) == 2
     assert "NotStabilized" in capsys.readouterr().err
+
+
+def test_non_commuting_chain_map_is_certificate_failure(tmp_path, capsys, monkeypatch):
+    """A chain map the program builds wrongly is a certificate failure (exit
+    3), not invalid input (exit 1)."""
+
+    class DropTop(ChainMap):
+        """Loses its top component, so the square below it stops commuting."""
+
+        def __init__(self, source, target, comps, check=True):
+            comps = dict(comps)
+            if len(comps) > 1:
+                del comps[max(comps)]
+            super().__init__(source, target, comps, check)
+
+    monkeypatch.setattr(tilting, "ChainMap", DropTop)
+    path = tmp_path / "chain2.json"
+    path.write_text(CORPUS_TEXTS["chain2"], encoding="utf-8")
+    assert run(["tilt-shrink", str(path)]) == EXIT_CERTIFICATE
+    assert "ChainMapFailure: square at degree 0 does not commute" in capsys.readouterr().err

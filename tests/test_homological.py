@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.graph import loop_star, parse_graph
 from brauer_derive.homological import (
     ChainMap,
@@ -18,8 +19,11 @@ from brauer_derive.homological import (
     minimize,
     shift,
 )
+from brauer_derive import linalg
+from brauer_derive.quiver import build_quiver
+from brauer_derive.tilting import shrink_complex
 
-from conftest import G_MIN_TEXT, algebra_for
+from conftest import CORPUS_TEXTS, G_MIN_TEXT, algebra_for
 
 
 @pytest.fixture(scope="module")
@@ -368,3 +372,24 @@ def test_multiplicity_handling(Am):
     assert homotopy_hom(QQ, QQ).dimension == 4 * homotopy_hom(Q3, Q3).dimension
     assert homotopy_hom(QQ, QQ, 1).dimension == 0
     assert minimize(mapping_cone(ChainMap.identity(QQ))).is_zero()
+
+
+@pytest.mark.parametrize("with_basis", [False, True])
+@pytest.mark.parametrize(
+    "field", [linalg.QQ, linalg.PrimeField(2), linalg.PrimeField(3)], ids=repr
+)
+def test_negative_odd_shift_over_every_field(field, with_basis):
+    """D[-1] carries the exact sign -1 of the field.  A float sign from
+    (-1) ** k once reached the GF(p) elimination and crashed it."""
+    g = parse_graph(CORPUS_TEXTS["chain2"])
+    A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+    Q3 = shrink_complex(A, g).summands["3"]
+    hh = homotopy_hom(ProjComplex.stalk(A, "2", 1), Q3, -1, with_basis=with_basis)
+    assert hh.dimension == 1
+    assert len(hh.basis) == (1 if with_basis else 0)
+
+
+def test_prime_field_rejects_non_integers():
+    with pytest.raises(TypeError):
+        linalg.PrimeField(2).from_int(1.0)
+    assert linalg.PrimeField(3).from_int(-1).value == 2

@@ -1,0 +1,88 @@
+"""The shrink certificate and the homotopy-Hom solver at benchmark sizes.
+
+The graphs have the shapes of the shrink-deep benchmark families: a chain of
+depth 13 with two one-edge twigs, and an 18-edge tree grown deep.  Each runs
+over Q and over GF(2), where nonstandardness shows.  Besides the tilting
+certificate and the generator relations, Hom(T, T) at shift 0 must have the
+dimension of the endomorphism ring that the Cartan matrix predicts, which
+does not depend on the solver and is far from 0.
+"""
+import json
+import random
+
+import pytest
+
+from brauer_derive.algebra import omega_relations, quotient_basis
+from brauer_derive.graph import edge_count, parse_graph
+from brauer_derive.homological import homotopy_hom
+from brauer_derive.linalg import QQ, PrimeField
+from brauer_derive.quiver import build_quiver
+from brauer_derive.tilting import (
+    check_tilting,
+    end_cartan,
+    shrink_complex,
+    verify_end_generators,
+)
+
+
+def graph_text(lists):
+    return json.dumps({"vertices": [{"id": v, "cyclic": c} for v, c in lists.items()]})
+
+
+def chain_with_twigs(depth, twigs):
+    """Cycle edges 1 (the loop), 2 and 3; a spine of ``depth`` tree edges
+    below edge 2; one leaf edge at each spine position in ``twigs``."""
+    lists = {"S": ["1", "1", "2", "3"], "v2": ["2"], "v3": ["3"]}
+    host, spine = "v2", []
+    for k in range(4, 4 + depth):
+        lists[host].append(str(k))
+        host = f"v{k}"
+        lists[host] = [str(k)]
+        spine.append(host)
+    for k, pos in enumerate(twigs, start=4 + depth):
+        lists[spine[pos]].insert(1, str(k))
+        lists[f"v{k}"] = [str(k)]
+    return graph_text(lists)
+
+
+def deep_tree(n_edges, seed, window=3):
+    """Cycle edges 1 (the loop), 2 and 3; every further edge hangs at a
+    random place of one of the last ``window`` vertices made, so the trees
+    grow deep."""
+    rng = random.Random(seed)
+    lists = {"S": ["1", "1", "2", "3"], "v2": ["2"], "v3": ["3"]}
+    spots = ["v2", "v3"]
+    for k in range(4, n_edges + 1):
+        host = rng.choice(spots[-window:])
+        lists[host].insert(rng.randrange(1, len(lists[host]) + 1), str(k))
+        lists[f"v{k}"] = [str(k)]
+        spots.append(f"v{k}")
+    return graph_text(lists)
+
+
+GRAPHS = {
+    "chain13_twigs": chain_with_twigs(13, twigs=(2, 7)),
+    "deep18": deep_tree(18, seed=5),
+}
+
+
+def test_graph_shapes():
+    chain = parse_graph(GRAPHS["chain13_twigs"])
+    assert edge_count(chain) == 18
+    tree = [z for z in chain.canonical_order if chain.is_tree_edge(z)]
+    assert max(len(chain.tree_path(z)) for z in tree) == 14  # cycle edge + 13
+    assert edge_count(parse_graph(GRAPHS["deep18"])) == 18
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_shrink_certificate_at_benchmark_size(name, field):
+    g = parse_graph(GRAPHS[name])
+    A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+    Q = shrink_complex(A, g)
+    cert = check_tilting(Q)
+    assert cert.valid and set(cert.hom_vanishing.values()) == {0}
+    assert verify_end_generators(Q)
+    T = Q.direct_sum()
+    assert homotopy_hom(T, T, 0).dimension == end_cartan(Q).dim

@@ -1,7 +1,7 @@
 import pytest
 
 from brauer_derive.graph import edge_count, loop_star, parse_graph
-from brauer_derive.homological import is_stalk
+from brauer_derive.homological import homotopy_hom, is_stalk
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import (
     EmptyTree,
@@ -75,6 +75,15 @@ def test_check_tilting_shrink(g_min):
     assert set(cert.hom_vanishing.values()) == {0}
     assert {w.matches_vertex for w in cert.witnesses} == {"1", "2", "3"}
     assert cert.det_source == 4 and cert.det_end == 4
+
+
+def test_end_basis_representatives_are_chain_maps():
+    g = parse_graph(CHAIN2_TEXT)
+    Q = shrink_complex(algebra_for(g), g)
+    T = Q.direct_sum()
+    hh = homotopy_hom(T, T, 0, with_basis=True)
+    assert hh.dimension == len(hh.basis) == end_cartan(Q).dim
+    assert all(f.check() for f in hh.basis)
 
 
 def test_check_tilting_stalks_trivially_valid():
