@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from brauer_derive import tilting
 from brauer_derive.cli import EXIT_CERTIFICATE, run
+from brauer_derive.graph import parse_graph
 from brauer_derive.homological import ChainMap
 
 from conftest import CORPUS_TEXTS, G_MIN_TEXT
@@ -159,3 +161,137 @@ def test_non_commuting_chain_map_is_certificate_failure(tmp_path, capsys, monkey
     path.write_text(CORPUS_TEXTS["chain2"], encoding="utf-8")
     assert run(["tilt-shrink", str(path)]) == EXIT_CERTIFICATE
     assert "ChainMapFailure: square at degree 0 does not commute" in capsys.readouterr().err
+
+
+# SHA-256 of the text-mode stdout of every shrink and enlarge certificate on
+# the corpus, over Q and GF(2); pins the printed complexes, which the JSON
+# output leaves out.
+TEXT_DIGESTS = {
+    'g_min tilt-shrink': (
+        'fce67c98393222e60ea0961eea20aae16774d77623f58516bd75226474ad62b8'
+    ),
+    'g_min tilt-enlarge --at 2': (
+        'cfcdbe7982f55b131ad9981c174a1033c04d961e889eed45b077f6e8c73b895d'
+    ),
+    'g_min tilt-shrink --field 2': (
+        'b651e5a2f9f1555ddcd9c8c794ecc9cd5258d019e04f6e07f764633da9fa54c4'
+    ),
+    'g_min tilt-enlarge --at 2 --field 2': (
+        'b45a96c5156af04c89ba11f553e0a95cac7d9d82f4e69a7b00ec57931130e7b5'
+    ),
+    'chain2 tilt-shrink': (
+        '8ee8fea54a88aa4e19c54570e2b0826ab468f01c6f55ecf22510b54f70299456'
+    ),
+    'chain2 tilt-enlarge --at 2': (
+        '4fb65072fd59a6af4041137d7743cd965427185ec9d5c37d708e1f67b6409611'
+    ),
+    'chain2 tilt-shrink --field 2': (
+        '6668c297e7256b129b2e6794ca6889bef1a221abfc3cd716c0a0e857bcfd4668'
+    ),
+    'chain2 tilt-enlarge --at 2 --field 2': (
+        '4ba45c97c919cb5f0e65b23e30772a6a4d5aa6e24917d4340f39fe301611046b'
+    ),
+    'two_tree tilt-shrink': (
+        'd7798fb24165e7ac3d58ecdf11bcff3aa72c452d48ff8bb8c4eb52df532fdec4'
+    ),
+    'two_tree tilt-enlarge --at 2': (
+        '300679cc1ad2d02028f5e500150457d0a2d104702e3fdd522787381f65c5fa6c'
+    ),
+    'two_tree tilt-enlarge --at 3': (
+        'bb8581463dabac54389830c05776ed8a97f5e23af11654ab97663dced027c20e'
+    ),
+    'two_tree tilt-shrink --field 2': (
+        '8d8f765a78ca1d575e5b3bc9ff4299506b38c109d21b0da596a6b380cc5b607c'
+    ),
+    'two_tree tilt-enlarge --at 2 --field 2': (
+        '95dc5f7862a4ee4893d5f32f5c8fa830d2c4dad25b89bc6c1c4f82ef547b79f2'
+    ),
+    'two_tree tilt-enlarge --at 3 --field 2': (
+        '2a228be95b4cba995be4c6351ae2bda76bc8a4ec6f3c5345ad8200cf16d1a4ce'
+    ),
+    'branch tilt-shrink': (
+        '28f422f68c68c48a75d647535faac3bab1cba5b9d88eda0cb6a6599cf49db97a'
+    ),
+    'branch tilt-enlarge --at 2': (
+        '655599e01bbea171bdb4124257d36a3171e9d7eb4910b81cf37a8155a5024ca8'
+    ),
+    'branch tilt-shrink --field 2': (
+        '44884ad1e248fe97ca76a2e855083903eae09357e242f8b85d35e3914062ea9e'
+    ),
+    'branch tilt-enlarge --at 2 --field 2': (
+        '6d21bf592a793419e4a6527653b809fc7c683383dd05f57e8f3562d683d6d190'
+    ),
+    'mixed7 tilt-shrink': (
+        '90e87d22a10ff55add00171b30c7c1c791cd7fabaea3d9c2ca60752c68914c4d'
+    ),
+    'mixed7 tilt-enlarge --at 2': (
+        'a52a3a59b97ae3f547936755c08bf05210c00853d50d22037634d1f33c4abda8'
+    ),
+    'mixed7 tilt-enlarge --at 3': (
+        '1ac4827e50881e0c45d9048b80b9217df933852b512ef4c048f728adb178785c'
+    ),
+    'mixed7 tilt-shrink --field 2': (
+        'c546ae0c931d40a706ba4df1ed7f71501af40267ff1beb67ea82d0ddf4f73fae'
+    ),
+    'mixed7 tilt-enlarge --at 2 --field 2': (
+        'e33fbb3a9dac38730c77d86cd6001606182cfe27c0bb859c007703137b220eca'
+    ),
+    'mixed7 tilt-enlarge --at 3 --field 2': (
+        '6c16e36b9f684112ea6e906248a8c01a706e2449e6a39ad4db246086af7fce9f'
+    ),
+    'wide8 tilt-shrink': (
+        'bdaf2b54acf976bb24e355035ec481e8e64bdad5d39b95d8b8644be01e4900c1'
+    ),
+    'wide8 tilt-enlarge --at 2': (
+        '0a4843a7db6a3901d9fcf0c26477000be8c2f33ac4dabac75108c7c7573bc685'
+    ),
+    'wide8 tilt-enlarge --at 3': (
+        '72f76e284505740eab43996c16ca34b8045a7d988319b7e826e63125c84396a7'
+    ),
+    'wide8 tilt-enlarge --at 4': (
+        'ec008e664eed1744ecb883693a33abdc009628c1a3dc3def90bd1aa703555cda'
+    ),
+    'wide8 tilt-shrink --field 2': (
+        '73c79bb160e088a2a3b747191dc544bc52e1a468ac9cc339d99c72e297a4b2ab'
+    ),
+    'wide8 tilt-enlarge --at 2 --field 2': (
+        '75b185f258f56de74b1e09ca045ee3324bc2225ac872347a0f2dc388facde4fc'
+    ),
+    'wide8 tilt-enlarge --at 3 --field 2': (
+        '6cd3703cf488850dca8424c5ce9891dff49e53ee1b75ccc49faeefc36c8dac25'
+    ),
+    'wide8 tilt-enlarge --at 4 --field 2': (
+        'f61c3aedb3fbfa7efb0c177389ed6c011f103df48ff2180b00b56bdfe73a18c0'
+    ),
+}
+
+
+def _text_invocations():
+    """Key -> (corpus graph, command, field flags) for every shrink and
+    every enlarge pivot."""
+    out = {}
+    for name, text in CORPUS_TEXTS.items():
+        g = parse_graph(text)
+        pivots = [c for c in g.cycle_edges[1:] if g.trees[c]]
+        commands = [["tilt-shrink"]] + [["tilt-enlarge", "--at", c] for c in pivots]
+        for flags in ([], ["--field", "2"]):
+            for cmd in commands:
+                out[" ".join([name, *cmd, *flags])] = (name, cmd, flags)
+    return out
+
+
+TEXT_INVOCATIONS = _text_invocations()
+
+
+def test_text_digests_cover_every_pivot():
+    assert sorted(TEXT_INVOCATIONS) == sorted(TEXT_DIGESTS)
+
+
+@pytest.mark.parametrize("key", sorted(TEXT_INVOCATIONS))
+def test_tilt_text_output_digest(key, tmp_path, capsys):
+    name, cmd, flags = TEXT_INVOCATIONS[key]
+    path = tmp_path / f"{name}.json"
+    path.write_text(CORPUS_TEXTS[name], encoding="utf-8")
+    assert run([cmd[0], str(path), *cmd[1:], *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_DIGESTS[key]
