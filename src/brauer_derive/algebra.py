@@ -18,6 +18,7 @@ returning unstable numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import rewriting
@@ -168,6 +169,10 @@ class CartanMatrix:
         return sum(sum(r) for r in self.rows)
 
     def det(self):
+        return self._det
+
+    @cached_property
+    def _det(self):
         return det_int([list(r) for r in self.rows])
 
     def entry(self, i, j):
@@ -301,9 +306,9 @@ class QuotientAlgebra:
     """Exact basis, reduction map and structure constants of a presentation.
 
     Completed algebras are immutable apart from internal caches of product
-    tables and of products with basis elements, which only ever fill in
-    deterministic values, so concurrent reads (reduce, multiply, cartan) are
-    safe.
+    tables, of products with basis elements and of the Cartan matrix (which
+    caches its determinant).  These only ever fill in deterministic values,
+    so concurrent reads (reduce, multiply, cartan) are safe.
     """
 
     def __init__(self, presentation, cap, margin, field, rsys, blocks, dropped=frozenset()):
@@ -468,6 +473,10 @@ class QuotientAlgebra:
         return out
 
     def cartan(self) -> CartanMatrix:
+        return self._cartan
+
+    @cached_property
+    def _cartan(self):
         order = self.vertices
         rows = tuple(
             tuple(len(self.block(i, j)) for j in order) for i in order

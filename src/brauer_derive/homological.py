@@ -3,22 +3,24 @@
 Complexes are cohomological (differentials raise degree).  A homomorphism
 P(i) -> P(j) is an element of the block e_i A e_j acting by right
 multiplication, so composing maps concatenates the underlying paths in
-application order.  Differential and chain-map matrices are stored with one
-row per summand of the higher (respectively target) term and one column per
-summand of the lower (source) term; entry [r][c] lives in the block from the
-column vertex to the row vertex.
+application order.  Differential and chain-map matrices are sparse dicts
+{(row, col): element} holding their nonzero entries only, keys in sorted
+order.  Rows index the summands of the higher (respectively target) term and
+columns those of the lower (source) term; entry (r, c) lives in the block
+from the column vertex to the row vertex.  ``entry`` and ``comp`` read one
+entry, with None for zero.
 
 Homotopy Hom spaces are computed by two exact rank computations over the
 algebra's field: the solution space of the chain-map conditions and the
 image of the homotopy map s -> ds + sd inside it, both on the whole of the
-two complexes.  The solver builds these systems from the nonzero
-differential entries only, walking each differential once per degree, and
-reads every product of an entry with a basis element from the algebra's
-product table (memoized on the algebra).  A shift at which no summand of
-C^n has a nonzero block to a summand of D^(n+r) has no variables, so
-``homotopy_hom`` returns 0 there before shifting D or building a solver.
-``minimize`` strips contractible two-term pieces by Gaussian elimination on
-differential entries that are units of the local endomorphism rings.
+two complexes.  The solver builds these systems from the stored entries,
+walking each differential once per degree, and reads every product of an
+entry with a basis element from the algebra's product table (memoized on
+the algebra).  A shift at which no summand of C^n has a nonzero block to a
+summand of D^(n+r) has no variables, so ``homotopy_hom`` returns 0 there
+before shifting D or building a solver.  ``minimize`` strips contractible
+two-term pieces by Gaussian elimination on differential entries that are
+units of the local endomorphism rings.
 """
 from __future__ import annotations
 
@@ -64,11 +66,10 @@ class ProjComplex:
         self.terms = {n: tuple(t) for n, t in sorted(terms.items()) if t}
         self.diffs = {}
         for n in sorted(diffs):
-            matrix = diffs[n]
-            if n not in self.terms or (n + 1) not in self.terms or matrix is None:
-                continue
-            if any(e is not None and not e.is_zero() for row in matrix for e in row):
-                self.diffs[n] = tuple(tuple(row) for row in matrix)
+            if n in self.terms and n + 1 in self.terms:
+                matrix = _sparse(diffs[n])
+                if matrix:
+                    self.diffs[n] = matrix
 
     @staticmethod
     def stalk(algebra, vertex, degree=0):
@@ -80,14 +81,8 @@ class ProjComplex:
     def term(self, n):
         return self.terms.get(n, ())
 
-    def diff(self, n):
-        return self.diffs.get(n)
-
     def entry(self, n, r, c):
-        matrix = self.diffs.get(n)
-        if matrix is None:
-            return None
-        return matrix[r][c]
+        return self.diffs.get(n, {}).get((r, c))
 
     @property
     def width(self):
@@ -113,30 +108,19 @@ class ProjComplex:
         """C[k] with (C[k])^n = C^(n+k) and differential scaled by (-1)^k."""
         terms = {n - k: t for n, t in self.terms.items()}
         sign = self.algebra.field.from_int(-1 if k % 2 else 1)
-        diffs = {}
-        for n, matrix in self.diffs.items():
-            diffs[n - k] = tuple(
-                tuple(e.scale(sign) if e is not None else None for e in row)
-                for row in matrix
-            )
+        diffs = {
+            n - k: {rc: e.scale(sign) for rc, e in matrix.items()}
+            for n, matrix in self.diffs.items()
+        }
         return ProjComplex(self.algebra, terms, diffs)
 
     def __eq__(self, other):
-        if not isinstance(other, ProjComplex) or other.algebra is not self.algebra:
-            return False
-        if self.terms != other.terms:
-            return False
-        if set(self.diffs) != set(other.diffs):
-            return False
-        for n in self.diffs:
-            a, b = self.diffs[n], other.diffs[n]
-            for ra, rb in zip(a, b):
-                for ea, eb in zip(ra, rb):
-                    ea_zero = ea is None or ea.is_zero()
-                    eb_zero = eb is None or eb.is_zero()
-                    if ea_zero != eb_zero or (not ea_zero and ea != eb):
-                        return False
-        return True
+        return (
+            isinstance(other, ProjComplex)
+            and other.algebra is self.algebra
+            and self.terms == other.terms
+            and self.diffs == other.diffs
+        )
 
     def dump(self):
         lines = []
@@ -147,177 +131,130 @@ class ProjComplex:
             ]
             lines.append(f"deg {n}: " + " ⊕ ".join(parts))
             matrix = self.diffs.get(n)
-            if matrix is not None:
-                printed = [[str(e) if e is not None else "0" for e in row] for row in matrix]
-                lines.append(f"d{n}: [" + "; ".join(", ".join(row) for row in printed) + "]")
+            if matrix:
+                rows = (
+                    ", ".join(str(matrix.get((r, c), 0)) for c in range(len(self.term(n))))
+                    for r in range(len(self.term(n + 1)))
+                )
+                lines.append(f"d{n}: [" + "; ".join(rows) + "]")
         return "\n".join(lines) if lines else "0"
 
     def __repr__(self):
         return f"ProjComplex<{self.dump()}>"
 
 
+def _sparse(matrix):
+    """The nonzero entries of a {(row, col): element} matrix, keys sorted."""
+    return {rc: e for rc, e in sorted(matrix.items()) if not e.is_zero()}
+
+
+def _add_entry(matrix, rc, e):
+    """matrix[rc] += e, where the entry may be absent; zeros stay until
+    ``_sparse`` drops them."""
+    matrix[rc] = matrix[rc] + e if rc in matrix else e
+
+
+def _then(first, second):
+    """Matrix of ``first`` followed by ``second``: entry (r, c) is the sum
+    over m of first[(m, c)] * second[(r, m)], zeros dropped."""
+    by_col = {}
+    for (r, m), b in second.items():
+        by_col.setdefault(m, []).append((r, b))
+    acc = {}
+    for (m, c), a in first.items():
+        for r, b in by_col.get(m, ()):
+            _add_entry(acc, (r, c), a * b)
+    return _sparse(acc)
+
+
 def direct_sum(complexes):
     """Direct sum; summands keep their order of appearance per degree."""
     if not complexes:
         raise ValueError("empty direct sum")
-    algebra = complexes[0].algebra
     terms = {}
-    offsets = []
-    for C in complexes:
-        offs = {}
-        for n, t in sorted(C.terms.items()):
-            offs[n] = len(terms.get(n, ()))
-            terms[n] = terms.get(n, ()) + t
-        offsets.append(offs)
     diffs = {}
-    for n in list(terms):
-        if n + 1 not in terms:
-            continue
-        rows = len(terms[n + 1])
-        cols = len(terms[n])
-        matrix = [[None] * cols for _ in range(rows)]
-        for C, offs in zip(complexes, offsets):
-            sub = C.diff(n)
-            if sub is None:
-                continue
-            ro, co = offs[n + 1], offs[n]
-            for r, row in enumerate(sub):
-                for c, e in enumerate(row):
-                    matrix[ro + r][co + c] = e
-        if any(any(e is not None for e in row) for row in matrix):
-            diffs[n] = matrix
-    return ProjComplex(algebra, terms, diffs)
+    for C in complexes:
+        for n, matrix in C.diffs.items():
+            ro, co = len(terms.get(n + 1, ())), len(terms.get(n, ()))
+            block = diffs.setdefault(n, {})
+            for (r, c), e in matrix.items():
+                block[(ro + r, co + c)] = e
+        for n, t in C.terms.items():
+            terms[n] = terms.get(n, ()) + t
+    return ProjComplex(complexes[0].algebra, terms, diffs)
 
 
 def check_complex(C: ProjComplex) -> bool:
     A = C.algebra
     for n, matrix in C.diffs.items():
         lower, upper = C.term(n), C.term(n + 1)
-        for r, row in enumerate(matrix):
-            for c, e in enumerate(row):
-                if e is None:
-                    continue
-                if e.algebra is not A or e.source != lower[c] or e.target != upper[r]:
-                    raise NotAComplex(
-                        f"entry ({r},{c}) of d{n} lies in the wrong block"
-                    )
+        for (r, c), e in matrix.items():
+            if e.algebra is not A or e.source != lower[c] or e.target != upper[r]:
+                raise NotAComplex(f"entry ({r},{c}) of d{n} lies in the wrong block")
     for n in C.diffs:
-        if n + 1 not in C.diffs:
-            continue
-        d0, d1 = C.diffs[n], C.diffs[n + 1]
-        for r in range(len(C.term(n + 2))):
-            for c in range(len(C.term(n))):
-                acc = None
-                for m in range(len(C.term(n + 1))):
-                    a, b = d0[m][c], d1[r][m]
-                    if a is None or b is None:
-                        continue
-                    prod = a * b
-                    acc = prod if acc is None else acc + prod
-                if acc is not None and not acc.is_zero():
-                    raise NotAComplex(f"d² != 0 at degree {n}, entry ({r},{c})")
+        if n + 1 in C.diffs:
+            square = _then(C.diffs[n], C.diffs[n + 1])
+            if square:
+                r, c = next(iter(square))
+                raise NotAComplex(f"d² != 0 at degree {n}, entry ({r},{c})")
     return True
 
 
 class ChainMap:
-    """Degreewise map between complexes commuting with the differentials."""
+    """Degreewise map between complexes commuting with the differentials.
+
+    ``comps[n]`` is the {(row, col): element} matrix from source^n to
+    target^n, nonzero entries only.
+    """
 
     def __init__(self, source, target, comps, check=True):
         self.source = source
         self.target = target
         self.comps = {}
-        for n, matrix in comps.items():
-            if source.term(n) and target.term(n) and matrix is not None:
-                self.comps[n] = tuple(tuple(row) for row in matrix)
+        for n in sorted(comps):
+            if source.term(n) and target.term(n):
+                matrix = _sparse(comps[n])
+                if matrix:
+                    self.comps[n] = matrix
         if check:
             self.check()
 
     def comp(self, n, r, c):
-        matrix = self.comps.get(n)
-        return None if matrix is None else matrix[r][c]
+        return self.comps.get(n, {}).get((r, c))
 
     def check(self):
         C, D = self.source, self.target
         for n, matrix in self.comps.items():
-            for r, row in enumerate(matrix):
-                for c, e in enumerate(row):
-                    if e is not None and (
-                        e.source != C.term(n)[c] or e.target != D.term(n)[r]
-                    ):
-                        raise ChainMapFailure(f"component ({r},{c}) at degree {n} in wrong block")
-        degs = set()
-        for n in list(C.diffs) + list(self.comps):
-            degs.add(n)
-        for n in degs:
-            for c in range(len(C.term(n))):
-                for r in range(len(D.term(n + 1))):
-                    acc = None
-                    for m in range(len(C.term(n + 1))):
-                        a = C.entry(n, m, c)
-                        b = self.comp(n + 1, r, m)
-                        if a is None or b is None:
-                            continue
-                        p = a * b
-                        acc = p if acc is None else acc + p
-                    for m in range(len(D.term(n))):
-                        a = self.comp(n, m, c)
-                        b = D.entry(n, r, m)
-                        if a is None or b is None:
-                            continue
-                        p = (a * b).scale(self.source.algebra.field.from_int(-1))
-                        acc = p if acc is None else acc + p
-                    if acc is not None and not acc.is_zero():
-                        raise ChainMapFailure(f"square at degree {n} does not commute")
+            for (r, c), e in matrix.items():
+                if e.source != C.term(n)[c] or e.target != D.term(n)[r]:
+                    raise ChainMapFailure(f"component ({r},{c}) at degree {n} in wrong block")
+        for n in sorted(set(C.diffs) | set(self.comps)):
+            d_then_f = _then(C.diffs.get(n, {}), self.comps.get(n + 1, {}))
+            f_then_d = _then(self.comps.get(n, {}), D.diffs.get(n, {}))
+            if d_then_f != f_then_d:
+                raise ChainMapFailure(f"square at degree {n} does not commute")
         return True
 
     def compose(self, other):
         """self followed by other (other.source == self.target)."""
         if other.source is not self.target and other.source != self.target:
             raise ChainMapFailure("chain maps do not compose")
-        comps = {}
-        C, E = self.source, other.target
-        for n in self.comps:
-            if n not in other.comps:
-                continue
-            rows, cols = len(E.term(n)), len(C.term(n))
-            matrix = [[None] * cols for _ in range(rows)]
-            for r in range(rows):
-                for c in range(cols):
-                    acc = None
-                    for m in range(len(self.target.term(n))):
-                        a = self.comp(n, m, c)
-                        b = other.comp(n, r, m)
-                        if a is None or b is None:
-                            continue
-                        p = a * b
-                        acc = p if acc is None else acc + p
-                    if acc is not None and not acc.is_zero():
-                        matrix[r][c] = acc
-            comps[n] = matrix
-        return ChainMap(C, E, comps, check=False)
+        comps = {
+            n: _then(matrix, other.comps[n])
+            for n, matrix in self.comps.items()
+            if n in other.comps
+        }
+        return ChainMap(self.source, other.target, comps, check=False)
 
     def _combine(self, other, sign):
         if other.source != self.source or other.target != self.target:
             raise ChainMapFailure("chain maps between different complexes")
-        comps = {}
-        for n in set(self.comps) | set(other.comps):
-            rows = len(self.target.term(n))
-            cols = len(self.source.term(n))
-            matrix = [[None] * cols for _ in range(rows)]
-            for r in range(rows):
-                for c in range(cols):
-                    a, b = self.comp(n, r, c), other.comp(n, r, c)
-                    if b is not None:
-                        b = b.scale(self.source.algebra.field.from_int(sign))
-                    if a is None:
-                        val = b
-                    elif b is None:
-                        val = a
-                    else:
-                        val = a + b
-                    if val is not None and not val.is_zero():
-                        matrix[r][c] = val
-            comps[n] = matrix
+        scalar = self.source.algebra.field.from_int(sign)
+        comps = {n: dict(matrix) for n, matrix in self.comps.items()}
+        for n, matrix in other.comps.items():
+            block = comps.setdefault(n, {})
+            for rc, e in matrix.items():
+                _add_entry(block, rc, e.scale(scalar))
         return ChainMap(self.source, self.target, comps, check=False)
 
     def __add__(self, other):
@@ -328,24 +265,20 @@ class ChainMap:
 
     def scale(self, c):
         comps = {
-            n: [[e.scale(c) if e is not None else None for e in row] for row in m]
-            for n, m in self.comps.items()
+            n: {rc: e.scale(c) for rc, e in matrix.items()}
+            for n, matrix in self.comps.items()
         }
         return ChainMap(self.source, self.target, comps, check=False)
 
     def is_zero(self):
-        return all(
-            e is None or e.is_zero() for m in self.comps.values() for row in m for e in row
-        )
+        return not self.comps
 
     @staticmethod
     def identity(C):
-        comps = {}
-        for n, t in C.terms.items():
-            matrix = [[None] * len(t) for _ in t]
-            for i, v in enumerate(t):
-                matrix[i][i] = C.algebra.e(v)
-            comps[n] = matrix
+        comps = {
+            n: {(i, i): C.algebra.e(v) for i, v in enumerate(t)}
+            for n, t in C.terms.items()
+        }
         return ChainMap(C, C, comps, check=False)
 
 
@@ -373,26 +306,14 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
             terms[n] = t
     diffs = {}
     for n in terms:
-        if n + 1 not in terms:
-            continue
-        rows, cols = len(terms[n + 1]), len(terms[n])
-        matrix = [[None] * cols for _ in range(rows)]
         c_lower, c_upper = len(C.term(n + 1)), len(C.term(n + 2))
-        for r in range(len(C.term(n + 2))):
-            for c in range(c_lower):
-                e = C.entry(n + 1, r, c)
-                if e is not None:
-                    matrix[r][c] = e.scale(minus)
-        for r in range(len(D.term(n + 1))):
-            for c in range(c_lower):
-                e = f.comp(n + 1, r, c)
-                if e is not None:
-                    matrix[c_upper + r][c] = e
-            for c in range(len(D.term(n))):
-                e = D.entry(n, r, c)
-                if e is not None:
-                    matrix[c_upper + r][c_lower + c] = e
-        diffs[n] = matrix
+        matrix = diffs[n] = {
+            rc: e.scale(minus) for rc, e in C.diffs.get(n + 1, {}).items()
+        }
+        for (r, c), e in f.comps.get(n + 1, {}).items():
+            matrix[(c_upper + r, c)] = e
+        for (r, c), e in D.diffs.get(n, {}).items():
+            matrix[(c_upper + r, c_lower + c)] = e
     return ProjComplex(A, terms, diffs)
 
 
@@ -413,23 +334,32 @@ def _local_inverse(u: AlgebraElement):
     return out
 
 
+def _cut(matrix, row=None, col=None):
+    """The matrix without one row and/or column, later indices moved down."""
+    return {
+        (r - (row is not None and r > row), c - (col is not None and c > col)): e
+        for (r, c), e in matrix.items()
+        if r != row and c != col
+    }
+
+
 def minimize(C: ProjComplex) -> ProjComplex:
     """Homotopy-equivalent complex with all differential entries radical.
 
     Repeatedly cancels a differential entry P(i) -> P(i) whose trivial-path
     coefficient is nonzero (a unit of the local ring), applying the standard
-    elimination update to the rest of the matrix.
+    elimination update to the rest of the matrix.  Entries are searched by
+    degree, then row, then column.
     """
     terms = {n: list(t) for n, t in C.terms.items()}
-    diffs = {n: [list(row) for row in m] for n, m in C.diffs.items()}
+    diffs = dict(C.diffs)
+    minus = C.algebra.field.from_int(-1)
 
     def find_unit():
         for n in sorted(diffs):
-            matrix = diffs[n]
-            for r, row in enumerate(matrix):
-                for c, e in enumerate(row):
-                    if e is not None and e.source == e.target and e.scalar_part():
-                        return n, r, c
+            for (r, c), e in diffs[n].items():
+                if e.source == e.target and e.scalar_part():
+                    return n, r, c
         return None
 
     while True:
@@ -437,71 +367,30 @@ def minimize(C: ProjComplex) -> ProjComplex:
         if hit is None:
             break
         n, r, c = hit
-        matrix = diffs[n]
-        u = matrix[r][c]
-        uinv = _local_inverse(u)
-        rows = len(terms.get(n + 1, []))
-        cols = len(terms.get(n, []))
-        for r2 in range(rows):
-            if r2 == r:
-                continue
-            for c2 in range(cols):
-                if c2 == c:
-                    continue
-                down, across = matrix[r][c2], matrix[r2][c]
-                if down is None or across is None:
-                    continue
-                corr = (down * uinv * across).scale(C.algebra.field.from_int(-1))
-                cur = matrix[r2][c2]
-                val = corr if cur is None else cur + corr
-                matrix[r2][c2] = None if val.is_zero() else val
+        matrix = dict(diffs[n])
+        uinv = _local_inverse(matrix[(r, c)])
+        downs = [(c2, e) for (r1, c2), e in diffs[n].items() if r1 == r and c2 != c]
+        acrosses = [(r2, e) for (r2, c1), e in diffs[n].items() if c1 == c and r2 != r]
+        for r2, across in acrosses:
+            for c2, down in downs:
+                _add_entry(matrix, (r2, c2), (down * uinv * across).scale(minus))
         # Delete the cancelled pair everywhere.
         del terms[n][c]
         del terms[n + 1][r]
-        diffs[n] = [
-            [e for c2, e in enumerate(row) if c2 != c]
-            for r2, row in enumerate(matrix)
-            if r2 != r
-        ]
+        diffs[n] = _sparse(_cut(matrix, r, c))
         if n - 1 in diffs:
-            diffs[n - 1] = [row for r2, row in enumerate(diffs[n - 1]) if r2 != c]
+            diffs[n - 1] = _cut(diffs[n - 1], row=c)
         if n + 1 in diffs:
-            diffs[n + 1] = [
-                [e for c2, e in enumerate(row) if c2 != r] for row in diffs[n + 1]
-            ]
-        for k in (n - 1, n, n + 1):
-            if k in diffs and (
-                not diffs[k] or not any(diffs[k]) or not terms.get(k) or not terms.get(k + 1)
-            ):
-                del diffs[k]
-        for k in (n, n + 1):
-            if k in terms and not terms[k]:
-                del terms[k]
-    return ProjComplex(C.algebra, {n: tuple(t) for n, t in terms.items()}, diffs)
+            diffs[n + 1] = _cut(diffs[n + 1], col=r)
+    return ProjComplex(C.algebra, terms, diffs)
 
 
 def is_stalk(C: ProjComplex):
     """(vertex, degree) when C is a one-summand complex with zero differential."""
-    degs = [n for n in C.terms if C.term(n)]
-    if len(degs) != 1 or len(C.term(degs[0])) != 1:
+    if len(C.terms) != 1:
         return None
-    if any(
-        e is not None and not e.is_zero() for m in C.diffs.values() for row in m for e in row
-    ):
-        return None
-    return C.term(degs[0])[0], degs[0]
-
-
-def _nonzero_entries(matrix):
-    """(row, column, entry) for every nonzero entry of a stored matrix."""
-    if matrix is None:
-        return []
-    return [
-        (r, c, e)
-        for r, row in enumerate(matrix)
-        for c, e in enumerate(row)
-        if e is not None and not e.is_zero()
-    ]
+    (n, t), = C.terms.items()
+    return (t[0], n) if len(t) == 1 else None
 
 
 class _HomSolver:
@@ -553,7 +442,7 @@ class _HomSolver:
         rows = {}  # (n, c, r) -> {t: row}
         # d_C then f^(n+1)
         for n, matrix in self.C.diffs.items():
-            for m, c, d in _nonzero_entries(matrix):
+            for (m, c), d in matrix.items():
                 for r, tv, base in self.by_source.get((n + 1, m), ()):
                     block = rows.setdefault((n, c, r), {})
                     for var, coords in enumerate(A.times_basis(d, tv), base):
@@ -561,7 +450,7 @@ class _HomSolver:
                             block.setdefault(t, {})[var] = coeff
         # minus f^n then d_D
         for n, matrix in self.D.diffs.items():
-            for r, m, e in _nonzero_entries(matrix):
+            for (r, m), e in matrix.items():
                 for c, sv, base in self.by_target.get((n, m), ()):
                     block = rows.setdefault((n, c, r), {})
                     for var, coords in enumerate(A.basis_times(sv, e), base):
@@ -583,10 +472,10 @@ class _HomSolver:
             if n - 1 not in D.terms:
                 continue
             below = {}  # c -> [(c2, d_C^(n-1)[c][c2])]
-            for c, c2, d in _nonzero_entries(C.diffs.get(n - 1)):
+            for (c, c2), d in C.diffs.get(n - 1, {}).items():
                 below.setdefault(c, []).append((c2, d))
             above = {}  # r -> [(r2, d_D^(n-1)[r2][r])]
-            for r2, r, e in _nonzero_entries(D.diffs.get(n - 1)):
+            for (r2, r), e in D.diffs.get(n - 1, {}).items():
                 above.setdefault(r, []).append((r2, e))
             for r, tv in enumerate(D.terms[n - 1]):
                 ups = above.get(r, ())
@@ -614,7 +503,7 @@ class _HomSolver:
     def vectorize(self, f: ChainMap):
         vec = {}
         for n, matrix in f.comps.items():
-            for r, c, e in _nonzero_entries(matrix):
+            for (r, c), e in matrix.items():
                 base = self.offset[(n, r, c)]
                 for b, coeff in enumerate(e.coeffs):
                     if coeff:
@@ -627,16 +516,9 @@ class _HomSolver:
         for var, coeff in vec.items():
             k = bisect_right(bases, var) - 1
             n, r, c = keys[k]
-            matrix = comps.setdefault(
-                n,
-                [
-                    [None] * len(self.C.term(n))
-                    for _ in range(len(self.D.term(n)))
-                ],
-            )
             sv, tv = self.C.term(n)[c], self.D.term(n)[r]
             add = self.A.block_basis(sv, tv)[var - bases[k]].scale(coeff)
-            matrix[r][c] = add if matrix[r][c] is None else matrix[r][c] + add
+            _add_entry(comps.setdefault(n, {}), (r, c), add)
         return ChainMap(self.C, self.D, comps, check=False)
 
 

@@ -124,9 +124,9 @@ def _unique_hom(A: QuotientAlgebra, i, j):
 
 def _path_complex(A: QuotientAlgebra, path):
     terms = {k: (z,) for k, z in enumerate(path)}
-    diffs = {}
-    for k in range(len(path) - 1):
-        diffs[k] = [[_unique_hom(A, path[k], path[k + 1])]]
+    diffs = {
+        k: {(0, 0): _unique_hom(A, path[k], path[k + 1])} for k in range(len(path) - 1)
+    }
     return ProjComplex(A, terms, diffs)
 
 
@@ -177,10 +177,10 @@ def enlarge_complex(A: QuotientAlgebra, g: BrauerGraph, d: EnlargeData) -> Tilti
         top = d.beta_fan[-1]
         beta = _unique_hom(A, top, d.succ)
         two_term = ProjComplex(
-            A, {0: (d.at, top), 1: (d.succ,)}, {0: [[alpha, beta]]}
+            A, {0: (d.at, top), 1: (d.succ,)}, {0: {(0, 0): alpha, (0, 1): beta}}
         )
     else:
-        two_term = ProjComplex(A, {0: (d.at,), 1: (d.succ,)}, {0: [[alpha]]})
+        two_term = ProjComplex(A, {0: (d.at,), 1: (d.succ,)}, {0: {(0, 0): alpha}})
     summands = {}
     for z in g.canonical_order:
         summands[z] = two_term if z == d.succ else ProjComplex.stalk(A, z)
@@ -204,9 +204,7 @@ def _shrink_witnesses(Q: TiltingComplex):
         path = g.tree_path(z)
         parent = path[-2]
         target = Q.summands[parent]
-        comps = {}
-        for n in range(len(path) - 1):
-            comps[n] = [[Q.algebra.e(path[n])]]
+        comps = {n: {(0, 0): Q.algebra.e(path[n])} for n in range(len(path) - 1)}
         f = ChainMap(C, target, comps, check=True)
         cone = mapping_cone(f)
         out.append(
@@ -225,9 +223,7 @@ def _enlarge_witnesses(Q: TiltingComplex):
         C = Q.summands[z]
         pieces = [d.at] + ([d.beta_fan[-1]] if d.beta_fan else [])
         target = direct_sum([Q.summands[p] for p in pieces])
-        comps = {0: [[None] * len(pieces) for _ in pieces]}
-        for i, p in enumerate(pieces):
-            comps[0][i][i] = Q.algebra.e(p)
+        comps = {0: {(i, i): Q.algebra.e(p) for i, p in enumerate(pieces)}}
         f = ChainMap(C, target, comps, check=True)
         names = " ⊕ ".join(f"Q({p})" for p in pieces)
         out.append((GenerationWitness(f"cone(Q({z}) -> {names})", z, 0), mapping_cone(f)))
@@ -279,8 +275,7 @@ def check_tilting(Q: TiltingComplex) -> TiltCertificate:
 
 def _mult_map(src_complex, tgt_complex, elt):
     """Chain map between stalk-bottomed complexes given by one degree-0 entry."""
-    comps = {0: [[elt]]}
-    return ChainMap(src_complex, tgt_complex, comps, check=True)
+    return ChainMap(src_complex, tgt_complex, {0: {(0, 0): elt}}, check=True)
 
 
 def _shrink_generator_maps(Q: TiltingComplex):
@@ -301,26 +296,25 @@ def _shrink_generator_maps(Q: TiltingComplex):
                 raise RelationFailure(
                     f"cycle step {x}->{y} does not land on P({root})"
                 )
-            comps = {0: [[elt]]}
-            succ_maps.append(ChainMap(Cx, Cy, comps, check=True))
+            succ_maps.append(ChainMap(Cx, Cy, {0: {(0, 0): elt}}, check=True))
             continue
         px, py = g.tree_path(x), g.tree_path(y)
         if list(py) == list(px[: len(py)]):
             # truncation onto a prefix path: identity on common degrees
-            comps = {m: [[A.e(py[m])]] for m in range(len(py))}
+            comps = {m: {(0, 0): A.e(py[m])} for m in range(len(py))}
             succ_maps.append(ChainMap(Cx, Cy, comps, check=True))
             continue
         # branch switch: identity on the common prefix, then the unique hom
         t = 0
         while t < min(len(px), len(py)) and px[t] == py[t]:
             t += 1
-        comps = {m: [[A.e(px[m])]] for m in range(t)}
-        comps[t] = [[_unique_hom(A, px[t], py[t])]]
+        comps = {m: {(0, 0): A.e(px[m])} for m in range(t)}
+        comps[t] = {(0, 0): _unique_hom(A, px[t], py[t])}
         succ_maps.append(ChainMap(Cx, Cy, comps, check=True))
     loop = ChainMap(
         Q.summands[order[0]],
         Q.summands[order[0]],
-        {0: [[A.arrow_element(A.quiver.loop_arrow.name)]]},
+        {0: {(0, 0): A.arrow_element(A.quiver.loop_arrow.name)}},
         check=True,
     )
     return loop, succ_maps
@@ -369,7 +363,6 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
     q = A.quiver
     at, succ, fan = d.at, d.succ, d.beta_fan
     two_term = Q.summands[succ]
-    ncols = len(two_term.term(0))
     pos = g.cycle_edges.index(at)
     pred = g.cycle_edges[pos - 1]
     v = g.far_vertex(at, g.center)
@@ -381,14 +374,10 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
         fan_cycle = g.children(top, g.far_vertex(top, w))  # old far cycle of top
 
     def column(idx, elt, source):
-        col = [[None] for _ in range(ncols)]
-        col[idx][0] = elt
-        return ChainMap(Q.summands[source], two_term, {0: col}, check=True)
+        return ChainMap(Q.summands[source], two_term, {0: {(idx, 0): elt}}, check=True)
 
     def row(idx, elt, target):
-        r = [[None] * ncols]
-        r[0][idx] = elt
-        return ChainMap(two_term, Q.summands[target], {0: r}, check=True)
+        return ChainMap(two_term, Q.summands[target], {0: {(0, idx): elt}}, check=True)
 
     maps = {}
     for arrow in target_quiver.arrows:

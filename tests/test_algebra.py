@@ -55,25 +55,22 @@ def brute_force_blocks(q, presentation, maxlen=10):
 
     rows = []
     by_end = {}
-    by_start = {}
+    by_start = {}  # source -> words by length
     for src, word in paths:
         by_end.setdefault(target_of(src, word), []).append((src, word))
-        by_start.setdefault(src, []).append((src, word))
+        by_start.setdefault(src, [[] for _ in range(maxlen + 1)])[len(word)].append(word)
     for rel in presentation.relations:
         rlen = max(len(w) for w in rel.words())
         for usrc, u in by_end.get(rel.source, []):
-            if len(u) + rlen > maxlen:
-                continue
-            for _, v in by_start.get(rel.target, []):
-                row = {}
-                for word, coeff in rel.terms:
-                    if len(u) + len(word) + len(v) > maxlen:
-                        row = None
-                        break
-                    key = index[(usrc, u + tuple(word) + v)]
-                    row[key] = row.get(key, Fraction(0)) + Fraction(coeff)
-                if row:
-                    rows.append({k: c for k, c in row.items() if c})
+            # u * rel * v stays within maxlen exactly when len(v) is small enough
+            for vlen in range(maxlen - len(u) - rlen + 1):
+                for v in by_start[rel.target][vlen]:
+                    row = {}
+                    for word, coeff in rel.terms:
+                        key = index[(usrc, u + tuple(word) + v)]
+                        row[key] = row.get(key, Fraction(0)) + Fraction(coeff)
+                    if row:
+                        rows.append({k: c for k, c in row.items() if c})
 
     # plain sparse elimination, largest path index as pivot
     pivots = {}

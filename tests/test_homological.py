@@ -37,7 +37,7 @@ def Am():
 
 
 def two_term(A, i, j, elt):
-    return ProjComplex(A, {0: (i,), 1: (j,)}, {0: [[elt]]})
+    return ProjComplex(A, {0: (i,), 1: (j,)}, {0: {(0, 0): elt}})
 
 
 def test_hom_block_dims(A3):
@@ -56,7 +56,7 @@ def test_check_complex(Am):
     bad = ProjComplex(
         Am,
         {0: ("1",), 1: ("2",), 2: ("1",)},
-        {0: [[Am.path_element(("b_1",))]], 1: [[Am.path_element(("b_2",))]]},
+        {0: {(0, 0): Am.path_element(("b_1",))}, 1: {(0, 0): Am.path_element(("b_2",))}},
     )
     with pytest.raises(NotAComplex):
         check_complex(bad)
@@ -121,7 +121,7 @@ def test_minimize_fixpoint_and_idempotent(Am):
 
 def test_minimize_preserves_homotopy_homs(Am):
     Q3 = two_term(Am, "2", "3", Am.path_element(("a_2",)))
-    cone = mapping_cone(ChainMap(Q3, ProjComplex.stalk(Am, "2"), {0: [[Am.e("2")]]}))
+    cone = mapping_cone(ChainMap(Q3, ProjComplex.stalk(Am, "2"), {0: {(0, 0): Am.e("2")}}))
     m = minimize(cone)
     assert is_stalk(m) == ("3", 0)
     for probe in (ProjComplex.stalk(Am, "2"), Q3):
@@ -155,10 +155,10 @@ def test_null_homotopy(Am):
     Q3 = two_term(Am, "2", "3", Am.path_element(("a_2",)))
     P2 = ProjComplex.stalk(Am, "2")
     # the truncation map is not null homotopic
-    trunc = ChainMap(Q3, P2, {0: [[Am.e("2")]]})
+    trunc = ChainMap(Q3, P2, {0: {(0, 0): Am.e("2")}})
     assert not is_null_homotopic(trunc)
     # multiplication by the full cycle factors through the differential
-    factored = ChainMap(Q3, P2, {0: [[Am.path_element(("a_2", "a_3"))]]})
+    factored = ChainMap(Q3, P2, {0: {(0, 0): Am.path_element(("a_2", "a_3"))}})
     assert is_null_homotopic(factored)
 
 
@@ -198,7 +198,7 @@ def random_complexes(A, rng, count):
         j = rng.choice(targets)
         basis = A.block_basis(i, j)
         elt = basis[rng.randrange(len(basis))]
-        C = ProjComplex(A, {deg: (i,), deg + 1: (j,)}, {deg: [[elt]]})
+        C = ProjComplex(A, {deg: (i,), deg + 1: (j,)}, {deg: {(0, 0): elt}})
         if kind == 2:
             # try to extend one more step with a composable annihilator
             exts = [
@@ -212,7 +212,7 @@ def random_complexes(A, rng, count):
                 C = ProjComplex(
                     A,
                     {deg: (i,), deg + 1: (j,), deg + 2: (k,)},
-                    {deg: [[elt]], deg + 1: [[y]]},
+                    {deg: {(0, 0): elt}, deg + 1: {(0, 0): y}},
                 )
         check_complex(C)
         out.append(C)
@@ -284,7 +284,7 @@ def test_minimize_random_sums_preserve_homs(Am):
         v = rng.choice(Am.vertices)
         deg = rng.randrange(-1, 2)
         pieces.append(
-            ProjComplex(Am, {deg: (v,), deg + 1: (v,)}, {deg: [[Am.e(v)]]})
+            ProjComplex(Am, {deg: (v,), deg + 1: (v,)}, {deg: {(0, 0): Am.e(v)}})
         )
         total = direct_sum(pieces)
         m = minimize(total)
@@ -318,15 +318,20 @@ def test_minimize_correction_term(Am):
     a3 = Am.path_element(("a_3",))
     cyc3 = Am.path_element(("a_3", "a_2"))
     # corrected entry = cyc3 - a3 * e2^-1 * a2 = 0: the complex splits
-    C = ProjComplex(Am, {0: ("2", "3"), 1: ("2", "3")}, {0: [[e2, a3], [a2, cyc3]]})
+    C = ProjComplex(
+        Am,
+        {0: ("2", "3"), 1: ("2", "3")},
+        {0: {(0, 0): e2, (0, 1): a3, (1, 0): a2, (1, 1): cyc3}},
+    )
     m = minimize(C)
     assert m.terms == {0: ("3",), 1: ("3",)}
     assert not m.diffs
     # with a zero corner the correction leaves a radical differential
-    D = ProjComplex(Am, {0: ("2", "3"), 1: ("2", "3")}, {0: [[e2, a3], [a2, None]]})
+    D = ProjComplex(Am, {0: ("2", "3"), 1: ("2", "3")}, {0: {(0, 0): e2, (0, 1): a3, (1, 0): a2}})
+    assert D.dump().splitlines()[1] == "d0: [e_2, a_3; a_2, 0]"  # absent entries print as 0
     md = minimize(D)
     assert md.terms == {0: ("3",), 1: ("3",)}
-    entry = md.diffs[0][0][0]
+    entry = md.entry(0, 0, 0)
     assert entry == cyc3.scale(Am.field.from_int(-1))
     for probe in (ProjComplex.stalk(Am, "2"), ProjComplex.stalk(Am, "3")):
         for k in (-1, 0, 1):
@@ -346,14 +351,14 @@ def test_minimize_three_term_adjacent_bookkeeping(Am):
     C = ProjComplex(
         Am,
         {0: ("2",), 1: ("3", "2"), 2: ("3",)},
-        {0: [[None], [cyc2]], 1: [[e3, a2]]},
+        {0: {(1, 0): cyc2}, 1: {(0, 0): e3, (0, 1): a2}},
     )
     check_complex(C)
     m = minimize(C)
     check_complex(m)
     # the survivor keeps the radical differential cyc2 untouched
     assert m.terms == {0: ("2",), 1: ("2",)}
-    assert m.diffs[0][0][0] == cyc2
+    assert m.entry(0, 0, 0) == cyc2
     for probe in (ProjComplex.stalk(Am, "2"), ProjComplex.stalk(Am, "3")):
         for k in (-2, -1, 0, 1, 2):
             assert (

@@ -22,6 +22,7 @@ from brauer_derive.graph import (
     canonical_relabel,
     validate,
 )
+from brauer_derive.linalg import PrimeField
 from brauer_derive.quiver import build_quiver
 from brauer_derive.reduction import certify_trace, reduce_to_normal_form
 from brauer_derive.tilting import (
@@ -88,3 +89,23 @@ def test_random_certified_pipeline(seed):
     relabeled, _ = canonical_relabel(trace.normal_form)
     assert structure_key(relabeled) == structure_key(loop_star(n))
     assert certify_trace(trace)
+
+
+def test_enlarge_generator_maps_over_gf2():
+    """Every enlarge pivot of 12 seeded graphs over GF(2), where the signs of
+    the generator maps collapse; the pivots include beta fans, so the column
+    and row maps into and out of the two-term summand are all exercised."""
+    field = PrimeField(2)
+    pivots = fans = 0
+    for seed in range(12):
+        rng = random.Random(2000 + seed)
+        g = random_one_loop_graph(rng, rng.randint(4, 10))
+        A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+        for at in [c for c in g.cycle_edges[1:] if g.trees[c]]:
+            d = enlarge_data(g, at)
+            Q = enlarge_complex(A, g, d)
+            assert check_tilting(Q).valid
+            assert verify_end_generators(Q)
+            pivots += 1
+            fans += bool(d.beta_fan)
+    assert (pivots, fans) == (12, 5)
