@@ -5,10 +5,10 @@ import pytest
 
 from brauer_derive import tilting
 from brauer_derive.cli import EXIT_CERTIFICATE, run
-from brauer_derive.graph import parse_graph
+from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
 
-from conftest import CORPUS_TEXTS, G_MIN_TEXT
+from conftest import CORPUS_TEXTS, G_MIN_TEXT, corpus_graphs
 
 
 @pytest.fixture()
@@ -295,3 +295,254 @@ def test_tilt_text_output_digest(key, tmp_path, capsys):
     assert run([cmd[0], str(path), *cmd[1:], *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TEXT_DIGESTS[key]
+
+
+# SHA-256 of the stdout of ``reduce`` on every corpus graph, in text mode and
+# with --json, with and without --certify, over Q and GF(2).
+REDUCE_DIGESTS = {
+    'branch reduce': (
+        'a9451293816f8f307bfe42cbc150a178bfb0245201294d670e76d077109105ef'
+    ),
+    'branch reduce --json': (
+        '45ad1a406dd2978a492007a447e1ae51b45de22b1333ebbcc4c02d59d0d8a41f'
+    ),
+    'branch reduce --field 2': (
+        'a9451293816f8f307bfe42cbc150a178bfb0245201294d670e76d077109105ef'
+    ),
+    'branch reduce --field 2 --json': (
+        '45ad1a406dd2978a492007a447e1ae51b45de22b1333ebbcc4c02d59d0d8a41f'
+    ),
+    'branch reduce --certify': (
+        '9c828251cac053d8cb0008e18dc06f4d02038abf832396cd4c86a94dcafceaa1'
+    ),
+    'branch reduce --certify --json': (
+        'd8e5d423da1b6fc4932d058b26464c26eef6a7efacb4fe21f50c6ce73f2752c8'
+    ),
+    'branch reduce --certify --field 2': (
+        '9c828251cac053d8cb0008e18dc06f4d02038abf832396cd4c86a94dcafceaa1'
+    ),
+    'branch reduce --certify --field 2 --json': (
+        'd8e5d423da1b6fc4932d058b26464c26eef6a7efacb4fe21f50c6ce73f2752c8'
+    ),
+    'chain2 reduce': (
+        'c422a237cd5215b054aa59dcf31ac5fb82f726b18b3c3306e4a7bbf51eb9ea01'
+    ),
+    'chain2 reduce --json': (
+        'dae4c02f1c84f366f6fad06c9aee3d0202ca69c0c7c558da081134c0c20dc150'
+    ),
+    'chain2 reduce --field 2': (
+        'c422a237cd5215b054aa59dcf31ac5fb82f726b18b3c3306e4a7bbf51eb9ea01'
+    ),
+    'chain2 reduce --field 2 --json': (
+        'dae4c02f1c84f366f6fad06c9aee3d0202ca69c0c7c558da081134c0c20dc150'
+    ),
+    'chain2 reduce --certify': (
+        '28081e3f2e7fb90cb3a43ff6ba9668a2c0e61a8e859ae6f43323dfdda9647c20'
+    ),
+    'chain2 reduce --certify --json': (
+        'aa88c08c94f5abad334b0616e6f4487277e3922ad0265a6d4b884bdf6098c81e'
+    ),
+    'chain2 reduce --certify --field 2': (
+        '28081e3f2e7fb90cb3a43ff6ba9668a2c0e61a8e859ae6f43323dfdda9647c20'
+    ),
+    'chain2 reduce --certify --field 2 --json': (
+        'aa88c08c94f5abad334b0616e6f4487277e3922ad0265a6d4b884bdf6098c81e'
+    ),
+    'g_min reduce': (
+        '844e5a1d6160b5068d213dd2ce6d7e7cbde47a66c9109193e4283879fd742001'
+    ),
+    'g_min reduce --json': (
+        '3e8355ccb4d591c5e3173d55db48a9586b26e4818c7f001875c409f78389deb0'
+    ),
+    'g_min reduce --field 2': (
+        '844e5a1d6160b5068d213dd2ce6d7e7cbde47a66c9109193e4283879fd742001'
+    ),
+    'g_min reduce --field 2 --json': (
+        '3e8355ccb4d591c5e3173d55db48a9586b26e4818c7f001875c409f78389deb0'
+    ),
+    'g_min reduce --certify': (
+        'b63a5a4ca90cdcffbf9e174fd1c640a8222840ed175d4b20cbdc3601bd841249'
+    ),
+    'g_min reduce --certify --json': (
+        'c9a630ea6a03e5849ed4ce26bd8f5260ab274526894397992afbbdf32150b863'
+    ),
+    'g_min reduce --certify --field 2': (
+        'b63a5a4ca90cdcffbf9e174fd1c640a8222840ed175d4b20cbdc3601bd841249'
+    ),
+    'g_min reduce --certify --field 2 --json': (
+        'c9a630ea6a03e5849ed4ce26bd8f5260ab274526894397992afbbdf32150b863'
+    ),
+    'loop_star_3 reduce': (
+        'd483071dc902a33430c817bfbd8fd340b29c32941db0e860b6110843f940de26'
+    ),
+    'loop_star_3 reduce --json': (
+        '7d7d41417fbce87377923bfded96b666e41c7c9611551faed5602c2d059353a8'
+    ),
+    'loop_star_3 reduce --field 2': (
+        'd483071dc902a33430c817bfbd8fd340b29c32941db0e860b6110843f940de26'
+    ),
+    'loop_star_3 reduce --field 2 --json': (
+        '7d7d41417fbce87377923bfded96b666e41c7c9611551faed5602c2d059353a8'
+    ),
+    'loop_star_3 reduce --certify': (
+        'd483071dc902a33430c817bfbd8fd340b29c32941db0e860b6110843f940de26'
+    ),
+    'loop_star_3 reduce --certify --json': (
+        '7d7d41417fbce87377923bfded96b666e41c7c9611551faed5602c2d059353a8'
+    ),
+    'loop_star_3 reduce --certify --field 2': (
+        'd483071dc902a33430c817bfbd8fd340b29c32941db0e860b6110843f940de26'
+    ),
+    'loop_star_3 reduce --certify --field 2 --json': (
+        '7d7d41417fbce87377923bfded96b666e41c7c9611551faed5602c2d059353a8'
+    ),
+    'loop_star_5 reduce': (
+        'a752585e5ae242ddd656211ab687d7b1f531f687b408eeed9ac39937c43064ac'
+    ),
+    'loop_star_5 reduce --json': (
+        '04e59cf02636feed5e9ccc84eda6b3a53e5ece7dc549acfac8d0fbc8700cd44e'
+    ),
+    'loop_star_5 reduce --field 2': (
+        'a752585e5ae242ddd656211ab687d7b1f531f687b408eeed9ac39937c43064ac'
+    ),
+    'loop_star_5 reduce --field 2 --json': (
+        '04e59cf02636feed5e9ccc84eda6b3a53e5ece7dc549acfac8d0fbc8700cd44e'
+    ),
+    'loop_star_5 reduce --certify': (
+        'a752585e5ae242ddd656211ab687d7b1f531f687b408eeed9ac39937c43064ac'
+    ),
+    'loop_star_5 reduce --certify --json': (
+        '04e59cf02636feed5e9ccc84eda6b3a53e5ece7dc549acfac8d0fbc8700cd44e'
+    ),
+    'loop_star_5 reduce --certify --field 2': (
+        'a752585e5ae242ddd656211ab687d7b1f531f687b408eeed9ac39937c43064ac'
+    ),
+    'loop_star_5 reduce --certify --field 2 --json': (
+        '04e59cf02636feed5e9ccc84eda6b3a53e5ece7dc549acfac8d0fbc8700cd44e'
+    ),
+    'loop_star_8 reduce': (
+        '539e7211196a2e01c2c67cf15765fe4659694d1cb31d7354bfed2f7e92b4fb54'
+    ),
+    'loop_star_8 reduce --json': (
+        'e07138fa82c80f9277c8be962f1dcdd7bdd73979c4e6f2b8339f6477280af0b4'
+    ),
+    'loop_star_8 reduce --field 2': (
+        '539e7211196a2e01c2c67cf15765fe4659694d1cb31d7354bfed2f7e92b4fb54'
+    ),
+    'loop_star_8 reduce --field 2 --json': (
+        'e07138fa82c80f9277c8be962f1dcdd7bdd73979c4e6f2b8339f6477280af0b4'
+    ),
+    'loop_star_8 reduce --certify': (
+        '539e7211196a2e01c2c67cf15765fe4659694d1cb31d7354bfed2f7e92b4fb54'
+    ),
+    'loop_star_8 reduce --certify --json': (
+        'e07138fa82c80f9277c8be962f1dcdd7bdd73979c4e6f2b8339f6477280af0b4'
+    ),
+    'loop_star_8 reduce --certify --field 2': (
+        '539e7211196a2e01c2c67cf15765fe4659694d1cb31d7354bfed2f7e92b4fb54'
+    ),
+    'loop_star_8 reduce --certify --field 2 --json': (
+        'e07138fa82c80f9277c8be962f1dcdd7bdd73979c4e6f2b8339f6477280af0b4'
+    ),
+    'mixed7 reduce': (
+        '31b9d78191b45dbe05ab75e0f07ff2d30c893ae3e46bf263abf38b0413cf4d9d'
+    ),
+    'mixed7 reduce --json': (
+        'e99f024c3e42e9e825e7ecd9f604c5642b7f11533292691974df2ed120fb3054'
+    ),
+    'mixed7 reduce --field 2': (
+        '31b9d78191b45dbe05ab75e0f07ff2d30c893ae3e46bf263abf38b0413cf4d9d'
+    ),
+    'mixed7 reduce --field 2 --json': (
+        'e99f024c3e42e9e825e7ecd9f604c5642b7f11533292691974df2ed120fb3054'
+    ),
+    'mixed7 reduce --certify': (
+        'f851a3106ab874e6398d2ae9f18dbec2176419f40f20add3531de1216bfd75b5'
+    ),
+    'mixed7 reduce --certify --json': (
+        'f7edc141f8b98b76ee61411eb38139b2beeb88ff3b00bcc99c5d2109aa3b0cd3'
+    ),
+    'mixed7 reduce --certify --field 2': (
+        'f851a3106ab874e6398d2ae9f18dbec2176419f40f20add3531de1216bfd75b5'
+    ),
+    'mixed7 reduce --certify --field 2 --json': (
+        'f7edc141f8b98b76ee61411eb38139b2beeb88ff3b00bcc99c5d2109aa3b0cd3'
+    ),
+    'two_tree reduce': (
+        '0e3ecacc2d42b81f040bbf16d16b3e01e74ec6f902da773e7e706fb9454e2df9'
+    ),
+    'two_tree reduce --json': (
+        'a6552581024165c7b5147b9dff6b59319964fb73b08460823d5b85ded1f1fe5f'
+    ),
+    'two_tree reduce --field 2': (
+        '0e3ecacc2d42b81f040bbf16d16b3e01e74ec6f902da773e7e706fb9454e2df9'
+    ),
+    'two_tree reduce --field 2 --json': (
+        'a6552581024165c7b5147b9dff6b59319964fb73b08460823d5b85ded1f1fe5f'
+    ),
+    'two_tree reduce --certify': (
+        'd82dfd9e696ea6dda238d37738a22d5958a3887d007de8782409f0715d182eae'
+    ),
+    'two_tree reduce --certify --json': (
+        '8fb7ec17ae592fd6a8b717ba77faece322694472b9ea08caa2252bdde7bb5978'
+    ),
+    'two_tree reduce --certify --field 2': (
+        'd82dfd9e696ea6dda238d37738a22d5958a3887d007de8782409f0715d182eae'
+    ),
+    'two_tree reduce --certify --field 2 --json': (
+        '8fb7ec17ae592fd6a8b717ba77faece322694472b9ea08caa2252bdde7bb5978'
+    ),
+    'wide8 reduce': (
+        '7fa9a67d514c4c9a01d55f386b6638d9350613184d21ff51fde241b6c1e6b8d2'
+    ),
+    'wide8 reduce --json': (
+        '3fc3dae91fbd17f9a77960263a71d8371cb6369079b8082d180ae3b709f4b266'
+    ),
+    'wide8 reduce --field 2': (
+        '7fa9a67d514c4c9a01d55f386b6638d9350613184d21ff51fde241b6c1e6b8d2'
+    ),
+    'wide8 reduce --field 2 --json': (
+        '3fc3dae91fbd17f9a77960263a71d8371cb6369079b8082d180ae3b709f4b266'
+    ),
+    'wide8 reduce --certify': (
+        '0311106dd90b126e20316dbd13f7e08798fa6435b6a1bf3b46205bf812490c69'
+    ),
+    'wide8 reduce --certify --json': (
+        'c423d9597326ce6c9137567ca03ac6bca49f26b1f8b8e9b4608c7b4a539ab3b6'
+    ),
+    'wide8 reduce --certify --field 2': (
+        '0311106dd90b126e20316dbd13f7e08798fa6435b6a1bf3b46205bf812490c69'
+    ),
+    'wide8 reduce --certify --field 2 --json': (
+        'c423d9597326ce6c9137567ca03ac6bca49f26b1f8b8e9b4608c7b4a539ab3b6'
+    ),
+}
+
+
+def _reduce_invocations():
+    """Key -> (corpus graph, flags) for every reduce variant."""
+    out = {}
+    for name in corpus_graphs():
+        for certify in ([], ["--certify"]):
+            for field in ([], ["--field", "2"]):
+                for mode in ([], ["--json"]):
+                    flags = [*certify, *field, *mode]
+                    out[" ".join([name, "reduce", *flags])] = (name, flags)
+    return out
+
+
+REDUCE_INVOCATIONS = _reduce_invocations()
+
+
+def test_reduce_digests_cover_every_variant():
+    assert sorted(REDUCE_INVOCATIONS) == sorted(REDUCE_DIGESTS)
+
+
+@pytest.mark.parametrize("key", sorted(REDUCE_INVOCATIONS))
+def test_reduce_output_digest(key, tmp_path, capsys):
+    name, flags = REDUCE_INVOCATIONS[key]
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_graph(corpus_graphs()[name]), encoding="utf-8")
+    assert run(["reduce", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REDUCE_DIGESTS[key]
