@@ -49,6 +49,7 @@ from .reduction import (
     ReductionTrace,
     certify_trace,
     classify,
+    load_trace,
     reduce_to_normal_form,
 )
 from .tilting import (

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands cover the pipeline end to end: validate, quiver, algebra,
-cartan, tilt-shrink, tilt-enlarge, reduce, classify, and the builders omega
-and an.  Output is plain text by default or JSON with --json; identical
+cartan, tilt-shrink, tilt-enlarge, reduce, verify, classify, and the builders
+omega and an.  Output is plain text by default or JSON with --json; identical
 inputs and flags give byte-identical output.  Exit codes: 0 success, 1
 validation or parse error, 2 engine not stabilized, 3 certificate failure,
 4 usage error.
@@ -38,7 +38,7 @@ from .graph import (
 from .homological import ChainMapFailure, NotAComplex
 from .linalg import parse_field
 from .quiver import InternalError, build_quiver, quiver_to_dot
-from .reduction import certify_trace, classify, reduce_to_normal_form
+from .reduction import certify_trace, classify, load_trace, reduce_to_normal_form
 from .tilting import (
     CertificateFailure,
     EmptyTree,
@@ -69,13 +69,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_graph(path):
+def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from None
-    g = parse_graph(text)
+
+
+def _read_graph(path):
+    g = parse_graph(_read_text(path))
     validate(g)
     return g
 
@@ -240,8 +243,6 @@ def cmd_reduce(args):
         g, certify=args.certify, cap=args.cap, margin=args.margin,
         field=parse_field(args.field),
     )
-    if args.certify:
-        certify_trace(trace, cap=args.cap, margin=args.margin, field=parse_field(args.field))
     payload = trace.to_json()
     lines = [f"n: {trace.n}", f"steps: {len(trace.steps)}"]
     for i, s in enumerate(trace.steps):
@@ -249,6 +250,23 @@ def cmd_reduce(args):
         lines.append(f"  step {i}: move successor of {s.at} onto the cycle{mark}")
     lines.append(f"normal form: {serialize_graph(trace.normal_form)}")
     _emit(args, payload, lines)
+    return EXIT_OK
+
+
+def cmd_verify(args):
+    try:
+        payload = json.loads(_read_text(args.file))
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"invalid JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
+        raise MalformedInput(f"not a {SCHEMA} document")
+    trace = load_trace(payload)
+    certify_trace(trace, cap=args.cap, margin=args.margin, field=parse_field(args.field))
+    _emit(
+        args,
+        {"verified": True, "n": trace.n, "steps": len(trace.steps)},
+        ["verified", f"n: {trace.n}", f"steps: {len(trace.steps)}"],
+    )
     return EXIT_OK
 
 
@@ -343,6 +361,10 @@ def build_parser():
     s = sub("reduce", cmd_reduce, help="reduce to the loop-star normal form")
     s.add_argument("file")
     s.add_argument("--certify", action="store_true", help="attach per-step certificates")
+    _algebra_args(s)
+
+    s = sub("verify", cmd_verify, help="re-check a stored reduce --certify --json trace")
+    s.add_argument("file")
     _algebra_args(s)
 
     s = sub("classify", cmd_classify, help="derived-equivalence class index n")

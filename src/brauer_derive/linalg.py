@@ -254,22 +254,28 @@ def solve_dense(matrix, rhs, field=QQ):
 
 
 def det_int(rows):
-    """Determinant of a square integer matrix, exact."""
-    n = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    assert det.denominator == 1
-    return int(det)
+    """Determinant of a square integer matrix, exact.
+
+    Fraction-free Bareiss elimination (Bareiss 1968): after step k every
+    entry below and right of the pivot is a (k+1)-minor of the input, so each
+    division is exact and all arithmetic stays on native ints.
+    """
+    m = [[operator.index(v) for v in row] for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if pr is None:
+                return 0
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        pivot, row_k = m[k][k], m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            f = row_i[k]
+            m[i] = [0] * (k + 1) + [
+                (pivot * row_i[j] - f * row_k[j]) // prev for j in range(k + 1, n)
+            ]
+        prev = pivot
+    return sign * m[-1][-1] if n else 1

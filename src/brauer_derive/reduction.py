@@ -8,10 +8,18 @@ edges, which indexes the derived-equivalence class.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .algebra import omega_relations, quotient_basis
-from .graph import BrauerGraph, edge_count, serialize_graph, validate
+from .graph import (
+    BrauerGraph,
+    MalformedInput,
+    edge_count,
+    parse_graph,
+    serialize_graph,
+    validate,
+)
 from .linalg import QQ
 from .quiver import build_quiver
 from .tilting import (
@@ -29,7 +37,11 @@ class ReductionStep:
     before: BrauerGraph
     after: BrauerGraph
     at: str
-    certificate: TiltCertificate | None
+    certificate: TiltCertificate | dict | None  # a dict once loaded from JSON
+
+
+def _certificate_json(cert):
+    return cert.to_json() if isinstance(cert, TiltCertificate) else cert
 
 
 @dataclass
@@ -49,7 +61,7 @@ class ReductionTrace:
                 {
                     "at": s.at,
                     "after": _canonical_obj(s.after),
-                    "certificate": s.certificate.to_json() if s.certificate else None,
+                    "certificate": _certificate_json(s.certificate),
                 }
                 for s in self.steps
             ],
@@ -130,8 +142,37 @@ def reduce_to_normal_form(
     return ReductionTrace(g, steps, current, edge_count(g))
 
 
+def _load_graph(obj):
+    g = parse_graph(json.dumps(obj))
+    validate(g)
+    return g
+
+
+def load_trace(payload) -> ReductionTrace:
+    """Rebuild a trace from its ``to_json`` form, e.g. ``reduce --json`` output.
+
+    Every graph is parsed and validated again; a step's ``before`` is the
+    previous step's ``after``.  Certificates stay JSON dicts, which
+    ``certify_trace`` compares with the ones it recomputes.
+    """
+    try:
+        current = start = _load_graph(payload["input"])
+        steps = []
+        for s in payload["steps"]:
+            after = _load_graph(s["after"])
+            steps.append(ReductionStep(current, after, s["at"], s["certificate"]))
+            current = after
+        return ReductionTrace(start, steps, _load_graph(payload["normalForm"]), payload["n"])
+    except (KeyError, TypeError) as exc:
+        raise MalformedInput(f"not a reduction trace ({type(exc).__name__}: {exc})") from None
+
+
 def certify_trace(t: ReductionTrace, cap=None, margin=None, field=QQ) -> bool:
-    """Re-validate a trace from scratch; raises CertificateFailure on step index."""
+    """Re-validate a trace from scratch; raises CertificateFailure on step index.
+
+    Each step is certified again from its graph alone, and a stored
+    certificate must equal the recomputed one in its JSON form.
+    """
     cache = _AlgebraCache(cap, margin, field)
     current = t.input
     validate(current)
@@ -142,16 +183,9 @@ def certify_trace(t: ReductionTrace, cap=None, margin=None, field=QQ) -> bool:
             moved, cert = _certified_step(current, step.at, cache)
             if serialize_graph(moved) != serialize_graph(step.after):
                 raise CertificateFailure(f"stored result of step differs at {step.at}")
-            if step.certificate is not None:
-                stored = step.certificate
-                if (
-                    stored.hom_vanishing != cert.hom_vanishing
-                    or stored.end_cartan.rows != cert.end_cartan.rows
-                    or stored.end_cartan.order != cert.end_cartan.order
-                    or (stored.det_source, stored.det_end)
-                    != (cert.det_source, cert.det_end)
-                ):
-                    raise CertificateFailure("stored certificate does not re-validate")
+            stored = _certificate_json(step.certificate)
+            if stored is not None and stored != cert.to_json():
+                raise CertificateFailure("stored certificate does not re-validate")
         except CertificateFailure as exc:
             raise CertificateFailure(f"step {idx}: {exc}") from None
         current = step.after

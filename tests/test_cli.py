@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from brauer_derive import tilting
-from brauer_derive.cli import EXIT_CERTIFICATE, run
+from brauer_derive import reduction, tilting
+from brauer_derive.cli import EXIT_CERTIFICATE, EXIT_INVALID, EXIT_OK, run
 from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
 
@@ -35,6 +35,116 @@ def test_reduce_certified_json(g_min_file, capsys):
     assert payload["n"] == 3
     assert len(payload["steps"]) == 1
     assert payload["steps"][0]["certificate"]["detEnd"] == 4
+
+
+def _certified_trace(tmp_path, capsys, name, field_flags):
+    """Write corpus graph ``name``, run reduce --certify --json on it and
+    return the parsed trace."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_graph(corpus_graphs()[name]), encoding="utf-8")
+    assert run(["reduce", str(path), "--certify", "--json", *field_flags]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)
+
+
+def _verify(tmp_path, capsys, payload, field_flags=()):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code = run(["verify", str(path), *field_flags])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("field_flags", [[], ["--field", "2"]], ids=["Q", "GF2"])
+@pytest.mark.parametrize("name", sorted(corpus_graphs()))
+def test_verify_accepts_reduce_output(name, field_flags, tmp_path, capsys):
+    payload = _certified_trace(tmp_path, capsys, name, field_flags)
+    code, out = _verify(tmp_path, capsys, payload, field_flags)
+    assert code == EXIT_OK, out.err
+    assert out.out.splitlines() == [
+        "verified", f"n: {payload['n']}", f"steps: {len(payload['steps'])}"
+    ]
+
+
+def _tamper_hom(p):
+    cert = p["steps"][-1]["certificate"]["homVanishing"]
+    cert[next(iter(cert))] = 1
+
+
+def _tamper_det_end(p):
+    p["steps"][0]["certificate"]["detEnd"] += 1
+
+
+def _tamper_generation(p):
+    witness = p["steps"][-1]["certificate"]["generation"][-1]
+    witness["matches"] = witness["matches"].replace("[0]", "[1]")
+
+
+def _tamper_after(p):
+    p["steps"][0]["after"] = p["input"]
+
+
+def _tamper_normal_form(p):
+    p["normalForm"] = p["input"]
+
+
+TAMPERINGS = {
+    "homVanishing": (_tamper_hom, "stored certificate does not re-validate"),
+    "detEnd": (_tamper_det_end, "stored certificate does not re-validate"),
+    "generation": (_tamper_generation, "stored certificate does not re-validate"),
+    "after": (_tamper_after, "step 0: stored result of step differs"),
+    "normalForm": (_tamper_normal_form, "trace normal form mismatch"),
+}
+
+
+@pytest.mark.parametrize("field_flags", [[], ["--field", "2"]], ids=["Q", "GF2"])
+@pytest.mark.parametrize("tamper", sorted(TAMPERINGS))
+def test_verify_rejects_tampered_trace(tamper, field_flags, tmp_path, capsys):
+    payload = _certified_trace(tmp_path, capsys, "mixed7", field_flags)
+    assert len(payload["steps"]) > 1
+    edit, message = TAMPERINGS[tamper]
+    before = json.dumps(payload)
+    edit(payload)
+    assert json.dumps(payload) != before
+    code, out = _verify(tmp_path, capsys, payload, field_flags)
+    assert code == EXIT_CERTIFICATE
+    assert message in out.err
+
+
+def test_verify_rejects_malformed_input(tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    path.write_text("not json {", encoding="utf-8")
+    assert run(["verify", str(path)]) == EXIT_INVALID
+    payload = _certified_trace(tmp_path, capsys, "g_min", [])
+    del payload["schema"]
+    assert _verify(tmp_path, capsys, payload)[0] == EXIT_INVALID
+    payload["schema"] = "brauer-derive/1"
+    del payload["steps"][0]["after"]
+    assert _verify(tmp_path, capsys, payload)[0] == EXIT_INVALID
+    payload["steps"] = []
+    payload["input"] = {"vertices": [{"id": "S", "cyclic": ["1", "2"]}]}  # no loop
+    code, out = _verify(tmp_path, capsys, payload)
+    assert code == EXIT_INVALID and "ValidationError" in out.err
+
+
+def test_reduce_certifies_each_step_once(tmp_path, capsys, monkeypatch):
+    """reduce --certify runs check_tilting once per step and builds each
+    graph's algebra once."""
+    tilts, builds = [], []
+    check_tilting, quotient_basis = reduction.check_tilting, reduction.quotient_basis
+
+    def counting_check_tilting(Q):
+        tilts.append(Q)
+        return check_tilting(Q)
+
+    def counting_quotient_basis(p, *args):
+        builds.append(p)
+        return quotient_basis(p, *args)
+
+    monkeypatch.setattr(reduction, "check_tilting", counting_check_tilting)
+    monkeypatch.setattr(reduction, "quotient_basis", counting_quotient_basis)
+    payload = _certified_trace(tmp_path, capsys, "mixed7", [])
+    graphs = {json.dumps(g) for g in [payload["input"]] + [s["after"] for s in payload["steps"]]}
+    assert len(tilts) == len(payload["steps"]) == 4
+    assert len(builds) == len(graphs) == 5
 
 
 def test_cartan_omega_json(capsys):

@@ -1,4 +1,4 @@
-"""The shrink certificate and the homotopy-Hom solver at benchmark sizes.
+"""Certificates at benchmark sizes and beyond.
 
 The graphs have the shapes of the shrink-deep benchmark families: a chain of
 depth 13 with two one-edge twigs, and an 18-edge tree grown deep.  Each runs
@@ -6,6 +6,9 @@ over Q and over GF(2), where nonstandardness shows.  Besides the tilting
 certificate and the generator relations, Hom(T, T) at shift 0 must have the
 dimension of the endomorphism ring that the Cartan matrix predicts, which
 does not depend on the solver and is far from 0.
+
+Certified reductions of random graphs with 20 and 30 edges go through the
+CLI's JSON trace and are checked again from that artifact.
 """
 import json
 import random
@@ -13,16 +16,20 @@ import random
 import pytest
 
 from brauer_derive.algebra import omega_relations, quotient_basis
-from brauer_derive.graph import edge_count, parse_graph
+from brauer_derive.cli import run
+from brauer_derive.graph import edge_count, parse_graph, serialize_graph
 from brauer_derive.homological import homotopy_hom
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
+from brauer_derive.reduction import certify_trace, load_trace
 from brauer_derive.tilting import (
     check_tilting,
     end_cartan,
     shrink_complex,
     verify_end_generators,
 )
+
+from test_random_graphs import random_one_loop_graph
 
 
 def graph_text(lists):
@@ -86,3 +93,17 @@ def test_shrink_certificate_at_benchmark_size(name, field):
     assert verify_end_generators(Q)
     T = Q.direct_sum()
     assert homotopy_hom(T, T, 0).dimension == end_cartan(Q).dim
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+@pytest.mark.parametrize("n", [20, 30])
+def test_certified_reduction_round_trip(n, field, tmp_path, capsys):
+    g = random_one_loop_graph(random.Random(7), n)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    flags = [] if field == QQ else ["--field", str(field.p)]
+    assert run(["reduce", str(path), "--certify", "--json", *flags]) == 0
+    trace = load_trace(json.loads(capsys.readouterr().out))
+    assert trace.n == n and len(trace.steps) > 0
+    assert certify_trace(trace, field=field)
