@@ -37,12 +37,17 @@ def test_reduce_certified_json(g_min_file, capsys):
     assert payload["steps"][0]["certificate"]["detEnd"] == 4
 
 
-def _certified_trace(tmp_path, capsys, name, field_flags):
-    """Write corpus graph ``name``, run reduce --certify --json on it and
-    return the parsed trace."""
+def _corpus_file(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(serialize_graph(corpus_graphs()[name]), encoding="utf-8")
-    assert run(["reduce", str(path), "--certify", "--json", *field_flags]) == EXIT_OK
+    return str(path)
+
+
+def _certified_trace(tmp_path, capsys, name, field_flags):
+    """Run reduce --certify --json on corpus graph ``name`` and return the
+    parsed trace."""
+    path = _corpus_file(tmp_path, name)
+    assert run(["reduce", path, "--certify", "--json", *field_flags]) == EXIT_OK
     return json.loads(capsys.readouterr().out)
 
 
@@ -651,8 +656,6 @@ def test_reduce_digests_cover_every_variant():
 @pytest.mark.parametrize("key", sorted(REDUCE_INVOCATIONS))
 def test_reduce_output_digest(key, tmp_path, capsys):
     name, flags = REDUCE_INVOCATIONS[key]
-    path = tmp_path / f"{name}.json"
-    path.write_text(serialize_graph(corpus_graphs()[name]), encoding="utf-8")
-    assert run(["reduce", str(path), *flags]) == 0
+    assert run(["reduce", _corpus_file(tmp_path, name), *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REDUCE_DIGESTS[key]
