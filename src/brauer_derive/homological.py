@@ -18,9 +18,12 @@ walking each differential once per degree, and reads every product of an
 entry with a basis element from the algebra's product table (memoized on
 the algebra).  A shift at which no summand of C^n has a nonzero block to a
 summand of D^(n+r) has no variables, so ``homotopy_hom`` returns 0 there
-before shifting D or building a solver.  ``minimize`` strips contractible
+before shifting D or building a solver.  One echelon form of the homotopy
+columns serves both the dimension and the basis of ``homotopy_hom`` and the
+membership test of ``is_null_homotopic``.  ``minimize`` strips contractible
 two-term pieces by Gaussian elimination on differential entries that are
-units of the local endomorphism rings.
+units of the local endomorphism rings; a unit c (e_i - r) with r radical is
+inverted by the finite series c^-1 (e_i + r + r^2 + ...), no solver needed.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, CartanMatrix, QuotientAlgebra
-from .linalg import SparseEchelon, nullspace, solve_dense
+from .linalg import SparseEchelon, nullspace
 
 
 class NotAComplex(Exception):
@@ -107,9 +110,8 @@ class ProjComplex:
     def shift(self, k):
         """C[k] with (C[k])^n = C^(n+k) and differential scaled by (-1)^k."""
         terms = {n - k: t for n, t in self.terms.items()}
-        sign = self.algebra.field.from_int(-1 if k % 2 else 1)
         diffs = {
-            n - k: {rc: e.scale(sign) for rc, e in matrix.items()}
+            n - k: {rc: -e if k % 2 else e for rc, e in matrix.items()}
             for n, matrix in self.diffs.items()
         }
         return ProjComplex(self.algebra, terms, diffs)
@@ -246,29 +248,25 @@ class ChainMap:
         }
         return ChainMap(self.source, other.target, comps, check=False)
 
-    def _combine(self, other, sign):
+    def __add__(self, other):
         if other.source != self.source or other.target != self.target:
             raise ChainMapFailure("chain maps between different complexes")
-        scalar = self.source.algebra.field.from_int(sign)
         comps = {n: dict(matrix) for n, matrix in self.comps.items()}
         for n, matrix in other.comps.items():
             block = comps.setdefault(n, {})
             for rc, e in matrix.items():
-                _add_entry(block, rc, e.scale(scalar))
+                _add_entry(block, rc, e)
         return ChainMap(self.source, self.target, comps, check=False)
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def scale(self, c):
+    def __neg__(self):
         comps = {
-            n: {rc: e.scale(c) for rc, e in matrix.items()}
+            n: {rc: -e for rc, e in matrix.items()}
             for n, matrix in self.comps.items()
         }
         return ChainMap(self.source, self.target, comps, check=False)
+
+    def __sub__(self, other):
+        return self + -other
 
     def is_zero(self):
         return not self.comps
@@ -295,7 +293,6 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
     """Standard cone: degree n is source^(n+1) + target^n."""
     C, D = f.source, f.target
     A = C.algebra
-    minus = A.field.from_int(-1)
     terms = {}
     degs = set(C.degrees()) | set(D.degrees())
     lo = min((d for d in degs), default=0) - 1
@@ -307,9 +304,7 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
     diffs = {}
     for n in terms:
         c_lower, c_upper = len(C.term(n + 1)), len(C.term(n + 2))
-        matrix = diffs[n] = {
-            rc: e.scale(minus) for rc, e in C.diffs.get(n + 1, {}).items()
-        }
+        matrix = diffs[n] = {rc: -e for rc, e in C.diffs.get(n + 1, {}).items()}
         for (r, c), e in f.comps.get(n + 1, {}).items():
             matrix[(c_upper + r, c)] = e
         for (r, c), e in D.diffs.get(n, {}).items():
@@ -318,20 +313,26 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
 
 
 def _local_inverse(u: AlgebraElement):
-    """Inverse of a unit of the local ring e_i A e_i."""
+    """Inverse of a unit of the local ring e_i A e_i.
+
+    Writing u = c (e_i - r) with c its scalar part and r radical, the inverse
+    is c^-1 (e_i + r + r^2 + ...); r is nilpotent, so the series ends within
+    dim e_i A e_i terms.
+    """
     A = u.algebra
-    i = u.source
-    basis = A.block_basis(i, i)
-    n = len(basis)
-    matrix = [[(b * u).coeffs[r] for b in basis] for r in range(n)]
-    rhs = A.e(i).coeffs
-    sol = solve_dense(matrix, list(rhs), A.field)
-    if sol is None:
+    c = u.scalar_part()
+    if not c:
         raise ChainMapFailure("entry is not a unit")
-    out = A.zero(i, i)
-    for b, c in zip(basis, sol):
-        out = out + b.scale(c)
-    return out
+    inv = A.field.one / c
+    e = A.e(u.source)
+    r = e - u.scale(inv)
+    total = power = e
+    for _ in range(len(A.block(u.source, u.source))):
+        power = power * r
+        if power.is_zero():
+            return total.scale(inv)
+        total = total + power
+    raise ChainMapFailure("radical part of a unit is not nilpotent")
 
 
 def _cut(matrix, row=None, col=None):
@@ -353,7 +354,6 @@ def minimize(C: ProjComplex) -> ProjComplex:
     """
     terms = {n: list(t) for n, t in C.terms.items()}
     diffs = dict(C.diffs)
-    minus = C.algebra.field.from_int(-1)
 
     def find_unit():
         for n in sorted(diffs):
@@ -373,7 +373,7 @@ def minimize(C: ProjComplex) -> ProjComplex:
         acrosses = [(r2, e) for (r2, c1), e in diffs[n].items() if c1 == c and r2 != r]
         for r2, across in acrosses:
             for c2, down in downs:
-                _add_entry(matrix, (r2, c2), (down * uinv * across).scale(minus))
+                _add_entry(matrix, (r2, c2), -(down * uinv * across))
         # Delete the cancelled pair everywhere.
         del terms[n][c]
         del terms[n + 1][r]
@@ -460,14 +460,15 @@ class _HomSolver:
             rows[key][t] for key in sorted(rows) for t in sorted(rows[key])
         ]
 
-    def homotopy_columns(self):
-        """Image vectors of the map s -> d s + s d, one per s basis vector.
+    def homotopy_span(self):
+        """Echelon form of the image of s -> d s + s d, the null-homotopic
+        chain maps, fed one image vector per s basis vector.
 
         s^n[r][c] maps C^n[c] to D^(n-1)[r]; it reaches f^(n-1) through row c
         of d_C^(n-1) and f^n through column r of d_D^(n-1).
         """
         C, D, A, offset = self.C, self.D, self.A, self.offset
-        cols = []
+        span = SparseEchelon()
         for n in sorted(C.terms):
             if n - 1 not in D.terms:
                 continue
@@ -497,8 +498,10 @@ class _HomSolver:
                             for col, coords in zip(block, A.basis_times(sv, e)):
                                 for t, coeff in coords:
                                     col[base + t] = coeff
-                    cols.extend(col for col in block if col)
-        return cols
+                    for col in block:
+                        if col:
+                            span.add(col)
+        return span
 
     def vectorize(self, f: ChainMap):
         vec = {}
@@ -537,41 +540,21 @@ def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0, with_basis=F
     if not _has_variables(C, D, shift_by):
         return HomotopyHom(0, ())
     solver = _HomSolver(C, D.shift(shift_by))
-    nvars = solver.nvars
-    constraints = solver.constraint_rows()
-    hcols = solver.homotopy_columns()
-    hech = SparseEchelon()
-    hrank = 0
-    for col in hcols:
-        if hech.add(col):
-            hrank += 1
+    span = solver.homotopy_span()
     if not with_basis:
-        crank = 0
-        cech = SparseEchelon()
-        for row in constraints:
-            if cech.add(row):
-                crank += 1
-        return HomotopyHom(nvars - crank - hrank, ())
-    kernel = nullspace(constraints, nvars, solver.field)
-    reps = []
-    ech = SparseEchelon()
-    for col in hcols:
-        ech.add(col)
-    for vec in kernel:
-        if ech.add(vec):
-            reps.append(solver.chain_map_from_vector(vec))
-    return HomotopyHom(len(reps), tuple(reps))
+        constraints = SparseEchelon()
+        for row in solver.constraint_rows():
+            constraints.add(row)
+        return HomotopyHom(solver.nvars - constraints.rank - span.rank, ())
+    kernel = nullspace(solver.constraint_rows(), solver.nvars, solver.field)
+    reps = tuple(solver.chain_map_from_vector(vec) for vec in kernel if span.add(vec))
+    return HomotopyHom(len(reps), reps)
 
 
 def is_null_homotopic(f: ChainMap) -> bool:
     solver = _HomSolver(f.source, f.target)
     vec = solver.vectorize(f)
-    if not vec:
-        return True
-    ech = SparseEchelon()
-    for col in solver.homotopy_columns():
-        ech.add(col)
-    return ech.contains(vec)
+    return not vec or solver.homotopy_span().contains(vec)
 
 
 def happel_cartan(summands, C: CartanMatrix, labels=None) -> CartanMatrix:

@@ -83,9 +83,40 @@ class PrimeFieldElement:
         return f"{self.value} (mod {self.p})"
 
 
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
+# this bound (Sorenson and Webster 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; exact for n < _MR_BOUND."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= _MR_BOUND:
+            raise ValueError(f"{p} is too large: primality is exact only below {_MR_BOUND}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
@@ -216,41 +247,6 @@ def _back_substitute(ech):
                 vec_add_scaled(row, sub, -row[key])
         reduced[pcol] = row
     return reduced
-
-
-def solve_dense(matrix, rhs, field=QQ):
-    """Solve matrix * x = rhs for small dense systems; None if inconsistent.
-
-    ``matrix`` is a list of rows (lists of field elements), ``rhs`` a list.
-    Returns one solution as a list (free variables set to zero).
-    """
-    m = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    nrows = len(m)
-    ncols = len(matrix[0]) if matrix else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None
-    x = [field.zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x
 
 
 def det_int(rows):

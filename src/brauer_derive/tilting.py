@@ -14,16 +14,18 @@ are cross-checked through Cartan matrices rather than trusting the surgery.
 ``check_tilting`` certifies the tilting axioms: vanishing of homotopy Homs
 of the full direct sum at all nonzero shifts within the provable window,
 plus one generation witness per simple projective (a mapping cone that
-minimizes to the expected stalk).  ``verify_end_generators`` builds the
-designated generator chain maps of the endomorphism ring and checks the
-defining relations of the target presentation up to homotopy.
+minimizes to the expected stalk).  ``verify_end_generators`` sends every
+arrow of the target quiver (the loop-star of the same size for a shrink
+complex, the moved graph for an enlarge complex) to a generator chain map of
+the endomorphism ring and checks every relation of ``omega_relations`` of
+that quiver up to homotopy, through one loop for both kinds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .algebra import CartanMatrix, QuotientAlgebra, omega_relations
-from .graph import BrauerGraph, GraphVertex
+from .graph import BrauerGraph, GraphVertex, loop_star
 from .homological import (
     ChainMap,
     ProjComplex,
@@ -273,36 +275,42 @@ def check_tilting(Q: TiltingComplex) -> TiltCertificate:
 # -- endomorphism-ring generators ------------------------------------
 
 
-def _mult_map(src_complex, tgt_complex, elt):
-    """Chain map between stalk-bottomed complexes given by one degree-0 entry."""
-    return ChainMap(src_complex, tgt_complex, {0: {(0, 0): elt}}, check=True)
+def _one_entry(source, target, elt, rc=(0, 0)):
+    """Chain map whose only nonzero entry is ``elt`` at ``rc`` in degree 0."""
+    return ChainMap(source, target, {0: {rc: elt}}, check=True)
 
 
-def _shrink_generator_maps(Q: TiltingComplex):
-    """Successor chain maps around the cyclic ordering, plus the loop map."""
+def _shrink_generator_maps(Q: TiltingComplex, target_quiver):
+    """Chain map for every arrow of the loop-star quiver: the loop arrow is
+    the loop map, the k-th arrow of the exceptional cycle the k-th successor
+    map around the cyclic ordering."""
     A, g = Q.algebra, Q.graph
     order = Q.ordering
     n = len(order)
-    succ_maps = []
-    for k in range(n):
+    loop = Q.summands[order[0]]
+    maps = {
+        target_quiver.loop_arrow.name: _one_entry(
+            loop, loop, A.arrow_element(A.quiver.loop_arrow.name)
+        )
+    }
+    for k, arrow in enumerate(target_quiver.exceptional_cycle.arrows):
         x, y = order[k], order[(k + 1) % n]
         Cx, Cy = Q.summands[x], Q.summands[y]
         if not g.is_tree_edge(x):
             # leaving a cycle edge: multiplication by its exceptional arrow
-            arrow = A.quiver.beta_out[x]
             root = Cy.term(0)[0]
-            elt = A.arrow_element(arrow.name)
+            elt = A.arrow_element(A.quiver.beta_out[x].name)
             if elt.target != root:
                 raise RelationFailure(
                     f"cycle step {x}->{y} does not land on P({root})"
                 )
-            succ_maps.append(ChainMap(Cx, Cy, {0: {(0, 0): elt}}, check=True))
+            maps[arrow.name] = _one_entry(Cx, Cy, elt)
             continue
         px, py = g.tree_path(x), g.tree_path(y)
         if list(py) == list(px[: len(py)]):
             # truncation onto a prefix path: identity on common degrees
             comps = {m: {(0, 0): A.e(py[m])} for m in range(len(py))}
-            succ_maps.append(ChainMap(Cx, Cy, comps, check=True))
+            maps[arrow.name] = ChainMap(Cx, Cy, comps, check=True)
             continue
         # branch switch: identity on the common prefix, then the unique hom
         t = 0
@@ -310,51 +318,8 @@ def _shrink_generator_maps(Q: TiltingComplex):
             t += 1
         comps = {m: {(0, 0): A.e(px[m])} for m in range(t)}
         comps[t] = {(0, 0): _unique_hom(A, px[t], py[t])}
-        succ_maps.append(ChainMap(Cx, Cy, comps, check=True))
-    loop = ChainMap(
-        Q.summands[order[0]],
-        Q.summands[order[0]],
-        {0: {(0, 0): A.arrow_element(A.quiver.loop_arrow.name)}},
-        check=True,
-    )
-    return loop, succ_maps
-
-
-def _compose_all(maps):
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.compose(m)
-    return out
-
-
-def _check_relation(name, combo):
-    """combo: list of (sign, [chain maps]); must be null-homotopic."""
-    total = None
-    for sign, maps in combo:
-        comp = _compose_all(maps)
-        if sign < 0:
-            comp = comp.scale(maps[0].source.algebra.field.from_int(-1))
-        total = comp if total is None else total + comp
-    if not is_null_homotopic(total):
-        raise RelationFailure(f"relation {name} is not null-homotopic")
-
-
-def _verify_shrink_generators(Q: TiltingComplex):
-    loop, succ = _shrink_generator_maps(Q)
-    n = len(succ)
-    full = succ  # beta_1 ... beta_n around the cycle
-    _check_relation(
-        "alpha^2 = alpha b_1...b_n", [(1, [loop, loop]), (-1, [loop] + full)]
-    )
-    _check_relation(
-        "alpha b_1...b_n + b_1...b_n alpha = 0",
-        [(1, [loop] + full), (1, full + [loop])],
-    )
-    _check_relation("b_n b_1 = 0", [(1, [succ[n - 1], succ[0]])])
-    for j in range(1, n):
-        maps = succ[j:] + [loop] + succ[:j] + [succ[j]]
-        _check_relation(f"cycle overshoot at position {j}", [(1, maps)])
-    return True
+        maps[arrow.name] = ChainMap(Cx, Cy, comps, check=True)
+    return maps
 
 
 def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
@@ -362,7 +327,6 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
     A, g, d = Q.algebra, Q.graph, Q.data
     q = A.quiver
     at, succ, fan = d.at, d.succ, d.beta_fan
-    two_term = Q.summands[succ]
     pos = g.cycle_edges.index(at)
     pred = g.cycle_edges[pos - 1]
     v = g.far_vertex(at, g.center)
@@ -373,74 +337,70 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
         w = g.far_vertex(succ, v)
         fan_cycle = g.children(top, g.far_vertex(top, w))  # old far cycle of top
 
-    def column(idx, elt, source):
-        return ChainMap(Q.summands[source], two_term, {0: {(idx, 0): elt}}, check=True)
-
-    def row(idx, elt, target):
-        return ChainMap(two_term, Q.summands[target], {0: {(0, idx): elt}}, check=True)
-
     maps = {}
     for arrow in target_quiver.arrows:
         s, t = arrow.source, arrow.target
+        # the degree-0 entry; Q(succ) has degree-0 summands (at, top), its
+        # rows when it is the target and its columns when it is the source
+        rc = (0, 0)
         if s == pred and t == succ:
-            maps[arrow.name] = column(0, A.arrow_element(q.beta_out[pred].name), pred)
+            elt = A.arrow_element(q.beta_out[pred].name)
         elif s == succ and t == at:
-            maps[arrow.name] = row(0, A.e(at), at)
+            elt = A.e(at)
         elif s == at and len(siblings) > 1 and t == siblings[1]:
-            word = (q.alpha_out[at].name, q.alpha_out[succ].name)
-            maps[arrow.name] = _mult_map(
-                Q.summands[at], Q.summands[t], A.path_element(word)
-            )
+            elt = A.path_element((q.alpha_out[at].name, q.alpha_out[succ].name))
         elif top is not None and s == succ and t == top:
-            maps[arrow.name] = row(1, A.e(top), top)
+            rc, elt = (0, 1), A.e(top)
         elif top is not None and t == succ and s == (fan_cycle[-1] if fan_cycle else top):
+            rc = (1, 0)
             if fan_cycle:
                 elt = A.arrow_element(q.alpha_out[s].name)
             else:
                 elt = A.reduce_word(
                     top, tuple(A.arrow_ids[a] for a in cycle_at(q, top, BETA).names())
                 )
-            maps[arrow.name] = column(1, elt, s)
         elif len(fan) >= 2 and s == top and t == fan[0]:
-            word = (q.beta_out[top].name, q.beta_out[succ].name)
-            maps[arrow.name] = _mult_map(
-                Q.summands[top], Q.summands[t], A.path_element(word)
-            )
+            elt = A.path_element((q.beta_out[top].name, q.beta_out[succ].name))
         else:
             old = q.by_name.get(arrow.name)
             if old is None or old.source != s or old.target != t:
                 raise RelationFailure(
                     f"arrow {arrow.name}: no matching generator map ({s}->{t})"
                 )
-            maps[arrow.name] = _mult_map(
-                Q.summands[s], Q.summands[t], A.arrow_element(old.name)
-            )
+            elt = A.arrow_element(old.name)
+        maps[arrow.name] = _one_entry(Q.summands[s], Q.summands[t], elt, rc)
     return maps
 
 
-def _verify_enlarge_generators(Q: TiltingComplex):
-    moved = enlarge_graph_move(Q.graph, Q.data.at)
-    q2 = build_quiver(moved)
-    maps = _enlarge_generator_maps(Q, q2)
-    pres = omega_relations(q2)
-    for rel in pres.relations:
-        combo = []
+def verify_end_generators(Q: TiltingComplex) -> bool:
+    """Check every relation of ``omega_relations`` of the target quiver on
+    the generator chain maps of End(T), up to homotopy.
+
+    The target is the loop-star of the same size for a shrink complex and
+    the moved graph for an enlarge complex.
+    """
+    if Q.kind == "shrink":
+        target = build_quiver(loop_star(len(Q.ordering)))
+        maps = _shrink_generator_maps(Q, target)
+    elif Q.kind == "enlarge":
+        target = build_quiver(enlarge_graph_move(Q.graph, Q.data.at))
+        maps = _enlarge_generator_maps(Q, target)
+    else:
+        raise ValueError(f"unknown kind {Q.kind!r}")
+    for rel in omega_relations(target).relations:
+        total = None
         for word, coeff in rel.terms:
-            sign = 1 if coeff > 0 else -1
             if abs(coeff) != 1:
                 raise RelationFailure("unexpected relation coefficient")
-            combo.append((sign, [maps[a] for a in word]))
-        _check_relation(str(rel), combo)
+            comp = maps[word[0]]
+            for a in word[1:]:
+                comp = comp.compose(maps[a])
+            if coeff < 0:
+                comp = -comp
+            total = comp if total is None else total + comp
+        if not is_null_homotopic(total):
+            raise RelationFailure(f"relation {rel} is not null-homotopic")
     return True
-
-
-def verify_end_generators(Q: TiltingComplex, kind=None) -> bool:
-    kind = kind or Q.kind
-    if kind == "shrink":
-        return _verify_shrink_generators(Q)
-    if kind == "enlarge":
-        return _verify_enlarge_generators(Q)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 # -- graph surgery ----------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -251,6 +252,18 @@ def test_field_flag(capsys):
     assert run(["omega", "2", "--field", "3"]) == 0
     assert "dim: 10" in capsys.readouterr().out
     assert run(["omega", "2", "--field", "4"]) == 1  # not a prime
+
+
+def test_large_prime_field_is_fast_and_composites_exit_1(capsys):
+    start = time.perf_counter()
+    assert run(["cartan", "--omega", "2", "--field", "1000000000000000003"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert "dim: 10" in capsys.readouterr().out
+    # 101 * 9901 * 999999000001; a Carmichael number; the first strong
+    # pseudoprime to every base up to 41, where exactness ends
+    for p in ("1000000000000000001", "561", "3317044064679887385961981"):
+        assert run(["cartan", "--omega", "2", "--field", p]) == EXIT_INVALID
+        assert "ValueError" in capsys.readouterr().err
 
 
 def test_not_stabilized_exit_code(capsys):

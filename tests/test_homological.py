@@ -6,6 +6,7 @@ from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.graph import loop_star, parse_graph
 from brauer_derive.homological import (
     ChainMap,
+    ChainMapFailure,
     NotAComplex,
     ProjComplex,
     check_complex,
@@ -18,12 +19,13 @@ from brauer_derive.homological import (
     mapping_cone,
     minimize,
     shift,
+    _local_inverse,
 )
 from brauer_derive import linalg
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import shrink_complex
 
-from conftest import CORPUS_TEXTS, G_MIN_TEXT, algebra_for
+from conftest import CORPUS_TEXTS, G_MIN_TEXT, algebra_for, corpus_graphs
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +400,28 @@ def test_prime_field_rejects_non_integers():
     with pytest.raises(TypeError):
         linalg.PrimeField(2).from_int(1.0)
     assert linalg.PrimeField(3).from_int(-1).value == 2
+
+
+@pytest.mark.parametrize("p", [0, 2, 3], ids=["Q", "GF(2)", "GF(3)"])
+def test_local_inverse_on_corpus_local_rings(p):
+    """u * u^-1 = u^-1 * u = e_i for seeded units of every e_i A e_i of the
+    corpus; radical elements are not units."""
+    field = linalg.PrimeField(p) if p else linalg.QQ
+    rng = random.Random(41 + p)
+    for name, g in sorted(corpus_graphs().items()):
+        A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+        for i in A.vertices:
+            e, *radical = A.block_basis(i, i)
+            assert e == A.e(i)
+            for _ in range(4):
+                scalar = field.from_int(rng.choice([1, -1, 2]))
+                u = e.scale(scalar if scalar else field.one)
+                for b in radical:
+                    u = u + b.scale(field.from_int(rng.randint(-3, 3)))
+                inverse = _local_inverse(u)
+                assert u * inverse == e and inverse * u == e, (name, i)
+            nonunit = A.zero(i, i)
+            for b in radical:
+                nonunit = nonunit + b.scale(field.from_int(rng.randint(1, 3)))
+            with pytest.raises(ChainMapFailure, match="not a unit"):
+                _local_inverse(nonunit)

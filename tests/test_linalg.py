@@ -1,11 +1,12 @@
-"""``det_int`` (fraction-free Bareiss) against plain elimination over Q."""
+"""``det_int`` (fraction-free Bareiss) against plain elimination over Q, and
+the primality test behind ``PrimeField`` against trial division."""
 import random
 from fractions import Fraction
 
 import pytest
 
 from brauer_derive.graph import loop_star
-from brauer_derive.linalg import det_int
+from brauer_derive.linalg import PrimeField, det_int
 
 from conftest import algebra_for, corpus_graphs
 
@@ -74,3 +75,14 @@ def test_det_int_on_cartan_matrices():
         rows = [list(r) for r in algebra_for(g).cartan().rows]
         assert det_int(rows) == det_fraction(rows), name
     assert abs(det_int([list(r) for r in algebra_for(loop_star(59)).cartan().rows])) == 4
+
+
+def test_prime_field_accepts_exactly_the_primes_below_10000():
+    for n in range(10**4):
+        is_prime = n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+        try:
+            PrimeField(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == is_prime, n

@@ -1,10 +1,14 @@
 import pytest
 
+from brauer_derive import tilting
+from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.graph import edge_count, loop_star, parse_graph
 from brauer_derive.homological import homotopy_hom, is_stalk
+from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import (
     EmptyTree,
+    RelationFailure,
     check_tilting,
     end_cartan,
     enlarge_complex,
@@ -154,6 +158,37 @@ def test_verify_generators_enlarge(g_min):
     g = parse_graph(CHAIN2_TEXT)
     A2 = algebra_for(g)
     assert verify_end_generators(enlarge_complex(A2, g, enlarge_data(g, "2")))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=str)
+@pytest.mark.parametrize("text", [G_MIN_TEXT, CHAIN2_TEXT], ids=["g_min", "chain2"])
+def test_relation_check_catches_a_negated_successor(text, field, monkeypatch):
+    """Negating one successor map b turns alpha^2 = alpha b_1...b_n into
+    alpha^2 = -alpha b_1...b_n, which fails unless -1 = 1 (GF(2))."""
+    g = parse_graph(text)
+    Q = shrink_complex(quotient_basis(omega_relations(build_quiver(g)), field=field), g)
+    original = tilting._shrink_generator_maps
+    for k in range(len(Q.ordering)):
+
+        def negated(Q, target):
+            maps = original(Q, target)
+            name = target.exceptional_cycle.arrows[k].name
+            maps[name] = -maps[name]
+            return maps
+
+        monkeypatch.setattr(tilting, "_shrink_generator_maps", negated)
+        if field == PrimeField(2):
+            assert verify_end_generators(Q)
+        else:
+            with pytest.raises(RelationFailure, match=r"a_1\*a_1 is not null-homotopic"):
+                verify_end_generators(Q)
+
+
+def test_verify_generators_rejects_unknown_kind(g_min):
+    Q = shrink_complex(algebra_for(g_min), g_min)
+    Q.kind = "twist"
+    with pytest.raises(ValueError, match="unknown kind 'twist'"):
+        verify_end_generators(Q)
 
 
 def test_enlarge_factoring_of_old_cycle_map(g_min):
