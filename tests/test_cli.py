@@ -672,3 +672,131 @@ def test_reduce_output_digest(key, tmp_path, capsys):
     assert run(["reduce", _corpus_file(tmp_path, name), *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REDUCE_DIGESTS[key]
+
+
+# SHA-256 of the concatenated stdout of one command, output mode and field
+# over all of its inputs: every corpus graph for the FILE commands, and
+# N = 1, 2, 3, 5 for the loop-star builders.
+PIN_COMMANDS = {
+    "quiver FILE": ("quiver", "{}"),
+    "algebra FILE": ("algebra", "{}"),
+    "cartan FILE": ("cartan", "{}"),
+    "cartan --omega N": ("cartan", "--omega", "{}"),
+    "cartan --an N": ("cartan", "--an", "{}"),
+    "omega N --compare-socle": ("omega", "{}", "--compare-socle"),
+    "an N --compare-socle": ("an", "{}", "--compare-socle"),
+}
+PIN_NS = (1, 2, 3, 5)
+
+PIN_DIGESTS = {
+    'algebra FILE': (
+        'c399c2863c3d9382d235427f11ce3cfc381010cab4d632bde10b90cb45cfecab'
+    ),
+    'algebra FILE --field 2': (
+        'c399c2863c3d9382d235427f11ce3cfc381010cab4d632bde10b90cb45cfecab'
+    ),
+    'algebra FILE --field 2 --json': (
+        'acb8d5094d0318b894ea78165eb3f2416c8195d6ddf687a3c263099e044fac86'
+    ),
+    'algebra FILE --json': (
+        'acb8d5094d0318b894ea78165eb3f2416c8195d6ddf687a3c263099e044fac86'
+    ),
+    'an N --compare-socle': (
+        '187395cecbb97be81b14597cc3b47a51d755e5b59b5f1aa1fde9d184a5462c3d'
+    ),
+    'an N --compare-socle --field 2': (
+        '187395cecbb97be81b14597cc3b47a51d755e5b59b5f1aa1fde9d184a5462c3d'
+    ),
+    'an N --compare-socle --field 2 --json': (
+        'b5214f94ae946a07828016c649913fb3ddab56562f50edc01788272670403740'
+    ),
+    'an N --compare-socle --json': (
+        'b5214f94ae946a07828016c649913fb3ddab56562f50edc01788272670403740'
+    ),
+    'cartan --an N': (
+        '600e36572810637ca89698d82feea7cb0480c73bbe410b37d2f5e0af4ed6f9f2'
+    ),
+    'cartan --an N --field 2': (
+        '600e36572810637ca89698d82feea7cb0480c73bbe410b37d2f5e0af4ed6f9f2'
+    ),
+    'cartan --an N --field 2 --json': (
+        '5845cc710c4b2a58aeb7797f396cfd25f8075ac104309f8b33f22c30c467c683'
+    ),
+    'cartan --an N --json': (
+        '5845cc710c4b2a58aeb7797f396cfd25f8075ac104309f8b33f22c30c467c683'
+    ),
+    'cartan --omega N': (
+        '600e36572810637ca89698d82feea7cb0480c73bbe410b37d2f5e0af4ed6f9f2'
+    ),
+    'cartan --omega N --field 2': (
+        '600e36572810637ca89698d82feea7cb0480c73bbe410b37d2f5e0af4ed6f9f2'
+    ),
+    'cartan --omega N --field 2 --json': (
+        '5845cc710c4b2a58aeb7797f396cfd25f8075ac104309f8b33f22c30c467c683'
+    ),
+    'cartan --omega N --json': (
+        '5845cc710c4b2a58aeb7797f396cfd25f8075ac104309f8b33f22c30c467c683'
+    ),
+    'cartan FILE': (
+        '9269756b9681b3cde64ffd8cc22eabf881c217d3b5cc4ab243e93122c42e4db5'
+    ),
+    'cartan FILE --field 2': (
+        '9269756b9681b3cde64ffd8cc22eabf881c217d3b5cc4ab243e93122c42e4db5'
+    ),
+    'cartan FILE --field 2 --json': (
+        '1aa7b9c4012bd26a1caacab11a80ca63726852dddb185ea1b4e614fa6f50870a'
+    ),
+    'cartan FILE --json': (
+        '1aa7b9c4012bd26a1caacab11a80ca63726852dddb185ea1b4e614fa6f50870a'
+    ),
+    'omega N --compare-socle': (
+        '56604819938e1b2c5c28133b22cbf1bac585d34f81a6fd3acb897e8f92ffb0ac'
+    ),
+    'omega N --compare-socle --field 2': (
+        '56604819938e1b2c5c28133b22cbf1bac585d34f81a6fd3acb897e8f92ffb0ac'
+    ),
+    'omega N --compare-socle --field 2 --json': (
+        '8dd036ca283e582d72d4d0069df4132148627bfc0533e65aea6523a81c5b0e7c'
+    ),
+    'omega N --compare-socle --json': (
+        '8dd036ca283e582d72d4d0069df4132148627bfc0533e65aea6523a81c5b0e7c'
+    ),
+    'quiver FILE': (
+        'be8e0e89f1fd28a4767b452812ede9bd47e2bc18ede5a58612819fe6236027cd'
+    ),
+    'quiver FILE --json': (
+        '9998a8efd35b51802d65869444e0968cc542f7d55564167f5fdf44a1110ec70a'
+    ),
+}
+
+
+def _pin_invocations():
+    """Key -> (command, flags); quiver takes no --field."""
+    out = {}
+    for cmd in PIN_COMMANDS:
+        fields = ([],) if cmd.startswith("quiver") else ([], ["--field", "2"])
+        for field in fields:
+            for mode in ([], ["--json"]):
+                out[" ".join([cmd, *field, *mode])] = (cmd, [*field, *mode])
+    return out
+
+
+PIN_INVOCATIONS = _pin_invocations()
+
+
+def test_pin_digests_cover_every_variant():
+    assert sorted(PIN_INVOCATIONS) == sorted(PIN_DIGESTS)
+
+
+@pytest.mark.parametrize("key", sorted(PIN_INVOCATIONS))
+def test_pinned_output_digest(key, tmp_path, capsys):
+    cmd, flags = PIN_INVOCATIONS[key]
+    if cmd.endswith("FILE"):
+        inputs = [_corpus_file(tmp_path, name) for name in sorted(corpus_graphs())]
+    else:
+        inputs = [str(n) for n in PIN_NS]
+    digest = hashlib.sha256()
+    for arg in inputs:
+        assert run([a.format(arg) for a in PIN_COMMANDS[cmd]] + flags) == EXIT_OK
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == PIN_DIGESTS[key]
