@@ -9,8 +9,6 @@ from .algebra import (
     Presentation,
     QuotientAlgebra,
     a_n_presentation,
-    cartan,
-    multiply,
     omega_relations,
     presentations_equal_on_basis,
     quotient_basis,
@@ -35,12 +33,10 @@ from .homological import (
     ProjComplex,
     check_complex,
     happel_cartan,
-    hom_block,
     homotopy_hom,
     is_null_homotopic,
     mapping_cone,
     minimize,
-    shift,
 )
 from .linalg import QQ, PrimeField
 from .quiver import BrauerQuiver, build_quiver, cycle_at, quiver_to_dot

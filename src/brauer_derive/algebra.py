@@ -22,7 +22,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from . import rewriting
-from .linalg import QQ, det_int
+from .linalg import QQ, det_int, vec_add_scaled
 from .quiver import ALPHA, BETA, BrauerQuiver, build_quiver, cycle_at
 
 
@@ -55,24 +55,30 @@ class PathElement:
         return [w for w, _ in self.terms]
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word, coeff in sorted(self.terms, key=lambda kv: (-len(kv[0]), kv[0])):
-            w = "*".join(word) if word else f"e_{self.source}"
-            if coeff == 1:
-                text = w
-            elif coeff == -1:
-                text = f"-{w}"
-            else:
-                text = f"{coeff}*{w}"
-            if parts and not text.startswith("-"):
-                parts.append("+ " + text)
-            elif parts:
-                parts.append("- " + text[1:])
-            else:
-                parts.append(text)
-        return " ".join(parts)
+        terms = sorted(self.terms, key=lambda kv: (-len(kv[0]), kv[0]))
+        return _render(terms, self.source)
+
+
+def _render(terms, source):
+    """Text of a combination of (arrow-name word, coefficient) pairs in the
+    given order: unit coefficients print as signs, the trivial word as
+    e_source, and the empty combination as 0."""
+    parts = []
+    for word, coeff in terms:
+        w = "*".join(word) if word else f"e_{source}"
+        if coeff == 1:
+            text = w
+        elif coeff == -1:
+            text = f"-{w}"
+        else:
+            text = f"{coeff}*{w}"
+        if not parts:
+            parts.append(text)
+        elif text.startswith("-"):
+            parts.append("- " + text[1:])
+        else:
+            parts.append("+ " + text)
+    return " ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -273,20 +279,8 @@ class AlgebraElement:
         return [(w, c) for w, c in zip(words, self.coeffs) if c]
 
     def __str__(self):
-        items = self.terms()
-        if not items:
-            return "0"
         names = self.algebra.arrow_names
-        parts = []
-        for word, coeff in items:
-            text = "*".join(names[a] for a in word) if word else f"e_{self.source}"
-            if coeff == 1:
-                parts.append(text)
-            elif coeff == -1:
-                parts.append(f"-{text}")
-            else:
-                parts.append(f"{coeff}*{text}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _render([(tuple(names[a] for a in w), c) for w, c in self.terms()], self.source)
 
     def __repr__(self):
         return f"<{self.source}->{self.target}: {self}>"
@@ -297,9 +291,8 @@ def _sparse_sum(scaled):
     coefficient) pairs.  Returns sorted pairs with zeros dropped."""
     acc = {}
     for entries, a in scaled:
-        for pos, c in entries:
-            acc[pos] = acc[pos] + a * c if pos in acc else a * c
-    return tuple((pos, c) for pos, c in sorted(acc.items()) if c)
+        vec_add_scaled(acc, dict(entries), a)
+    return tuple(sorted(acc.items()))
 
 
 class QuotientAlgebra:
@@ -591,14 +584,6 @@ def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> Quotient
     return QuotientAlgebra(p, cap, margin, field, rs, blocks)
 
 
-def multiply(A: QuotientAlgebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return A.multiply(x, y)
-
-
-def cartan(A: QuotientAlgebra) -> CartanMatrix:
-    return A.cartan()
-
-
 def socle_quotient(A: QuotientAlgebra) -> QuotientAlgebra:
     """Quotient by the span of the basis classes annihilated by all arrows."""
     socle = A.socle_words()
@@ -610,21 +595,20 @@ def socle_quotient(A: QuotientAlgebra) -> QuotientAlgebra:
 
 
 def presentations_equal_on_basis(A: QuotientAlgebra, B: QuotientAlgebra) -> bool:
+    """Equal normal-form bases and equal products of basis elements, read
+    from the two algebras' product tables."""
     qa, qb = A.quiver, B.quiver
     if qa.vertices != qb.vertices or [
         (a.name, a.source, a.target, a.camp) for a in qa.arrows
     ] != [(a.name, a.source, a.target, a.camp) for a in qb.arrows]:
         raise QuiverMismatch("algebras live over different quivers")
-    if set(A.blocks) != set(B.blocks):
+    if A.blocks != B.blocks:
         return False
-    for key in A.blocks:
-        if A.blocks[key] != B.blocks[key]:
-            return False
-    for i in A.vertices:
-        for j in A.vertices:
-            for x_a, x_b in zip(A.block_basis(i, j), B.block_basis(i, j)):
-                for k in A.vertices:
-                    for y_a, y_b in zip(A.block_basis(j, k), B.block_basis(j, k)):
-                        if (x_a * y_a).coeffs != (x_b * y_b).coeffs:
-                            return False
+    for (i, j), left in A.blocks.items():
+        for k in A.vertices:
+            if not (left and A.block(j, k)):
+                continue
+            rows = zip(A._product_table(i, j, k), B._product_table(i, j, k))
+            if any(dict(x) != dict(y) for ra, rb in rows for x, y in zip(ra, rb)):
+                return False
     return True

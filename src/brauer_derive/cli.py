@@ -37,7 +37,7 @@ from .graph import (
 )
 from .homological import ChainMapFailure, NotAComplex
 from .linalg import parse_field
-from .quiver import InternalError, build_quiver, quiver_to_dot
+from .quiver import build_quiver, quiver_to_dot
 from .reduction import certify_trace, classify, load_trace, reduce_to_normal_form
 from .tilting import (
     CertificateFailure,
@@ -89,13 +89,22 @@ def _algebra_args(sub):
     sub.add_argument("--field", default=None, help="rationals (default) or a prime")
 
 
+def _algebra(p, args):
+    """The algebra of presentation p under the --cap, --margin and --field flags."""
+    return quotient_basis(p, cap=args.cap, margin=args.margin, field=parse_field(args.field))
+
+
 def _build(g, args):
-    return quotient_basis(
-        omega_relations(build_quiver(g)),
-        cap=args.cap,
-        margin=args.margin,
-        field=parse_field(args.field),
-    )
+    return _algebra(omega_relations(build_quiver(g)), args)
+
+
+def _star_presentation(kind, n):
+    """omega_relations of loop_star(n) for kind "omega", a_n_presentation(n) for "an"."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
+    if kind == "omega":
+        return omega_relations(build_quiver(loop_star(n)))
+    return a_n_presentation(n)
 
 
 def _emit(args, payload_json, text_lines):
@@ -172,17 +181,8 @@ def _cartan_target(args):
         raise UsageError("cartan needs exactly one of FILE, --omega N, --an N")
     if args.file:
         return _build(_read_graph(args.file), args)
-    n = args.omega if args.omega is not None else args.an
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if args.omega is not None:
-        return quotient_basis(
-            omega_relations(build_quiver(loop_star(n))),
-            cap=args.cap, margin=args.margin, field=parse_field(args.field),
-        )
-    return quotient_basis(
-        a_n_presentation(n), cap=args.cap, margin=args.margin, field=parse_field(args.field)
-    )
+    kind = "omega" if args.omega is not None else "an"
+    return _algebra(_star_presentation(kind, getattr(args, kind)), args)
 
 
 def cmd_cartan(args):
@@ -279,15 +279,8 @@ def cmd_classify(args):
 
 def _builder_report(args, kind):
     n = args.n
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    field = parse_field(args.field)
-    q = build_quiver(loop_star(n))
-    if kind == "omega":
-        p = omega_relations(q)
-    else:
-        p = a_n_presentation(n)
-    A = quotient_basis(p, cap=args.cap, margin=args.margin, field=field)
+    p = _star_presentation(kind, n)
+    A = _algebra(p, args)
     c = A.cartan()
     payload = {
         "kind": kind,
@@ -300,13 +293,7 @@ def _builder_report(args, kind):
     lines.append(f"dim: {A.dim}")
     lines += _cartan_lines(c)
     if args.compare_socle:
-        other = (
-            quotient_basis(a_n_presentation(n), cap=args.cap, margin=args.margin, field=field)
-            if kind == "omega"
-            else quotient_basis(
-                omega_relations(q), cap=args.cap, margin=args.margin, field=field
-            )
-        )
+        other = _algebra(_star_presentation("an" if kind == "omega" else "omega", n), args)
         equal = presentations_equal_on_basis(socle_quotient(A), socle_quotient(other))
         payload["socleQuotientsEqual"] = equal
         lines.append(f"socle quotients equal: {str(equal).lower()}")
@@ -405,7 +392,6 @@ def run(argv) -> int:
         NonUniqueHom,
         NotAComplex,
         ChainMapFailure,
-        InternalError,
         CompositionMismatch,
         QuiverMismatch,
     ) as exc:

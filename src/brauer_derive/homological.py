@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, CartanMatrix, QuotientAlgebra
+from .algebra import AlgebraElement, CartanMatrix
 from .linalg import SparseEchelon, nullspace
 
 
@@ -278,15 +278,6 @@ class ChainMap:
             for n, t in C.terms.items()
         }
         return ChainMap(C, C, comps, check=False)
-
-
-def hom_block(A: QuotientAlgebra, i, j):
-    """Basis of Hom(P(i), P(j)) as elements of the block e_i A e_j."""
-    return A.block_basis(i, j)
-
-
-def shift(C: ProjComplex, k: int) -> ProjComplex:
-    return C.shift(k)
 
 
 def mapping_cone(f: ChainMap) -> ProjComplex:

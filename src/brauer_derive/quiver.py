@@ -4,9 +4,12 @@ The quiver Q of a graph T has one vertex per edge of T and one arrow for
 each consecutive-incidence step at a vertex of T.  Its arrows organize into
 oriented cycles, one per graph vertex, except at the loop vertex where the
 single cycle splits into the loop arrow (alone in its camp) and the
-exceptional cycle through all cycle edges.  Cycles are two-colored into
-alpha and beta camps so that cycles sharing a quiver vertex get different
-colors; the exceptional cycle is beta, the loop arrow alpha.
+exceptional cycle through all cycle edges.  Cycles fall into two camps,
+alpha and beta, by the parity of the distance of their graph vertex from the
+loop vertex: beta at even distance (the exceptional cycle included), alpha
+at odd distance, and the loop arrow alpha.  Deleting the loop leaves a tree,
+so the two cycles through a quiver vertex (the two ends of a graph edge)
+sit at adjacent distances and always get different camps.
 """
 from __future__ import annotations
 
@@ -16,10 +19,6 @@ from .graph import BrauerGraph
 
 ALPHA = "alpha"
 BETA = "beta"
-
-
-class InternalError(Exception):
-    """Camp coloring failed; impossible on validated input."""
 
 
 @dataclass(frozen=True)
@@ -110,63 +109,30 @@ def _raw_cycles(g: BrauerGraph):
     return out
 
 
-def build_quiver(g: BrauerGraph) -> BrauerQuiver:
-    raw = _raw_cycles(g)
-    nontrivial = [(vid, steps, tag) for vid, steps, tag in raw if steps]
-    # Two-color the nontrivial cycles: same quiver vertex => different camps.
-    colors = {}
-    edge_members = {}
-    for idx, (vid, steps, tag) in enumerate(nontrivial):
-        for s, _t in steps:
-            edge_members.setdefault(s, []).append(idx)
-    seed = next(i for i, (_, _, tag) in enumerate(nontrivial) if tag is True)
-    colors[seed] = BETA
-    queue = [seed]
-    while queue:
-        i = queue.pop()
-        for e, members in edge_members.items():
-            if i not in members:
-                continue
-            for j in members:
-                if j == i:
-                    continue
-                want = ALPHA if colors[i] == BETA else BETA
-                if j in colors:
-                    if colors[j] != want:
-                        raise InternalError("camp 2-coloring failed")
-                else:
-                    colors[j] = want
-                    queue.append(j)
-    if len(colors) != len(nontrivial):
-        raise InternalError("camp coloring did not reach every cycle")
-    loop_idx = next(i for i, (_, _, tag) in enumerate(nontrivial) if tag == "loop")
-    if colors[loop_idx] != ALPHA:
-        raise InternalError("loop arrow forced out of the alpha camp")
+def _depths(g: BrauerGraph):
+    """Distance of every graph vertex from the loop vertex."""
+    depth = {g.center: 0}
+    stack = [g.center]
+    while stack:
+        v = stack.pop()
+        for e in g.vertex_map[v].cyclic:
+            w = g.far_vertex(e, v)
+            if w not in depth:
+                depth[w] = depth[v] + 1
+                stack.append(w)
+    return depth
 
+
+def build_quiver(g: BrauerGraph) -> BrauerQuiver:
+    depth = _depths(g)
     prefix = {ALPHA: "a", BETA: "b"}
     arrows_of = {}
     cycles = []
-    for idx, (vid, steps, tag) in enumerate(nontrivial):
-        camp = colors[idx]
-        cyc_arrows = []
-        for s, t in steps:
-            arrow = Arrow(f"{prefix[camp]}_{s}", s, t, camp)
-            cyc_arrows.append(arrow)
-            arrows_of[arrow.name] = arrow
-        cycles.append(QCycle(tuple(cyc_arrows), vid, camp, tag is True))
-    # Trivial cycles at leaves: camp opposite to the edge's other cycle.
-    camp_of_edge = {}
-    for cyc in cycles:
-        for a in cyc.arrows:
-            camp_of_edge.setdefault(a.source, set()).add(cyc.camp)
-    for vid, steps, tag in raw:
-        if steps:
-            continue
-        edge = g.vertex_map[vid].cyclic[0]
-        other = camp_of_edge.get(edge, {BETA})
-        camp = ALPHA if BETA in other else BETA
-        cycles.append(QCycle((), vid, camp, False))
-
+    for vid, steps, tag in _raw_cycles(g):
+        camp = ALPHA if tag == "loop" or depth[vid] % 2 else BETA
+        cyc_arrows = tuple(Arrow(f"{prefix[camp]}_{s}", s, t, camp) for s, t in steps)
+        arrows_of.update((a.name, a) for a in cyc_arrows)
+        cycles.append(QCycle(cyc_arrows, vid, camp, tag is True))
     vertices = g.canonical_order
     ordered = [arrows_of[f"b_{v}"] for v in vertices if f"b_{v}" in arrows_of]
     ordered += [arrows_of[f"a_{v}"] for v in vertices if f"a_{v}" in arrows_of]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 
+from .linalg import vec_add_scaled
+
 
 def order_key(word):
     return (len(word), word)
@@ -81,29 +83,15 @@ class RewriteSystem:
             prefix, suffix = word[:i], word[i + len(lead) :]
             result = {}
             for tword, tcoeff in self.rules[lead].items():
-                sub = self.nf_word(prefix + tword + suffix)
-                for w, c in sub.items():
-                    acc = result.get(w)
-                    acc = tcoeff * c if acc is None else acc + tcoeff * c
-                    if acc:
-                        result[w] = acc
-                    elif w in result:
-                        del result[w]
+                vec_add_scaled(result, self.nf_word(prefix + tword + suffix), tcoeff)
         memo[word] = result
         return result
 
     def nf_combo(self, combo):
         out = {}
         for word, coeff in combo.items():
-            if not coeff:
-                continue
-            for w, c in self.nf_word(word).items():
-                acc = out.get(w)
-                acc = coeff * c if acc is None else acc + coeff * c
-                if acc:
-                    out[w] = acc
-                elif w in out:
-                    del out[w]
+            if coeff:
+                vec_add_scaled(out, self.nf_word(word), coeff)
         return out
 
 
@@ -156,8 +144,7 @@ def complete(relations, source, target, field, maxlen):
         for other in stale:
             old_tail = rs.drop_rule(other)
             requeued = {other: field.one}
-            for w, c in old_tail.items():
-                requeued[w] = requeued.get(w, field.zero) - c
+            vec_add_scaled(requeued, old_tail, -field.one)
             heapq.heappush(heap, (len(other), counter, requeued))
             counter += 1
 
@@ -176,16 +163,9 @@ def complete(relations, source, target, field, maxlen):
                     if key in seen:
                         continue
                     seen.add(key)
-                    spoly = {}
-                    suffix = second[k:]
-                    for w, c in t1.items():
-                        key2 = w + suffix
-                        spoly[key2] = spoly.get(key2, field.zero) + c
-                    prefix = first[: len(first) - k]
-                    for w, c in t2.items():
-                        key2 = prefix + w
-                        spoly[key2] = spoly.get(key2, field.zero) - c
-                    spoly = {w: c for w, c in spoly.items() if c}
+                    suffix, prefix = second[k:], first[: len(first) - k]
+                    spoly = {w + suffix: c for w, c in t1.items()}
+                    vec_add_scaled(spoly, {prefix + w: c for w, c in t2.items()}, -field.one)
                     if spoly:
                         heapq.heappush(heap, (total, counter, spoly))
                         counter += 1
