@@ -31,7 +31,8 @@ class NotStabilized(Exception):
 
 
 class CompositionMismatch(Exception):
-    """Product of elements whose middle vertices differ."""
+    """Product of elements whose middle vertices differ, or a path or
+    combination that lies in no block (trivial or empty)."""
 
 
 class QuiverMismatch(Exception):
@@ -358,7 +359,7 @@ class QuotientAlgebra:
     def path_element(self, names):
         """Reduce the path given by arrow names (must be composable)."""
         if not names:
-            raise ValueError("use e(vertex) for trivial paths")
+            raise CompositionMismatch("use e(vertex) for trivial paths")
         arrows = [self.quiver.by_name[n] for n in names]
         for a, b in zip(arrows, arrows[1:]):
             if a.target != b.source:
@@ -390,7 +391,7 @@ class QuotientAlgebra:
                 else out + self.path_element(word).scale(scalar)
             )
         if out is None:
-            raise ValueError("empty element has no block")
+            raise CompositionMismatch("empty element has no block")
         return out
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

@@ -35,7 +35,8 @@ from .linalg import SparseEchelon, nullspace
 
 
 class NotAComplex(Exception):
-    """d following d is nonzero; the message names the degree and entry."""
+    """d following d is nonzero (the message names the degree and entry), or
+    a direct sum of no complexes."""
 
 
 class ChainMapFailure(Exception):
@@ -172,7 +173,7 @@ def _then(first, second):
 def direct_sum(complexes):
     """Direct sum; summands keep their order of appearance per degree."""
     if not complexes:
-        raise ValueError("empty direct sum")
+        raise NotAComplex("empty direct sum")
     terms = {}
     diffs = {}
     for C in complexes:

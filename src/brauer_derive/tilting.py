@@ -50,7 +50,8 @@ class EmptyTree(Exception):
 
 
 class CertificateFailure(Exception):
-    """A tilting certificate check failed; the message names the axiom."""
+    """A tilting certificate check failed; the message names the axiom, or
+    the complex kind that has no check."""
 
 
 class RelationFailure(Exception):
@@ -386,7 +387,7 @@ def verify_end_generators(Q: TiltingComplex) -> bool:
         target = build_quiver(enlarge_graph_move(Q.graph, Q.data.at))
         maps = _enlarge_generator_maps(Q, target)
     else:
-        raise ValueError(f"unknown kind {Q.kind!r}")
+        raise CertificateFailure(f"unknown kind {Q.kind!r}")
     for rel in omega_relations(target).relations:
         total = None
         for word, coeff in rel.terms:

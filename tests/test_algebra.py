@@ -401,6 +401,16 @@ def test_reduce_path_element(g_min):
     assert got == A.path_element(("a_1",)).scale(Fraction(1, 2))
 
 
+def test_blockless_paths_are_composition_mismatches(g_min):
+    from brauer_derive.algebra import PathElement
+
+    A = algebra_for(g_min)
+    with pytest.raises(CompositionMismatch, match="use e"):
+        A.path_element(())
+    with pytest.raises(CompositionMismatch, match="empty element"):
+        A.reduce(PathElement.from_dict("1", "1", {}))
+
+
 def test_multiply_operation_surface():
     A1 = algebra_for(loop_star(1))
     a = A1.path_element(("a_1",))

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from brauer_derive import reduction, tilting
+from brauer_derive import cli, reduction, tilting
 from brauer_derive.cli import EXIT_CERTIFICATE, EXIT_INVALID, EXIT_OK, run
 from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
@@ -289,6 +289,20 @@ def test_non_commuting_chain_map_is_certificate_failure(tmp_path, capsys, monkey
     path.write_text(CORPUS_TEXTS["chain2"], encoding="utf-8")
     assert run(["tilt-shrink", str(path)]) == EXIT_CERTIFICATE
     assert "ChainMapFailure: square at degree 0 does not commute" in capsys.readouterr().err
+
+
+def test_internal_fault_is_certificate_failure(g_min_file, capsys, monkeypatch):
+    """A complex of a kind the generator check does not know is the
+    program's fault: exit 3, not the input error exit 1."""
+    verify = tilting.verify_end_generators
+
+    def twisted(Q):
+        Q.kind = "twist"
+        return verify(Q)
+
+    monkeypatch.setattr(cli, "verify_end_generators", twisted)
+    assert run(["tilt-shrink", g_min_file]) == EXIT_CERTIFICATE
+    assert "CertificateFailure: unknown kind 'twist'" in capsys.readouterr().err
 
 
 # SHA-256 of the text-mode stdout of every shrink and enlarge certificate on

@@ -98,6 +98,11 @@ def test_cone_of_zero_map(Am):
     assert check_complex(cone)
 
 
+def test_empty_direct_sum_is_not_a_complex():
+    with pytest.raises(NotAComplex, match="empty direct sum"):
+        direct_sum([])
+
+
 def test_cone_of_identity_contractible(Am):
     for C in (
         ProjComplex.stalk(Am, "1"),
