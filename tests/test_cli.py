@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from brauer_derive import cli, reduction, tilting
-from brauer_derive.cli import EXIT_CERTIFICATE, EXIT_INVALID, EXIT_OK, run
+from brauer_derive.cli import EXIT_CERTIFICATE, EXIT_INVALID, EXIT_OK, build_parser, run
 from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
 
@@ -814,3 +816,39 @@ def test_pinned_output_digest(key, tmp_path, capsys):
         assert run([a.format(arg) for a in PIN_COMMANDS[cmd]] + flags) == EXIT_OK
         digest.update(capsys.readouterr().out.encode("utf-8"))
     assert digest.hexdigest() == PIN_DIGESTS[key]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(heading, lang):
+    """Body of the first ``lang`` code block after ``heading`` in the README."""
+    after = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return after.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+# argv of every line of the README's "Command line" block, comments cut
+README_COMMANDS = [
+    line.split("#", 1)[0].split()[1:]
+    for line in _readme_block("## Command line", "sh").splitlines()
+    if line.startswith("brauer-derive ")
+]
+
+
+def test_readme_command_block_covers_every_subcommand():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {argv[0] for argv in README_COMMANDS} == set(subparsers.choices)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(argv, tmp_path, capsys, monkeypatch):
+    """Each README command exits 0 on the README's example graph g.json, with
+    trace.json written by ``reduce --certify --json``."""
+    monkeypatch.chdir(tmp_path)
+    Path("g.json").write_text(_readme_block("## Graph files", "json"), encoding="utf-8")
+    assert run(["reduce", "g.json", "--certify", "--json"]) == EXIT_OK
+    Path("trace.json").write_text(capsys.readouterr().out, encoding="utf-8")
+    code = run(argv)
+    assert code == EXIT_OK, capsys.readouterr().err

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from brauer_derive.graph import loop_star, parse_graph
 from brauer_derive.quiver import ALPHA, BETA, build_quiver, cycle_at, quiver_to_dot
 
 from conftest import G_MIN_TEXT
+from test_random_graphs import random_one_loop_graph
 
 
 def arrow_set(q):
@@ -81,8 +84,23 @@ def test_out_arrows_unique_per_camp(corpus):
 
 
 def test_intersecting_cycles_have_different_camps(corpus):
-    for g in corpus.values():
+    """The camp rule (parity of the distance from the loop vertex) is a
+    proper 2-colouring, trivial leaf cycles included, with the loop arrow
+    alpha and the exceptional cycle beta, on the corpus and on 32 seeded
+    random graphs of 3-30 edges."""
+    graphs = list(corpus.values())
+    for seed in range(32):
+        rng = random.Random(9100 + seed)
+        graphs.append(random_one_loop_graph(rng, rng.randint(3, 30)))
+    for g in graphs:
         q = build_quiver(g)
+        (loop_cycle,) = [c for c in q.cycles if c.graph_vertex == g.center and not c.exceptional]
+        assert loop_cycle.arrows == (q.loop_arrow,) and loop_cycle.camp == ALPHA
+        assert q.exceptional_cycle.graph_vertex == g.center
+        assert q.exceptional_cycle.camp == BETA
+        for v in q.vertices:
+            camps = [c.camp for c in q.cycles if _on_cycle(q, c, v, g)]
+            assert sorted(camps) == [ALPHA, BETA]
         nontrivial = [c for c in q.cycles if c.arrows]
         for i, c1 in enumerate(nontrivial):
             for c2 in nontrivial[i + 1 :]:
