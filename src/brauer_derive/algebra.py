@@ -57,19 +57,19 @@ class PathElement:
 
     def __str__(self):
         terms = sorted(self.terms, key=lambda kv: (-len(kv[0]), kv[0]))
-        return _render(terms, self.source)
+        return _render(terms, self.source, QQ.one)
 
 
-def _render(terms, source):
+def _render(terms, source, one):
     """Text of a combination of (arrow-name word, coefficient) pairs in the
-    given order: unit coefficients print as signs, the trivial word as
-    e_source, and the empty combination as 0."""
+    given order: coefficients equal to the field's ``one`` or ``-one`` print
+    as signs, the trivial word as e_source, and the empty combination as 0."""
     parts = []
     for word, coeff in terms:
         w = "*".join(word) if word else f"e_{source}"
-        if coeff == 1:
+        if coeff == one:
             text = w
-        elif coeff == -1:
+        elif coeff == -one:
             text = f"-{w}"
         else:
             text = f"{coeff}*{w}"
@@ -281,7 +281,8 @@ class AlgebraElement:
 
     def __str__(self):
         names = self.algebra.arrow_names
-        return _render([(tuple(names[a] for a in w), c) for w, c in self.terms()], self.source)
+        terms = [(tuple(names[a] for a in w), c) for w, c in self.terms()]
+        return _render(terms, self.source, self.algebra.field.one)
 
     def __repr__(self):
         return f"<{self.source}->{self.target}: {self}>"
