@@ -181,8 +181,9 @@ def _cartan_target(args):
         raise UsageError("cartan needs exactly one of FILE, --omega N, --an N")
     if args.file:
         return _build(_read_graph(args.file), args)
-    kind = "omega" if args.omega is not None else "an"
-    return _algebra(_star_presentation(kind, getattr(args, kind)), args)
+    if args.omega is not None:
+        return _algebra(_star_presentation("omega", args.omega), args)
+    return _algebra(_star_presentation("an", args.an), args)
 
 
 def cmd_cartan(args):
