@@ -13,10 +13,16 @@ structure constants over the rationals (or a prime field).  Completion of
 the relations is bounded by cap + margin; a finite-dimensionality witness
 (no surviving word of length cap) and invariance of the dimensions under
 margin + 1 are both checked, failing with ``NotStabilized`` rather than
-returning unstable numbers.
+returning unstable numbers.  The finished basis is then checked against the
+closed form of the Cartan matrix of the presentation's graph,
+C_ij = sum over graph vertices v of a_i(v) * a_j(v), with a_i(v) the number
+of half-edges of edge i at v (two for the loop); a mismatch raises
+``CartanMismatch``.  Every presentation built here (``omega_relations`` of a
+graph, ``a_n_presentation``) has this Cartan matrix.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -28,6 +34,11 @@ from .quiver import ALPHA, BETA, BrauerQuiver, build_quiver, cycle_at
 
 class NotStabilized(Exception):
     """The cap/margin bounds were too small to certify the basis."""
+
+
+class CartanMismatch(Exception):
+    """The normal-form basis disagrees with the closed-form Cartan matrix of
+    the presentation's graph: an engine fault."""
 
 
 class CompositionMismatch(Exception):
@@ -481,19 +492,14 @@ class QuotientAlgebra:
     def socle_words(self):
         """Basis classes killed by every arrow on both sides."""
         out = []
+        arrows = [(a, self.arrow_element(a.name)) for a in self.quiver.arrows]
         for (i, j), words in self.blocks.items():
             for pos, w in enumerate(words):
                 coeffs = [self.field.zero] * len(words)
                 coeffs[pos] = self.field.one
                 x = AlgebraElement(self, i, j, coeffs)
-                if all(
-                    not (x * self.arrow_element(a.name))
-                    for a in self.quiver.arrows
-                    if a.source == j
-                ) and all(
-                    not (self.arrow_element(a.name) * x)
-                    for a in self.quiver.arrows
-                    if a.target == i
+                if all(not (x * y) for a, y in arrows if a.source == j) and all(
+                    not (y * x) for a, y in arrows if a.target == i
                 ):
                     out.append((i, w))
         return out
@@ -541,6 +547,23 @@ def _block_words(q, levels, cap):
     return blocks
 
 
+def _check_half_edge_cartan(q, blocks):
+    """Raise ``CartanMismatch`` unless every block has sum_v a_i(v) * a_j(v)
+    words, a_i(v) counting the half-edges of edge i at graph vertex v."""
+    expected = {}
+    for v in q.graph.vertices:
+        half = Counter(v.cyclic)
+        for i, ai in half.items():
+            for j, aj in half.items():
+                expected[(i, j)] = expected.get((i, j), 0) + ai * aj
+    for (i, j), words in blocks.items():
+        if len(words) != expected.get((i, j), 0):
+            raise CartanMismatch(
+                f"block ({i},{j}) has {len(words)} basis words, "
+                f"the graph's half-edges give {expected.get((i, j), 0)}"
+            )
+
+
 def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> QuotientAlgebra:
     if not p.admissible():
         raise ValueError("presentation is not admissible (a relation has length < 2)")
@@ -583,6 +606,7 @@ def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> Quotient
             )
         rs, levels = rs2, levels2
     blocks = _block_words(q, levels, cap)
+    _check_half_edge_cartan(q, blocks)
     return QuotientAlgebra(p, cap, margin, field, rs, blocks)
 
 

@@ -15,6 +15,7 @@ import sys
 
 from . import __version__
 from .algebra import (
+    CartanMismatch,
     CompositionMismatch,
     NotStabilized,
     QuiverMismatch,
@@ -36,7 +37,7 @@ from .graph import (
     _canonical_obj,
 )
 from .homological import ChainMapFailure, NotAComplex
-from .linalg import parse_field
+from .linalg import FieldMismatch, parse_field
 from .quiver import build_quiver, quiver_to_dot
 from .reduction import certify_trace, classify, load_trace, reduce_to_normal_form
 from .tilting import (
@@ -395,6 +396,8 @@ def run(argv) -> int:
         ChainMapFailure,
         CompositionMismatch,
         QuiverMismatch,
+        CartanMismatch,
+        FieldMismatch,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

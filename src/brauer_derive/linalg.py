@@ -38,6 +38,11 @@ class RationalField:
         return hash("QQ")
 
 
+class FieldMismatch(Exception):
+    """Arithmetic between elements of prime fields of different
+    characteristic: the program mixed two algebras' fields."""
+
+
 @dataclass(frozen=True)
 class PrimeFieldElement:
     value: int
@@ -46,7 +51,7 @@ class PrimeFieldElement:
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
             if other.p != self.p:
-                raise ValueError("mixed characteristic")
+                raise FieldMismatch(f"mixed characteristic {self.p} and {other.p}")
             return other
         if isinstance(other, int):
             return PrimeFieldElement(other % self.p, self.p)

@@ -6,6 +6,23 @@ id.  Relations are completed into a rewriting system by resolving overlaps of
 leading words (bounded by a maximum word length), after which normal forms
 are unique and the surviving factor-free words of each length enumerate a
 basis of the quotient.
+
+Completion is output-sensitive: ``RewriteSystem`` indexes its leads so that
+each question reads only the leads that can answer it.
+- Leads by first arrow and by last arrow find overlaps: an overlap of
+  length k of (lead, other) needs ``other[0] == lead[-k]``, one of
+  (other, lead) needs ``other[-1] == lead[k - 1]`` (Mora, TCS 134, 1994;
+  Green, *Noncommutative Gröbner bases, and projective resolutions*, 1999).
+  Sorting the hits by the other lead's insertion stamp, then side, then k
+  gives the order of a scan over all rules, so the heap sees the same pushes.
+- Leads by contained arrow give the candidates for interreduction.
+- The lead lengths present per first and per last arrow bound the slices
+  ``find_factor`` and ``has_lead_suffix`` try at each position.
+The ``nf_word`` memo is cleared in full whenever a rule is added or dropped.
+Keeping the entries whose word does not contain the new lead is unsound:
+such an entry's result, or a word met while rewriting it, may contain the
+new lead, and before confluence rewriting it again can give another normal
+form and so different later tails.
 """
 from __future__ import annotations
 
@@ -23,7 +40,13 @@ class NotAdmissible(Exception):
 
 
 class RewriteSystem:
-    """A set of rewriting rules lead -> combination of smaller words."""
+    """A set of rewriting rules lead -> combination of smaller words.
+
+    ``rules`` keeps insertion order.  Beside it every lead is indexed by its
+    insertion stamp, its first arrow, its last arrow and each arrow it
+    contains, and the lead lengths present are kept per first and last arrow.
+    ``add_rule`` and ``drop_rule`` keep all of them in step with ``rules``.
+    """
 
     def __init__(self, source, target, field):
         # source[a] / target[a]: endpoint vertices of arrow id a
@@ -31,31 +54,53 @@ class RewriteSystem:
         self.target = target
         self.field = field
         self.rules = {}
-        self.max_lead = 0
+        self._stamp = {}
+        self._clock = 0
+        self._by_first = {}  # arrow -> set of leads starting with it
+        self._by_last = {}  # arrow -> set of leads ending with it
+        self._by_arrow = {}  # arrow -> set of leads containing it
+        self._first_lengths = {}  # arrow -> ascending lengths of its leads
+        self._last_lengths = {}
         self._memo = {}
 
-    def _invalidate(self):
-        self._memo.clear()
-
     def add_rule(self, lead, tail):
+        if lead not in self.rules:
+            self._stamp[lead] = self._clock
+            self._clock += 1
+            self._by_first.setdefault(lead[0], set()).add(lead)
+            self._by_last.setdefault(lead[-1], set()).add(lead)
+            for a in set(lead):
+                self._by_arrow.setdefault(a, set()).add(lead)
+            self._refresh_lengths(lead)
         self.rules[lead] = dict(tail)
-        if len(lead) > self.max_lead:
-            self.max_lead = len(lead)
-        self._invalidate()
+        self._memo.clear()
 
     def drop_rule(self, lead):
         tail = self.rules.pop(lead)
-        self._invalidate()
+        del self._stamp[lead]
+        self._by_first[lead[0]].remove(lead)
+        self._by_last[lead[-1]].remove(lead)
+        for a in set(lead):
+            self._by_arrow[a].discard(lead)
+        self._refresh_lengths(lead)
+        self._memo.clear()
         return tail
+
+    def _refresh_lengths(self, lead):
+        """Refresh the lead lengths under lead's first and last arrow."""
+        first, last = lead[0], lead[-1]
+        self._first_lengths[first] = tuple(sorted({len(w) for w in self._by_first[first]}))
+        self._last_lengths[last] = tuple(sorted({len(w) for w in self._by_last[last]}))
 
     def find_factor(self, word):
         """Leftmost, shortest rule lead occurring as a factor of word."""
         rules = self.rules
-        top = self.max_lead
+        by_first = self._first_lengths
         n = len(word)
         for i in range(n):
-            limit = min(top, n - i)
-            for length in range(1, limit + 1):
+            for length in by_first.get(word[i], ()):
+                if length > n - i:
+                    break
                 cand = word[i : i + length]
                 if cand in rules:
                     return i, cand
@@ -63,11 +108,47 @@ class RewriteSystem:
 
     def has_lead_suffix(self, word):
         """True when some rule lead is a suffix of word."""
+        if not word:
+            return False
         rules = self.rules
-        for length in range(1, min(self.max_lead, len(word)) + 1):
+        n = len(word)
+        for length in self._last_lengths.get(word[-1], ()):
+            if length > n:
+                break
             if word[-length:] in rules:
                 return True
         return False
+
+    def overlaps(self, lead):
+        """Proper overlaps of lead with every rule, as (first, second, k):
+        the suffix of first of length k equals the prefix of second.  They
+        come in rule insertion order, (lead, other) before (other, lead),
+        then by k; lead against itself appears once on each side."""
+        hits = []
+        n = len(lead)
+        for k in range(1, n):
+            tail, head = lead[-k:], lead[:k]
+            for other in self._by_first.get(lead[-k], ()):
+                if len(other) > k and other[:k] == tail:
+                    hits.append((self._stamp[other], 0, k, other))
+            for other in self._by_last.get(lead[k - 1], ()):
+                if len(other) > k and other[-k:] == head:
+                    hits.append((self._stamp[other], 1, k, other))
+        hits.sort()
+        return [(lead, other, k) if side == 0 else (other, lead, k) for _, side, k, other in hits]
+
+    def stale(self, lead):
+        """Rules with a longer lead that has lead as a factor, in insertion
+        order: they must be requeued once lead becomes a rule."""
+        n = len(lead)
+        found = [
+            other
+            for other in self._by_arrow.get(lead[0], ())
+            if len(other) > n
+            and any(other[i : i + n] == lead for i in range(len(other) - n + 1))
+        ]
+        found.sort(key=self._stamp.__getitem__)
+        return found
 
     def nf_word(self, word):
         """Normal form of a single word as a dict {word: coefficient}."""
@@ -93,14 +174,6 @@ class RewriteSystem:
             if coeff:
                 vec_add_scaled(out, self.nf_word(word), coeff)
         return out
-
-
-def _overlaps(l1, l2):
-    """Proper overlaps: suffix of l1 of length k equals prefix of l2."""
-    top = min(len(l1), len(l2)) - 1
-    for k in range(1, top + 1):
-        if l1[-k:] == l2[:k]:
-            yield k
 
 
 def complete(relations, source, target, field, maxlen):
@@ -135,13 +208,7 @@ def complete(relations, source, target, field, maxlen):
         tail = {w: -c / lc for w, c in poly.items() if w != lead}
 
         # Interreduce: requeue rules whose lead now factors through the new lead.
-        stale = [
-            other
-            for other in rs.rules
-            if len(other) > len(lead)
-            and any(other[i : i + len(lead)] == lead for i in range(len(other) - len(lead) + 1))
-        ]
-        for other in stale:
+        for other in rs.stale(lead):
             old_tail = rs.drop_rule(other)
             requeued = {other: field.one}
             vec_add_scaled(requeued, old_tail, -field.one)
@@ -150,25 +217,21 @@ def complete(relations, source, target, field, maxlen):
 
         rs.add_rule(lead, tail)
 
-        for other in list(rs.rules):
-            for first, second in ((lead, other), (other, lead)):
-                t1 = rs.rules[first]
-                t2 = rs.rules[second]
-                for k in _overlaps(first, second):
-                    total = len(first) + len(second) - k
-                    if total > maxlen:
-                        truncated = True
-                        continue
-                    key = (first, second, k)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    suffix, prefix = second[k:], first[: len(first) - k]
-                    spoly = {w + suffix: c for w, c in t1.items()}
-                    vec_add_scaled(spoly, {prefix + w: c for w, c in t2.items()}, -field.one)
-                    if spoly:
-                        heapq.heappush(heap, (total, counter, spoly))
-                        counter += 1
+        for first, second, k in rs.overlaps(lead):
+            total = len(first) + len(second) - k
+            if total > maxlen:
+                truncated = True
+                continue
+            key = (first, second, k)
+            if key in seen:
+                continue
+            seen.add(key)
+            suffix, prefix = second[k:], first[: len(first) - k]
+            spoly = {w + suffix: c for w, c in rs.rules[first].items()}
+            vec_add_scaled(spoly, {prefix + w: c for w, c in rs.rules[second].items()}, -field.one)
+            if spoly:
+                heapq.heappush(heap, (total, counter, spoly))
+                counter += 1
     return rs, truncated
 
 

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from brauer_derive import cli, reduction, tilting
+from brauer_derive import cli, reduction, rewriting, tilting
+from brauer_derive.algebra import CartanMismatch, a_n_presentation, quotient_basis
 from brauer_derive.cli import EXIT_CERTIFICATE, EXIT_INVALID, EXIT_OK, build_parser, run
 from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
+from brauer_derive.linalg import PrimeField
 
 from conftest import CORPUS_TEXTS, G_MIN_TEXT, corpus_graphs
 
@@ -305,6 +307,31 @@ def test_internal_fault_is_certificate_failure(g_min_file, capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_end_generators", twisted)
     assert run(["tilt-shrink", g_min_file]) == EXIT_CERTIFICATE
     assert "CertificateFailure: unknown kind 'twist'" in capsys.readouterr().err
+
+
+def test_basis_off_the_half_edge_cartan_is_certificate_failure(capsys, monkeypatch):
+    """A normal-word enumeration that loses one word breaks the closed-form
+    Cartan witness: quotient_basis raises and the CLI exits 3."""
+    enumerate_words = rewriting.normal_words
+
+    def drop_one(rs, vertices, arrows_by_source, maxlen):
+        levels = enumerate_words(rs, vertices, arrows_by_source, maxlen)
+        del levels[-1][0]
+        return levels
+
+    monkeypatch.setattr(rewriting, "normal_words", drop_one)
+    with pytest.raises(CartanMismatch, match="half-edges"):
+        quotient_basis(a_n_presentation(3))
+    assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
+    assert "CartanMismatch: block" in capsys.readouterr().err
+
+
+def test_mixed_characteristic_is_certificate_failure(capsys, monkeypatch):
+    """Arithmetic across two prime fields is the program's fault: exit 3,
+    not the input error exit 1."""
+    monkeypatch.setattr(cli, "socle_quotient", lambda A: A.field.one + PrimeField(3).one)
+    assert run(["an", "2", "--compare-socle", "--field", "2"]) == EXIT_CERTIFICATE
+    assert "FieldMismatch: mixed characteristic 2 and 3" in capsys.readouterr().err
 
 
 # SHA-256 of the text-mode stdout of every shrink and enlarge certificate on

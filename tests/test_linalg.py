@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from brauer_derive.graph import loop_star
-from brauer_derive.linalg import PrimeField, det_int
+from brauer_derive.linalg import FieldMismatch, PrimeField, det_int
 
 from conftest import algebra_for, corpus_graphs
 
@@ -86,3 +86,11 @@ def test_prime_field_accepts_exactly_the_primes_below_10000():
         except ValueError:
             accepted = False
         assert accepted == is_prime, n
+
+
+def test_mixed_characteristic_raises_field_mismatch():
+    two, three = PrimeField(2).one, PrimeField(3).one
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y):
+        with pytest.raises(FieldMismatch, match="mixed characteristic 2 and 3"):
+            op(two, three)
+    assert two + 1 == PrimeField(2).zero  # ints still coerce

@@ -6,6 +6,10 @@ builds: the shared corpus, loop-star normal forms Omega(n), the comparison
 algebras A(n) and 30 seeded random graphs of 3 to 30 edges, over Q and
 GF(2).  Any change to the completion (its indexes included) must leave
 them as they are.
+
+A seeded property test runs random ``add_rule``/``drop_rule`` sequences and
+checks every indexed lookup of ``RewriteSystem`` against a brute-force scan
+of ``rules`` after each step.
 """
 import hashlib
 from random import Random
@@ -16,6 +20,7 @@ from brauer_derive.algebra import a_n_presentation, omega_relations, quotient_ba
 from brauer_derive.graph import loop_star
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
+from brauer_derive.rewriting import RewriteSystem
 
 from conftest import corpus_graphs
 from test_random_graphs import random_one_loop_graph
@@ -154,3 +159,76 @@ def test_completion_digest(key):
     rules = hashlib.sha256(repr(list(A._rsys.rules.items())).encode("utf-8")).hexdigest()
     blocks = hashlib.sha256(repr(A.blocks).encode("utf-8")).hexdigest()
     assert (rules, blocks) == COMPLETION_DIGESTS[key]
+
+
+# -- index bookkeeping against brute force --------------------------------
+
+
+def brute_find_factor(rules, word):
+    for i in range(len(word)):
+        for length in range(1, len(word) - i + 1):
+            if word[i : i + length] in rules:
+                return i, word[i : i + length]
+    return None
+
+
+def brute_has_lead_suffix(rules, word):
+    return any(word[-length:] in rules for length in range(1, len(word) + 1))
+
+
+def brute_overlaps(rules, lead):
+    out = []
+    for other in rules:
+        for first, second in ((lead, other), (other, lead)):
+            for k in range(1, min(len(first), len(second))):
+                if first[-k:] == second[:k]:
+                    out.append((first, second, k))
+    return out
+
+
+def brute_stale(rules, lead):
+    n = len(lead)
+    return [
+        other
+        for other in rules
+        if len(other) > n and any(other[i : i + n] == lead for i in range(len(other) - n + 1))
+    ]
+
+
+def random_word(rng, arrows, longest):
+    return tuple(rng.randrange(arrows) for _ in range(rng.randint(1, longest)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_indexes_match_brute_force(seed):
+    rng = Random(seed)
+    arrows = 3
+    rs = RewriteSystem((0,) * arrows, (0,) * arrows, QQ)
+    for step in range(150):
+        if rs.rules and rng.random() < 0.4:
+            rs.drop_rule(rng.choice(list(rs.rules)))
+        else:
+            # re-adding a present lead keeps its place, as in a dict
+            rs.add_rule(random_word(rng, arrows, 5), {(): QQ.from_int(step)})
+        rules = rs.rules
+        live = set(rules)
+        for index in (rs._by_first, rs._by_last, rs._by_arrow):
+            assert set().union(*index.values()) == live
+        assert set(rs._stamp) == live
+        for end, lengths in ((0, rs._first_lengths), (-1, rs._last_lengths)):
+            expected = {}
+            for lead in rules:
+                expected.setdefault(lead[end], set()).add(len(lead))
+            assert {a: ls for a, ls in lengths.items() if ls} == {
+                a: tuple(sorted(ls)) for a, ls in expected.items()
+            }
+        for _ in range(8):
+            word = random_word(rng, arrows, 9)
+            assert rs.find_factor(word) == brute_find_factor(rules, word)
+            assert rs.has_lead_suffix(word) == brute_has_lead_suffix(rules, word)
+        probes = [random_word(rng, arrows, 5) for _ in range(3)]
+        probes += rng.sample(list(rules), min(3, len(rules)))
+        for lead in probes:
+            assert rs.overlaps(lead) == brute_overlaps(rules, lead)
+            assert rs.stale(lead) == brute_stale(rules, lead)
+    assert rs.find_factor(()) is None and not rs.has_lead_suffix(())

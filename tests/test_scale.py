@@ -9,6 +9,9 @@ does not depend on the solver and is far from 0.
 
 Certified reductions of random graphs with 20 and 30 edges go through the
 CLI's JSON trace and are checked again from that artifact.
+
+The largest basis-star inputs, Omega(59) and A(14) with its socle
+comparison, go through the CLI over Q and GF(2).
 """
 import json
 import random
@@ -107,3 +110,15 @@ def test_certified_reduction_round_trip(n, field, tmp_path, capsys):
     trace = load_trace(json.loads(capsys.readouterr().out))
     assert trace.n == n and len(trace.steps) > 0
     assert certify_trace(trace, field=field)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("flags", [[], ["--field", "2"]], ids=["Q", "GF(2)"])
+def test_basis_star_sizes_through_cli(flags, capsys):
+    assert run(["cartan", "--omega", "59", "--json", *flags]) == 0
+    cartan = json.loads(capsys.readouterr().out)
+    assert cartan["dim"] == 59 * 62 and abs(cartan["det"]) == 4
+    assert run(["an", "14", "--compare-socle", "--json", *flags]) == 0
+    an = json.loads(capsys.readouterr().out)
+    assert an["dim"] == 14 * 17 and abs(an["cartan"]["det"]) == 4
+    assert an["socleQuotientsEqual"] is True
