@@ -556,12 +556,13 @@ def _check_half_edge_cartan(q, blocks):
         for i, ai in half.items():
             for j, aj in half.items():
                 expected[(i, j)] = expected.get((i, j), 0) + ai * aj
-    for (i, j), words in blocks.items():
-        if len(words) != expected.get((i, j), 0):
-            raise CartanMismatch(
-                f"block ({i},{j}) has {len(words)} basis words, "
-                f"the graph's half-edges give {expected.get((i, j), 0)}"
-            )
+    counts = {key: len(words) for key, words in blocks.items() if words}
+    if counts != expected:
+        i, j = next(k for k in blocks if counts.get(k, 0) != expected.get(k, 0))
+        raise CartanMismatch(
+            f"block ({i},{j}) has {counts.get((i, j), 0)} basis words, "
+            f"the graph's half-edges give {expected.get((i, j), 0)}"
+        )
 
 
 def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> QuotientAlgebra:
