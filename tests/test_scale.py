@@ -10,9 +10,13 @@ does not depend on the solver and is far from 0.
 Certified reductions of random graphs with 20 and 30 edges go through the
 CLI's JSON trace and are checked again from that artifact.
 
+``tilt-shrink --json`` on both graphs and both fields has golden SHA-256
+digests of its stdout, so the output at these sizes is pinned byte for byte.
+
 The largest basis-star inputs, Omega(59) and A(14) with its socle
 comparison, go through the CLI over Q and GF(2).
 """
+import hashlib
 import json
 import random
 
@@ -96,6 +100,26 @@ def test_shrink_certificate_at_benchmark_size(name, field):
     assert verify_end_generators(Q)
     T = Q.direct_sum()
     assert homotopy_hom(T, T, 0).dimension == end_cartan(Q).dim
+
+
+# "graph flags": SHA-256 of the stdout of ``tilt-shrink FILE --json flags``
+SHRINK_DIGESTS = {
+    "chain13_twigs": "7ed92c6b0e1be010f33f5589e3d3776497d4f0913455077979fce01cb68e6f15",
+    "chain13_twigs --field 2": "7ed92c6b0e1be010f33f5589e3d3776497d4f0913455077979fce01cb68e6f15",
+    "deep18": "044d636a4248486788e271f691890218b38ea2f255d64636a51102501095fdbc",
+    "deep18 --field 2": "044d636a4248486788e271f691890218b38ea2f255d64636a51102501095fdbc",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("key", sorted(SHRINK_DIGESTS))
+def test_shrink_json_digest_at_benchmark_size(key, tmp_path, capsys):
+    name, *flags = key.split()
+    path = tmp_path / f"{name}.json"
+    path.write_text(GRAPHS[name], encoding="utf-8")
+    assert run(["tilt-shrink", str(path), "--json", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHRINK_DIGESTS[key]
 
 
 @pytest.mark.slow
