@@ -373,6 +373,53 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
     return maps
 
 
+def _word_composites(maps, split):
+    """Composite chain map of a word of arrow names, read left to right.
+
+    A word is cut before its first ``split`` arrow.  The part before the cut
+    is composed from the right and memoized by suffix, the part from the cut
+    on is composed from the left and memoized by prefix, and the two are then
+    composed.  The long relations of a target quiver are rotations of the
+    cycles through ``split``, so their parts are suffixes and prefixes of one
+    cycle and most composites are shared.  Composition is exact and
+    associative, so every composite equals the left-to-right product.
+    """
+    by_suffix, by_prefix = {}, {}
+
+    def head_part(word):
+        comp = None
+        for i in range(len(word) - 1, -1, -1):
+            key = word[i:]
+            got = by_suffix.get(key)
+            if got is None:
+                got = maps[word[i]] if comp is None else maps[word[i]].compose(comp)
+                by_suffix[key] = got
+            comp = got
+        return comp
+
+    def tail_part(word):
+        comp = None
+        for k in range(1, len(word) + 1):
+            key = word[:k]
+            got = by_prefix.get(key)
+            if got is None:
+                got = maps[word[0]] if comp is None else comp.compose(maps[word[k - 1]])
+                by_prefix[key] = got
+            comp = got
+        return comp
+
+    def composite(word):
+        cut = word.index(split) if split in word else len(word)
+        head, tail = word[:cut], word[cut:]
+        if not tail:
+            return head_part(head)
+        if not head:
+            return tail_part(tail)
+        return head_part(head).compose(tail_part(tail))
+
+    return composite
+
+
 def verify_end_generators(Q: TiltingComplex) -> bool:
     """Check every relation of ``omega_relations`` of the target quiver on
     the generator chain maps of End(T), up to homotopy.
@@ -388,14 +435,13 @@ def verify_end_generators(Q: TiltingComplex) -> bool:
         maps = _enlarge_generator_maps(Q, target)
     else:
         raise CertificateFailure(f"unknown kind {Q.kind!r}")
+    composite = _word_composites(maps, target.beta_out[target.loop_vertex].name)
     for rel in omega_relations(target).relations:
         total = None
         for word, coeff in rel.terms:
             if abs(coeff) != 1:
                 raise RelationFailure("unexpected relation coefficient")
-            comp = maps[word[0]]
-            for a in word[1:]:
-                comp = comp.compose(maps[a])
+            comp = composite(word)
             if coeff < 0:
                 comp = -comp
             total = comp if total is None else total + comp
