@@ -327,13 +327,10 @@ class QuotientAlgebra:
         self.dropped = frozenset(dropped)
         self.vertices = self.quiver.vertices
         self.blocks = {}
-        self.position = {}
         for key in sorted(blocks, key=lambda st: (self._vidx(st[0]), self._vidx(st[1]))):
             words = [w for w in blocks[key] if (key[0], w) not in dropped]
             words.sort(key=rewriting.order_key)
             self.blocks[key] = tuple(words)
-            for pos, w in enumerate(words):
-                self.position[(key[0], w)] = (key, pos)
         self.arrow_ids = {a.name: i for i, a in enumerate(self.quiver.arrows)}
         self.arrow_names = {i: a.name for i, a in enumerate(self.quiver.arrows)}
         self._products = {}
@@ -394,8 +391,8 @@ class QuotientAlgebra:
     def reduce(self, element: PathElement) -> AlgebraElement:
         out = None
         for word, coeff in element.terms:
-            scalar = self.field.from_int(coeff.numerator) / self.field.from_int(
-                coeff.denominator
+            scalar = self.field.div(
+                self.field.from_int(coeff.numerator), self.field.from_int(coeff.denominator)
             )
             out = (
                 self.path_element(word).scale(scalar)
@@ -531,7 +528,8 @@ def _relation_combos(p: Presentation, field):
         combo = {}
         for word, coeff in rel.terms:
             key = tuple(ids[n] for n in word)
-            combo[key] = field.from_int(coeff.numerator) / field.from_int(coeff.denominator)
+            num, den = field.from_int(coeff.numerator), field.from_int(coeff.denominator)
+            combo[key] = field.div(num, den)
         combos.append(combo)
     return combos
 

@@ -315,7 +315,7 @@ def _local_inverse(u: AlgebraElement):
     c = u.scalar_part()
     if not c:
         raise ChainMapFailure("entry is not a unit")
-    inv = A.field.one / c
+    inv = A.field.div(A.field.one, c)
     e = A.e(u.source)
     r = e - u.scale(inv)
     total = power = e

@@ -1,32 +1,47 @@
 """Exact linear algebra over the rationals or a prime field.
 
 Everything here works on sparse vectors represented as dicts mapping a
-hashable column key to a nonzero field element.  Coefficients are either
-``fractions.Fraction`` (the default field) or ``PrimeFieldElement``; both
-support the usual operators, so the elimination code is field agnostic.
+hashable column key to a nonzero field element.  Both fields support the
+usual operators, so the elimination code is field agnostic.
+
+Over Q a coefficient is a plain ``int`` until a division does not come out
+even, and only then a ``fractions.Fraction``.  Every structure constant and
+differential entry met so far is an integer, so most arithmetic stays on
+native ints.  An int and a Fraction of equal value compare equal, hash equal
+and print the same, so memo keys and output do not see the difference.
+``int / int`` would make a float, so no code divides with ``/`` directly:
+every division goes through ``exact_div`` (exposed as ``field.div``).
+
+Over GF(p) a coefficient is a ``PrimeFieldElement``: a slotted value/prime
+pair that is never equal to a plain int, and whose arithmetic raises
+``FieldMismatch`` across characteristics.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 
+def exact_div(a, b):
+    """a / b without floats: two ints give an int when b divides a and a
+    ``Fraction`` otherwise; any other pair divides with ``/``."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 class RationalField:
-    """The field of rational numbers, elements are ``Fraction``."""
+    """The field of rational numbers: elements are ints, or ``Fraction``
+    where a division does not come out even."""
 
     name = "Q"
+    zero = 0
+    one = 1
+    div = staticmethod(exact_div)
 
     def from_int(self, n):
-        return Fraction(n)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+        return operator.index(n)
 
     def __repr__(self):
         return "QQ"
@@ -43,10 +58,28 @@ class FieldMismatch(Exception):
     characteristic: the program mixed two algebras' fields."""
 
 
-@dataclass(frozen=True)
 class PrimeFieldElement:
-    value: int
-    p: int
+    """An element of GF(p), immutable; unequal to every plain int."""
+
+    __slots__ = ("value", "p")
+
+    def __init__(self, value, p):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimeFieldElement:
+            return NotImplemented
+        return self.value == other.value and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.value, self.p))
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -58,26 +91,31 @@ class PrimeFieldElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not PrimeFieldElement or other.p != self.p:
+            other = self._coerce(other)
         return PrimeFieldElement((self.value + other.value) % self.p, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not PrimeFieldElement or other.p != self.p:
+            other = self._coerce(other)
         return PrimeFieldElement((self.value - other.value) % self.p, self.p)
 
     def __neg__(self):
         return PrimeFieldElement(-self.value % self.p, self.p)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not PrimeFieldElement or other.p != self.p:
+            other = self._coerce(other)
         return PrimeFieldElement((self.value * other.value) % self.p, self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if other.value == 1:
+            return self
         inv = pow(other.value, -1, self.p)
         return PrimeFieldElement((self.value * inv) % self.p, self.p)
 
@@ -125,17 +163,13 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
+        self.zero = PrimeFieldElement(0, p)
+        self.one = PrimeFieldElement(1, p)
+
+    div = staticmethod(exact_div)
 
     def from_int(self, n):
         return PrimeFieldElement(operator.index(n) % self.p, self.p)
-
-    @property
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
-
-    @property
-    def one(self):
-        return PrimeFieldElement(1, self.p)
 
     def __repr__(self):
         return self.name
@@ -178,13 +212,12 @@ def vec_add_scaled(target, source, scale):
 class SparseEchelon:
     """Incremental row echelon form for sparse vectors.
 
-    Pivots are chosen as the largest column key under ``sort_key``; rows are
-    stored normalized so the pivot coefficient is one.
+    Pivots are chosen as the largest column key; rows are stored normalized
+    so the pivot coefficient is one.
     """
 
-    def __init__(self, sort_key=None):
+    def __init__(self):
         self.pivots = {}
-        self.sort_key = sort_key or (lambda k: k)
 
     @property
     def rank(self):
@@ -194,7 +227,7 @@ class SparseEchelon:
         """Return vec reduced against all stored pivot rows (a fresh dict)."""
         vec = dict(vec)
         while vec:
-            lead = max(vec, key=self.sort_key)
+            lead = max(vec)
             row = self.pivots.get(lead)
             if row is None:
                 return vec
@@ -206,9 +239,11 @@ class SparseEchelon:
         red = self.reduce(vec)
         if not red:
             return False
-        lead = max(red, key=self.sort_key)
+        lead = max(red)
         coeff = red[lead]
-        self.pivots[lead] = {k: v / coeff for k, v in red.items()}
+        if coeff != 1:
+            red = {k: exact_div(v, coeff) for k, v in red.items()}
+        self.pivots[lead] = red
         return True
 
     def contains(self, vec):
@@ -244,7 +279,7 @@ def nullspace(rows, nvars, field=QQ):
 def _back_substitute(ech):
     """Fully reduce the echelon rows against each other (RREF)."""
     reduced = {}
-    for pcol in sorted(ech.pivots, key=ech.sort_key):
+    for pcol in sorted(ech.pivots):
         row = dict(ech.pivots[pcol])
         for key in [k for k in row if k != pcol]:
             sub = reduced.get(key)

@@ -205,7 +205,7 @@ def complete(relations, source, target, field, maxlen):
         if len(lead) < 2:
             raise NotAdmissible(f"ideal contains a generator of length {len(lead)}")
         lc = poly[lead]
-        tail = {w: -c / lc for w, c in poly.items() if w != lead}
+        tail = {w: field.div(-c, lc) for w, c in poly.items() if w != lead}
 
         # Interreduce: requeue rules whose lead now factors through the new lead.
         for other in rs.stale(lead):

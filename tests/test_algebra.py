@@ -341,8 +341,8 @@ def test_socle_classes_by_annihilation(n):
     # socle classes multiply to zero with every arrow, and are closed
     # under arrow action only to zero
     for s, w in socle:
-        pos = A.position[(s, w)]
-        x = A.block_basis(pos[0][0], pos[0][1])[pos[1]]
+        (key,) = [key for key, words in A.blocks.items() if key[0] == s and w in words]
+        x = A.block_basis(*key)[A.blocks[key].index(w)]
         for a in A.quiver.arrows:
             if a.source == x.target:
                 assert (x * A.arrow_element(a.name)).is_zero()

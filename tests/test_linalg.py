@@ -1,12 +1,24 @@
-"""``det_int`` (fraction-free Bareiss) against plain elimination over Q, and
-the primality test behind ``PrimeField`` against trial division."""
+"""``det_int`` (fraction-free Bareiss) against plain elimination over Q, the
+primality test behind ``PrimeField`` against trial division, and exactness
+of the int path over Q: divisions give ints or Fractions, never floats."""
 import random
 from fractions import Fraction
 
 import pytest
 
+from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.graph import loop_star
-from brauer_derive.linalg import FieldMismatch, PrimeField, det_int
+from brauer_derive.linalg import (
+    QQ,
+    FieldMismatch,
+    PrimeField,
+    PrimeFieldElement,
+    det_int,
+    exact_div,
+    nullspace,
+)
+from brauer_derive.quiver import build_quiver
+from brauer_derive.tilting import check_tilting, shrink_complex, verify_end_generators
 
 from conftest import algebra_for, corpus_graphs
 
@@ -94,3 +106,62 @@ def test_mixed_characteristic_raises_field_mismatch():
         with pytest.raises(FieldMismatch, match="mixed characteristic 2 and 3"):
             op(two, three)
     assert two + 1 == PrimeField(2).zero  # ints still coerce
+
+
+def test_exact_div_gives_ints_or_fractions():
+    assert exact_div(4, 2) == 2 and type(exact_div(4, 2)) is int
+    assert exact_div(1, -2) == Fraction(-1, 2) and type(exact_div(1, -2)) is Fraction
+    assert QQ.div is exact_div
+    for a in range(-6, 7):
+        for b in (-4, -3, -2, -1, 1, 2, 3, 4):
+            q = exact_div(a, b)
+            assert type(q) is (int if a % b == 0 else Fraction), (a, b)
+            assert q * b == a
+    assert exact_div(Fraction(1, 2), 3) == Fraction(1, 6)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+def test_nullspace_over_q_keeps_exact_fractions():
+    # x0 + 2 x1 = 0: the pivot is column 1, so its row is normalized by 2
+    (sol,) = nullspace([{0: 1, 1: 2}], 2)
+    assert sol == {0: 1, 1: Fraction(-1, 2)}
+    assert type(sol[0]) is int and type(sol[1]) is Fraction
+    (sol,) = nullspace([{0: 2, 1: 1}], 2)
+    assert sol == {0: 1, 1: -2} and all(type(c) is int for c in sol.values())
+
+
+def _coefficients(A):
+    """Every coefficient in A's rules, product tables and basis products."""
+    for tail in A._rsys.rules.values():
+        yield from tail.values()
+    for table in A._products.values():
+        for row in table:
+            for entries in row:
+                yield from (c for _, c in entries)
+    for key, out in A._basis_products.items():
+        yield from key[-1]
+        for entries in out:
+            yield from (c for _, c in entries)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_graphs()))
+def test_shrink_over_q_keeps_coefficients_exact(name):
+    g = corpus_graphs()[name]
+    A = quotient_basis(omega_relations(build_quiver(g)), field=QQ)
+    Q = shrink_complex(A, g)
+    assert check_tilting(Q).valid and verify_end_generators(Q)
+    coefficients = list(_coefficients(A))
+    assert A._products and coefficients
+    assert all(type(c) in (int, Fraction) for c in coefficients)
+
+
+def test_prime_field_element_semantics():
+    one = PrimeFieldElement(1, 2)
+    assert one != 1 and 1 != one and one == PrimeField(2).one
+    assert hash(PrimeFieldElement(1, 3)) == hash(PrimeField(3).from_int(4)) == hash((1, 3))
+    assert repr(PrimeField(3).from_int(-1)) == "2 (mod 3)"
+    with pytest.raises(AttributeError):
+        one.value = 0
+    with pytest.raises(FieldMismatch):
+        PrimeField(2).one * PrimeField(5).one
