@@ -14,7 +14,9 @@ CLI's JSON trace and are checked again from that artifact.
 digests of its stdout, so the output at these sizes is pinned byte for byte.
 
 The largest basis-star inputs, Omega(59) and A(14) with its socle
-comparison, go through the CLI over Q and GF(2).
+comparison, go through the CLI over Q and GF(2), and ``cartan --omega 36``,
+``cartan --omega 59`` and ``an 14 --compare-socle`` (all with ``--json``)
+have golden SHA-256 digests of their stdout on both fields.
 """
 import hashlib
 import json
@@ -146,3 +148,20 @@ def test_basis_star_sizes_through_cli(flags, capsys):
     an = json.loads(capsys.readouterr().out)
     assert an["dim"] == 14 * 17 and abs(an["cartan"]["det"]) == 4
     assert an["socleQuotientsEqual"] is True
+
+
+# "command flags": SHA-256 of the stdout of ``command --json flags``
+STAR_DIGESTS = {
+    "cartan --omega 36": "5f2927316f1090b995cf9ee50dd7faa7ae39e85df1011fe000217a68d72e2753",
+    "cartan --omega 59": "b2a42bf864cc221835ff0083b852ac8d4eefc559738574b73871057aef7c3036",
+    "an 14 --compare-socle": "a4c49c24d54ccb4baf70a2d7fb1a0124150b7f90efd47d829acbba2b3b674a82",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("flags", [[], ["--field", "2"]], ids=["Q", "GF(2)"])
+@pytest.mark.parametrize("command", sorted(STAR_DIGESTS))
+def test_basis_star_json_digest(command, flags, capsys):
+    assert run([*command.split(), "--json", *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == STAR_DIGESTS[command]
