@@ -311,10 +311,14 @@ def _sparse_sum(scaled):
 class QuotientAlgebra:
     """Exact basis, reduction map and structure constants of a presentation.
 
-    Completed algebras are immutable apart from internal caches of product
+    Completed algebras are immutable apart from internal caches of block
+    positions, of the reduced coordinates of each product word, of product
     tables, of products with basis elements and of the Cartan matrix (which
     caches its determinant).  These only ever fill in deterministic values,
     so concurrent reads (reduce, multiply, cartan) are safe.
+
+    ``blocks`` is taken in the order given, as ``_block_words`` emits it:
+    keys in the canonical vertex order, words in ``order_key`` order.
     """
 
     def __init__(self, presentation, cap, margin, field, rsys, blocks, dropped=frozenset()):
@@ -326,18 +330,26 @@ class QuotientAlgebra:
         self._rsys = rsys
         self.dropped = frozenset(dropped)
         self.vertices = self.quiver.vertices
-        self.blocks = {}
-        for key in sorted(blocks, key=lambda st: (self._vidx(st[0]), self._vidx(st[1]))):
-            words = [w for w in blocks[key] if (key[0], w) not in dropped]
-            words.sort(key=rewriting.order_key)
-            self.blocks[key] = tuple(words)
+        if dropped:
+            self.blocks = {
+                key: tuple(w for w in words if (key[0], w) not in dropped)
+                for key, words in blocks.items()
+            }
+        else:
+            self.blocks = {key: tuple(words) for key, words in blocks.items()}
         self.arrow_ids = {a.name: i for i, a in enumerate(self.quiver.arrows)}
         self.arrow_names = {i: a.name for i, a in enumerate(self.quiver.arrows)}
+        self._positions = {}
+        self._entries = {}
         self._products = {}
         self._basis_products = {}
 
-    def _vidx(self, v):
-        return self.quiver.graph.canonical_index[v]
+    def _index(self, i, j):
+        """{word: position} of block (i, j), cached."""
+        index = self._positions.get((i, j))
+        if index is None:
+            index = self._positions[(i, j)] = {w: p for p, w in enumerate(self.block(i, j))}
+        return index
 
     @property
     def dim(self):
@@ -379,9 +391,8 @@ class QuotientAlgebra:
         """Normal-form coordinates of a path given as arrow-id tuple."""
         target = source if not word else self.quiver.arrows[word[-1]].target
         combo = self._rsys.nf_combo({word: self.field.one})
-        words = self.block(source, target)
-        index = {w: i for i, w in enumerate(words)}
-        coeffs = [self.field.zero] * len(words)
+        index = self._index(source, target)
+        coeffs = [self.field.zero] * len(index)
         for w, c in combo.items():
             if (source, w) in self.dropped:
                 continue
@@ -428,20 +439,23 @@ class QuotientAlgebra:
         table = self._products.get(key)
         if table is not None:
             return table
-        left, right = self.block(i, j), self.block(j, k)
-        out_words = self.block(i, k)
-        index = {w: p for p, w in enumerate(out_words)}
+        cache = self._entries.get((i, k))
+        if cache is None:
+            cache = self._entries[(i, k)] = {}
+        index = self._index(i, k)
+        nf_word, dropped = self._rsys.nf_word, self.dropped
+        right = self.blocks.get((j, k), ())
         table = []
-        for wl in left:
+        for wl in self.blocks.get((i, j), ()):
             row = []
             for wr in right:
-                combo = self._rsys.nf_combo({wl + wr: self.field.one})
-                entries = []
-                for w, c in combo.items():
-                    if (i, w) in self.dropped:
-                        continue
-                    entries.append((index[w], c))
-                row.append(tuple(entries))
+                w = wl + wr
+                entry = cache.get(w)
+                if entry is None:
+                    entry = cache[w] = tuple(
+                        [(index[u], c) for u, c in nf_word(w).items() if (i, u) not in dropped]
+                    )
+                row.append(entry)
             table.append(row)
         self._products[key] = table
         return table
@@ -480,10 +494,8 @@ class QuotientAlgebra:
 
     @cached_property
     def _cartan(self):
-        order = self.vertices
-        rows = tuple(
-            tuple(len(self.block(i, j)) for j in order) for i in order
-        )
+        order, blocks = self.vertices, self.blocks
+        rows = tuple(tuple(len(blocks.get((i, j), ())) for j in order) for i in order)
         return CartanMatrix(order, rows)
 
     def socle_words(self):
@@ -535,6 +547,13 @@ def _relation_combos(p: Presentation, field):
 
 
 def _block_words(q, levels, cap):
+    """Normal words of length <= cap by block (source, target).
+
+    Keys come in ``q.vertices`` order (the canonical order), and each block's
+    words in ``order_key`` order: levels ascend in length, and within a level
+    the words from one source are sorted, because ``normal_words`` extends
+    the previous level in order by arrows of ascending id.
+    """
     blocks = {(i, j): [] for i in q.vertices for j in q.vertices}
     for length, level in enumerate(levels):
         if length > cap:
@@ -611,11 +630,9 @@ def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> Quotient
 
 def socle_quotient(A: QuotientAlgebra) -> QuotientAlgebra:
     """Quotient by the span of the basis classes annihilated by all arrows."""
-    socle = A.socle_words()
-    blocks = {key: list(words) for key, words in A.blocks.items()}
     return QuotientAlgebra(
-        A.presentation, A.cap, A.margin, A.field, A._rsys, blocks,
-        dropped=A.dropped | set(socle),
+        A.presentation, A.cap, A.margin, A.field, A._rsys, A.blocks,
+        dropped=A.dropped | set(A.socle_words()),
     )
 
 
@@ -634,6 +651,7 @@ def presentations_equal_on_basis(A: QuotientAlgebra, B: QuotientAlgebra) -> bool
             if not (left and A.block(j, k)):
                 continue
             rows = zip(A._product_table(i, j, k), B._product_table(i, j, k))
-            if any(dict(x) != dict(y) for ra, rb in rows for x, y in zip(ra, rb)):
+            # equal entry tuples are equal products; others may differ in order only
+            if any(x != y and dict(x) != dict(y) for ra, rb in rows for x, y in zip(ra, rb)):
                 return False
     return True

@@ -15,9 +15,22 @@ each question reads only the leads that can answer it.
   Green, *Noncommutative Gröbner bases, and projective resolutions*, 1999).
   Sorting the hits by the other lead's insertion stamp, then side, then k
   gives the order of a scan over all rules, so the heap sees the same pushes.
+- A second pair of these indexes holds only the binomial leads, whose tail
+  is not empty.  The S-polynomial of two monomial rules (empty tails) is
+  identically zero, so it is never pushed and never advances the heap
+  counter.  When the new lead is monomial, ``complete`` therefore looks up
+  its overlaps among the binomial leads only.  Skipped pairs never enter
+  ``seen``, which loses nothing: a pair comes up only when the later of its
+  two leads is added, a live lead's tail never changes (``nf_combo`` output
+  is irreducible, so an added lead is always new), and a lead dropped as
+  stale stays reducible, so it is never added again.  A skipped pair could
+  still have set ``truncated``, so the binomial-only lookup is taken only
+  when ``truncated`` is already set or when no monomial pair can exceed
+  ``maxlen``: len(lead) + (longest monomial lead) - 1 <= maxlen.
 - Leads by contained arrow give the candidates for interreduction.
-- The lead lengths present per first and per last arrow bound the slices
-  ``find_factor`` and ``has_lead_suffix`` try at each position.
+- The lead lengths present per first and per last arrow, re-sorted on every
+  ``add_rule`` and ``drop_rule``, bound the slices ``find_factor`` and
+  ``has_lead_suffix`` try at each position.
 The ``nf_word`` memo is cleared in full whenever a rule is added or dropped.
 Keeping the entries whose word does not contain the new lead is unsound:
 such an entry's result, or a word met while rewriting it, may contain the
@@ -35,6 +48,22 @@ def order_key(word):
     return (len(word), word)
 
 
+def has_factor(word, factor):
+    """True when factor occurs in word; ``tuple.index`` finds the candidate
+    starts, so only the places where factor's first arrow occurs are compared."""
+    first, n = factor[0], len(factor)
+    stop = len(word) - n + 1
+    i = 0
+    while True:
+        try:
+            i = word.index(first, i, stop)
+        except ValueError:
+            return False
+        if word[i : i + n] == factor:
+            return True
+        i += 1
+
+
 class NotAdmissible(Exception):
     """A completed consequence had a leading word of length < 2."""
 
@@ -44,8 +73,12 @@ class RewriteSystem:
 
     ``rules`` keeps insertion order.  Beside it every lead is indexed by its
     insertion stamp, its first arrow, its last arrow and each arrow it
-    contains, and the lead lengths present are kept per first and last arrow.
+    contains, binomial leads (non-empty tail) also in their own first- and
+    last-arrow indexes, and the lead lengths present are kept per first and
+    last arrow.
     ``add_rule`` and ``drop_rule`` keep all of them in step with ``rules``.
+    ``longest_monomial`` is the length of the longest monomial lead ever
+    added, a bound on the live ones.
     """
 
     def __init__(self, source, target, field):
@@ -59,6 +92,9 @@ class RewriteSystem:
         self._by_first = {}  # arrow -> set of leads starting with it
         self._by_last = {}  # arrow -> set of leads ending with it
         self._by_arrow = {}  # arrow -> set of leads containing it
+        self._binomial_first = {}  # arrow -> set of binomial leads starting with it
+        self._binomial_last = {}
+        self.longest_monomial = 0
         self._first_lengths = {}  # arrow -> ascending lengths of its leads
         self._last_lengths = {}
         self._memo = {}
@@ -72,6 +108,13 @@ class RewriteSystem:
             for a in set(lead):
                 self._by_arrow.setdefault(a, set()).add(lead)
             self._refresh_lengths(lead)
+        if tail:
+            self._binomial_first.setdefault(lead[0], set()).add(lead)
+            self._binomial_last.setdefault(lead[-1], set()).add(lead)
+        else:
+            self._binomial_first.get(lead[0], set()).discard(lead)
+            self._binomial_last.get(lead[-1], set()).discard(lead)
+            self.longest_monomial = max(self.longest_monomial, len(lead))
         self.rules[lead] = dict(tail)
         self._memo.clear()
 
@@ -82,6 +125,9 @@ class RewriteSystem:
         self._by_last[lead[-1]].remove(lead)
         for a in set(lead):
             self._by_arrow[a].discard(lead)
+        if tail:
+            self._binomial_first[lead[0]].remove(lead)
+            self._binomial_last[lead[-1]].remove(lead)
         self._refresh_lengths(lead)
         self._memo.clear()
         return tail
@@ -119,21 +165,31 @@ class RewriteSystem:
                 return True
         return False
 
-    def overlaps(self, lead):
+    def overlaps(self, lead, binomial=False):
         """Proper overlaps of lead with every rule, as (first, second, k):
         the suffix of first of length k equals the prefix of second.  They
         come in rule insertion order, (lead, other) before (other, lead),
-        then by k; lead against itself appears once on each side."""
+        then by k; lead against itself appears once on each side.  With
+        ``binomial`` only the rules with a non-empty tail are read."""
+        if binomial:
+            by_first, by_last = self._binomial_first, self._binomial_last
+        else:
+            by_first, by_last = self._by_first, self._by_last
         hits = []
         n = len(lead)
         for k in range(1, n):
-            tail, head = lead[-k:], lead[:k]
-            for other in self._by_first.get(lead[-k], ()):
-                if len(other) > k and other[:k] == tail:
-                    hits.append((self._stamp[other], 0, k, other))
-            for other in self._by_last.get(lead[k - 1], ()):
-                if len(other) > k and other[-k:] == head:
-                    hits.append((self._stamp[other], 1, k, other))
+            others = by_first.get(lead[-k])
+            if others:
+                tail = lead[-k:]
+                for other in others:
+                    if len(other) > k and other[:k] == tail:
+                        hits.append((self._stamp[other], 0, k, other))
+            others = by_last.get(lead[k - 1])
+            if others:
+                head = lead[:k]
+                for other in others:
+                    if len(other) > k and other[-k:] == head:
+                        hits.append((self._stamp[other], 1, k, other))
         hits.sort()
         return [(lead, other, k) if side == 0 else (other, lead, k) for _, side, k, other in hits]
 
@@ -144,8 +200,7 @@ class RewriteSystem:
         found = [
             other
             for other in self._by_arrow.get(lead[0], ())
-            if len(other) > n
-            and any(other[i : i + n] == lead for i in range(len(other) - n + 1))
+            if len(other) > n and has_factor(other, lead)
         ]
         found.sort(key=self._stamp.__getitem__)
         return found
@@ -217,7 +272,10 @@ def complete(relations, source, target, field, maxlen):
 
         rs.add_rule(lead, tail)
 
-        for first, second, k in rs.overlaps(lead):
+        # Monomial pairs have empty S-polynomials; skip them when they cannot
+        # set ``truncated`` (see the module docstring).
+        binomial = not tail and (truncated or len(lead) + rs.longest_monomial - 1 <= maxlen)
+        for first, second, k in rs.overlaps(lead, binomial):
             total = len(first) + len(second) - k
             if total > maxlen:
                 truncated = True

@@ -10,18 +10,31 @@ them as they are.
 A seeded property test runs random ``add_rule``/``drop_rule`` sequences and
 checks every indexed lookup of ``RewriteSystem`` against a brute-force scan
 of ``rules`` after each step.
+
+An oracle keeps the completion loop that resolves every pair of leads,
+monomial pairs included, with overlaps and stale rules found by brute force.
+``complete`` must give the same rules, in order and with their tails, and the
+same ``truncated`` flag on seeded relation sets over Q and GF(2), at bounds
+small enough to truncate and large enough to finish.
 """
 import hashlib
 from fractions import Fraction
 from random import Random
 
+import heapq
+
 import pytest
 
-from brauer_derive.algebra import a_n_presentation, omega_relations, quotient_basis
+from brauer_derive.algebra import (
+    _relation_combos,
+    a_n_presentation,
+    omega_relations,
+    quotient_basis,
+)
 from brauer_derive.graph import loop_star
-from brauer_derive.linalg import QQ, PrimeField
+from brauer_derive.linalg import QQ, PrimeField, vec_add_scaled
 from brauer_derive.quiver import build_quiver
-from brauer_derive.rewriting import RewriteSystem
+from brauer_derive.rewriting import RewriteSystem, complete, order_key
 
 from conftest import corpus_graphs
 from test_random_graphs import random_one_loop_graph
@@ -220,12 +233,18 @@ def test_indexes_match_brute_force(seed):
         if rs.rules and rng.random() < 0.4:
             rs.drop_rule(rng.choice(list(rs.rules)))
         else:
-            # re-adding a present lead keeps its place, as in a dict
-            rs.add_rule(random_word(rng, arrows, 5), {(): QQ.from_int(step)})
+            # re-adding a present lead keeps its place, as in a dict; every
+            # third rule is monomial
+            tail = {(): QQ.from_int(step)} if step % 3 else {}
+            rs.add_rule(random_word(rng, arrows, 5), tail)
         rules = rs.rules
         live = set(rules)
         for index in (rs._by_first, rs._by_last, rs._by_arrow):
             assert set().union(*index.values()) == live
+        binomial = {lead for lead, tail in rules.items() if tail}
+        for index in (rs._binomial_first, rs._binomial_last):
+            assert set().union(*index.values()) == binomial
+        assert rs.longest_monomial >= max((len(w) for w in live - binomial), default=0)
         assert set(rs._stamp) == live
         for end, lengths in ((0, rs._first_lengths), (-1, rs._last_lengths)):
             expected = {}
@@ -242,5 +261,87 @@ def test_indexes_match_brute_force(seed):
         probes += rng.sample(list(rules), min(3, len(rules)))
         for lead in probes:
             assert rs.overlaps(lead) == brute_overlaps(rules, lead)
+            binomial_rules = {w: t for w, t in rules.items() if t}
+            assert rs.overlaps(lead, binomial=True) == brute_overlaps(binomial_rules, lead)
             assert rs.stale(lead) == brute_stale(rules, lead)
     assert rs.find_factor(()) is None and not rs.has_lead_suffix(())
+
+
+# -- completion against the all-pairs oracle ------------------------------
+
+
+def reference_complete(relations, source, target, field, maxlen):
+    """``complete`` as it was before monomial pairs were skipped: every new
+    lead meets every rule, overlaps and stale rules found by brute force."""
+    rs = RewriteSystem(source, target, field)
+    heap = []
+    counter = 0
+    for rel in relations:
+        rel = {w: c for w, c in rel.items() if c}
+        if rel:
+            heapq.heappush(heap, (max(len(w) for w in rel), counter, rel))
+            counter += 1
+    seen = set()
+    truncated = False
+    while heap:
+        _, _, poly = heapq.heappop(heap)
+        poly = rs.nf_combo(poly)
+        if not poly:
+            continue
+        lead = max(poly, key=order_key)
+        lc = poly[lead]
+        tail = {w: field.div(-c, lc) for w, c in poly.items() if w != lead}
+        for other in brute_stale(rs.rules, lead):
+            requeued = {other: field.one}
+            vec_add_scaled(requeued, rs.drop_rule(other), -field.one)
+            heapq.heappush(heap, (len(other), counter, requeued))
+            counter += 1
+        rs.add_rule(lead, tail)
+        for first, second, k in brute_overlaps(rs.rules, lead):
+            total = len(first) + len(second) - k
+            if total > maxlen:
+                truncated = True
+                continue
+            if (first, second, k) in seen:
+                continue
+            seen.add((first, second, k))
+            suffix, prefix = second[k:], first[: len(first) - k]
+            spoly = {w + suffix: c for w, c in rs.rules[first].items()}
+            vec_add_scaled(spoly, {prefix + w: c for w, c in rs.rules[second].items()}, -field.one)
+            if spoly:
+                heapq.heappush(heap, (total, counter, spoly))
+                counter += 1
+    return rs, truncated
+
+
+def oracle_presentations():
+    """name -> presentation: Omega of seeded random graphs and loop-stars,
+    and the comparison algebras A(n)."""
+    out = {
+        f"random_{s}": omega_relations(build_quiver(random_one_loop_graph(Random(100 + s), 3 + s)))
+        for s in range(16)
+    }
+    out.update({f"omega_{n}": omega_relations(build_quiver(loop_star(n))) for n in (2, 6, 12)})
+    out.update({f"an_{n}": a_n_presentation(n) for n in (2, 4, 7, 11)})
+    return out
+
+
+ORACLE = oracle_presentations()
+ORACLE_MAXLENS = (3, 4, 6, 9, 14, 40)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_complete_matches_all_pairs_oracle(name):
+    p = ORACLE[name]
+    source = tuple(a.source for a in p.quiver.arrows)
+    target = tuple(a.target for a in p.quiver.arrows)
+    flags = set()
+    for field in FIELDS.values():
+        combos = _relation_combos(p, field)
+        for maxlen in ORACLE_MAXLENS:
+            rs, truncated = complete(combos, source, target, field, maxlen)
+            ref, ref_truncated = reference_complete(combos, source, target, field, maxlen)
+            assert list(rs.rules.items()) == list(ref.rules.items()), (field, maxlen)
+            assert truncated == ref_truncated, (field, maxlen)
+            flags.add(truncated)
+    assert flags == {True, False}
