@@ -82,6 +82,9 @@ class PrimeFieldElement:
         return hash((self.value, self.p))
 
     def _coerce(self, other):
+        """other as an element of this field: ints reduce mod p; anything but
+        an int or an element gives ``NotImplemented``, which the operators
+        return so that Python raises ``TypeError``."""
         if isinstance(other, PrimeFieldElement):
             if other.p != self.p:
                 raise FieldMismatch(f"mixed characteristic {self.p} and {other.p}")
@@ -93,6 +96,8 @@ class PrimeFieldElement:
     def __add__(self, other):
         if other.__class__ is not PrimeFieldElement or other.p != self.p:
             other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return PrimeFieldElement((self.value + other.value) % self.p, self.p)
 
     __radd__ = __add__
@@ -100,6 +105,8 @@ class PrimeFieldElement:
     def __sub__(self, other):
         if other.__class__ is not PrimeFieldElement or other.p != self.p:
             other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return PrimeFieldElement((self.value - other.value) % self.p, self.p)
 
     def __neg__(self):
@@ -108,12 +115,16 @@ class PrimeFieldElement:
     def __mul__(self, other):
         if other.__class__ is not PrimeFieldElement or other.p != self.p:
             other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return PrimeFieldElement((self.value * other.value) % self.p, self.p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.value == 1:
             return self
         inv = pow(other.value, -1, self.p)
@@ -294,24 +305,35 @@ def det_int(rows):
 
     Fraction-free Bareiss elimination (Bareiss 1968): after step k every
     entry below and right of the pivot is a (k+1)-minor of the input, so each
-    division is exact and all arithmetic stays on native ints.
+    division is exact and all arithmetic stays on native ints.  Rows are
+    sparse dicts {column: nonzero entry}.  Step k sends a row i > k to
+    (pivot * row_i - row_i[k] * row_k) / prev, prev being the previous pivot
+    (1 at the first step); a row with no entry in column k becomes
+    pivot * row_i / prev, so when pivot == prev it is left as it is.  The
+    Cartan matrix of a loop-star is diagonal after the first step, so most
+    of its rows take that case.
     """
-    m = [[operator.index(v) for v in row] for row in rows]
+    m = [{j: v for j, v in enumerate(map(operator.index, row)) if v} for row in rows]
     n = len(m)
     sign, prev = 1, 1
     for k in range(n - 1):
-        if not m[k][k]:
-            pr = next((i for i in range(k + 1, n) if m[i][k]), None)
+        if k not in m[k]:
+            pr = next((i for i in range(k + 1, n) if k in m[i]), None)
             if pr is None:
                 return 0
             m[k], m[pr] = m[pr], m[k]
             sign = -sign
-        pivot, row_k = m[k][k], m[k]
+        row_k = m[k]
+        pivot = row_k[k]
+        rest = [(j, v) for j, v in row_k.items() if j != k]
         for i in range(k + 1, n):
             row_i = m[i]
-            f = row_i[k]
-            m[i] = [0] * (k + 1) + [
-                (pivot * row_i[j] - f * row_k[j]) // prev for j in range(k + 1, n)
-            ]
+            f = row_i.pop(k, 0)
+            if not f and pivot == prev:
+                continue
+            new = {j: pivot * v for j, v in row_i.items()}
+            for j, v in rest:
+                new[j] = new.get(j, 0) - f * v
+            m[i] = {j: v // prev for j, v in new.items() if v}
         prev = pivot
-    return sign * m[-1][-1] if n else 1
+    return sign * m[-1].get(n - 1, 0) if n else 1

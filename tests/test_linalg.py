@@ -1,6 +1,7 @@
 """``det_int`` (fraction-free Bareiss) against plain elimination over Q, the
 primality test behind ``PrimeField`` against trial division, and exactness
 of the int path over Q: divisions give ints or Fractions, never floats."""
+import operator
 import random
 from fractions import Fraction
 
@@ -79,6 +80,38 @@ def test_det_int_edge_cases():
     assert det_int([[0, 1], [1, 0]]) == -1
     assert det_int([[0, 0], [1, 2]]) == 0
     assert det_int([[2, 4], [1, 2]]) == 0
+
+
+def loop_star_cartan(n):
+    """Closed-form Cartan matrix of loop_star(n): the loop's two half-edges at
+    the centre give 4 at (0, 0) and 2 beside it; two other edges meet once at
+    the centre, and each also has its own leaf (1 more on the diagonal)."""
+    rows = [[4] + [2] * (n - 1)]
+    rows += [[2] + [1 + (i == j) for j in range(1, n)] for i in range(1, n)]
+    return rows
+
+
+# Sparse Bareiss: after its first step the loop-star matrix is diagonal, so
+# most rows are left as they are; in "singular" row 2 is twice row 0, and in
+# "row_swap" the pivot of step 1 is 0 after step 0, beside a row that step 0
+# leaves alone
+DET_CASES = {
+    "loop_star_59": loop_star_cartan(59),
+    "singular": [[2, 0, 1, 0], [0, 3, 0, 1], [4, 0, 2, 0], [0, 1, 5, 1]],
+    "row_swap": [[1, 1, 0, 0], [2, 2, 1, 0], [0, 0, 3, 1], [0, 1, 0, 5]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DET_CASES))
+def test_det_int_sparse_cases(name):
+    rows = DET_CASES[name]
+    before = [list(r) for r in rows]
+    assert det_int(rows) == det_fraction(rows)
+    assert rows == before
+    if name == "loop_star_59":
+        assert rows == [list(r) for r in algebra_for(loop_star(59)).cartan().rows]
+        assert abs(det_int(rows)) == 4
+    assert (det_int(rows) == 0) == (name == "singular")
 
 
 def test_det_int_on_cartan_matrices():
@@ -165,3 +198,13 @@ def test_prime_field_element_semantics():
         one.value = 0
     with pytest.raises(FieldMismatch):
         PrimeField(2).one * PrimeField(5).one
+
+
+@pytest.mark.parametrize("other", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])
+def test_prime_field_element_rejects_foreign_operands(other):
+    one = PrimeField(2).one
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(one, other)
+        with pytest.raises(TypeError):
+            op(other, one)
