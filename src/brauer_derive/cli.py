@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import (
@@ -84,12 +85,6 @@ def _read_graph(path):
     return g
 
 
-def _algebra_args(sub):
-    sub.add_argument("--cap", type=int, default=None, help="path length bound")
-    sub.add_argument("--margin", type=int, default=None, help="length slack")
-    sub.add_argument("--field", default=None, help="rationals (default) or a prime")
-
-
 def _algebra(p, args):
     """The algebra of presentation p under the --cap, --margin and --field flags."""
     return quotient_basis(p, cap=args.cap, margin=args.margin, field=parse_field(args.field))
@@ -108,12 +103,68 @@ def _star_presentation(kind, n):
     return a_n_presentation(n)
 
 
+def _json_key(key):
+    """A dict key as ``json`` writes it: non-string scalars by their JSON text."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            kind = type(key).__name__
+            raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
+        key = json.dumps(key)
+    return encode_basestring_ascii(key)
+
+
+def _dumps(payload):
+    """``json.dumps(payload, indent=2)``, byte for byte.
+
+    ``indent`` makes ``json`` fall back to its pure-Python encoder; this
+    writer produces the same text with less work: strings go through the C
+    string encoder, and a list of ints is joined in one step.
+    """
+    out = []
+    put = out.append
+
+    def walk(value, indent):
+        if isinstance(value, str):
+            put(encode_basestring_ascii(value))
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for key, item in value.items():
+                put(sep + _json_key(key) + ": ")
+                walk(item, inner)
+                sep = ",\n" + inner
+            put("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = indent + "  "
+            if all(type(v) is int for v in value):
+                put("[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)))
+            else:
+                sep = "[\n" + inner
+                for item in value:
+                    put(sep)
+                    walk(item, inner)
+                    sep = ",\n" + inner
+            put("\n" + indent + "]")
+        else:
+            put(json.dumps(value))
+
+    walk(payload, "")
+    return "".join(out)
+
+
 def _emit(args, payload_json, text_lines):
+    """Print the JSON payload under --json, else the text; ``text_lines``
+    returns the text's lines and is called only without --json."""
     if getattr(args, "json", False):
-        payload_json = {"schema": SCHEMA, **payload_json}
-        print(json.dumps(payload_json, indent=2, sort_keys=False))
+        print(_dumps({"schema": SCHEMA, **payload_json}))
     else:
-        print("\n".join(text_lines))
+        print("\n".join(text_lines()))
 
 
 def _presentation_lines(p):
@@ -133,7 +184,7 @@ def cmd_validate(args):
     _emit(
         args,
         {"valid": True, "edges": edge_count(g), "graph": _canonical_obj(g)},
-        [f"valid one-loop Brauer graph with {edge_count(g)} edges"],
+        lambda: [f"valid one-loop Brauer graph with {edge_count(g)} edges"],
     )
     return EXIT_OK
 
@@ -150,7 +201,7 @@ def cmd_quiver(args):
             ],
             "dot": quiver_to_dot(q),
         }
-        _emit(args, payload, [])
+        _emit(args, payload, lambda: [])
     else:
         print(quiver_to_dot(q), end="")
     return EXIT_OK
@@ -167,12 +218,16 @@ def cmd_algebra(args):
         "cartan": c.to_json(),
         "basis": A.basis_table().splitlines(),
     }
-    lines = ["relations:"] + _presentation_lines(p)
-    lines.append(f"dim: {A.dim}")
-    lines += _cartan_lines(c)
-    lines.append("basis:")
-    lines += ["  " + ln for ln in A.basis_table().splitlines()]
-    _emit(args, payload, lines)
+
+    def text():
+        lines = ["relations:"] + _presentation_lines(p)
+        lines.append(f"dim: {A.dim}")
+        lines += _cartan_lines(c)
+        lines.append("basis:")
+        lines += ["  " + ln for ln in A.basis_table().splitlines()]
+        return lines
+
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -190,7 +245,7 @@ def _cartan_target(args):
 def cmd_cartan(args):
     A = _cartan_target(args)
     c = A.cartan()
-    _emit(args, c.to_json(), _cartan_lines(c))
+    _emit(args, c.to_json(), lambda: _cartan_lines(c))
     return EXIT_OK
 
 
@@ -205,14 +260,18 @@ def cmd_tilt_shrink(args):
         "certificate": cert.to_json(),
         "endGenerators": "ok",
     }
-    lines = [f"shrink tilting complex, ordering: {' '.join(Q.ordering)}"]
-    for z in Q.ordering:
-        lines.append(f"Q({z}):")
-        lines += ["  " + ln for ln in Q.summands[z].dump().splitlines()]
-    lines.append(f"hom vanishing: {cert.hom_vanishing}")
-    lines += _cartan_lines(cert.end_cartan)
-    lines.append(f"|det| source/end: {abs(cert.det_source)} {abs(cert.det_end)}")
-    _emit(args, payload, lines)
+
+    def text():
+        lines = [f"shrink tilting complex, ordering: {' '.join(Q.ordering)}"]
+        for z in Q.ordering:
+            lines.append(f"Q({z}):")
+            lines += ["  " + ln for ln in Q.summands[z].dump().splitlines()]
+        lines.append(f"hom vanishing: {cert.hom_vanishing}")
+        lines += _cartan_lines(cert.end_cartan)
+        lines.append(f"|det| source/end: {abs(cert.det_source)} {abs(cert.det_end)}")
+        return lines
+
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -230,12 +289,16 @@ def cmd_tilt_enlarge(args):
         "certificate": cert.to_json(),
         "endGenerators": "ok",
     }
-    lines = [f"enlarge tilting complex at {d.at} (successor {d.succ})"]
-    lines.append(f"Q'({d.succ}):")
-    lines += ["  " + ln for ln in Q.summands[d.succ].dump().splitlines()]
-    lines.append(f"hom vanishing: {cert.hom_vanishing}")
-    lines += _cartan_lines(cert.end_cartan)
-    _emit(args, payload, lines)
+
+    def text():
+        lines = [f"enlarge tilting complex at {d.at} (successor {d.succ})"]
+        lines.append(f"Q'({d.succ}):")
+        lines += ["  " + ln for ln in Q.summands[d.succ].dump().splitlines()]
+        lines.append(f"hom vanishing: {cert.hom_vanishing}")
+        lines += _cartan_lines(cert.end_cartan)
+        return lines
+
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -245,13 +308,16 @@ def cmd_reduce(args):
         g, certify=args.certify, cap=args.cap, margin=args.margin,
         field=parse_field(args.field),
     )
-    payload = trace.to_json()
-    lines = [f"n: {trace.n}", f"steps: {len(trace.steps)}"]
-    for i, s in enumerate(trace.steps):
-        mark = " [certified]" if s.certificate else ""
-        lines.append(f"  step {i}: move successor of {s.at} onto the cycle{mark}")
-    lines.append(f"normal form: {serialize_graph(trace.normal_form)}")
-    _emit(args, payload, lines)
+
+    def text():
+        lines = [f"n: {trace.n}", f"steps: {len(trace.steps)}"]
+        for i, s in enumerate(trace.steps):
+            mark = " [certified]" if s.certificate else ""
+            lines.append(f"  step {i}: move successor of {s.at} onto the cycle{mark}")
+        lines.append(f"normal form: {serialize_graph(trace.normal_form)}")
+        return lines
+
+    _emit(args, trace.to_json(), text)
     return EXIT_OK
 
 
@@ -267,7 +333,7 @@ def cmd_verify(args):
     _emit(
         args,
         {"verified": True, "n": trace.n, "steps": len(trace.steps)},
-        ["verified", f"n: {trace.n}", f"steps: {len(trace.steps)}"],
+        lambda: ["verified", f"n: {trace.n}", f"steps: {len(trace.steps)}"],
     )
     return EXIT_OK
 
@@ -275,7 +341,7 @@ def cmd_verify(args):
 def cmd_classify(args):
     g = _read_graph(args.file)
     n = classify(g)
-    _emit(args, {"n": n}, [str(n)])
+    _emit(args, {"n": n}, lambda: [str(n)])
     return EXIT_OK
 
 
@@ -291,15 +357,20 @@ def _builder_report(args, kind):
         "dim": A.dim,
         "cartan": c.to_json(),
     }
-    lines = [f"{kind}({n})", "relations:"] + _presentation_lines(p)
-    lines.append(f"dim: {A.dim}")
-    lines += _cartan_lines(c)
     if args.compare_socle:
         other = _algebra(_star_presentation("an" if kind == "omega" else "omega", n), args)
         equal = presentations_equal_on_basis(socle_quotient(A), socle_quotient(other))
         payload["socleQuotientsEqual"] = equal
-        lines.append(f"socle quotients equal: {str(equal).lower()}")
-    _emit(args, payload, lines)
+
+    def text():
+        lines = [f"{kind}({n})", "relations:"] + _presentation_lines(p)
+        lines.append(f"dim: {A.dim}")
+        lines += _cartan_lines(c)
+        if args.compare_socle:
+            lines.append(f"socle quotients equal: {str(equal).lower()}")
+        return lines
+
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -311,71 +382,72 @@ def cmd_an(args):
     return _builder_report(args, "an")
 
 
-def build_parser():
+_FILE = (("file",), {})
+_ALGEBRA = (
+    (("--cap",), {"type": int, "default": None, "help": "path length bound"}),
+    (("--margin",), {"type": int, "default": None, "help": "length slack"}),
+    (("--field",), {"default": None, "help": "rationals (default) or a prime"}),
+)
+_BUILDER = (
+    (("n",), {"type": int}),
+    (("--compare-socle",), {"action": "store_true"}),
+    *_ALGEBRA,
+)
+
+# name -> (handler, help, arguments after --json as (flags, keywords) pairs)
+COMMANDS = {
+    "validate": (cmd_validate, "check a graph file", (_FILE,)),
+    "quiver": (cmd_quiver, "DOT export of the Brauer quiver", (_FILE,)),
+    "algebra": (cmd_algebra, "relations, dimension, basis", (_FILE, *_ALGEBRA)),
+    "cartan": (cmd_cartan, "Cartan matrix of a graph algebra", (
+        (("file",), {"nargs": "?", "default": None}),
+        (("--omega",), {"type": int, "default": None, "metavar": "N"}),
+        (("--an",), {"type": int, "default": None, "metavar": "N"}),
+        *_ALGEBRA,
+    )),
+    "tilt-shrink": (
+        cmd_tilt_shrink, "shrinking tilting complex + certificate", (_FILE, *_ALGEBRA),
+    ),
+    "tilt-enlarge": (cmd_tilt_enlarge, "enlarging tilting complex + certificate", (
+        _FILE,
+        (("--at",), {"required": True, "help": "cycle edge with a non-empty tree"}),
+        *_ALGEBRA,
+    )),
+    "reduce": (cmd_reduce, "reduce to the loop-star normal form", (
+        _FILE,
+        (("--certify",), {"action": "store_true", "help": "attach per-step certificates"}),
+        *_ALGEBRA,
+    )),
+    "verify": (
+        cmd_verify, "re-check a stored reduce --certify --json trace", (_FILE, *_ALGEBRA),
+    ),
+    "classify": (cmd_classify, "derived-equivalence class index n", (_FILE,)),
+    "omega": (cmd_omega, "the normal-form algebra on n edges", _BUILDER),
+    "an": (cmd_an, "the socle-deformed comparison algebra", _BUILDER),
+}
+
+
+def build_parser(argv=None):
+    """The argument parser.  When ``argv`` starts with a command name only
+    that command's subparser is added, which parses ``argv`` the same way;
+    otherwise (no argv, --help, --version, an unknown command) every one is."""
     parser = _Parser(prog="brauer-derive", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", metavar="command")
-
-    def sub(name, fn, **kw):
-        s = subs.add_parser(name, **kw)
+    names = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
+    for name in names:
+        fn, help_text, arguments = COMMANDS[name]
+        s = subs.add_parser(name, help=help_text)
         s.set_defaults(fn=fn)
         s.add_argument("--json", action="store_true", help="JSON output")
-        return s
-
-    s = sub("validate", cmd_validate, help="check a graph file")
-    s.add_argument("file")
-
-    s = sub("quiver", cmd_quiver, help="DOT export of the Brauer quiver")
-    s.add_argument("file")
-
-    s = sub("algebra", cmd_algebra, help="relations, dimension, basis")
-    s.add_argument("file")
-    _algebra_args(s)
-
-    s = sub("cartan", cmd_cartan, help="Cartan matrix of a graph algebra")
-    s.add_argument("file", nargs="?", default=None)
-    s.add_argument("--omega", type=int, default=None, metavar="N")
-    s.add_argument("--an", type=int, default=None, metavar="N")
-    _algebra_args(s)
-
-    s = sub("tilt-shrink", cmd_tilt_shrink, help="shrinking tilting complex + certificate")
-    s.add_argument("file")
-    _algebra_args(s)
-
-    s = sub("tilt-enlarge", cmd_tilt_enlarge, help="enlarging tilting complex + certificate")
-    s.add_argument("file")
-    s.add_argument("--at", required=True, help="cycle edge with a non-empty tree")
-    _algebra_args(s)
-
-    s = sub("reduce", cmd_reduce, help="reduce to the loop-star normal form")
-    s.add_argument("file")
-    s.add_argument("--certify", action="store_true", help="attach per-step certificates")
-    _algebra_args(s)
-
-    s = sub("verify", cmd_verify, help="re-check a stored reduce --certify --json trace")
-    s.add_argument("file")
-    _algebra_args(s)
-
-    s = sub("classify", cmd_classify, help="derived-equivalence class index n")
-    s.add_argument("file")
-
-    s = sub("omega", cmd_omega, help="the normal-form algebra on n edges")
-    s.add_argument("n", type=int)
-    s.add_argument("--compare-socle", action="store_true")
-    _algebra_args(s)
-
-    s = sub("an", cmd_an, help="the socle-deformed comparison algebra")
-    s.add_argument("n", type=int)
-    s.add_argument("--compare-socle", action="store_true")
-    _algebra_args(s)
-
+        for flags, keywords in arguments:
+            s.add_argument(*flags, **keywords)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if not getattr(args, "fn", None):
             raise UsageError("missing command")
         return args.fn(args)

@@ -894,3 +894,75 @@ def test_readme_command_runs(argv, tmp_path, capsys, monkeypatch):
     Path("trace.json").write_text(capsys.readouterr().out, encoding="utf-8")
     code = run(argv)
     assert code == EXIT_OK, capsys.readouterr().err
+
+
+# -- one subparser per invocation -----------------------------------------
+
+_FULL_PARSER = build_parser
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``run(argv)``; --help and --version
+    leave through ``SystemExit``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+PARSER_SWEEP = (
+    [[], ["--help"], ["-h"], ["--version"], ["bogus"], ["--json", "cartan"], ["cartan", "--version"]]
+    + [[name, "--help"] for name in cli.COMMANDS]
+    + [[name] for name in cli.COMMANDS]
+    + [[name, "g.json", "--bogus"] for name in cli.COMMANDS]
+    + [
+        ["cartan", "--omega", "x"],
+        ["cartan", "--omega", "3", "--an", "3"],
+        ["omega", "three"],
+        ["an", "3", "--cap"],
+        ["tilt-enlarge", "g.json"],
+        ["validate", "a.json", "b.json"],
+        ["reduce", "--certify"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_SWEEP, ids=lambda argv: " ".join(argv) or "(none)")
+def test_single_subparser_parses_as_the_full_parser(argv, capsys, monkeypatch):
+    """``run`` adds only the named command's subparser; help, version, usage
+    errors and exit codes must be those of the parser with every command."""
+    assert len(_FULL_PARSER(argv)._actions[-1].choices) == (
+        1 if argv and argv[0] in cli.COMMANDS else len(cli.COMMANDS)
+    )
+    got = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: _FULL_PARSER())
+    assert got == _outcome(argv, capsys)
+
+
+JSON_CASES = [
+    {},
+    [],
+    {"a": [], "b": {}, "c": [[], {}]},
+    [1, True, False, None, 2.5, -0.0, 10**30, "x"],
+    {"é☃\n\"\\": ["ü", {"k": [1, 2, [3, []]]}]},
+    {1: 2, True: 3, None: 4, 2.5: 5, False: [0, -1]},
+    (1, (2, "a")),
+    [float("nan"), float("inf")],
+    "plain",
+    7,
+]
+
+
+@pytest.mark.parametrize("value", JSON_CASES, ids=repr)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_rejects_what_json_rejects():
+    for bad in ({(1, 2): 3}, {"a": object()}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._dumps(bad)
