@@ -435,13 +435,14 @@ class QuotientAlgebra:
         return AlgebraElement(self, x.source, y.target, coeffs)
 
     def _product_table(self, i, j, k):
+        """table[l][r]: (position, coefficient) pairs of the product of basis
+        words l of block (i, j) and r of block (j, k).  Each product word's
+        pairs are computed once per block (i, k) and shared between tables."""
         key = (i, j, k)
         table = self._products.get(key)
         if table is not None:
             return table
-        cache = self._entries.get((i, k))
-        if cache is None:
-            cache = self._entries[(i, k)] = {}
+        cache = self._entries.setdefault((i, k), {})
         index = self._index(i, k)
         nf_word, dropped = self._rsys.nf_word, self.dropped
         right = self.blocks.get((j, k), ())

@@ -18,10 +18,9 @@ same ``truncated`` flag on seeded relation sets over Q and GF(2), at bounds
 small enough to truncate and large enough to finish.
 """
 import hashlib
+import heapq
 from fractions import Fraction
 from random import Random
-
-import heapq
 
 import pytest
 
@@ -271,8 +270,8 @@ def test_indexes_match_brute_force(seed):
 
 
 def reference_complete(relations, source, target, field, maxlen):
-    """``complete`` as it was before monomial pairs were skipped: every new
-    lead meets every rule, overlaps and stale rules found by brute force."""
+    """The completion loop with no pair skipped: every new lead meets every
+    rule, monomial pairs included; overlaps and stale rules by brute force."""
     rs = RewriteSystem(source, target, field)
     heap = []
     counter = 0
