@@ -19,7 +19,6 @@ from .graph import (
     DomainError,
     MalformedInput,
     ValidationError,
-    canonical_relabel,
     edge_count,
     loop_star,
     parse_graph,

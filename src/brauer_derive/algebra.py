@@ -103,9 +103,6 @@ class Presentation:
             all(len(w) >= 2 for w in rel.words()) and rel.words() for rel in self.relations
         )
 
-    def dump(self):
-        return "\n".join(str(r) for r in self.relations)
-
 
 def _word_element(q, arrows, coeffs):
     """PathElement from parallel lists of arrow-name words and coefficients."""

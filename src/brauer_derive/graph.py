@@ -293,28 +293,3 @@ def _canonical_obj(g: BrauerGraph):
 
 def serialize_graph(g: BrauerGraph) -> str:
     return json.dumps(_canonical_obj(g), separators=(",", ":"))
-
-
-def structure_key(g: BrauerGraph):
-    """Vertex-name-independent key: canonical rotations of the non-leaf
-    cyclic lists.  Two graphs with canonical edge labels are equal as Brauer
-    graphs exactly when their keys agree."""
-    return tuple(
-        sorted(
-            tuple(_least_rotation(list(v.cyclic)))
-            for v in g.vertices
-            if len(v.cyclic) >= 2
-        )
-    )
-
-
-def canonical_relabel(g: BrauerGraph):
-    """Rename edges to 1..n (cycle order first, then trees in preorder).
-
-    Returns (relabeled graph, mapping old label -> new label).
-    """
-    mapping = {e: str(i) for i, e in enumerate(g.canonical_order, start=1)}
-    vertices = [
-        GraphVertex(v.id, tuple(mapping[e] for e in v.cyclic)) for v in g.vertices
-    ]
-    return BrauerGraph(vertices, g.implicit), mapping

@@ -18,20 +18,21 @@ walking each differential once per degree, and reads every product of an
 entry with a basis element from the algebra's product table (memoized on
 the algebra).  A shift at which no summand of C^n has a nonzero block to a
 summand of D^(n+r) has no variables, so ``homotopy_hom`` returns 0 there
-before shifting D or building a solver.  One echelon form of the homotopy
-columns serves both the dimension and the basis of ``homotopy_hom`` and the
-membership test of ``is_null_homotopic``.  ``minimize`` strips contractible
-two-term pieces by Gaussian elimination on differential entries that are
-units of the local endomorphism rings; a unit c (e_i - r) with r radical is
-inverted by the finite series c^-1 (e_i + r + r^2 + ...), no solver needed.
+before shifting D or building a solver.  ``homotopy_hom`` returns the
+dimension alone: the certificates rest on dimensions, Hom(T, T[r]) = 0 and
+the Cartan matrix of End(T).  One echelon form of the homotopy columns
+serves both that dimension and the membership test of
+``is_null_homotopic``.  ``minimize`` strips contractible two-term pieces by
+Gaussian elimination on differential entries that are units of the local
+endomorphism rings; a unit c (e_i - r) with r radical is inverted by the
+finite series c^-1 (e_i + r + r^2 + ...), no solver needed.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from itertools import groupby
 
 from .algebra import AlgebraElement, CartanMatrix
-from .linalg import SparseEchelon, nullspace
+from .linalg import SparseEchelon
 
 
 class NotAComplex(Exception):
@@ -44,22 +45,6 @@ class ChainMapFailure(Exception):
     block, a square that does not commute, maps that do not compose, or a
     local-ring unit without an inverse.  These come from the program's own
     constructions, never from the input."""
-
-
-@dataclass(frozen=True)
-class ProjSummand:
-    vertex: str
-    multiplicity: int = 1
-
-
-@dataclass(frozen=True)
-class HomotopyHom:
-    dimension: int
-    _reps: tuple
-
-    @property
-    def basis(self):
-        return self._reps
 
 
 class ProjComplex:
@@ -96,15 +81,6 @@ class ProjComplex:
     def is_zero(self):
         return not self.terms
 
-    def summands(self, n):
-        out = []
-        for v in self.term(n):
-            if out and out[-1].vertex == v:
-                out[-1] = ProjSummand(v, out[-1].multiplicity + 1)
-            else:
-                out.append(ProjSummand(v))
-        return tuple(out)
-
     def total_summands(self):
         return sum(len(t) for t in self.terms.values())
 
@@ -126,12 +102,14 @@ class ProjComplex:
         )
 
     def dump(self):
+        """One line per degree, runs of equal summands written P(v)^k, and
+        one line per nonzero differential."""
         lines = []
         for n in self.degrees():
-            parts = [
-                f"P({s.vertex})" + (f"^{s.multiplicity}" if s.multiplicity > 1 else "")
-                for s in self.summands(n)
-            ]
+            parts = []
+            for v, run in groupby(self.term(n)):
+                k = len(list(run))
+                parts.append(f"P({v})" + (f"^{k}" if k > 1 else ""))
             lines.append(f"deg {n}: " + " ⊕ ".join(parts))
             matrix = self.diffs.get(n)
             if matrix:
@@ -266,12 +244,6 @@ class ChainMap:
         }
         return ChainMap(self.source, self.target, comps, check=False)
 
-    def __sub__(self, other):
-        return self + -other
-
-    def is_zero(self):
-        return not self.comps
-
     @staticmethod
     def identity(C):
         comps = {
@@ -403,7 +375,6 @@ class _HomSolver:
     def __init__(self, C, D):
         self.C, self.D = C, D
         self.A = C.algebra
-        self.field = self.A.field
         self.nvars = 0
         self.offset = {}
         self.by_source = {}  # (n, c) -> [(r, target vertex, offset)]
@@ -505,17 +476,6 @@ class _HomSolver:
                         vec[base + b] = coeff
         return vec
 
-    def chain_map_from_vector(self, vec):
-        keys, bases = list(self.offset), list(self.offset.values())
-        comps = {}
-        for var, coeff in vec.items():
-            k = bisect_right(bases, var) - 1
-            n, r, c = keys[k]
-            sv, tv = self.C.term(n)[c], self.D.term(n)[r]
-            add = self.A.block_basis(sv, tv)[var - bases[k]].scale(coeff)
-            _add_entry(comps.setdefault(n, {}), (r, c), add)
-        return ChainMap(self.C, self.D, comps, check=False)
-
 
 def _has_variables(C: ProjComplex, D: ProjComplex, shift_by: int) -> bool:
     """Whether some C^n, D^(n+shift_by) pair of summands has a nonzero block."""
@@ -527,20 +487,17 @@ def _has_variables(C: ProjComplex, D: ProjComplex, shift_by: int) -> bool:
     return False
 
 
-def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0, with_basis=False) -> HomotopyHom:
-    """Hom in the homotopy category from C to D[shift_by]; exact dimension."""
+def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0) -> int:
+    """Exact dimension of Hom in the homotopy category from C to D[shift_by]:
+    the chain maps (variables less the rank of the commutation rows) modulo
+    the null-homotopic ones."""
     if not _has_variables(C, D, shift_by):
-        return HomotopyHom(0, ())
+        return 0
     solver = _HomSolver(C, D.shift(shift_by))
-    span = solver.homotopy_span()
-    if not with_basis:
-        constraints = SparseEchelon()
-        for row in solver.constraint_rows():
-            constraints.add(row)
-        return HomotopyHom(solver.nvars - constraints.rank - span.rank, ())
-    kernel = nullspace(solver.constraint_rows(), solver.nvars, solver.field)
-    reps = tuple(solver.chain_map_from_vector(vec) for vec in kernel if span.add(vec))
-    return HomotopyHom(len(reps), reps)
+    constraints = SparseEchelon()
+    for row in solver.constraint_rows():
+        constraints.add(row)
+    return solver.nvars - constraints.rank - solver.homotopy_span().rank
 
 
 def is_null_homotopic(f: ChainMap) -> bool:

@@ -13,8 +13,10 @@ and print the same, so memo keys and output do not see the difference.
 every division goes through ``exact_div`` (exposed as ``field.div``).
 
 Over GF(p) a coefficient is a ``PrimeFieldElement``: a slotted value/prime
-pair that is never equal to a plain int, and whose arithmetic raises
-``FieldMismatch`` across characteristics.
+pair that is never equal to a plain int.  Its arithmetic raises
+``FieldMismatch`` on an element of another characteristic and on a plain
+int, which is a coefficient over Q: GF(p) never absorbs a rational
+coefficient silently.  Elements of GF(p) are made with ``from_int``.
 """
 from __future__ import annotations
 
@@ -82,15 +84,16 @@ class PrimeFieldElement:
         return hash((self.value, self.p))
 
     def _coerce(self, other):
-        """other as an element of this field: ints reduce mod p; anything but
-        an int or an element gives ``NotImplemented``, which the operators
-        return so that Python raises ``TypeError``."""
+        """other as an element of this field.  An element of another
+        characteristic or an int (a coefficient over Q) raises
+        ``FieldMismatch``; any other type gives ``NotImplemented``, which the
+        operators return so that Python raises ``TypeError``."""
         if isinstance(other, PrimeFieldElement):
             if other.p != self.p:
                 raise FieldMismatch(f"mixed characteristic {self.p} and {other.p}")
             return other
         if isinstance(other, int):
-            return PrimeFieldElement(other % self.p, self.p)
+            raise FieldMismatch(f"rational coefficient {other} in GF({self.p}) arithmetic")
         return NotImplemented
 
     def __add__(self, other):
@@ -259,45 +262,6 @@ class SparseEchelon:
 
     def contains(self, vec):
         return not self.reduce(vec)
-
-
-def nullspace(rows, nvars, field=QQ):
-    """Basis of the right nullspace of the matrix given by sparse rows.
-
-    Columns are the integers 0..nvars-1; returns a list of dense-as-dict
-    solution vectors.
-    """
-    ech = SparseEchelon()
-    for row in rows:
-        ech.add(row)
-    pivot_cols = set(ech.pivots)
-    basis = []
-    # Solve for each free column by back substitution against the
-    # reduced pivot rows.
-    reduced = _back_substitute(ech)
-    for col in range(nvars):
-        if col in pivot_cols:
-            continue
-        sol = {col: field.one}
-        for pcol, row in reduced.items():
-            val = row.get(col)
-            if val:
-                sol[pcol] = -val
-        basis.append(sol)
-    return basis
-
-
-def _back_substitute(ech):
-    """Fully reduce the echelon rows against each other (RREF)."""
-    reduced = {}
-    for pcol in sorted(ech.pivots):
-        row = dict(ech.pivots[pcol])
-        for key in [k for k in row if k != pcol]:
-            sub = reduced.get(key)
-            if sub is not None:
-                vec_add_scaled(row, sub, -row[key])
-        reduced[pcol] = row
-    return reduced
 
 
 def det_int(rows):

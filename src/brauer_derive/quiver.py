@@ -36,9 +36,6 @@ class QCycle:
     camp: str
     exceptional: bool
 
-    def __bool__(self):
-        return bool(self.arrows)
-
 
 @dataclass(frozen=True)
 class CycleWord:
@@ -47,9 +44,6 @@ class CycleWord:
 
     def names(self):
         return tuple(a.name for a in self.arrows)
-
-    def __bool__(self):
-        return bool(self.arrows)
 
 
 class BrauerQuiver:

@@ -24,6 +24,7 @@ from .linalg import QQ
 from .quiver import build_quiver
 from .tilting import (
     CertificateFailure,
+    EmptyTree,
     TiltCertificate,
     check_tilting,
     enlarge_complex,
@@ -186,7 +187,9 @@ def certify_trace(t: ReductionTrace, cap=None, margin=None, field=QQ) -> bool:
             stored = _certificate_json(step.certificate)
             if stored is not None and stored != cert.to_json():
                 raise CertificateFailure("stored certificate does not re-validate")
-        except CertificateFailure as exc:
+        except (CertificateFailure, EmptyTree) as exc:
+            # a stored step that names an edge no move can take does not
+            # match the recomputed trace: a certificate fault, not bad input
             raise CertificateFailure(f"step {idx}: {exc}") from None
         current = step.after
     if serialize_graph(current) != serialize_graph(t.normal_form):

@@ -242,7 +242,7 @@ def check_tilting(Q: TiltingComplex) -> TiltCertificate:
     for r in range(-width - 1, width + 2):
         if r == 0:
             continue
-        dim = homotopy_hom(total, total, r).dimension
+        dim = homotopy_hom(total, total, r)
         hom_vanishing[r] = dim
         if dim:
             raise CertificateFailure(

@@ -1,8 +1,16 @@
-"""Shared corpus of one-loop Brauer graphs and cached algebra builds."""
+"""Shared corpus of one-loop Brauer graphs, cached algebra builds, and the
+canonical relabelling that compares graphs up to edge names."""
 import pytest
 
 from brauer_derive.algebra import omega_relations, quotient_basis
-from brauer_derive.graph import loop_star, parse_graph, serialize_graph
+from brauer_derive.graph import (
+    BrauerGraph,
+    GraphVertex,
+    _least_rotation,
+    loop_star,
+    parse_graph,
+    serialize_graph,
+)
 from brauer_derive.quiver import build_quiver
 
 G_MIN_TEXT = (
@@ -44,6 +52,31 @@ def corpus_graphs():
     for n in (3, 5, 8):
         graphs[f"loop_star_{n}"] = loop_star(n)
     return graphs
+
+
+def structure_key(g: BrauerGraph):
+    """Vertex-name-independent key: canonical rotations of the non-leaf
+    cyclic lists.  Two graphs with canonical edge labels are equal as Brauer
+    graphs exactly when their keys agree."""
+    return tuple(
+        sorted(
+            tuple(_least_rotation(list(v.cyclic)))
+            for v in g.vertices
+            if len(v.cyclic) >= 2
+        )
+    )
+
+
+def canonical_relabel(g: BrauerGraph):
+    """Rename edges to 1..n (cycle order first, then trees in preorder).
+
+    Returns (relabeled graph, mapping old label -> new label).
+    """
+    mapping = {e: str(i) for i, e in enumerate(g.canonical_order, start=1)}
+    vertices = [
+        GraphVertex(v.id, tuple(mapping[e] for e in v.cyclic)) for v in g.vertices
+    ]
+    return BrauerGraph(vertices, g.implicit), mapping
 
 
 _algebras = {}

@@ -96,12 +96,24 @@ def _tamper_normal_form(p):
     p["normalForm"] = p["input"]
 
 
+def _tamper_at(at):
+    def edit(p):
+        p["steps"][0]["at"] = at
+
+    return edit
+
+
 TAMPERINGS = {
     "homVanishing": (_tamper_hom, "stored certificate does not re-validate"),
     "detEnd": (_tamper_det_end, "stored certificate does not re-validate"),
     "generation": (_tamper_generation, "stored certificate does not re-validate"),
     "after": (_tamper_after, "step 0: stored result of step differs"),
     "normalForm": (_tamper_normal_form, "trace normal form mismatch"),
+    # edges no move can take: the loop, a leaf, none, and a JSON number
+    "atLoop": (_tamper_at("1"), "step 0: edge 1 is not a non-loop cycle edge"),
+    "atLeaf": (_tamper_at("5"), "step 0: edge 5 is not a non-loop cycle edge"),
+    "atMissing": (_tamper_at("9"), "step 0: edge 9 is not a non-loop cycle edge"),
+    "atNumber": (_tamper_at(2), "step 0: edge 2 is not a non-loop cycle edge"),
 }
 
 

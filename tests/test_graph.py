@@ -6,7 +6,6 @@ from brauer_derive.graph import (
     DomainError,
     MalformedInput,
     ValidationError,
-    canonical_relabel,
     edge_count,
     loop_star,
     parse_graph,
@@ -14,7 +13,7 @@ from brauer_derive.graph import (
     validate,
 )
 
-from conftest import G_MIN_TEXT
+from conftest import G_MIN_TEXT, canonical_relabel
 
 
 def test_parse_loop_star_file():

@@ -14,9 +14,9 @@ from brauer_derive.linalg import (
     FieldMismatch,
     PrimeField,
     PrimeFieldElement,
+    SparseEchelon,
     det_int,
     exact_div,
-    nullspace,
 )
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import check_tilting, shrink_complex, verify_end_generators
@@ -138,7 +138,9 @@ def test_mixed_characteristic_raises_field_mismatch():
     for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y):
         with pytest.raises(FieldMismatch, match="mixed characteristic 2 and 3"):
             op(two, three)
-    assert two + 1 == PrimeField(2).zero  # ints still coerce
+    for op in (lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x * y, lambda x, y: x / y):
+        with pytest.raises(FieldMismatch, match="rational coefficient"):
+            op(two, 1)  # an int is a coefficient over Q, not of GF(2)
 
 
 def test_exact_div_gives_ints_or_fractions():
@@ -155,13 +157,17 @@ def test_exact_div_gives_ints_or_fractions():
         exact_div(1, 0)
 
 
-def test_nullspace_over_q_keeps_exact_fractions():
-    # x0 + 2 x1 = 0: the pivot is column 1, so its row is normalized by 2
-    (sol,) = nullspace([{0: 1, 1: 2}], 2)
-    assert sol == {0: 1, 1: Fraction(-1, 2)}
-    assert type(sol[0]) is int and type(sol[1]) is Fraction
-    (sol,) = nullspace([{0: 2, 1: 1}], 2)
-    assert sol == {0: 1, 1: -2} and all(type(c) is int for c in sol.values())
+def test_echelon_add_over_q_keeps_exact_fractions():
+    # x0 + 2 x1: the pivot is column 1, so the row is normalized by 2
+    ech = SparseEchelon()
+    assert ech.add({0: 1, 1: 2})
+    assert ech.pivots == {1: {0: Fraction(1, 2), 1: 1}}
+    assert type(ech.pivots[1][0]) is Fraction and type(ech.pivots[1][1]) is int
+    assert not ech.add({0: 3, 1: 6}) and ech.contains({0: -1, 1: -2})
+    ech = SparseEchelon()
+    ech.add({0: 2, 1: 1})
+    assert ech.pivots == {1: {0: 2, 1: 1}}
+    assert all(type(c) is int for c in ech.pivots[1].values())
 
 
 def _coefficients(A):

@@ -18,8 +18,6 @@ from brauer_derive.graph import (
     loop_star,
     parse_graph,
     serialize_graph,
-    structure_key,
-    canonical_relabel,
     validate,
 )
 from brauer_derive.linalg import PrimeField
@@ -32,6 +30,8 @@ from brauer_derive.tilting import (
     shrink_complex,
     verify_end_generators,
 )
+
+from conftest import canonical_relabel, structure_key
 
 
 def random_one_loop_graph(rng, n_edges):

@@ -4,11 +4,9 @@ import pytest
 
 from brauer_derive.algebra import presentations_equal_on_basis
 from brauer_derive.graph import (
-    canonical_relabel,
     edge_count,
     loop_star,
     parse_graph,
-    structure_key,
 )
 from brauer_derive.reduction import (
     CertificateFailure,
@@ -17,7 +15,7 @@ from brauer_derive.reduction import (
     reduce_to_normal_form,
 )
 
-from conftest import algebra_for
+from conftest import algebra_for, canonical_relabel, structure_key
 
 
 def tree_edge_count(g):

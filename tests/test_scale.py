@@ -10,6 +10,10 @@ does not depend on the solver and is far from 0.
 Certified reductions of random graphs with 20 and 30 edges go through the
 CLI's JSON trace and are checked again from that artifact.
 
+Two scaling families go further: a chain of depth 24 and a fan of 20 leaf
+edges at one vertex.  Each gets the certificates above and a certified
+reduction through the CLI's JSON trace, over Q and GF(2).
+
 ``tilt-shrink --json`` on both graphs and both fields has golden SHA-256
 digests of its stdout, so the output at these sizes is pinned byte for byte.
 
@@ -76,9 +80,26 @@ def deep_tree(n_edges, seed, window=3):
     return graph_text(lists)
 
 
+def leaf_fan(leaves):
+    """Cycle edges 1 (the loop), 2 and 3; ``leaves`` leaf edges at the far
+    vertex of edge 2."""
+    lists = {"S": ["1", "1", "2", "3"], "v2": ["2"], "v3": ["3"]}
+    for k in range(4, 4 + leaves):
+        lists["v2"].append(str(k))
+        lists[f"v{k}"] = [str(k)]
+    return graph_text(lists)
+
+
+# the scaling families beyond the benchmark sizes
+SCALING = {
+    "chain24": chain_with_twigs(24, ()),
+    "fan20": leaf_fan(20),
+}
+
 GRAPHS = {
     "chain13_twigs": chain_with_twigs(13, twigs=(2, 7)),
     "deep18": deep_tree(18, seed=5),
+    **SCALING,
 }
 
 
@@ -88,6 +109,21 @@ def test_graph_shapes():
     tree = [z for z in chain.canonical_order if chain.is_tree_edge(z)]
     assert max(len(chain.tree_path(z)) for z in tree) == 14  # cycle edge + 13
     assert edge_count(parse_graph(GRAPHS["deep18"])) == 18
+    chain = parse_graph(SCALING["chain24"])
+    assert max(len(chain.tree_path(z)) for z in chain.canonical_order) == 25
+    fan = parse_graph(SCALING["fan20"])
+    assert edge_count(fan) == 23 and len(fan.trees["2"].edges) == 20
+
+
+def _assert_reduction_round_trip(text, field, tmp_path, capsys):
+    """reduce --certify --json, then load the trace and certify it again."""
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    flags = [] if field == QQ else ["--field", str(field.p)]
+    assert run(["reduce", str(path), "--certify", "--json", *flags]) == 0
+    trace = load_trace(json.loads(capsys.readouterr().out))
+    assert trace.n == edge_count(parse_graph(text)) and len(trace.steps) > 0
+    assert certify_trace(trace, field=field)
 
 
 @pytest.mark.slow
@@ -101,7 +137,7 @@ def test_shrink_certificate_at_benchmark_size(name, field):
     assert cert.valid and set(cert.hom_vanishing.values()) == {0}
     assert verify_end_generators(Q)
     T = Q.direct_sum()
-    assert homotopy_hom(T, T, 0).dimension == end_cartan(Q).dim
+    assert homotopy_hom(T, T, 0) == end_cartan(Q).dim
 
 
 # "graph flags": SHA-256 of the stdout of ``tilt-shrink FILE --json flags``
@@ -129,13 +165,15 @@ def test_shrink_json_digest_at_benchmark_size(key, tmp_path, capsys):
 @pytest.mark.parametrize("n", [20, 30])
 def test_certified_reduction_round_trip(n, field, tmp_path, capsys):
     g = random_one_loop_graph(random.Random(7), n)
-    path = tmp_path / "g.json"
-    path.write_text(serialize_graph(g), encoding="utf-8")
-    flags = [] if field == QQ else ["--field", str(field.p)]
-    assert run(["reduce", str(path), "--certify", "--json", *flags]) == 0
-    trace = load_trace(json.loads(capsys.readouterr().out))
-    assert trace.n == n and len(trace.steps) > 0
-    assert certify_trace(trace, field=field)
+    assert edge_count(g) == n
+    _assert_reduction_round_trip(serialize_graph(g), field, tmp_path, capsys)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+@pytest.mark.parametrize("name", sorted(SCALING))
+def test_scaling_family_reduction_round_trip(name, field, tmp_path, capsys):
+    _assert_reduction_round_trip(SCALING[name], field, tmp_path, capsys)
 
 
 @pytest.mark.slow

@@ -1,7 +1,7 @@
 """Static checks on ``src/brauer_derive`` with the stdlib ``ast`` module: no
 module (``__init__.py`` aside, which re-exports) imports a name it never
-uses, and every private top-level function or class is referenced
-somewhere in the package outside its own body."""
+uses, and every top-level function or class is referenced somewhere in the
+package outside its own body and outside ``__init__.py``."""
 import ast
 from pathlib import Path
 
@@ -42,11 +42,15 @@ def unused_imports(sources):
 
 
 def orphan_helpers(sources):
-    """(module, name) for every private top-level function or class that no
-    code in the package refers to outside its own definition."""
+    """(module, name) for every top-level function or class that no code in
+    the package refers to outside its own definition.  A re-export in
+    ``__init__.py`` is not a use: a public name that only tests or other
+    callers outside the package read belongs next to those callers."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     counts = {}
-    for tree in trees.values():
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
         for name in _names(tree):
             counts[name] = counts.get(name, 0) + 1
     found = []
@@ -55,7 +59,7 @@ def orphan_helpers(sources):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if not name.startswith("_") or name.startswith("__"):
+            if name.startswith("__"):
                 continue
             if counts.get(name, 0) == _names(node).count(name):
                 found.append((module, name))
@@ -70,7 +74,7 @@ def test_no_unused_imports():
     assert unused_imports(_package_sources()) == []
 
 
-def test_no_orphan_private_helpers():
+def test_no_orphan_helpers():
     assert orphan_helpers(_package_sources()) == []
 
 
@@ -78,5 +82,7 @@ def test_checks_flag_injected_faults():
     sources = _package_sources()
     sources["linalg.py"] += "\nimport itertools\nfrom math import gcd\n"
     sources["tilting.py"] += "\n\ndef _stray(x):\n    return _stray(x - 1) if x else 0\n"
+    sources["graph.py"] += "\n\nclass Stray:\n    pass\n"
+    sources["__init__.py"] += "\nfrom .graph import Stray\n"
     assert unused_imports(sources) == [("linalg.py", "itertools"), ("linalg.py", "gcd")]
-    assert orphan_helpers(sources) == [("tilting.py", "_stray")]
+    assert orphan_helpers(sources) == [("graph.py", "Stray"), ("tilting.py", "_stray")]
