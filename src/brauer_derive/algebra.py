@@ -10,10 +10,12 @@ socle-deformed comparison algebra on the same quiver.
 ``quotient_basis`` turns a presentation into exact structure: a normal-form
 basis for every ordered pair of vertices, a reduction map for paths, and
 structure constants over the rationals (or a prime field).  Completion of
-the relations is bounded by cap + margin; a finite-dimensionality witness
-(no surviving word of length cap) and invariance of the dimensions under
-margin + 1 are both checked, failing with ``NotStabilized`` rather than
-returning unstable numbers.  The finished basis is then checked against the
+the relations starts at the length bound cap + margin and grows it until no
+overlap is discarded; such a completion is confluent, so by Bergman's
+diamond lemma (Adv. Math. 29, 1978) its normal words are a basis.  With the
+finite-dimensionality witness (no normal word of length cap) the basis is
+proven; a bound that reaches its ceiling or a surviving word of length cap
+raises ``NotStabilized``.  The finished basis is then checked against the
 closed form of the Cartan matrix of the presentation's graph,
 C_ij = sum over graph vertices v of a_i(v) * a_j(v), with a_i(v) the number
 of half-edges of edge i at v (two for the loop); a mismatch raises
@@ -25,7 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 from . import rewriting
 from .linalg import QQ, det_int, vec_add_scaled
@@ -56,7 +57,7 @@ class PathElement:
 
     source: str
     target: str
-    terms: tuple  # ((arrow_name, ...), Fraction) pairs, deterministic order
+    terms: tuple  # ((arrow_name, ...), int or Fraction) pairs, deterministic order
 
     @staticmethod
     def from_dict(source, target, d):
@@ -113,7 +114,7 @@ def _word_element(q, arrows, coeffs):
     for word, c in zip(arrows, coeffs):
         if q.by_name[word[0]].source != src or q.by_name[word[-1]].target != tgt:
             raise ValueError("relation terms are not source/target homogeneous")
-        d[tuple(word)] = d.get(tuple(word), Fraction(0)) + Fraction(c)
+        d[tuple(word)] = d.get(tuple(word), 0) + c
     return PathElement.from_dict(src, tgt, d)
 
 
@@ -544,8 +545,8 @@ def _relation_combos(p: Presentation, field):
     return combos
 
 
-def _block_words(q, levels, cap):
-    """Normal words of length <= cap by block (source, target).
+def _block_words(q, levels):
+    """Normal words by block (source, target).
 
     Keys come in ``q.vertices`` order (the canonical order), and each block's
     words in ``order_key`` order: levels ascend in length, and within a level
@@ -553,9 +554,7 @@ def _block_words(q, levels, cap):
     the previous level in order by arrows of ascending id.
     """
     blocks = {(i, j): [] for i in q.vertices for j in q.vertices}
-    for length, level in enumerate(levels):
-        if length > cap:
-            break
+    for level in levels:
         for src, word in level:
             tgt = src if not word else q.arrows[word[-1]].target
             blocks[(src, tgt)].append(word)
@@ -582,12 +581,11 @@ def _check_half_edge_cartan(q, blocks):
 
 def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> QuotientAlgebra:
     if not p.admissible():
-        raise ValueError("presentation is not admissible (a relation has length < 2)")
+        raise rewriting.NotAdmissible("presentation has a relation word of length < 2")
     q = p.quiver
     dcap, dmargin = _default_bounds(q)
     cap = dcap if cap is None else cap
     margin = dmargin if margin is None else margin
-    bound = cap + margin
     src = tuple(a.source for a in q.arrows)
     tgt = tuple(a.target for a in q.arrows)
     by_source = {}
@@ -595,33 +593,23 @@ def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> Quotient
         by_source.setdefault(a.source, []).append(i)
     combos = _relation_combos(p, field)
 
-    def run(limit):
-        try:
-            rs, truncated = rewriting.complete(combos, src, tgt, field, limit)
-        except rewriting.NotAdmissible as exc:
-            raise ValueError(f"ideal is not admissible: {exc}") from None
-        levels = rewriting.normal_words(rs, q.vertices, by_source, limit)
-        return rs, truncated, levels
-
-    rs, truncated, levels = run(bound)
+    # Only an untruncated completion is confluent, so the length bound grows
+    # until one is reached.  The ceiling only limits the work: past it this
+    # fails closed with NotStabilized and never accepts a truncated system.
+    for bound in range(cap + margin, max(cap + margin, 2 * cap) + 1):
+        rs, truncated = rewriting.complete(combos, src, tgt, field, bound)
+        if not truncated:
+            break
+    else:
+        raise NotStabilized(
+            f"completion truncated up to length {bound}; raise cap (cap={cap}, margin={margin})"
+        )
+    levels = rewriting.normal_words(rs, q.vertices, by_source, cap)
     if len(levels) > cap:
         raise NotStabilized(
             f"normal words of length {cap} survive; raise cap (cap={cap}, margin={margin})"
         )
-    if truncated:
-        rs2, _, levels2 = run(bound + 1)
-        if len(levels2) > cap:
-            raise NotStabilized(
-                f"normal words of length {cap} survive at margin+1; raise cap"
-            )
-        dims = [sorted((s, w) for s, w in lvl) for lvl in levels]
-        dims2 = [sorted((s, w) for s, w in lvl) for lvl in levels2]
-        if dims != dims2:
-            raise NotStabilized(
-                f"basis changed when margin increased (cap={cap}, margin={margin})"
-            )
-        rs, levels = rs2, levels2
-    blocks = _block_words(q, levels, cap)
+    blocks = _block_words(q, levels)
     _check_half_edge_cartan(q, blocks)
     return QuotientAlgebra(p, cap, margin, field, rs, blocks)
 

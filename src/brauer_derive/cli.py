@@ -41,6 +41,7 @@ from .homological import ChainMapFailure, NotAComplex
 from .linalg import FieldMismatch, parse_field
 from .quiver import build_quiver, quiver_to_dot
 from .reduction import certify_trace, classify, load_trace, reduce_to_normal_form
+from .rewriting import NotAdmissible
 from .tilting import (
     CertificateFailure,
     EmptyTree,
@@ -470,6 +471,7 @@ def run(argv) -> int:
         QuiverMismatch,
         CartanMismatch,
         FieldMismatch,
+        NotAdmissible,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -112,6 +112,10 @@ class PrimeFieldElement:
                 return NotImplemented
         return PrimeFieldElement((self.value - other.value) % self.p, self.p)
 
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
+
     def __neg__(self):
         return PrimeFieldElement(-self.value % self.p, self.p)
 
@@ -132,6 +136,10 @@ class PrimeFieldElement:
             return self
         inv = pow(other.value, -1, self.p)
         return PrimeFieldElement((self.value * inv) % self.p, self.p)
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else other / self
 
     def __bool__(self):
         return self.value % self.p != 0

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from brauer_derive import cli, reduction, rewriting, tilting
-from brauer_derive.algebra import CartanMismatch, a_n_presentation, quotient_basis
+from brauer_derive.algebra import (
+    CartanMismatch,
+    Presentation,
+    _word_element,
+    a_n_presentation,
+    quotient_basis,
+)
 from brauer_derive.cli import EXIT_CERTIFICATE, EXIT_INVALID, EXIT_OK, build_parser, run
 from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
@@ -336,6 +342,18 @@ def test_basis_off_the_half_edge_cartan_is_certificate_failure(capsys, monkeypat
         quotient_basis(a_n_presentation(3))
     assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
     assert "CartanMismatch: block" in capsys.readouterr().err
+
+
+def test_non_admissible_presentation_is_certificate_failure(capsys, monkeypatch):
+    """The CLI completes only presentations the program built, so one with
+    a relation word of length 1 is an engine fault: exit 3, not exit 1."""
+
+    def length_one(q):
+        return Presentation(q, (_word_element(q, [(q.loop_arrow.name,)], [1]),))
+
+    monkeypatch.setattr(cli, "omega_relations", length_one)
+    assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
+    assert "NotAdmissible: presentation has a relation word" in capsys.readouterr().err
 
 
 def test_mixed_characteristic_is_certificate_failure(capsys, monkeypatch):

@@ -138,9 +138,21 @@ def test_mixed_characteristic_raises_field_mismatch():
     for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y):
         with pytest.raises(FieldMismatch, match="mixed characteristic 2 and 3"):
             op(two, three)
-    for op in (lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x * y, lambda x, y: x / y):
+    for op in (
+        lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x * y, lambda x, y: x / y,
+        lambda x, y: y - x, lambda x, y: y / x,
+    ):
         with pytest.raises(FieldMismatch, match="rational coefficient"):
             op(two, 1)  # an int is a coefficient over Q, not of GF(2)
+
+
+def test_reflected_operators_compute_in_the_field():
+    """``__rsub__`` and ``__rtruediv__`` give other - self and other / self
+    once the left operand coerces (the int case above raises instead)."""
+    F = PrimeField(5)
+    two, three = F.from_int(2), F.from_int(3)
+    assert two.__rsub__(three) == F.from_int(1) and three.__rsub__(two) == F.from_int(4)
+    assert three.__rtruediv__(two) == F.from_int(4)  # 2 = 4 * 3 mod 5
 
 
 def test_exact_div_gives_ints_or_fractions():

@@ -1,7 +1,8 @@
 """Static checks on ``src/brauer_derive`` with the stdlib ``ast`` module: no
 module (``__init__.py`` aside, which re-exports) imports a name it never
-uses, and every top-level function or class is referenced somewhere in the
-package outside its own body and outside ``__init__.py``."""
+uses, every top-level function or class is referenced somewhere in the
+package outside its own body and outside ``__init__.py``, and every
+exception class the package raises has an exit code in ``cli.run``."""
 import ast
 from pathlib import Path
 
@@ -66,6 +67,57 @@ def orphan_helpers(sources):
     return found
 
 
+# Programming errors that no input can cause, so ``cli.run`` maps them to no
+# exit code and a traceback is the right report.
+UNMAPPED = {
+    "AttributeError": "assignment to a frozen PrimeFieldElement",
+    "TypeError": "_json_key given a key that json cannot write",
+}
+
+
+def _class_name(node):
+    """The class an exception expression names: ``X`` for ``X``, ``X(...)``
+    and ``module.X(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def unmapped_exceptions(sources, allowed=UNMAPPED):
+    """(module, name) for every exception class raised in the package that
+    is not in ``allowed`` and that neither it nor a base class defined in the
+    package is caught by an ``except`` clause of ``cli.run``."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    bases = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_class_name(b) for b in node.bases]
+    run = next(
+        node for node in trees["cli.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "run"
+    )
+    caught = set()
+    for node in ast.walk(run):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(_class_name(t) for t in types)
+
+    def handled(name):
+        return name in caught or any(handled(b) for b in bases.get(name, ()))
+
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                name = _class_name(node.exc)
+                if not handled(name) and name not in allowed:
+                    found.add((module, name))
+    return sorted(found)
+
+
 def _package_sources():
     return {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -78,6 +130,15 @@ def test_no_orphan_helpers():
     assert orphan_helpers(_package_sources()) == []
 
 
+def test_every_raised_exception_has_an_exit_code():
+    sources = _package_sources()
+    assert unmapped_exceptions(sources) == []
+    # each allow-list entry is still raised and still unmapped
+    assert unmapped_exceptions(sources, allowed=()) == [
+        ("cli.py", "TypeError"), ("linalg.py", "AttributeError"),
+    ]
+
+
 def test_checks_flag_injected_faults():
     sources = _package_sources()
     sources["linalg.py"] += "\nimport itertools\nfrom math import gcd\n"
@@ -86,3 +147,18 @@ def test_checks_flag_injected_faults():
     sources["__init__.py"] += "\nfrom .graph import Stray\n"
     assert unused_imports(sources) == [("linalg.py", "itertools"), ("linalg.py", "gcd")]
     assert orphan_helpers(sources) == [("graph.py", "Stray"), ("tilting.py", "_stray")]
+
+
+def test_exit_code_check_flags_injected_faults():
+    sources = _package_sources()
+    sources["graph.py"] += (
+        "\n\nclass StrayError(Exception):\n    pass\n"
+        "\n\nclass MalformedRow(MalformedInput):\n    pass\n"
+        "\n\ndef _stray(x):\n    if x:\n        raise StrayError(x)\n"
+        "    raise MalformedRow(x)\n"
+    )
+    sources["linalg.py"] += "\n\ndef _lookup(d, k):\n    raise KeyError(k)\n"
+    sources["cli.py"] = sources["cli.py"].replace("        FieldMismatch,\n", "", 1)
+    assert unmapped_exceptions(sources) == [
+        ("graph.py", "StrayError"), ("linalg.py", "FieldMismatch"), ("linalg.py", "KeyError"),
+    ]
