@@ -51,6 +51,16 @@ class QuiverMismatch(Exception):
     """Operation mixing algebras over different quivers."""
 
 
+class InhomogeneousRelation(Exception):
+    """A relation built here has terms with different sources or targets:
+    an engine fault."""
+
+
+class FactorMismatch(Exception):
+    """A basis word w is not the class of w[:-1] times its last arrow, so
+    arrow actions do not determine the products: an engine fault."""
+
+
 @dataclass(frozen=True)
 class PathElement:
     """Formal rational combination of composable paths, written left to right."""
@@ -113,7 +123,7 @@ def _word_element(q, arrows, coeffs):
     d = {}
     for word, c in zip(arrows, coeffs):
         if q.by_name[word[0]].source != src or q.by_name[word[-1]].target != tgt:
-            raise ValueError("relation terms are not source/target homogeneous")
+            raise InhomogeneousRelation("relation terms are not source/target homogeneous")
         d[tuple(word)] = d.get(tuple(word), 0) + c
     return PathElement.from_dict(src, tgt, d)
 
@@ -313,7 +323,10 @@ class QuotientAlgebra:
     positions, of the reduced coordinates of each product word, of product
     tables, of products with basis elements and of the Cartan matrix (which
     caches its determinant).  These only ever fill in deterministic values,
-    so concurrent reads (reduce, multiply, cartan) are safe.
+    so concurrent reads (reduce, multiply, cartan) are safe.  Product tables
+    serve the homological layer (``multiply``, ``times_basis``,
+    ``basis_times``); the socle and the comparison of two algebras read
+    arrow actions instead (``arrow_rows``, ``socle_words``).
 
     ``blocks`` is taken in the order given, as ``_block_words`` emits it:
     keys in the canonical vertex order, words in ``order_key`` order.
@@ -435,7 +448,8 @@ class QuotientAlgebra:
     def _product_table(self, i, j, k):
         """table[l][r]: (position, coefficient) pairs of the product of basis
         words l of block (i, j) and r of block (j, k).  Each product word's
-        pairs are computed once per block (i, k) and shared between tables."""
+        pairs are computed once per block (i, k) and shared between tables.
+        Only ``multiply``, ``times_basis`` and ``basis_times`` read them."""
         key = (i, j, k)
         table = self._products.get(key)
         if table is not None:
@@ -497,29 +511,71 @@ class QuotientAlgebra:
         rows = tuple(tuple(len(blocks.get((i, j), ())) for j in order) for i in order)
         return CartanMatrix(order, rows)
 
+    @cached_property
+    def _arrows_at(self):
+        """({vertex: ids of the arrows out of it}, {vertex: (id, source) of
+        the arrows into it})."""
+        out, into = {}, {}
+        for a, arrow in enumerate(self.quiver.arrows):
+            out.setdefault(arrow.source, []).append(a)
+            into.setdefault(arrow.target, []).append((a, arrow.source))
+        return out, into
+
+    def _class(self, source, word):
+        """{word: coefficient} of the class of a path from source: its normal
+        form with the dropped words removed.  Do not mutate the result."""
+        nf = self._rsys.nf_word(word)
+        if not self.dropped:
+            return nf
+        return {u: c for u, c in nf.items() if (source, u) not in self.dropped}
+
+    def _word_text(self, source, word):
+        return "*".join(self.arrow_names[a] for a in word) if word else f"e_{source}"
+
+    def arrow_rows(self):
+        """{(i, w, a): class of w * a} for every basis word w of every block
+        (i, j) and every arrow id a out of j.
+
+        Every non-empty basis word w must be the class of w[:-1] * w[-1],
+        else ``FactorMismatch``.  With that, x * (y'a) = (x * y') * a gives
+        every product of basis words from these rows by induction on the
+        length of the right factor, so two algebras with equal blocks and
+        equal rows have equal products.  The check runs on every call.
+        """
+        out, _ = self._arrows_at
+        rows = {}
+        for (i, j), words in self.blocks.items():
+            for w in words:
+                for a in out.get(j, ()):
+                    rows[(i, w, a)] = self._class(i, w + (a,))
+        one = self.field.one
+        for (i, j), words in self.blocks.items():
+            for w in words:
+                if w and rows.get((i, w[:-1], w[-1])) != {w: one}:
+                    raise FactorMismatch(
+                        f"basis word {self._word_text(i, w)} of block ({i},{j}) is not "
+                        "the class of its prefix times its last arrow"
+                    )
+        return rows
+
     def socle_words(self):
         """Basis classes killed by every arrow on both sides."""
-        out = []
-        arrows = [(a, self.arrow_element(a.name)) for a in self.quiver.arrows]
+        out, into = self._arrows_at
+        found = []
         for (i, j), words in self.blocks.items():
-            for pos, w in enumerate(words):
-                coeffs = [self.field.zero] * len(words)
-                coeffs[pos] = self.field.one
-                x = AlgebraElement(self, i, j, coeffs)
-                if all(not (x * y) for a, y in arrows if a.source == j) and all(
-                    not (y * x) for a, y in arrows if a.target == i
+            for w in words:
+                if not any(self._class(i, w + (a,)) for a in out.get(j, ())) and not any(
+                    self._class(s, (a,) + w) for a, s in into.get(i, ())
                 ):
-                    out.append((i, w))
-        return out
+                    found.append((i, w))
+        return found
 
     def basis_table(self) -> str:
         lines = []
         for (i, j), words in self.blocks.items():
             if not words:
                 continue
-            names = []
-            for w in words:
-                names.append("*".join(self.arrow_names[a] for a in w) if w else f"e_{i}")
+            names = [self._word_text(i, w) for w in words]
             lines.append(f"({i},{j}): " + ", ".join(names))
         return "\n".join(lines)
 
@@ -623,21 +679,17 @@ def socle_quotient(A: QuotientAlgebra) -> QuotientAlgebra:
 
 
 def presentations_equal_on_basis(A: QuotientAlgebra, B: QuotientAlgebra) -> bool:
-    """Equal normal-form bases and equal products of basis elements, read
-    from the two algebras' product tables."""
+    """Equal normal-form bases and equal products of basis elements.
+
+    Products are compared through ``arrow_rows``: on equal blocks, equal
+    right arrow actions give equal products (see there).  The dropped words
+    of a socle quotient span a two-sided ideal, so both algebras are
+    associative and the induction holds for them too.
+    """
     qa, qb = A.quiver, B.quiver
     if qa.vertices != qb.vertices or [
         (a.name, a.source, a.target, a.camp) for a in qa.arrows
     ] != [(a.name, a.source, a.target, a.camp) for a in qb.arrows]:
         raise QuiverMismatch("algebras live over different quivers")
-    if A.blocks != B.blocks:
-        return False
-    for (i, j), left in A.blocks.items():
-        for k in A.vertices:
-            if not (left and A.block(j, k)):
-                continue
-            rows = zip(A._product_table(i, j, k), B._product_table(i, j, k))
-            # equal entry tuples are equal products; others may differ in order only
-            if any(x != y and dict(x) != dict(y) for ra, rb in rows for x, y in zip(ra, rb)):
-                return False
-    return True
+    rows_a, rows_b = A.arrow_rows(), B.arrow_rows()
+    return A.blocks == B.blocks and rows_a == rows_b

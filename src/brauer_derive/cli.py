@@ -18,6 +18,8 @@ from . import __version__
 from .algebra import (
     CartanMismatch,
     CompositionMismatch,
+    FactorMismatch,
+    InhomogeneousRelation,
     NotStabilized,
     QuiverMismatch,
     a_n_presentation,
@@ -39,7 +41,7 @@ from .graph import (
 )
 from .homological import ChainMapFailure, NotAComplex
 from .linalg import FieldMismatch, parse_field
-from .quiver import build_quiver, quiver_to_dot
+from .quiver import UnknownCamp, build_quiver, quiver_to_dot
 from .reduction import certify_trace, classify, load_trace, reduce_to_normal_form
 from .rewriting import NotAdmissible
 from .tilting import (
@@ -383,9 +385,21 @@ def cmd_an(args):
     return _builder_report(args, "an")
 
 
+def _cap(text):
+    """argparse type of --cap: an int of at least 1, as no smaller length
+    bound can certify a basis."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"argument --cap: expected an int of at least 1, got {text!r}")
+    return cap
+
+
 _FILE = (("file",), {})
 _ALGEBRA = (
-    (("--cap",), {"type": int, "default": None, "help": "path length bound"}),
+    (("--cap",), {"type": _cap, "default": None, "help": "path length bound (>= 1)"}),
     (("--margin",), {"type": int, "default": None, "help": "length slack"}),
     (("--field",), {"default": None, "help": "rationals (default) or a prime"}),
 )
@@ -472,6 +486,9 @@ def run(argv) -> int:
         CartanMismatch,
         FieldMismatch,
         NotAdmissible,
+        FactorMismatch,
+        InhomogeneousRelation,
+        UnknownCamp,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

@@ -21,6 +21,10 @@ ALPHA = "alpha"
 BETA = "beta"
 
 
+class UnknownCamp(Exception):
+    """A camp other than alpha or beta reached the quiver: an engine fault."""
+
+
 @dataclass(frozen=True)
 class Arrow:
     name: str
@@ -148,7 +152,7 @@ def cycle_at(q: BrauerQuiver, v: str, camp: str) -> CycleWord:
     vertex; trivial cycles give the empty word.
     """
     if camp not in (ALPHA, BETA):
-        raise ValueError(f"camp must be {ALPHA!r} or {BETA!r}")
+        raise UnknownCamp(f"camp must be {ALPHA!r} or {BETA!r}, got {camp!r}")
     outgoing = q.alpha_out if camp == ALPHA else q.beta_out
     if v not in outgoing:
         return CycleWord(v, ())

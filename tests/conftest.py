@@ -2,7 +2,12 @@
 canonical relabelling that compares graphs up to edge names."""
 import pytest
 
-from brauer_derive.algebra import omega_relations, quotient_basis
+from brauer_derive.algebra import (
+    AlgebraElement,
+    QuiverMismatch,
+    omega_relations,
+    quotient_basis,
+)
 from brauer_derive.graph import (
     BrauerGraph,
     GraphVertex,
@@ -97,3 +102,46 @@ def corpus():
 @pytest.fixture(scope="session")
 def g_min():
     return parse_graph(G_MIN_TEXT)
+
+
+# Test-only oracles: the product-table comparison and the product-based
+# socle that ``presentations_equal_on_basis`` and ``socle_words`` replaced
+# with arrow actions.
+
+
+def products_equal_oracle(A, B):
+    """Equal normal-form bases and equal products of basis elements, read
+    from every (i, j, k) product table of both algebras."""
+    qa, qb = A.quiver, B.quiver
+    if qa.vertices != qb.vertices or [
+        (a.name, a.source, a.target, a.camp) for a in qa.arrows
+    ] != [(a.name, a.source, a.target, a.camp) for a in qb.arrows]:
+        raise QuiverMismatch("algebras live over different quivers")
+    if A.blocks != B.blocks:
+        return False
+    for (i, j), left in A.blocks.items():
+        for k in A.vertices:
+            if not (left and A.block(j, k)):
+                continue
+            rows = zip(A._product_table(i, j, k), B._product_table(i, j, k))
+            # equal entry tuples are equal products; others may differ in order only
+            if any(x != y and dict(x) != dict(y) for ra, rb in rows for x, y in zip(ra, rb)):
+                return False
+    return True
+
+
+def socle_words_oracle(A):
+    """Basis classes x with x * a = 0 and a * x = 0 for every arrow a, from
+    products of algebra elements."""
+    out = []
+    arrows = [(a, A.arrow_element(a.name)) for a in A.quiver.arrows]
+    for (i, j), words in A.blocks.items():
+        for pos, w in enumerate(words):
+            coeffs = [A.field.zero] * len(words)
+            coeffs[pos] = A.field.one
+            x = AlgebraElement(A, i, j, coeffs)
+            if all(not (x * y) for a, y in arrows if a.source == j) and all(
+                not (y * x) for a, y in arrows if a.target == i
+            ):
+                out.append((i, w))
+    return out

@@ -6,12 +6,15 @@ to a length bound, impose every bounded two-sided multiple of every
 relation, and row-reduce over the rationals with an elementary eliminator
 kept independent of the package's rewriting engine.
 """
+import random
 from fractions import Fraction
 
 import pytest
 
 from brauer_derive.algebra import (
     CompositionMismatch,
+    PathElement,
+    Presentation,
     a_n_presentation,
     omega_relations,
     presentations_equal_on_basis,
@@ -19,10 +22,11 @@ from brauer_derive.algebra import (
     socle_quotient,
 )
 from brauer_derive.graph import loop_star, parse_graph
-from brauer_derive.linalg import PrimeField
+from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
 
-from conftest import G_MIN_TEXT, algebra_for
+from conftest import G_MIN_TEXT, algebra_for, products_equal_oracle, socle_words_oracle
+from test_random_graphs import random_one_loop_graph
 
 
 # -- brute-force oracle ------------------------------------------------
@@ -258,8 +262,6 @@ def test_associativity_exhaustive_small(n):
 
 
 def test_associativity_random(g_min):
-    import random
-
     rng = random.Random(7)
     A = algebra_for(loop_star(5))
     verts = A.vertices
@@ -273,8 +275,6 @@ def test_associativity_random(g_min):
 
 
 def test_idempotent_grading(corpus):
-    import random
-
     rng = random.Random(3)
     for g in list(corpus.values())[:4]:
         A = algebra_for(g)
@@ -425,3 +425,109 @@ def test_multiply_operation_surface():
         right = alpha * beta
         assert left.coeffs == tuple(-c for c in right.coeffs)
         assert not left.is_zero()
+
+
+# -- arrow actions against the product-table oracle --------------------
+
+FIELDS = {"Q": QQ, "GF(2)": PrimeField(2), "GF(3)": PrimeField(3)}
+
+
+def _agree(A, B):
+    """presentations_equal_on_basis(A, B), asserted equal to the oracle's answer."""
+    got = presentations_equal_on_basis(A, B)
+    assert got is products_equal_oracle(A, B)
+    return got
+
+
+def _socle(A):
+    """socle_quotient(A), after asserting that A's socle matches the oracle's."""
+    assert A.socle_words() == socle_words_oracle(A)
+    return socle_quotient(A)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize(
+    "n", [n if n < 10 else pytest.param(n, marks=pytest.mark.slow) for n in range(1, 15)]
+)
+def test_star_comparison_matches_oracle(n, field):
+    O = quotient_basis(omega_relations(build_quiver(loop_star(n))), field=FIELDS[field])
+    An = quotient_basis(a_n_presentation(n), field=FIELDS[field])
+    assert not _agree(O, An)
+    sO, sA = _socle(O), _socle(An)
+    assert _agree(sO, sA)
+    assert _agree(_socle(sO), _socle(sA))
+
+
+def _deformed(p):
+    """The socle deformation of omega_relations: the loop squares to zero."""
+    a1 = p.quiver.loop_arrow.name
+    rels = tuple(
+        PathElement.from_dict(r.source, r.target, {(a1, a1): Fraction(1)})
+        if (a1, a1) in r.words() else r
+        for r in p.relations
+    )
+    return Presentation(p.quiver, rels)
+
+
+def _sign_flipped(p):
+    """omega_relations with a1*B + B*a1 = 0 made a1*B - B*a1 = 0, B the
+    beta cycle at the loop vertex: the same words, other products outside
+    characteristic 2."""
+    *rels, last = p.relations
+    terms = dict(last.terms)
+    word = next(w for w in terms if w[-1] == p.quiver.loop_arrow.name)
+    terms[word] = -terms[word]
+    return Presentation(p.quiver, (*rels, PathElement.from_dict(last.source, last.target, terms)))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("seed", range(8))
+def test_random_graph_comparison_matches_oracle(seed, field):
+    rng = random.Random(seed)
+    g = random_one_loop_graph(rng, rng.randint(3, 14))
+    F = FIELDS[field]
+    p = omega_relations(build_quiver(g))
+    A = quotient_basis(p, field=F)
+    sA = _socle(A)
+    D = quotient_basis(_deformed(p), field=F)
+    assert not _agree(A, D)
+    assert _agree(sA, _socle(D))
+    S = quotient_basis(_sign_flipped(p), field=F)
+    assert A.blocks == S.blocks
+    assert _agree(A, S) is (field == "GF(2)")
+    assert _agree(sA, _socle(S))
+    assert _agree(A, A) and _agree(sA, sA)
+
+
+def test_perturbed_relation_changes_the_socle_quotient():
+    """Over GF(2), the relation a1*a1 of A(2) given the term b1*b2 (its
+    coefficient perturbed from 0 to 1) keeps every basis word of the socle
+    quotient but not its products."""
+    F = PrimeField(2)
+    p = a_n_presentation(2)
+    r = next(r for r, rel in enumerate(p.relations) if rel.words() == [("a_1", "a_1")])
+    rels = list(p.relations)
+    rels[r] = PathElement.from_dict(
+        "1", "1", {("a_1", "a_1"): Fraction(1), ("b_1", "b_2"): Fraction(1)}
+    )
+    base = socle_quotient(quotient_basis(p, field=F))
+    mutant = _socle(quotient_basis(Presentation(p.quiver, tuple(rels)), field=F))
+    assert base.blocks == mutant.blocks
+    assert not _agree(base, mutant)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_perturbed_coefficient_changes_the_full_algebra(n):
+    """Omega(n) with the coefficient of a1*a1 doubled keeps every basis word
+    but not the products; the socle quotient does not see it."""
+    p = omega_relations(build_quiver(loop_star(n)))
+    r, rel = next((r, rel) for r, rel in enumerate(p.relations) if ("a_1", "a_1") in rel.words())
+    terms = dict(rel.terms)
+    terms[("a_1", "a_1")] *= 2
+    rels = list(p.relations)
+    rels[r] = PathElement.from_dict(rel.source, rel.target, terms)
+    A, B = quotient_basis(p), quotient_basis(Presentation(p.quiver, tuple(rels)))
+    assert A.blocks == B.blocks
+    assert not _agree(A, B)
+    assert _agree(_socle(A), _socle(B))
+

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from brauer_derive import cli, reduction, rewriting, tilting
+from brauer_derive import algebra, cli, reduction, rewriting, tilting
 from brauer_derive.algebra import (
     CartanMismatch,
     Presentation,
@@ -14,7 +14,14 @@ from brauer_derive.algebra import (
     a_n_presentation,
     quotient_basis,
 )
-from brauer_derive.cli import EXIT_CERTIFICATE, EXIT_INVALID, EXIT_OK, build_parser, run
+from brauer_derive.cli import (
+    EXIT_CERTIFICATE,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    run,
+)
 from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
 from brauer_derive.linalg import PrimeField
@@ -293,6 +300,22 @@ def test_not_stabilized_exit_code(capsys):
     assert "NotStabilized" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-2", "x"])
+def test_cap_below_one_is_a_usage_error(cap, g_min_file, tmp_path, capsys):
+    """No length bound below 1 can certify a basis, so --cap rejects it at
+    parse time on every command that builds an algebra."""
+    trace = tmp_path / "trace.json"
+    assert run(["reduce", g_min_file, "--certify", "--json"]) == EXIT_OK
+    trace.write_text(capsys.readouterr().out, encoding="utf-8")
+    for argv in (
+        ["cartan", "--omega", "3"], ["an", "3", "--compare-socle"],
+        ["reduce", g_min_file], ["verify", str(trace)],
+    ):
+        assert run([*argv, "--cap", cap]) == EXIT_USAGE, argv
+        assert "usage error: argument --cap" in capsys.readouterr().err
+    assert run(["cartan", "--omega", "3", "--margin", "-3"]) == EXIT_OK
+
+
 def test_non_commuting_chain_map_is_certificate_failure(tmp_path, capsys, monkeypatch):
     """A chain map the program builds wrongly is a certificate failure (exit
     3), not invalid input (exit 1)."""
@@ -354,6 +377,40 @@ def test_non_admissible_presentation_is_certificate_failure(capsys, monkeypatch)
     monkeypatch.setattr(cli, "omega_relations", length_one)
     assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
     assert "NotAdmissible: presentation has a relation word" in capsys.readouterr().err
+
+
+def test_inhomogeneous_relation_is_certificate_failure(capsys, monkeypatch):
+    """A relation the program built with terms in different blocks is an
+    engine fault: exit 3, not exit 1."""
+
+    def inhomogeneous(q):  # b_1 leaves vertex 1, b_2 vertex 2
+        return Presentation(q, (_word_element(q, [("b_1",), ("b_2",)], [1, 1]),))
+
+    monkeypatch.setattr(cli, "omega_relations", inhomogeneous)
+    assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
+    assert "InhomogeneousRelation: relation terms are not" in capsys.readouterr().err
+
+
+def test_unknown_camp_is_certificate_failure(capsys, monkeypatch):
+    """cycle_at given a camp the quiver does not have is an engine fault:
+    exit 3, not exit 1."""
+    monkeypatch.setattr(algebra, "BETA", "gamma")
+    assert run(["an", "3"]) == EXIT_CERTIFICATE
+    assert "UnknownCamp: camp must be 'alpha' or 'beta', got 'gamma'" in capsys.readouterr().err
+
+
+def test_broken_factor_fails_the_socle_comparison(capsys, monkeypatch):
+    """A normal form that breaks w = w'a for one basis word w voids the
+    arrow-action comparison: exit 3, naming the word."""
+    nf_word = rewriting.RewriteSystem.nf_word
+    ids = {a.name: k for k, a in enumerate(a_n_presentation(3).quiver.arrows)}
+    word = (ids["a_1"], ids["b_1"])
+    monkeypatch.setattr(
+        rewriting.RewriteSystem, "nf_word", lambda rs, w: {} if w == word else nf_word(rs, w)
+    )
+    assert run(["an", "3", "--compare-socle"]) == EXIT_CERTIFICATE
+    err = capsys.readouterr().err
+    assert "FactorMismatch: basis word a_1*b_1 of block (1,2) is not the class" in err
 
 
 def test_mixed_characteristic_is_certificate_failure(capsys, monkeypatch):
