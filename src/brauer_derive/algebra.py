@@ -321,9 +321,10 @@ class QuotientAlgebra:
 
     Completed algebras are immutable apart from internal caches of block
     positions, of the reduced coordinates of each product word, of product
-    tables, of products with basis elements and of the Cartan matrix (which
-    caches its determinant).  These only ever fill in deterministic values,
-    so concurrent reads (reduce, multiply, cartan) are safe.  Product tables
+    tables, of products with basis elements, of the coordinates of the
+    vertex idempotents and of the Cartan matrix (which caches its
+    determinant).  These only ever fill in deterministic values, so
+    concurrent reads (reduce, multiply, cartan) are safe.  Product tables
     serve the homological layer (``multiply``, ``times_basis``,
     ``basis_times``); the socle and the comparison of two algebras read
     arrow actions instead (``arrow_rows``, ``socle_words``).
@@ -354,6 +355,7 @@ class QuotientAlgebra:
         self._entries = {}
         self._products = {}
         self._basis_products = {}
+        self._units = {}
 
     def _index(self, i, j):
         """{word: position} of block (i, j), cached."""
@@ -382,7 +384,12 @@ class QuotientAlgebra:
         return AlgebraElement(self, i, j, [self.field.zero] * len(self.block(i, j)))
 
     def e(self, v):
-        return self.reduce_word(v, ())
+        # the coordinates are kept, not the element, whose reference back to
+        # the algebra would leave the algebra for the cyclic collector to free
+        coeffs = self._units.get(v)
+        if coeffs is None:
+            coeffs = self._units[v] = self.reduce_word(v, ()).coeffs
+        return AlgebraElement(self, v, v, coeffs)
 
     def arrow_element(self, name):
         a = self.quiver.by_name[name]

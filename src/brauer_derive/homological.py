@@ -14,15 +14,16 @@ Homotopy Hom spaces are computed by two exact rank computations over the
 algebra's field: the solution space of the chain-map conditions and the
 image of the homotopy map s -> ds + sd inside it, both on the whole of the
 two complexes.  The solver builds these systems from the stored entries,
-walking each differential once per degree, and reads every product of an
-entry with a basis element from the algebra's product table (memoized on
-the algebra).  A shift at which no summand of C^n has a nonzero block to a
-summand of D^(n+r) has no variables, so ``homotopy_hom`` returns 0 there
-before shifting D or building a solver.  ``homotopy_hom`` returns the
-dimension alone: the certificates rest on dimensions, Hom(T, T[r]) = 0 and
-the Cartan matrix of End(T).  One echelon form of the homotopy columns
-serves both that dimension and the membership test of
-``is_null_homotopic``.  ``minimize`` strips contractible two-term pieces by
+walking each differential once per degree.  It reads the products of an
+entry with a block's basis (memoized on the algebra) once per entry and
+vertex, not once per summand at that vertex, and visits only the homotopy
+blocks that some entry reaches.  A shift at which no summand of C^n has a
+nonzero block to a summand of D^(n+r) has no variables, so
+``homotopy_hom`` returns 0 there before shifting D or building a solver.
+``homotopy_hom`` returns the dimension alone: the certificates rest on
+dimensions, Hom(T, T[r]) = 0 and the Cartan matrix of End(T).  One echelon
+form of the homotopy columns serves both that dimension and the membership
+test of ``is_null_homotopic``.  ``minimize`` strips contractible two-term pieces by
 Gaussian elimination on differential entries that are units of the local
 endomorphism rings; a unit c (e_i - r) with r radical is inverted by the
 finite series c^-1 (e_i + r + r^2 + ...), no solver needed.
@@ -363,35 +364,38 @@ class _HomSolver:
     The variables are the basis coordinates of the components f^n[r][c],
     numbered by degree, target row, source column and basis word; the block
     f^n[r][c] holds the variables from offset[(n, r, c)] on.  Blocks between
-    vertices with no nonzero maps get no variables.  The rows and columns
-    walk the nonzero differential entries only, and take each product with
-    a basis element from the algebra's memoized product table.  Nothing
-    needs summing: a variable of f^(n+1)[r][m] meets the rows of square
-    (n, r, c) only through d_C^n[m][c], one of f^n[m][c] only through
-    d_D^n[r][m], and likewise each homotopy coordinate reaches each variable
-    through one differential entry.
+    vertices with no nonzero maps get no variables; block dimensions are
+    read once per (source, target) vertex pair into a table.  The rows and
+    columns walk the nonzero differential entries only, and read the
+    products of an entry with the basis of a block once per vertex at the
+    block's far end, however many summands share that vertex; entries whose
+    products vanish emit nothing.  Nothing needs summing: a variable of
+    f^(n+1)[r][m] meets the rows of square (n, r, c) only through
+    d_C^n[m][c], one of f^n[m][c] only through d_D^n[r][m], and likewise
+    each homotopy coordinate reaches each variable through one differential
+    entry.
     """
 
     def __init__(self, C, D):
         self.C, self.D = C, D
-        self.A = C.algebra
+        self.A = A = C.algebra
         self.nvars = 0
         self.offset = {}
-        self.by_source = {}  # (n, c) -> [(r, target vertex, offset)]
-        self.by_target = {}  # (n, r) -> [(c, source vertex, offset)]
-        dims = {}
+        dims = {}  # (source vertex, target vertex) -> block dimension
+        self.by_source = {}  # (n, c) -> {target vertex: [(r, offset)]}
+        self.by_target = {}  # (n, r) -> {source vertex: [(c, offset)]}
         for n in sorted(set(C.terms) & set(D.terms)):
             sources = C.terms[n]
             for r, tv in enumerate(D.terms[n]):
                 for c, sv in enumerate(sources):
                     dim = dims.get((sv, tv))
                     if dim is None:
-                        dim = dims[(sv, tv)] = len(self.A.block(sv, tv))
+                        dim = dims[(sv, tv)] = len(A.block(sv, tv))
                     if not dim:
                         continue
                     base = self.offset[(n, r, c)] = self.nvars
-                    self.by_source.setdefault((n, c), []).append((r, tv, base))
-                    self.by_target.setdefault((n, r), []).append((c, sv, base))
+                    self.by_source.setdefault((n, c), {}).setdefault(tv, []).append((r, base))
+                    self.by_target.setdefault((n, r), {}).setdefault(sv, []).append((c, base))
                     self.nvars += dim
 
     def constraint_rows(self):
@@ -406,19 +410,23 @@ class _HomSolver:
         # d_C then f^(n+1)
         for n, matrix in self.C.diffs.items():
             for (m, c), d in matrix.items():
-                for r, tv, base in self.by_source.get((n + 1, m), ()):
-                    block = rows.setdefault((n, c, r), {})
-                    for var, coords in enumerate(A.times_basis(d, tv), base):
-                        for t, coeff in coords:
-                            block.setdefault(t, {})[var] = coeff
+                for tv, targets in self.by_source.get((n + 1, m), {}).items():
+                    products = A.times_basis(d, tv)
+                    terms = [(b, t, x) for b, coords in enumerate(products) for t, x in coords]
+                    for r, base in targets if terms else ():
+                        block = rows.setdefault((n, c, r), {})
+                        for b, t, coeff in terms:
+                            block.setdefault(t, {})[base + b] = coeff
         # minus f^n then d_D
         for n, matrix in self.D.diffs.items():
             for (r, m), e in matrix.items():
-                for c, sv, base in self.by_target.get((n, m), ()):
-                    block = rows.setdefault((n, c, r), {})
-                    for var, coords in enumerate(A.basis_times(sv, e), base):
-                        for t, coeff in coords:
-                            block.setdefault(t, {})[var] = -coeff
+                for sv, sources in self.by_target.get((n, m), {}).items():
+                    products = A.basis_times(sv, e)
+                    terms = [(b, t, -x) for b, coords in enumerate(products) for t, x in coords]
+                    for c, base in sources if terms else ():
+                        block = rows.setdefault((n, c, r), {})
+                        for b, t, coeff in terms:
+                            block.setdefault(t, {})[base + b] = coeff
         return [
             rows[key][t] for key in sorted(rows) for t in sorted(rows[key])
         ]
@@ -428,42 +436,40 @@ class _HomSolver:
         chain maps, fed one image vector per s basis vector.
 
         s^n[r][c] maps C^n[c] to D^(n-1)[r]; it reaches f^(n-1) through row c
-        of d_C^(n-1) and f^n through column r of d_D^(n-1).
+        of d_C^(n-1) and f^n through column r of d_D^(n-1).  The blocks
+        (r, c) are built from the differential entries, so only blocks that
+        some entry reaches with a block of variables are visited, and each
+        entry's products are read once per vertex.  Blocks are fed in the
+        order (r, c).
         """
-        C, D, A, offset = self.C, self.D, self.A, self.offset
-        span = SparseEchelon()
+        C, D, A = self.C, self.D, self.A
+        span = SparseEchelon(A.field.one)
         for n in sorted(C.terms):
             if n - 1 not in D.terms:
                 continue
-            below = {}  # c -> [(c2, d_C^(n-1)[c][c2])]
+            hits = []  # (r, c, offset of an f block, products read into it)
             for (c, c2), d in C.diffs.get(n - 1, {}).items():
-                below.setdefault(c, []).append((c2, d))
-            above = {}  # r -> [(r2, d_D^(n-1)[r2][r])]
+                for tv, targets in self.by_source.get((n - 1, c2), {}).items():
+                    products = A.times_basis(d, tv)
+                    if any(products):
+                        hits.extend((r, c, base, products) for r, base in targets)
             for (r2, r), e in D.diffs.get(n - 1, {}).items():
-                above.setdefault(r, []).append((r2, e))
-            for r, tv in enumerate(D.terms[n - 1]):
-                ups = above.get(r, ())
-                for c, sv in enumerate(C.terms[n]):
-                    downs = below.get(c, ())
-                    dim = len(A.block(sv, tv)) if ups or downs else 0
-                    if not dim:
-                        continue
-                    block = [{} for _ in range(dim)]
-                    for c2, d in downs:
-                        base = offset.get((n - 1, r, c2))
-                        if base is not None:
-                            for col, coords in zip(block, A.times_basis(d, tv)):
-                                for t, coeff in coords:
-                                    col[base + t] = coeff
-                    for r2, e in ups:
-                        base = offset.get((n, r2, c))
-                        if base is not None:
-                            for col, coords in zip(block, A.basis_times(sv, e)):
-                                for t, coeff in coords:
-                                    col[base + t] = coeff
-                    for col in block:
-                        if col:
-                            span.add(col)
+                for sv, sources in self.by_target.get((n, r2), {}).items():
+                    products = A.basis_times(sv, e)
+                    if any(products):
+                        hits.extend((r, c, base, products) for c, base in sources)
+            blocks = {}  # (r, c) -> image vectors of the basis of s^n[r][c]
+            for r, c, base, products in hits:
+                block = blocks.get((r, c))
+                if block is None:
+                    block = blocks[(r, c)] = [{} for _ in products]
+                for vec, coords in zip(block, products):
+                    for t, x in coords:
+                        vec[base + t] = x
+            for key in sorted(blocks):
+                for vec in blocks[key]:
+                    if vec:
+                        span.add(vec)
         return span
 
     def vectorize(self, f: ChainMap):
@@ -494,7 +500,7 @@ def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0) -> int:
     if not _has_variables(C, D, shift_by):
         return 0
     solver = _HomSolver(C, D.shift(shift_by))
-    constraints = SparseEchelon()
+    constraints = SparseEchelon(C.algebra.field.one)
     for row in solver.constraint_rows():
         constraints.add(row)
     return solver.nvars - constraints.rank - solver.homotopy_span().rank

@@ -17,6 +17,11 @@ pair that is never equal to a plain int.  Its arithmetic raises
 ``FieldMismatch`` on an element of another characteristic and on a plain
 int, which is a coefficient over Q: GF(p) never absorbs a rational
 coefficient silently.  Elements of GF(p) are made with ``from_int``.
+Elements are interned, one object per residue met, so an operator makes
+no object and a memo key hashes each coefficient through a stored hash.
+``SparseEchelon`` tests a pivot against the field's own ``one``: an element
+of GF(p) never equals the int 1, so a test against 1 would divide every
+stored row over GF(p) through, entry by entry, for nothing.
 """
 from __future__ import annotations
 
@@ -61,13 +66,23 @@ class FieldMismatch(Exception):
 
 
 class PrimeFieldElement:
-    """An element of GF(p), immutable; unequal to every plain int."""
+    """An element of GF(p), immutable and interned; unequal to every plain int.
 
-    __slots__ = ("value", "p")
+    ``PrimeFieldElement(v, p)`` and every operator return the one element of
+    v mod p from the residue table of GF(p) that each element references.
+    The hash, ``hash((v, p))``, is computed once.  Equality is by value.
+    """
 
-    def __init__(self, value, p):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "p", p)
+    __slots__ = ("value", "p", "_residues", "_hash")
+
+    def __new__(cls, value, p):
+        residues = _RESIDUES.get(p)
+        if residues is None:
+            residues = _RESIDUES[p] = _Residues(p)
+        return residues[value % p]
+
+    def __reduce__(self):
+        return PrimeFieldElement, (self.value, self.p)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -81,7 +96,7 @@ class PrimeFieldElement:
         return self.value == other.value and self.p == other.p
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        return self._hash
 
     def _coerce(self, other):
         """other as an element of this field.  An element of another
@@ -101,7 +116,7 @@ class PrimeFieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return PrimeFieldElement((self.value + other.value) % self.p, self.p)
+        return self._residues[(self.value + other.value) % self.p]
 
     __radd__ = __add__
 
@@ -110,21 +125,21 @@ class PrimeFieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return PrimeFieldElement((self.value - other.value) % self.p, self.p)
+        return self._residues[(self.value - other.value) % self.p]
 
     def __rsub__(self, other):
         other = self._coerce(other)
         return other if other is NotImplemented else other - self
 
     def __neg__(self):
-        return PrimeFieldElement(-self.value % self.p, self.p)
+        return self._residues[-self.value % self.p]
 
     def __mul__(self, other):
         if other.__class__ is not PrimeFieldElement or other.p != self.p:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return PrimeFieldElement((self.value * other.value) % self.p, self.p)
+        return self._residues[(self.value * other.value) % self.p]
 
     __rmul__ = __mul__
 
@@ -134,18 +149,38 @@ class PrimeFieldElement:
             return NotImplemented
         if other.value == 1:
             return self
-        inv = pow(other.value, -1, self.p)
-        return PrimeFieldElement((self.value * inv) % self.p, self.p)
+        return self._residues[(self.value * pow(other.value, -1, self.p)) % self.p]
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         return other if other is NotImplemented else other / self
 
     def __bool__(self):
-        return self.value % self.p != 0
+        return self.value != 0
 
     def __repr__(self):
         return f"{self.value} (mod {self.p})"
+
+
+class _Residues(dict):
+    """{v: the element v of GF(p)}, each made on first use, so the table
+    holds only the residues a run produces."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+    def __missing__(self, value):
+        x = self[value] = object.__new__(PrimeFieldElement)
+        for name, v in zip(x.__slots__, (value, self.p, self, hash((value, self.p)))):
+            object.__setattr__(x, name, v)
+        return x
+
+
+# p -> the residue table of GF(p).  Tables only ever gain the element of a
+# residue, a deterministic value, so every caller in the process shares them.
+_RESIDUES = {}
 
 
 # Miller-Rabin with the prime bases up to 41 decides primality exactly below
@@ -191,7 +226,7 @@ class PrimeField:
     div = staticmethod(exact_div)
 
     def from_int(self, n):
-        return PrimeFieldElement(operator.index(n) % self.p, self.p)
+        return PrimeFieldElement(operator.index(n), self.p)
 
     def __repr__(self):
         return self.name
@@ -235,10 +270,11 @@ class SparseEchelon:
     """Incremental row echelon form for sparse vectors.
 
     Pivots are chosen as the largest column key; rows are stored normalized
-    so the pivot coefficient is one.
+    so the pivot coefficient is ``one``, the field's unit.
     """
 
-    def __init__(self):
+    def __init__(self, one):
+        self.one = one
         self.pivots = {}
 
     @property
@@ -263,7 +299,7 @@ class SparseEchelon:
             return False
         lead = max(red)
         coeff = red[lead]
-        if coeff != 1:
+        if coeff != self.one:
             red = {k: exact_div(v, coeff) for k, v in red.items()}
         self.pivots[lead] = red
         return True

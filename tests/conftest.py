@@ -16,6 +16,8 @@ from brauer_derive.graph import (
     parse_graph,
     serialize_graph,
 )
+from brauer_derive.homological import _has_variables
+from brauer_derive.linalg import SparseEchelon
 from brauer_derive.quiver import build_quiver
 
 G_MIN_TEXT = (
@@ -145,3 +147,121 @@ def socle_words_oracle(A):
             ):
                 out.append((i, w))
     return out
+
+
+# Test-only oracle: the Hom solver as it was before it read each product
+# once per (differential entry, vertex) and built homotopy blocks from the
+# entries: one product read per (entry, summand), and every (r, c) homotopy
+# block of the two terms tested.
+
+
+class OracleHomSolver:
+    """Chain maps C -> D and null homotopies, one product read per
+    differential entry and summand."""
+
+    def __init__(self, C, D):
+        self.C, self.D = C, D
+        self.A = C.algebra
+        self.nvars = 0
+        self.offset = {}
+        self.by_source = {}  # (n, c) -> [(r, target vertex, offset)]
+        self.by_target = {}  # (n, r) -> [(c, source vertex, offset)]
+        for n in sorted(set(C.terms) & set(D.terms)):
+            sources = C.terms[n]
+            for r, tv in enumerate(D.terms[n]):
+                for c, sv in enumerate(sources):
+                    dim = len(self.A.block(sv, tv))
+                    if not dim:
+                        continue
+                    base = self.offset[(n, r, c)] = self.nvars
+                    self.by_source.setdefault((n, c), []).append((r, tv, base))
+                    self.by_target.setdefault((n, r), []).append((c, sv, base))
+                    self.nvars += dim
+
+    def constraint_rows(self):
+        """Row (n, r, c, t): coordinate t of the (r, c) entry of
+        f^(n+1) d_C^n - d_D^n f^n."""
+        A = self.A
+        rows = {}  # (n, c, r) -> {t: row}
+        for n, matrix in self.C.diffs.items():
+            for (m, c), d in matrix.items():
+                for r, tv, base in self.by_source.get((n + 1, m), ()):
+                    block = rows.setdefault((n, c, r), {})
+                    for var, coords in enumerate(A.times_basis(d, tv), base):
+                        for t, coeff in coords:
+                            block.setdefault(t, {})[var] = coeff
+        for n, matrix in self.D.diffs.items():
+            for (r, m), e in matrix.items():
+                for c, sv, base in self.by_target.get((n, m), ()):
+                    block = rows.setdefault((n, c, r), {})
+                    for var, coords in enumerate(A.basis_times(sv, e), base):
+                        for t, coeff in coords:
+                            block.setdefault(t, {})[var] = -coeff
+        return [rows[key][t] for key in sorted(rows) for t in sorted(rows[key])]
+
+    def homotopy_span(self):
+        """Echelon form of the image of s -> d s + s d."""
+        C, D, A, offset = self.C, self.D, self.A, self.offset
+        span = SparseEchelon(A.field.one)
+        for n in sorted(C.terms):
+            if n - 1 not in D.terms:
+                continue
+            below = {}  # c -> [(c2, d_C^(n-1)[c][c2])]
+            for (c, c2), d in C.diffs.get(n - 1, {}).items():
+                below.setdefault(c, []).append((c2, d))
+            above = {}  # r -> [(r2, d_D^(n-1)[r2][r])]
+            for (r2, r), e in D.diffs.get(n - 1, {}).items():
+                above.setdefault(r, []).append((r2, e))
+            for r, tv in enumerate(D.terms[n - 1]):
+                ups = above.get(r, ())
+                for c, sv in enumerate(C.terms[n]):
+                    downs = below.get(c, ())
+                    dim = len(A.block(sv, tv)) if ups or downs else 0
+                    if not dim:
+                        continue
+                    block = [{} for _ in range(dim)]
+                    for c2, d in downs:
+                        base = offset.get((n - 1, r, c2))
+                        if base is not None:
+                            for col, coords in zip(block, A.times_basis(d, tv)):
+                                for t, coeff in coords:
+                                    col[base + t] = coeff
+                    for r2, e in ups:
+                        base = offset.get((n, r2, c))
+                        if base is not None:
+                            for col, coords in zip(block, A.basis_times(sv, e)):
+                                for t, coeff in coords:
+                                    col[base + t] = coeff
+                    for col in block:
+                        if col:
+                            span.add(col)
+        return span
+
+    def vectorize(self, f):
+        vec = {}
+        for n, matrix in f.comps.items():
+            for (r, c), e in matrix.items():
+                base = self.offset[(n, r, c)]
+                for b, coeff in enumerate(e.coeffs):
+                    if coeff:
+                        vec[base + b] = coeff
+        return vec
+
+
+def solver_ranks(solver_class, C, D, shift_by=0):
+    """(variables, rank of the commutation rows, rank of the homotopy
+    span) of a solver for C -> D[shift_by], ``OracleHomSolver`` or the
+    package's; (0, 0, 0) when no pair of summands has a nonzero block."""
+    if not _has_variables(C, D, shift_by):
+        return 0, 0, 0
+    solver = solver_class(C, D.shift(shift_by))
+    constraints = SparseEchelon(C.algebra.field.one)
+    for row in solver.constraint_rows():
+        constraints.add(row)
+    return solver.nvars, constraints.rank, solver.homotopy_span().rank
+
+
+def oracle_is_null_homotopic(f):
+    solver = OracleHomSolver(f.source, f.target)
+    vec = solver.vectorize(f)
+    return not vec or solver.homotopy_span().contains(vec)

@@ -1,0 +1,104 @@
+"""The Hom solver against the oracle solver in conftest, at benchmark sizes.
+
+The complexes are the shrink complexes of chains of depth 11 and 13 with
+twigs and of deep trees with 18 and 21 edges (the shrink-deep shapes), and
+the enlarge complexes along seeded reduce traces of 10, 12 and 14 edges (the
+reduce-random sizes), each over Q, GF(2), GF(3) and GF(1000003).  For every
+shift that ``check_tilting`` visits, and for shift 0, the solver and the
+oracle must agree on the number of variables and on both ranks, not only on
+the dimension.  Every ``is_null_homotopic`` question that
+``verify_end_generators`` asks must get the oracle's answer, and a relation
+between a summand and itself plus that summand's identity, which is not
+null-homotopic, must stay so.
+"""
+import random
+
+import pytest
+
+from brauer_derive import tilting
+from brauer_derive.algebra import omega_relations, quotient_basis
+from brauer_derive.graph import parse_graph
+from brauer_derive.homological import (
+    ChainMap,
+    _HomSolver,
+    homotopy_hom,
+    is_null_homotopic,
+)
+from brauer_derive.linalg import QQ, PrimeField
+from brauer_derive.quiver import build_quiver
+from brauer_derive.reduction import reduce_to_normal_form
+from brauer_derive.tilting import (
+    enlarge_complex,
+    enlarge_data,
+    shrink_complex,
+    verify_end_generators,
+)
+
+from conftest import (
+    OracleHomSolver,
+    oracle_is_null_homotopic,
+    solver_ranks,
+)
+from test_random_graphs import random_one_loop_graph
+from test_scale import chain_with_twigs, deep_tree
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)]
+
+SHRINK = {
+    "chain11_twigs": chain_with_twigs(11, twigs=(1, 6)),
+    "chain13_twigs": chain_with_twigs(13, twigs=(2, 7)),
+    "deep18": deep_tree(18, seed=5),
+    "deep21": deep_tree(21, seed=3),
+}
+
+# (seed, edges) of the random graphs whose reduce traces give enlarge complexes
+TRACES = [(11, 10), (12, 12), (13, 14)]
+
+
+def assert_agrees_with_oracle(Q, monkeypatch):
+    """Ranks at every shift ``check_tilting`` visits and at 0, the answers
+    ``verify_end_generators`` gets, and the mutant relations."""
+    total = Q.direct_sum()
+    width = total.width
+    for r in range(-width - 1, width + 2):
+        ranks = solver_ranks(_HomSolver, total, total, r)
+        assert ranks == solver_ranks(OracleHomSolver, total, total, r), r
+        nvars, rows, span = ranks
+        assert homotopy_hom(total, total, r) == nvars - rows - span
+        assert (nvars - rows - span > 0) == (r == 0), r
+    asked = []
+
+    def both(f):
+        got = is_null_homotopic(f)
+        assert got == oracle_is_null_homotopic(f)
+        asked.append(f)
+        return got
+
+    monkeypatch.setattr(tilting, "is_null_homotopic", both)
+    assert verify_end_generators(Q)
+    mutants = [f + ChainMap.identity(f.source) for f in asked if f.source is f.target]
+    assert asked and mutants
+    for g in mutants:
+        assert not is_null_homotopic(g) and not oracle_is_null_homotopic(g)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("name", sorted(SHRINK))
+def test_shrink_solver_matches_oracle(name, field, monkeypatch):
+    g = parse_graph(SHRINK[name])
+    A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+    assert_agrees_with_oracle(shrink_complex(A, g), monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("seed,edges", TRACES)
+def test_enlarge_solver_matches_oracle(seed, edges, field, monkeypatch):
+    g = random_one_loop_graph(random.Random(seed), edges)
+    steps = reduce_to_normal_form(g).steps
+    assert steps
+    for step in steps:
+        A = quotient_basis(omega_relations(build_quiver(step.before)), field=field)
+        Q = enlarge_complex(A, step.before, enlarge_data(step.before, step.at))
+        assert_agrees_with_oracle(Q, monkeypatch)

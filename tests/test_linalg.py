@@ -1,7 +1,9 @@
 """``det_int`` (fraction-free Bareiss) against plain elimination over Q, the
 primality test behind ``PrimeField`` against trial division, and exactness
 of the int path over Q: divisions give ints or Fractions, never floats."""
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -171,12 +173,12 @@ def test_exact_div_gives_ints_or_fractions():
 
 def test_echelon_add_over_q_keeps_exact_fractions():
     # x0 + 2 x1: the pivot is column 1, so the row is normalized by 2
-    ech = SparseEchelon()
+    ech = SparseEchelon(QQ.one)
     assert ech.add({0: 1, 1: 2})
     assert ech.pivots == {1: {0: Fraction(1, 2), 1: 1}}
     assert type(ech.pivots[1][0]) is Fraction and type(ech.pivots[1][1]) is int
     assert not ech.add({0: 3, 1: 6}) and ech.contains({0: -1, 1: -2})
-    ech = SparseEchelon()
+    ech = SparseEchelon(QQ.one)
     ech.add({0: 2, 1: 1})
     assert ech.pivots == {1: {0: 2, 1: 1}}
     assert all(type(c) is int for c in ech.pivots[1].values())
@@ -216,6 +218,33 @@ def test_prime_field_element_semantics():
         one.value = 0
     with pytest.raises(FieldMismatch):
         PrimeField(2).one * PrimeField(5).one
+
+
+def test_prime_field_elements_are_interned():
+    F = PrimeField(3)
+    one = F.from_int(4)
+    assert one is F.one is PrimeFieldElement(1, 3) is PrimeField(3).one
+    assert hash(one) == hash((1, 3)) and one != 1
+    assert one + one + one is F.zero and -one is F.from_int(2) is one / F.from_int(2)
+    with pytest.raises(AttributeError):
+        one.value = 0
+    with pytest.raises(AttributeError):
+        del one.p
+    with pytest.raises(FieldMismatch):
+        one + PrimeField(5).one
+    with pytest.raises(FieldMismatch):
+        one * 1
+
+
+@pytest.mark.parametrize("p", [2, 1000003])
+def test_prime_field_elements_copy_to_themselves(p):
+    F = PrimeField(p)
+    x = F.from_int(-1)
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+    ech = SparseEchelon(F.one)
+    ech.add({0: F.one, 1: x})
+    assert copy.deepcopy(ech).pivots == ech.pivots
 
 
 @pytest.mark.parametrize("other", [Fraction(1, 2), 0.5], ids=["Fraction", "float"])

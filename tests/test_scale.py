@@ -16,6 +16,8 @@ reduction through the CLI's JSON trace, over Q and GF(2).
 
 ``tilt-shrink --json`` on both graphs and both fields has golden SHA-256
 digests of its stdout, so the output at these sizes is pinned byte for byte.
+Its stdout is also the same byte for byte over Q, GF(2), GF(3) and
+GF(1000003), on the depth-13 chain and on a 21-edge deep tree.
 
 The largest basis-star inputs, Omega(59) and A(14) with its socle
 comparison, go through the CLI over Q and GF(2), and ``cartan --omega 36``,
@@ -158,6 +160,19 @@ def test_shrink_json_digest_at_benchmark_size(key, tmp_path, capsys):
     assert run(["tilt-shrink", str(path), "--json", *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHRINK_DIGESTS[key]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("text", [GRAPHS["chain13_twigs"], deep_tree(21, seed=3)],
+                         ids=["chain13_twigs", "deep21"])
+def test_shrink_json_same_over_every_field(text, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    outs = set()
+    for flags in ([], ["--field", "2"], ["--field", "3"], ["--field", "1000003"]):
+        assert run(["tilt-shrink", str(path), "--json", *flags]) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
 
 
 @pytest.mark.slow
