@@ -182,6 +182,43 @@ def test_reduce_certifies_each_step_once(tmp_path, capsys, monkeypatch):
     assert len(builds) == len(graphs) == 5
 
 
+def _reduce_mixed7_fails(tmp_path, capsys):
+    """Exit code and stderr of reduce --certify --json on mixed7."""
+    code = run(["reduce", _corpus_file(tmp_path, "mixed7"), "--certify", "--json"])
+    return code, capsys.readouterr().err
+
+
+def test_reduce_rejects_a_wrong_surgery(tmp_path, capsys, monkeypatch):
+    """A move that returns another valid graph on the same edges, here the
+    loop-star, fails the surgery Cartan check."""
+
+    def to_loop_star(g, at):
+        rest = [e for e in g.canonical_order if e != g.loop_edge]
+        star = {"id": "S", "cyclic": [g.loop_edge, g.loop_edge, *rest]}
+        return parse_graph(json.dumps({"vertices": [star]}))
+
+    monkeypatch.setattr(reduction, "enlarge_graph_move", to_loop_star)
+    code, err = _reduce_mixed7_fails(tmp_path, capsys)
+    assert code == EXIT_CERTIFICATE
+    assert "surgery Cartan mismatch at edge" in err
+
+
+def test_reduce_rejects_a_tampered_source_determinant(tmp_path, capsys, monkeypatch):
+    """A certificate whose det_source is not the source algebra's fails the
+    |det| comparison of the step."""
+    check_tilting = reduction.check_tilting
+
+    def tampered(Q):
+        cert = check_tilting(Q)
+        cert.det_source += 1
+        return cert
+
+    monkeypatch.setattr(reduction, "check_tilting", tampered)
+    code, err = _reduce_mixed7_fails(tmp_path, capsys)
+    assert code == EXIT_CERTIFICATE
+    assert "|det Cartan| changed at edge" in err
+
+
 def test_cartan_omega_json(capsys):
     assert run(["cartan", "--omega", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
