@@ -38,7 +38,7 @@ from .homological import (
     minimize,
 )
 from .linalg import QQ, PrimeField
-from .quiver import BrauerQuiver, build_quiver, cycle_at, quiver_to_dot
+from .quiver import BrauerQuiver, build_quiver, cycle_words, quiver_to_dot
 from .reduction import (
     ReductionStep,
     ReductionTrace,

@@ -30,7 +30,7 @@ from functools import cached_property
 
 from . import rewriting
 from .linalg import QQ, det_int, vec_add_scaled
-from .quiver import ALPHA, BETA, BrauerQuiver, build_quiver, cycle_at
+from .quiver import ALPHA, BETA, BrauerQuiver, build_quiver, cycle_words
 
 
 class NotStabilized(Exception):
@@ -67,15 +67,7 @@ class PathElement:
 
     source: str
     target: str
-    terms: tuple  # ((arrow_name, ...), int or Fraction) pairs, deterministic order
-
-    @staticmethod
-    def from_dict(source, target, d):
-        items = tuple(sorted(d.items(), key=lambda kv: (len(kv[0]), kv[0])))
-        return PathElement(source, target, items)
-
-    def words(self):
-        return [w for w, _ in self.terms]
+    terms: tuple  # ((arrow_name, ...), int or Fraction) pairs, by length, then by names
 
     def __str__(self):
         terms = sorted(self.terms, key=lambda kv: (-len(kv[0]), kv[0]))
@@ -104,65 +96,80 @@ def _render(terms, source, one):
     return " ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class Presentation:
-    quiver: BrauerQuiver
-    relations: tuple[PathElement, ...]
+    """A quiver and its relations as named ``PathElement``s (``relations``)
+    and as tuples of (arrow-id word, coefficient) terms (``id_relations``).
+    Give either; named relations are made from the id terms on first use."""
+
+    def __init__(self, quiver, relations=None, id_relations=None):
+        self.quiver = quiver
+        if id_relations is None:
+            self.relations = tuple(relations)
+            ids = quiver.ids
+            id_relations = [
+                tuple((tuple(ids[n] for n in w), c) for w, c in rel.terms) for rel in relations
+            ]
+        self.id_relations = tuple(id_relations)
+
+    @cached_property
+    def relations(self):
+        a = self.quiver.arrows
+        return tuple(
+            PathElement(a[t[0][0][0]].source, a[t[0][0][-1]].target,
+                        tuple((tuple(a[i].name for i in w), c) for w, c in t))
+            for t in self.id_relations
+        )
 
     def admissible(self):
         return all(
-            all(len(w) >= 2 for w in rel.words()) and rel.words() for rel in self.relations
+            terms and all(len(w) >= 2 for w, _ in terms) for terms in self.id_relations
         )
 
 
-def _word_element(q, arrows, coeffs):
-    """PathElement from parallel lists of arrow-name words and coefficients."""
-    first = arrows[0]
-    src = q.by_name[first[0]].source
-    tgt = q.by_name[first[-1]].target
-    d = {}
-    for word, c in zip(arrows, coeffs):
-        if q.by_name[word[0]].source != src or q.by_name[word[-1]].target != tgt:
+def _relation(q, words, coeffs=(1,)):
+    """Terms of the relation sum c * w over parallel arrow-id words w and
+    coefficients c, in ``PathElement`` order (by length, then by arrow
+    names); the words must share one source and one target."""
+    arrows = q.arrows
+    src, tgt = arrows[words[0][0]].source, arrows[words[0][-1]].target
+    terms = {}
+    for word, c in zip(words, coeffs):
+        if arrows[word[0]].source != src or arrows[word[-1]].target != tgt:
             raise InhomogeneousRelation("relation terms are not source/target homogeneous")
-        d[tuple(word)] = d.get(tuple(word), 0) + c
-    return PathElement.from_dict(src, tgt, d)
+        terms[word] = terms.get(word, 0) + c
+    return tuple(
+        sorted(terms.items(), key=lambda t: (len(t[0]), [arrows[a].name for a in t[0]]))
+    )
 
 
 def omega_relations(q: BrauerQuiver) -> Presentation:
-    loop = q.loop_vertex
+    ids, loop = q.ids, q.loop_vertex
+    cycles = cycle_words(q)
     rels = []
     # Camp alternation at every vertex except the loop.
     for v in q.vertices:
         if v == loop:
             continue
-        bi, ao = q.beta_in.get(v), q.alpha_out.get(v)
-        if bi and ao:
-            rels.append(_word_element(q, [(bi.name, ao.name)], [1]))
-        ai, bo = q.alpha_in.get(v), q.beta_out.get(v)
-        if ai and bo:
-            rels.append(_word_element(q, [(ai.name, bo.name)], [1]))
+        for into, out in ((q.beta_in, q.alpha_out), (q.alpha_in, q.beta_out)):
+            if v in into and v in out:
+                rels.append(_relation(q, [(ids[into[v].name], ids[out[v].name])]))
     # The broken step of the exceptional cycle.
-    rels.append(
-        _word_element(q, [(q.beta_in[loop].name, q.beta_out[loop].name)], [1])
-    )
+    rels.append(_relation(q, [(ids[q.beta_in[loop].name], ids[q.beta_out[loop].name])]))
     # Cycle equalities, degenerating to overshoot relations at leaves.
     for v in q.vertices:
         if v == loop:
             continue
-        a_word = cycle_at(q, v, ALPHA).names()
-        b_word = cycle_at(q, v, BETA).names()
+        a_word, b_word = cycles[(v, ALPHA)], cycles[(v, BETA)]
         if a_word and b_word:
-            rels.append(_word_element(q, [a_word, b_word], [1, -1]))
-        elif b_word:
-            rels.append(_word_element(q, [b_word + (q.beta_out[v].name,)], [1]))
-        elif a_word:
-            rels.append(_word_element(q, [a_word + (q.alpha_out[v].name,)], [1]))
+            rels.append(_relation(q, [a_word, b_word], (1, -1)))
+        elif a_word or b_word:
+            word = a_word or b_word
+            rels.append(_relation(q, [word + word[:1]]))
     # Loop relations.
-    a1 = q.loop_arrow.name
-    b_full = cycle_at(q, loop, BETA).names()
-    rels.append(_word_element(q, [(a1, a1), (a1,) + b_full], [1, -1]))
-    rels.append(_word_element(q, [(a1,) + b_full, b_full + (a1,)], [1, 1]))
-    return Presentation(q, tuple(rels))
+    a1, b_full = ids[q.loop_arrow.name], cycles[(loop, BETA)]
+    rels.append(_relation(q, [(a1, a1), (a1,) + b_full], (1, -1)))
+    rels.append(_relation(q, [(a1,) + b_full, b_full + (a1,)], (1, 1)))
+    return Presentation(q, id_relations=rels)
 
 
 def a_n_presentation(n: int) -> Presentation:
@@ -170,19 +177,19 @@ def a_n_presentation(n: int) -> Presentation:
     from .graph import loop_star
 
     q = build_quiver(loop_star(n))
-    a1 = q.loop_arrow.name
-    b_full = cycle_at(q, q.loop_vertex, BETA).names()
+    ids, loop = q.ids, q.loop_vertex
+    cycles = cycle_words(q)
+    a1, b_full = ids[q.loop_arrow.name], cycles[(loop, BETA)]
     rels = [
-        _word_element(q, [(a1, a1)], [1]),
-        _word_element(q, [(q.beta_in[q.loop_vertex].name, q.beta_out[q.loop_vertex].name)], [1]),
-        _word_element(q, [(a1,) + b_full, b_full + (a1,)], [1, 1]),
+        _relation(q, [(a1, a1)]),
+        _relation(q, [(ids[q.beta_in[loop].name], ids[q.beta_out[loop].name])]),
+        _relation(q, [(a1,) + b_full, b_full + (a1,)], (1, 1)),
     ]
     for v in q.vertices:
-        if v == q.loop_vertex:
-            continue
-        b_word = cycle_at(q, v, BETA).names()
-        rels.append(_word_element(q, [b_word + (q.beta_out[v].name,)], [1]))
-    return Presentation(q, tuple(rels))
+        if v != loop:
+            b_word = cycles[(v, BETA)]
+            rels.append(_relation(q, [b_word + b_word[:1]]))
+    return Presentation(q, id_relations=rels)
 
 
 @dataclass(frozen=True)
@@ -205,10 +212,14 @@ class CartanMatrix:
         return self.rows[self.order.index(i)][self.order.index(j)]
 
     def reorder(self, order):
+        """The matrix in vertex order ``order``, with its determinant if known."""
         idx = [self.order.index(v) for v in order]
-        return CartanMatrix(
+        out = CartanMatrix(
             tuple(order), tuple(tuple(self.rows[i][j] for j in idx) for i in idx)
         )
+        if "_det" in self.__dict__:
+            out.__dict__["_det"] = self._det
+        return out
 
     def to_json(self):
         return {
@@ -330,7 +341,8 @@ class QuotientAlgebra:
     arrow actions instead (``arrow_rows``, ``socle_words``).
 
     ``blocks`` is taken in the order given, as ``_block_words`` emits it:
-    keys in the canonical vertex order, words in ``order_key`` order.
+    keys in the canonical vertex order, words in ``order_key`` order, every
+    block a tuple.
     """
 
     def __init__(self, presentation, cap, margin, field, rsys, blocks, dropped=frozenset()):
@@ -348,8 +360,8 @@ class QuotientAlgebra:
                 for key, words in blocks.items()
             }
         else:
-            self.blocks = {key: tuple(words) for key, words in blocks.items()}
-        self.arrow_ids = {a.name: i for i, a in enumerate(self.quiver.arrows)}
+            self.blocks = dict(blocks)
+        self.arrow_ids = self.quiver.ids
         self.arrow_names = {i: a.name for i, a in enumerate(self.quiver.arrows)}
         self._positions = {}
         self._entries = {}
@@ -595,36 +607,33 @@ def _default_bounds(q: BrauerQuiver):
 
 
 def _relation_combos(p: Presentation, field):
-    q = p.quiver
-    ids = {a.name: i for i, a in enumerate(q.arrows)}
-    combos = []
-    for rel in p.relations:
-        combo = {}
-        for word, coeff in rel.terms:
-            key = tuple(ids[n] for n in word)
-            num, den = field.from_int(coeff.numerator), field.from_int(coeff.denominator)
-            combo[key] = field.div(num, den)
-        combos.append(combo)
-    return combos
+    """Each relation of p as {arrow-id word: coefficient in field}, in order."""
+    convert = field.from_int
+    return [
+        {w: field.div(convert(c.numerator), convert(c.denominator)) for w, c in terms}
+        for terms in p.id_relations
+    ]
 
 
 def _block_words(q, levels):
-    """Normal words by block (source, target).
+    """Normal words by block (source, target) as tuples, and the number of
+    words of each non-empty block.
 
     Keys come in ``q.vertices`` order (the canonical order), and each block's
     words in ``order_key`` order: levels ascend in length, and within a level
     the words from one source are sorted, because ``normal_words`` extends
     the previous level in order by arrows of ascending id.
     """
-    blocks = {(i, j): [] for i in q.vertices for j in q.vertices}
+    target = [a.target for a in q.arrows]
+    found = {}
     for level in levels:
         for src, word in level:
-            tgt = src if not word else q.arrows[word[-1]].target
-            blocks[(src, tgt)].append(word)
-    return blocks
+            found.setdefault((src, target[word[-1]] if word else src), []).append(word)
+    blocks = {(i, j): tuple(found.get((i, j), ())) for i in q.vertices for j in q.vertices}
+    return blocks, {key: len(words) for key, words in found.items()}
 
 
-def _check_half_edge_cartan(q, blocks):
+def _check_half_edge_cartan(q, blocks, counts):
     """Raise ``CartanMismatch`` unless every block has sum_v a_i(v) * a_j(v)
     words, a_i(v) counting the half-edges of edge i at graph vertex v."""
     expected = {}
@@ -633,7 +642,6 @@ def _check_half_edge_cartan(q, blocks):
         for i, ai in half.items():
             for j, aj in half.items():
                 expected[(i, j)] = expected.get((i, j), 0) + ai * aj
-    counts = {key: len(words) for key, words in blocks.items() if words}
     if counts != expected:
         i, j = next(k for k in blocks if counts.get(k, 0) != expected.get(k, 0))
         raise CartanMismatch(
@@ -672,8 +680,8 @@ def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> Quotient
         raise NotStabilized(
             f"normal words of length {cap} survive; raise cap (cap={cap}, margin={margin})"
         )
-    blocks = _block_words(q, levels)
-    _check_half_edge_cartan(q, blocks)
+    blocks, counts = _block_words(q, levels)
+    _check_half_edge_cartan(q, blocks, counts)
     return QuotientAlgebra(p, cap, margin, field, rs, blocks)
 
 

@@ -18,11 +18,15 @@ Cyclic lists are read clockwise and are rotation insensitive.  A vertex of
 valence one may be omitted entirely; the parser synthesizes an anonymous
 leaf for any edge listed only once.  Synthesized leaves are skipped when
 serializing, so a loop-star round-trips as its single central vertex.
+
+A ``BrauerGraph`` is validated by its constructor and never changes after
+it, so its canonical form is computed once and kept as immutable tuples.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class MalformedInput(Exception):
@@ -196,8 +200,14 @@ class BrauerGraph:
     def is_loop_star(self):
         return all(not t for t in self.trees.values())
 
+    @cached_property
+    def canonical(self):
+        """(id, least rotation) of every vertex not synthesized, by id."""
+        shown = sorted((v for v in self.vertices if v.id not in self.implicit), key=lambda v: v.id)
+        return tuple((v.id, _least_rotation(v.cyclic)) for v in shown)
+
     def __eq__(self, other):
-        return isinstance(other, BrauerGraph) and _canonical_obj(self) == _canonical_obj(other)
+        return isinstance(other, BrauerGraph) and self.canonical == other.canonical
 
     def __repr__(self):
         return f"BrauerGraph({serialize_graph(self)})"
@@ -264,12 +274,12 @@ def parse_graph(text: str) -> BrauerGraph:
     return BrauerGraph(vertices, frozenset(implicit))
 
 
-def _least_rotation(lst):
+def _least_rotation(cyclic):
     """Lexicographically least rotation keeping any duplicated edge adjacent."""
-    m = len(lst)
+    m = len(cyclic)
     best = None
     for s in range(m):
-        rot = [lst[(s + i) % m] for i in range(m)]
+        rot = cyclic[s:] + cyclic[:s]
         ok = True
         seen = {}
         for i, e in enumerate(rot):
@@ -283,12 +293,7 @@ def _least_rotation(lst):
 
 
 def _canonical_obj(g: BrauerGraph):
-    vs = []
-    for v in sorted(g.vertices, key=lambda v: v.id):
-        if v.id in g.implicit:
-            continue
-        vs.append({"id": v.id, "cyclic": _least_rotation(list(v.cyclic))})
-    return {"vertices": vs}
+    return {"vertices": [{"id": vid, "cyclic": list(cyc)} for vid, cyc in g.canonical]}
 
 
 def serialize_graph(g: BrauerGraph) -> str:

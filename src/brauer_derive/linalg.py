@@ -270,11 +270,13 @@ class SparseEchelon:
     """Incremental row echelon form for sparse vectors.
 
     Pivots are chosen as the largest column key; rows are stored normalized
-    so the pivot coefficient is ``one``, the field's unit.
+    so the pivot coefficient is ``one``, the field's unit.  A row with the
+    field's own -1 as pivot is negated instead of divided entry by entry.
     """
 
     def __init__(self, one):
         self.one = one
+        self.minus_one = -one
         self.pivots = {}
 
     @property
@@ -300,7 +302,11 @@ class SparseEchelon:
         lead = max(red)
         coeff = red[lead]
         if coeff != self.one:
-            red = {k: exact_div(v, coeff) for k, v in red.items()}
+            # a Fraction equal to -1 would make an int entry a Fraction: divide
+            if type(coeff) is type(self.minus_one) and coeff == self.minus_one:
+                red = {k: -v for k, v in red.items()}
+            else:
+                red = {k: exact_div(v, coeff) for k, v in red.items()}
         self.pivots[lead] = red
         return True
 

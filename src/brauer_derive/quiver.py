@@ -41,15 +41,6 @@ class QCycle:
     exceptional: bool
 
 
-@dataclass(frozen=True)
-class CycleWord:
-    base: str
-    arrows: tuple[Arrow, ...]
-
-    def names(self):
-        return tuple(a.name for a in self.arrows)
-
-
 class BrauerQuiver:
     def __init__(self, graph, vertices, arrows, cycles):
         self.graph = graph
@@ -57,6 +48,7 @@ class BrauerQuiver:
         self.arrows = tuple(arrows)
         self.cycles = tuple(cycles)
         self.by_name = {a.name: a for a in self.arrows}
+        self.ids = {a.name: i for i, a in enumerate(self.arrows)}
         self.alpha_out = {a.source: a for a in self.arrows if a.camp == ALPHA}
         self.beta_out = {a.source: a for a in self.arrows if a.camp == BETA}
         self.alpha_in = {a.target: a for a in self.arrows if a.camp == ALPHA}
@@ -64,7 +56,6 @@ class BrauerQuiver:
         self.loop_vertex = graph.loop_edge
         self.loop_arrow = self.alpha_out[self.loop_vertex]
         self.exceptional_cycle = next(c for c in self.cycles if c.exceptional)
-        self.exceptional_vertices = frozenset(graph.cycle_edges)
 
     def arrows_by_source(self, v):
         out = []
@@ -144,29 +135,34 @@ def _cycle_anchor(c: QCycle, g: BrauerGraph):
     return g.vertex_map[c.graph_vertex].cyclic[0]
 
 
-def cycle_at(q: BrauerQuiver, v: str, camp: str) -> CycleWord:
-    """The full cycle word at a quiver vertex in the given camp.
+class CycleWords(dict):
+    """{(v, camp): arrow ids of the full cycle word at v in the camp}; no
+    arrow out of v in the camp gives the empty word, and a camp other than
+    alpha or beta raises ``UnknownCamp``."""
 
-    For beta at an exceptional vertex other than the loop this is the
-    extended cycle that inserts the loop arrow while passing the loop
-    vertex; trivial cycles give the empty word.
-    """
-    if camp not in (ALPHA, BETA):
-        raise UnknownCamp(f"camp must be {ALPHA!r} or {BETA!r}, got {camp!r}")
-    outgoing = q.alpha_out if camp == ALPHA else q.beta_out
-    if v not in outgoing:
-        return CycleWord(v, ())
-    special = camp == BETA and v != q.loop_vertex and v in q.exceptional_vertices
-    arrows = []
-    at = v
-    while True:
-        arrow = outgoing[at]
-        arrows.append(arrow)
-        at = arrow.target
-        if special and at == q.loop_vertex:
-            arrows.append(q.loop_arrow)
-        if at == v:
-            return CycleWord(v, tuple(arrows))
+    def __missing__(self, key):
+        if key[1] not in (ALPHA, BETA):
+            raise UnknownCamp(f"camp must be {ALPHA!r} or {BETA!r}, got {key[1]!r}")
+        return ()
+
+
+def cycle_words(q: BrauerQuiver) -> CycleWords:
+    """The cycle word of every vertex and camp, ids indexing ``q.arrows``: the
+    rotations of one walk per cycle.  Every start on the exceptional cycle but
+    the loop vertex inserts the loop arrow on passing the loop vertex."""
+    ids, loop = q.ids, q.loop_vertex
+    out = CycleWords()
+    for c in q.cycles:
+        arrows = c.arrows
+        if c.exceptional:
+            s = next(k for k, a in enumerate(arrows) if a.source == loop)
+            arrows = arrows[s:] + arrows[:s]
+        word = tuple(ids[a.name] for a in arrows)
+        passing = word + (ids[q.loop_arrow.name],) if c.exceptional else word
+        for k, a in enumerate(arrows):
+            w = passing if k else word
+            out[(a.source, c.camp)] = w[k:] + w[:k]
+    return out
 
 
 def quiver_to_dot(q: BrauerQuiver) -> str:

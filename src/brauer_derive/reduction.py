@@ -5,6 +5,12 @@ non-empty tree onto the exceptional cycle, optionally attaching a full
 tilting certificate plus a Cartan cross-check of the surgery against the
 endomorphism ring.  The trace ends at a loop-star with the same number of
 edges, which indexes the derived-equivalence class.
+
+A graph's constructor is its validation, so only the graph a reduction
+starts from is validated again.  A step computes one determinant, det_end:
+a moved graph whose Cartan rows equal the endomorphism ring's, reordered to
+its vertices, has that matrix up to a simultaneous permutation of rows and
+columns, which keeps the determinant.
 """
 from __future__ import annotations
 
@@ -15,9 +21,9 @@ from .algebra import omega_relations, quotient_basis
 from .graph import (
     BrauerGraph,
     MalformedInput,
+    _canonical_obj,
     edge_count,
     parse_graph,
-    serialize_graph,
     validate,
 )
 from .linalg import QQ
@@ -53,8 +59,6 @@ class ReductionTrace:
     n: int
 
     def to_json(self):
-        from .graph import _canonical_obj
-
         return {
             "input": _canonical_obj(self.input),
             "n": self.n,
@@ -92,7 +96,7 @@ class _AlgebraCache:
         self.store = {}
 
     def get(self, g):
-        key = serialize_graph(g)
+        key = g.canonical
         if key not in self.store:
             self.store[key] = quotient_basis(
                 omega_relations(build_quiver(g)), self.cap, self.margin, self.field
@@ -107,13 +111,14 @@ def _certified_step(g, at, cache):
     moved = enlarge_graph_move(g, at)
     A2 = cache.get(moved)
     expected = cert.end_cartan.reorder(A2.vertices)
-    actual = A2.cartan()
-    if actual.rows != expected.rows:
+    if A2.cartan().rows != expected.rows:
         raise CertificateFailure(
             f"surgery Cartan mismatch at edge {at}: endomorphism ring and "
             "moved graph disagree"
         )
-    if abs(cert.det_source) != abs(actual.det()):
+    # an equal matrix that carries det_end (see the module docstring)
+    A2._cartan = expected
+    if abs(cert.det_source) != abs(expected.det()):
         raise CertificateFailure(f"|det Cartan| changed at edge {at}")
     return moved, cert
 
@@ -133,7 +138,6 @@ def reduce_to_normal_form(
             moved, cert = _certified_step(current, at, cache)
         else:
             moved, cert = enlarge_graph_move(current, at), None
-        validate(moved)
         if edge_count(moved) != edge_count(current):
             raise CertificateFailure(f"edge count changed at edge {at}")
         steps.append(ReductionStep(current, moved, at, cert))
@@ -143,27 +147,22 @@ def reduce_to_normal_form(
     return ReductionTrace(g, steps, current, edge_count(g))
 
 
-def _load_graph(obj):
-    g = parse_graph(json.dumps(obj))
-    validate(g)
-    return g
-
-
 def load_trace(payload) -> ReductionTrace:
     """Rebuild a trace from its ``to_json`` form, e.g. ``reduce --json`` output.
 
-    Every graph is parsed and validated again; a step's ``before`` is the
-    previous step's ``after``.  Certificates stay JSON dicts, which
+    Every graph is parsed, and so validated, again; a step's ``before`` is
+    the previous step's ``after``.  Certificates stay JSON dicts, which
     ``certify_trace`` compares with the ones it recomputes.
     """
     try:
-        current = start = _load_graph(payload["input"])
+        current = start = parse_graph(json.dumps(payload["input"]))
         steps = []
         for s in payload["steps"]:
-            after = _load_graph(s["after"])
+            after = parse_graph(json.dumps(s["after"]))
             steps.append(ReductionStep(current, after, s["at"], s["certificate"]))
             current = after
-        return ReductionTrace(start, steps, _load_graph(payload["normalForm"]), payload["n"])
+        normal_form = parse_graph(json.dumps(payload["normalForm"]))
+        return ReductionTrace(start, steps, normal_form, payload["n"])
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"not a reduction trace ({type(exc).__name__}: {exc})") from None
 
@@ -179,10 +178,10 @@ def certify_trace(t: ReductionTrace, cap=None, margin=None, field=QQ) -> bool:
     validate(current)
     for idx, step in enumerate(t.steps):
         try:
-            if serialize_graph(step.before) != serialize_graph(current):
+            if step.before != current:
                 raise CertificateFailure("trace steps do not chain")
             moved, cert = _certified_step(current, step.at, cache)
-            if serialize_graph(moved) != serialize_graph(step.after):
+            if moved != step.after:
                 raise CertificateFailure(f"stored result of step differs at {step.at}")
             stored = _certificate_json(step.certificate)
             if stored is not None and stored != cert.to_json():
@@ -192,7 +191,7 @@ def certify_trace(t: ReductionTrace, cap=None, margin=None, field=QQ) -> bool:
             # match the recomputed trace: a certificate fault, not bad input
             raise CertificateFailure(f"step {idx}: {exc}") from None
         current = step.after
-    if serialize_graph(current) != serialize_graph(t.normal_form):
+    if current != t.normal_form:
         raise CertificateFailure("trace normal form mismatch")
     if not t.normal_form.is_loop_star() or edge_count(t.normal_form) != t.n:
         raise CertificateFailure("normal form is not the loop-star of the right size")

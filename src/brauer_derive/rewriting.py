@@ -28,9 +28,9 @@ each question reads only the leads that can answer it.
   when ``truncated`` is already set or when no monomial pair can exceed
   ``maxlen``: len(lead) + (longest monomial lead) - 1 <= maxlen.
 - Leads by contained arrow give the candidates for interreduction.
-- The lead lengths present per first and per last arrow, re-sorted on every
-  ``add_rule`` and ``drop_rule``, bound the slices ``find_factor`` and
-  ``has_lead_suffix`` try at each position.
+- The lead lengths present per first and per last arrow bound the slices
+  ``find_factor`` and ``has_lead_suffix`` try at each position.  ``add_rule``
+  inserts a length that is new there, and ``drop_rule`` recounts them.
 The ``nf_word`` memo is cleared in full whenever a rule is added or dropped.
 Keeping the entries whose word does not contain the new lead is unsound:
 such an entry's result, or a word met while rewriting it, may contain the
@@ -107,7 +107,10 @@ class RewriteSystem:
             self._by_last.setdefault(lead[-1], set()).add(lead)
             for a in set(lead):
                 self._by_arrow.setdefault(a, set()).add(lead)
-            self._refresh_lengths(lead)
+            for lengths, end in ((self._first_lengths, lead[0]), (self._last_lengths, lead[-1])):
+                have = lengths.get(end, ())
+                if len(lead) not in have:
+                    lengths[end] = tuple(sorted(have + (len(lead),)))
         if tail:
             self._binomial_first.setdefault(lead[0], set()).add(lead)
             self._binomial_last.setdefault(lead[-1], set()).add(lead)
@@ -133,7 +136,7 @@ class RewriteSystem:
         return tail
 
     def _refresh_lengths(self, lead):
-        """Refresh the lead lengths under lead's first and last arrow."""
+        """Recount the lead lengths under lead's first and last arrow."""
         first, last = lead[0], lead[-1]
         self._first_lengths[first] = tuple(sorted({len(w) for w in self._by_first[first]}))
         self._last_lengths[last] = tuple(sorted({len(w) for w in self._by_last[last]}))

@@ -38,7 +38,7 @@ from .homological import (
     mapping_cone,
     minimize,
 )
-from .quiver import BETA, build_quiver, cycle_at
+from .quiver import BETA, build_quiver, cycle_words
 
 
 class NonUniqueHom(Exception):
@@ -357,9 +357,7 @@ def _enlarge_generator_maps(Q: TiltingComplex, target_quiver):
             if fan_cycle:
                 elt = A.arrow_element(q.alpha_out[s].name)
             else:
-                elt = A.reduce_word(
-                    top, tuple(A.arrow_ids[a] for a in cycle_at(q, top, BETA).names())
-                )
+                elt = A.reduce_word(top, cycle_words(q)[(top, BETA)])
         elif len(fan) >= 2 and s == top and t == fan[0]:
             elt = A.path_element((q.beta_out[top].name, q.beta_out[succ].name))
         else:

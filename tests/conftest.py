@@ -4,7 +4,10 @@ import pytest
 
 from brauer_derive.algebra import (
     AlgebraElement,
+    PathElement,
+    Presentation,
     QuiverMismatch,
+    _relation,
     omega_relations,
     quotient_basis,
 )
@@ -18,7 +21,7 @@ from brauer_derive.graph import (
 )
 from brauer_derive.homological import _has_variables
 from brauer_derive.linalg import SparseEchelon
-from brauer_derive.quiver import build_quiver
+from brauer_derive.quiver import ALPHA, BETA, build_quiver
 
 G_MIN_TEXT = (
     '{"vertices":[{"id":"S","cyclic":["1","1","2"]},'
@@ -104,6 +107,81 @@ def corpus():
 @pytest.fixture(scope="session")
 def g_min():
     return parse_graph(G_MIN_TEXT)
+
+
+def path_element(source, target, d):
+    """PathElement of {arrow-name word: coefficient} d, terms ordered by
+    length, then by names."""
+    return PathElement(source, target, tuple(sorted(d.items(), key=lambda t: (len(t[0]), t[0]))))
+
+
+def relation_words(rel):
+    return [w for w, _ in rel.terms]
+
+
+def word_element(q, words, coeffs):
+    """The named relation sum c * w over arrow-name words w, through the
+    package's homogeneity check and term order."""
+    terms = _relation(q, [tuple(q.ids[n] for n in w) for w in words], coeffs)
+    return Presentation(q, id_relations=[terms]).relations[0]
+
+
+# Test-only oracles: the cycle walk and ``omega_relations`` as they were
+# before ``cycle_words`` walked each quiver cycle once and relations became
+# arrow-id terms: one walk per vertex and camp, and named relations.
+
+
+def cycle_at(q, v, camp):
+    """Arrow names of the cycle word at v in camp, by following arrows."""
+    outgoing = q.alpha_out if camp == ALPHA else q.beta_out
+    if v not in outgoing:
+        return ()
+    special = camp == BETA and v != q.loop_vertex and v in q.graph.cycle_edges
+    names, at = [], v
+    while True:
+        arrow = outgoing[at]
+        names.append(arrow.name)
+        at = arrow.target
+        if special and at == q.loop_vertex:
+            names.append(q.loop_arrow.name)
+        if at == v:
+            return tuple(names)
+
+
+def omega_relations_oracle(q):
+    def element(words, coeffs=(1,)):
+        first = words[0]
+        src, tgt = q.by_name[first[0]].source, q.by_name[first[-1]].target
+        return path_element(src, tgt, dict(zip(words, coeffs)))
+
+    loop = q.loop_vertex
+    rels = []
+    for v in q.vertices:
+        if v == loop:
+            continue
+        bi, ao = q.beta_in.get(v), q.alpha_out.get(v)
+        if bi and ao:
+            rels.append(element([(bi.name, ao.name)]))
+        ai, bo = q.alpha_in.get(v), q.beta_out.get(v)
+        if ai and bo:
+            rels.append(element([(ai.name, bo.name)]))
+    rels.append(element([(q.beta_in[loop].name, q.beta_out[loop].name)]))
+    for v in q.vertices:
+        if v == loop:
+            continue
+        a_word = cycle_at(q, v, ALPHA)
+        b_word = cycle_at(q, v, BETA)
+        if a_word and b_word:
+            rels.append(element([a_word, b_word], [1, -1]))
+        elif b_word:
+            rels.append(element([b_word + (q.beta_out[v].name,)]))
+        elif a_word:
+            rels.append(element([a_word + (q.alpha_out[v].name,)]))
+    a1 = q.loop_arrow.name
+    b_full = cycle_at(q, loop, BETA)
+    rels.append(element([(a1, a1), (a1,) + b_full], [1, -1]))
+    rels.append(element([(a1,) + b_full, b_full + (a1,)], [1, 1]))
+    return Presentation(q, tuple(rels))
 
 
 # Test-only oracles: the product-table comparison and the product-based

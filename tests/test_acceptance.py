@@ -12,7 +12,6 @@ import pytest
 
 from brauer_derive.algebra import (
     Presentation,
-    _word_element,
     omega_relations,
     a_n_presentation,
     presentations_equal_on_basis,
@@ -31,7 +30,7 @@ from brauer_derive.tilting import (
     shrink_complex,
 )
 
-from conftest import algebra_for
+from conftest import algebra_for, word_element
 from test_homological import random_complexes, s_matrix
 from test_tilting import pattern
 
@@ -59,13 +58,13 @@ def displayed_omega_presentation(n):
     a = "a_1"
     beta = tuple(f"b_{i}" for i in range(1, n + 1))
     rels = [
-        _word_element(q, [(a, a), (a,) + beta], [1, -1]),
-        _word_element(q, [(a,) + beta, beta + (a,)], [1, 1]),
-        _word_element(q, [(beta[-1], beta[0])], [1]),
+        word_element(q, [(a, a), (a,) + beta], [1, -1]),
+        word_element(q, [(a,) + beta, beta + (a,)], [1, 1]),
+        word_element(q, [(beta[-1], beta[0])], [1]),
     ]
     for j in range(2, n + 1):
         word = beta[j - 1:] + (a,) + beta[: j - 1] + (beta[j - 1],)
-        rels.append(_word_element(q, [word], [1]))
+        rels.append(word_element(q, [word], [1]))
     return Presentation(q, tuple(rels))
 
 

@@ -13,8 +13,8 @@ import pytest
 
 from brauer_derive.algebra import (
     CompositionMismatch,
-    PathElement,
     Presentation,
+    _relation_combos,
     a_n_presentation,
     omega_relations,
     presentations_equal_on_basis,
@@ -25,7 +25,16 @@ from brauer_derive.graph import loop_star, parse_graph
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
 
-from conftest import G_MIN_TEXT, algebra_for, products_equal_oracle, socle_words_oracle
+from conftest import (
+    G_MIN_TEXT,
+    algebra_for,
+    corpus_graphs,
+    omega_relations_oracle,
+    path_element,
+    products_equal_oracle,
+    relation_words,
+    socle_words_oracle,
+)
 from test_random_graphs import random_one_loop_graph
 
 
@@ -64,7 +73,7 @@ def brute_force_blocks(q, presentation, maxlen=10):
         by_end.setdefault(target_of(src, word), []).append((src, word))
         by_start.setdefault(src, [[] for _ in range(maxlen + 1)])[len(word)].append(word)
     for rel in presentation.relations:
-        rlen = max(len(w) for w in rel.words())
+        rlen = max(len(w) for w in relation_words(rel))
         for usrc, u in by_end.get(rel.source, []):
             # u * rel * v stays within maxlen exactly when len(v) is small enough
             for vlen in range(maxlen - len(u) - rlen + 1):
@@ -152,6 +161,27 @@ def test_omega_relations_loop_star_n():
         word = beta[j - 1 :] + ("a_1",) + beta[: j - 1] + (f"b_{j}",)
         expected.add(frozenset({(word, Fraction(1))}))
     assert rel_words(omega_relations(q)) == expected
+
+
+def relation_graphs():
+    graphs = list(corpus_graphs().values()) + [loop_star(n) for n in (1, 2, 9, 36)]
+    return graphs + [random_one_loop_graph(random.Random(s), 3 + s) for s in range(24)]
+
+
+def test_omega_relations_match_the_named_oracle():
+    """Arrow-id relations from one walk per cycle name the relations the
+    named builder gives, term for term and in order, and complete from the
+    same combos in the same order, over Q and GF(2)."""
+    for g in relation_graphs():
+        q = build_quiver(g)
+        p, oracle = omega_relations(q), omega_relations_oracle(q)
+        assert p.relations == oracle.relations, g
+        assert [str(r) for r in p.relations] == [str(r) for r in oracle.relations]
+        hand_built = Presentation(q, oracle.relations)
+        assert hand_built.id_relations == p.id_relations
+        for field in (QQ, PrimeField(2)):
+            combos = [list(c.items()) for c in _relation_combos(p, field)]
+            assert combos == [list(c.items()) for c in _relation_combos(hand_built, field)]
 
 
 def test_a_n_presentation():
@@ -388,27 +418,24 @@ def test_quiver_mismatch():
 
 
 def test_reduce_path_element(g_min):
-    from brauer_derive.algebra import PathElement
     from fractions import Fraction
 
     A = algebra_for(g_min)
-    elt = PathElement.from_dict(
+    elt = path_element(
         "1", "1", {("a_1", "a_1"): Fraction(1), ("a_1", "b_1", "b_2"): Fraction(-1)}
     )
     assert A.reduce(elt).is_zero()  # this is a relation
-    half = PathElement.from_dict("1", "1", {("a_1",): Fraction(1, 2)})
+    half = path_element("1", "1", {("a_1",): Fraction(1, 2)})
     got = A.reduce(half)
     assert got == A.path_element(("a_1",)).scale(Fraction(1, 2))
 
 
 def test_blockless_paths_are_composition_mismatches(g_min):
-    from brauer_derive.algebra import PathElement
-
     A = algebra_for(g_min)
     with pytest.raises(CompositionMismatch, match="use e"):
         A.path_element(())
     with pytest.raises(CompositionMismatch, match="empty element"):
-        A.reduce(PathElement.from_dict("1", "1", {}))
+        A.reduce(path_element("1", "1", {}))
 
 
 def test_multiply_operation_surface():
@@ -462,8 +489,8 @@ def _deformed(p):
     """The socle deformation of omega_relations: the loop squares to zero."""
     a1 = p.quiver.loop_arrow.name
     rels = tuple(
-        PathElement.from_dict(r.source, r.target, {(a1, a1): Fraction(1)})
-        if (a1, a1) in r.words() else r
+        path_element(r.source, r.target, {(a1, a1): Fraction(1)})
+        if (a1, a1) in relation_words(r) else r
         for r in p.relations
     )
     return Presentation(p.quiver, rels)
@@ -477,7 +504,7 @@ def _sign_flipped(p):
     terms = dict(last.terms)
     word = next(w for w in terms if w[-1] == p.quiver.loop_arrow.name)
     terms[word] = -terms[word]
-    return Presentation(p.quiver, (*rels, PathElement.from_dict(last.source, last.target, terms)))
+    return Presentation(p.quiver, (*rels, path_element(last.source, last.target, terms)))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -505,9 +532,9 @@ def test_perturbed_relation_changes_the_socle_quotient():
     quotient but not its products."""
     F = PrimeField(2)
     p = a_n_presentation(2)
-    r = next(r for r, rel in enumerate(p.relations) if rel.words() == [("a_1", "a_1")])
+    r = next(r for r, rel in enumerate(p.relations) if relation_words(rel) == [("a_1", "a_1")])
     rels = list(p.relations)
-    rels[r] = PathElement.from_dict(
+    rels[r] = path_element(
         "1", "1", {("a_1", "a_1"): Fraction(1), ("b_1", "b_2"): Fraction(1)}
     )
     base = socle_quotient(quotient_basis(p, field=F))
@@ -521,11 +548,13 @@ def test_perturbed_coefficient_changes_the_full_algebra(n):
     """Omega(n) with the coefficient of a1*a1 doubled keeps every basis word
     but not the products; the socle quotient does not see it."""
     p = omega_relations(build_quiver(loop_star(n)))
-    r, rel = next((r, rel) for r, rel in enumerate(p.relations) if ("a_1", "a_1") in rel.words())
+    r, rel = next(
+        (r, rel) for r, rel in enumerate(p.relations) if ("a_1", "a_1") in relation_words(rel)
+    )
     terms = dict(rel.terms)
     terms[("a_1", "a_1")] *= 2
     rels = list(p.relations)
-    rels[r] = PathElement.from_dict(rel.source, rel.target, terms)
+    rels[r] = path_element(rel.source, rel.target, terms)
     A, B = quotient_basis(p), quotient_basis(Presentation(p.quiver, tuple(rels)))
     assert A.blocks == B.blocks
     assert not _agree(A, B)

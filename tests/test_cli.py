@@ -6,11 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from brauer_derive import algebra, cli, reduction, rewriting, tilting
+from brauer_derive import algebra, cli, graph, reduction, rewriting, tilting
 from brauer_derive.algebra import (
     CartanMismatch,
     Presentation,
-    _word_element,
     a_n_presentation,
     quotient_basis,
 )
@@ -26,7 +25,7 @@ from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
 from brauer_derive.linalg import PrimeField
 
-from conftest import CORPUS_TEXTS, G_MIN_TEXT, corpus_graphs
+from conftest import CORPUS_TEXTS, G_MIN_TEXT, corpus_graphs, word_element
 
 
 @pytest.fixture()
@@ -180,6 +179,41 @@ def test_reduce_certifies_each_step_once(tmp_path, capsys, monkeypatch):
     graphs = {json.dumps(g) for g in [payload["input"]] + [s["after"] for s in payload["steps"]]}
     assert len(tilts) == len(payload["steps"]) == 4
     assert len(builds) == len(graphs) == 5
+
+
+def test_reduce_computes_one_determinant_per_step(tmp_path, capsys, monkeypatch):
+    """reduce --certify eliminates the input's Cartan matrix and each step's
+    endomorphism-ring matrix once: the moved graph's determinant is det_end."""
+    dets = []
+    det_int = algebra.det_int
+
+    def counting_det_int(rows):
+        dets.append(rows)
+        return det_int(rows)
+
+    monkeypatch.setattr(algebra, "det_int", counting_det_int)
+    payload = _certified_trace(tmp_path, capsys, "mixed7", [])
+    assert len(dets) == len(payload["steps"]) + 1 == 5
+
+
+def test_reduce_canonicalises_each_graph_once(tmp_path, capsys, monkeypatch):
+    """Each graph of the trace computes its canonical form once, for the
+    algebra cache and for the JSON output alike."""
+    rotated = []
+    least_rotation = graph._least_rotation
+
+    def counting_least_rotation(cyclic):
+        rotated.append(cyclic)
+        return least_rotation(cyclic)
+
+    path = _corpus_file(tmp_path, "mixed7")
+    monkeypatch.setattr(graph, "_least_rotation", counting_least_rotation)
+    assert run(["reduce", path, "--certify", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    graphs = [payload["input"]] + [s["after"] for s in payload["steps"]]
+    assert len({json.dumps(g) for g in graphs}) == len(graphs) == 5
+    # one rotation per vertex the trace prints, once per graph
+    assert len(rotated) == sum(len(g["vertices"]) for g in graphs)
 
 
 def _reduce_mixed7_fails(tmp_path, capsys):
@@ -409,7 +443,7 @@ def test_non_admissible_presentation_is_certificate_failure(capsys, monkeypatch)
     a relation word of length 1 is an engine fault: exit 3, not exit 1."""
 
     def length_one(q):
-        return Presentation(q, (_word_element(q, [(q.loop_arrow.name,)], [1]),))
+        return Presentation(q, (word_element(q, [(q.loop_arrow.name,)], [1]),))
 
     monkeypatch.setattr(cli, "omega_relations", length_one)
     assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
@@ -421,7 +455,7 @@ def test_inhomogeneous_relation_is_certificate_failure(capsys, monkeypatch):
     engine fault: exit 3, not exit 1."""
 
     def inhomogeneous(q):  # b_1 leaves vertex 1, b_2 vertex 2
-        return Presentation(q, (_word_element(q, [("b_1",), ("b_2",)], [1, 1]),))
+        return Presentation(q, (word_element(q, [("b_1",), ("b_2",)], [1, 1]),))
 
     monkeypatch.setattr(cli, "omega_relations", inhomogeneous)
     assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE

@@ -184,6 +184,54 @@ def test_echelon_add_over_q_keeps_exact_fractions():
     assert all(type(c) is int for c in ech.pivots[1].values())
 
 
+class DividingEchelon(SparseEchelon):
+    """Oracle: every stored row divided by its pivot entry by entry, as
+    before rows with pivot -1 were negated."""
+
+    def add(self, vec):
+        red = self.reduce(vec)
+        if not red:
+            return False
+        lead = max(red)
+        coeff = red[lead]
+        if coeff != self.one:
+            red = {k: exact_div(v, coeff) for k, v in red.items()}
+        self.pivots[lead] = red
+        return True
+
+
+def _typed(pivots):
+    return {lead: [(k, v, type(v)) for k, v in row.items()] for lead, row in pivots.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(1000003)],
+                         ids=["Q", "GF2", "GF3", "GF1000003"])
+def test_echelon_negation_stores_the_rows_division_stores(field):
+    """Rows with pivot -1 are negated; the stored rows equal the division
+    path's in value, type and key order, over Q with int and Fraction
+    entries (a Fraction pivot equal to -1 included) and over GF(p)."""
+    rng = random.Random(14)
+    if field == QQ:
+        values = [-1, 1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(-1), Fraction(2)]
+    else:
+        values = [x for x in map(field.from_int, (-1, 1, 2, -3, 5)) if x]
+    minus_one = field.from_int(-1)
+    pivots_seen = []
+    for _ in range(60):
+        ech, oracle = SparseEchelon(field.one), DividingEchelon(field.one)
+        for _ in range(8):
+            vec = {k: rng.choice(values) for k in rng.sample(range(10), rng.randint(1, 6))}
+            vec[max(vec)] = rng.choice([minus_one, rng.choice(values)])
+            red = ech.reduce(vec)
+            if red:
+                pivots_seen.append(red[max(red)])
+            assert ech.add(vec) == oracle.add(vec)
+            assert _typed(ech.pivots) == _typed(oracle.pivots)
+    assert any(type(c) is type(minus_one) and c == minus_one for c in pivots_seen)
+    if field == QQ:
+        assert any(type(c) is Fraction and c == -1 for c in pivots_seen)
+
+
 def _coefficients(A):
     """Every coefficient in A's rules, product tables and basis products."""
     for tail in A._rsys.rules.values():

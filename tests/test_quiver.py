@@ -3,9 +3,9 @@ import random
 import pytest
 
 from brauer_derive.graph import loop_star, parse_graph
-from brauer_derive.quiver import ALPHA, BETA, build_quiver, cycle_at, quiver_to_dot
+from brauer_derive.quiver import ALPHA, BETA, build_quiver, cycle_words, quiver_to_dot
 
-from conftest import G_MIN_TEXT
+from conftest import G_MIN_TEXT, corpus_graphs, cycle_at
 from test_random_graphs import random_one_loop_graph
 
 
@@ -38,19 +38,35 @@ def test_g_min_arrows():
     }
 
 
+def cycle_names(q, v, camp):
+    return tuple(q.arrows[a].name for a in cycle_words(q)[(v, camp)])
+
+
 def test_cycle_at_b_prime():
     q = build_quiver(loop_star(3))
-    assert cycle_at(q, "2", BETA).names() == ("b_2", "b_3", "a_1", "b_1")
-    assert cycle_at(q, "3", BETA).names() == ("b_3", "a_1", "b_1", "b_2")
-    assert cycle_at(q, "1", BETA).names() == ("b_1", "b_2", "b_3")
-    assert cycle_at(q, "1", ALPHA).names() == ("a_1",)
+    assert cycle_names(q, "2", BETA) == ("b_2", "b_3", "a_1", "b_1")
+    assert cycle_names(q, "3", BETA) == ("b_3", "a_1", "b_1", "b_2")
+    assert cycle_names(q, "1", BETA) == ("b_1", "b_2", "b_3")
+    assert cycle_names(q, "1", ALPHA) == ("a_1",)
 
 
 def test_cycle_at_g_min():
     q = build_quiver(parse_graph(G_MIN_TEXT))
-    assert cycle_at(q, "3", BETA).names() == ()
-    assert cycle_at(q, "2", ALPHA).names() == ("a_2", "a_3")
-    assert cycle_at(q, "2", BETA).names() == ("b_2", "a_1", "b_1")
+    assert cycle_names(q, "3", BETA) == ()
+    assert cycle_names(q, "2", ALPHA) == ("a_2", "a_3")
+    assert cycle_names(q, "2", BETA) == ("b_2", "a_1", "b_1")
+
+
+def test_cycle_words_match_the_walk_oracle():
+    """One walk per quiver cycle gives the word of every vertex and camp
+    that following arrows from that vertex gives."""
+    graphs = list(corpus_graphs().values()) + [loop_star(n) for n in (1, 2, 9)]
+    graphs += [random_one_loop_graph(random.Random(s), 3 + s) for s in range(20)]
+    for g in graphs:
+        q = build_quiver(g)
+        for v in q.vertices:
+            for camp in (ALPHA, BETA):
+                assert cycle_names(q, v, camp) == cycle_at(q, v, camp), (g, v, camp)
 
 
 def test_dot_export():

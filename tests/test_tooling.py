@@ -2,11 +2,20 @@
 module (``__init__.py`` aside, which re-exports) imports a name it never
 uses, every top-level function or class is referenced somewhere in the
 package outside its own body and outside ``__init__.py``, and every
-exception class the package raises has an exit code in ``cli.run``."""
+exception class the package raises has an exit code in ``cli.run``.
+
+The benchmark's tracer reads the program from outside (the arguments and
+results of the functions it wraps), so a last test runs every workload's
+tiny plan traced and checks that each declared per-layer metric comes out."""
 import ast
+import json
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "brauer_derive"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "brauer_derive"
 
 
 def _names(node):
@@ -162,3 +171,34 @@ def test_exit_code_check_flags_injected_faults():
     assert unmapped_exceptions(sources) == [
         ("graph.py", "StrayError"), ("linalg.py", "FieldMismatch"), ("linalg.py", "KeyError"),
     ]
+
+
+# -- the benchmark tracer's view of the program ---------------------------
+
+
+@pytest.mark.parametrize("workload", ["reduce-random", "shrink-deep", "basis-star"])
+def test_traced_tiny_plans_report_every_declared_layer_metric(workload, tmp_path):
+    """The tracer counts from ``quotient_basis``'s presentation (its quiver's
+    arrows and its relations as text), ``complete``'s rules, the levels of
+    ``normal_words``, ``minimize``'s summands and more; a refactor that moves
+    any of them breaks its metrics, which CI's tier-1 run would otherwise
+    not see.  The package is not re-imported between invocations here."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import measure
+        import report
+        import workloads
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    from brauer_derive import cli
+
+    plan = workloads.WORKLOADS[workload](7, **workloads.TINY[workload])
+    runner = measure.Runner(tmp_path, load_cli=lambda: cli)
+    _, complete, exhausted = measure.run_plan(runner, plan, 600, Tracer())
+    assert exhausted and complete == len(plan)
+    assert [r["error"] for r in runner.records if not r["ok"]] == []
+    assert any(r["traced"] for r in runner.records)
+    metrics, _ = report.per_layer(runner.records)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in declared if m["name"] not in metrics] == []
