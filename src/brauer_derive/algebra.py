@@ -5,7 +5,9 @@
 two cycles at each vertex with the loop-adjusted cycle on the exceptional
 one, and the two loop relations), with the degenerate replacements at
 vertices whose second cycle is trivial.  ``a_n_presentation`` builds the
-socle-deformed comparison algebra on the same quiver.
+socle-deformed comparison algebra on the same quiver.  Both build relations
+as arrow-id terms from one walk per quiver cycle (``cycle_words``), which is
+what completion reads; named relations are made only when asked for.
 
 ``quotient_basis`` turns a presentation into exact structure: a normal-form
 basis for every ordered pair of vertices, a reduction map for paths, and
@@ -24,9 +26,9 @@ graph, ``a_n_presentation``) has this Cartan matrix.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from . import rewriting
 from .linalg import QQ, det_int, vec_add_scaled
@@ -137,6 +139,8 @@ def _relation(q, words, coeffs=(1,)):
         if arrows[word[0]].source != src or arrows[word[-1]].target != tgt:
             raise InhomogeneousRelation("relation terms are not source/target homogeneous")
         terms[word] = terms.get(word, 0) + c
+    if len(terms) == 1:
+        return tuple(terms.items())
     return tuple(
         sorted(terms.items(), key=lambda t: (len(t[0]), [arrows[a].name for a in t[0]]))
     )
@@ -629,19 +633,19 @@ def _block_words(q, levels):
     for level in levels:
         for src, word in level:
             found.setdefault((src, target[word[-1]] if word else src), []).append(word)
-    blocks = {(i, j): tuple(found.get((i, j), ())) for i in q.vertices for j in q.vertices}
+    blocks = dict.fromkeys(product(q.vertices, repeat=2), ())
+    blocks.update((key, tuple(words)) for key, words in found.items())
     return blocks, {key: len(words) for key, words in found.items()}
 
 
 def _check_half_edge_cartan(q, blocks, counts):
     """Raise ``CartanMismatch`` unless every block has sum_v a_i(v) * a_j(v)
     words, a_i(v) counting the half-edges of edge i at graph vertex v."""
-    expected = {}
+    expected = {}  # a pair of half-edges of i and j at v adds 1 to C_ij
     for v in q.graph.vertices:
-        half = Counter(v.cyclic)
-        for i, ai in half.items():
-            for j, aj in half.items():
-                expected[(i, j)] = expected.get((i, j), 0) + ai * aj
+        for i in v.cyclic:
+            for j in v.cyclic:
+                expected[(i, j)] = expected.get((i, j), 0) + 1
     if counts != expected:
         i, j = next(k for k in blocks if counts.get(k, 0) != expected.get(k, 0))
         raise CartanMismatch(
