@@ -139,8 +139,6 @@ def _relation(q, words, coeffs=(1,)):
         if arrows[word[0]].source != src or arrows[word[-1]].target != tgt:
             raise InhomogeneousRelation("relation terms are not source/target homogeneous")
         terms[word] = terms.get(word, 0) + c
-    if len(terms) == 1:
-        return tuple(terms.items())
     return tuple(
         sorted(terms.items(), key=lambda t: (len(t[0]), [arrows[a].name for a in t[0]]))
     )
