@@ -36,7 +36,6 @@ from .graph import (
     loop_star,
     parse_graph,
     serialize_graph,
-    validate,
     _canonical_obj,
 )
 from .homological import ChainMapFailure, NotAComplex
@@ -80,12 +79,6 @@ def _read_text(path):
             return fh.read()
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from None
-
-
-def _read_graph(path):
-    g = parse_graph(_read_text(path))
-    validate(g)
-    return g
 
 
 def _algebra(p, args):
@@ -183,7 +176,7 @@ def _cartan_lines(c):
 
 
 def cmd_validate(args):
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     _emit(
         args,
         {"valid": True, "edges": edge_count(g), "graph": _canonical_obj(g)},
@@ -193,7 +186,7 @@ def cmd_validate(args):
 
 
 def cmd_quiver(args):
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     q = build_quiver(g)
     if args.json:
         payload = {
@@ -211,7 +204,7 @@ def cmd_quiver(args):
 
 
 def cmd_algebra(args):
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     A = _build(g, args)
     p = A.presentation
     c = A.cartan()
@@ -239,7 +232,7 @@ def _cartan_target(args):
     if sum(given) != 1:
         raise UsageError("cartan needs exactly one of FILE, --omega N, --an N")
     if args.file:
-        return _build(_read_graph(args.file), args)
+        return _build(parse_graph(_read_text(args.file)), args)
     if args.omega is not None:
         return _algebra(_star_presentation("omega", args.omega), args)
     return _algebra(_star_presentation("an", args.an), args)
@@ -253,7 +246,7 @@ def cmd_cartan(args):
 
 
 def cmd_tilt_shrink(args):
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     A = _build(g, args)
     Q = shrink_complex(A, g)
     cert = check_tilting(Q)
@@ -279,7 +272,7 @@ def cmd_tilt_shrink(args):
 
 
 def cmd_tilt_enlarge(args):
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     A = _build(g, args)
     d = enlarge_data(g, args.at)
     Q = enlarge_complex(A, g, d)
@@ -306,7 +299,7 @@ def cmd_tilt_enlarge(args):
 
 
 def cmd_reduce(args):
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     trace = reduce_to_normal_form(
         g, certify=args.certify, cap=args.cap, margin=args.margin,
         field=parse_field(args.field),
@@ -342,7 +335,7 @@ def cmd_verify(args):
 
 
 def cmd_classify(args):
-    g = _read_graph(args.file)
+    g = parse_graph(_read_text(args.file))
     n = classify(g)
     _emit(args, {"n": n}, lambda: [str(n)])
     return EXIT_OK

@@ -13,13 +13,14 @@ entry, with None for zero.
 Homotopy Hom spaces are computed by two exact rank computations over the
 algebra's field: the solution space of the chain-map conditions and the
 image of the homotopy map s -> ds + sd inside it, both on the whole of the
-two complexes.  The solver builds these systems from the stored entries,
-walking each differential once per degree.  It reads the products of an
-entry with a block's basis (memoized on the algebra) once per entry and
-vertex, not once per summand at that vertex, and visits only the homotopy
-blocks that some entry reaches.  A shift at which no summand of C^n has a
-nonzero block to a summand of D^(n+r) has no variables, so
-``homotopy_hom`` returns 0 there before shifting D or building a solver.
+two complexes.  The solver reads D[r] off D, its sign (-1)^r folded into the
+products of D's entries, so no shifted copy is built.  It lays out each
+degree's variables by vertex groups and builds the rows and the homotopy
+columns from the stored entries into flat maps keyed (n, c, r, t) and
+(r, c, basis index), reading the products of an entry with a block's basis
+(memoized on the algebra) once per entry and vertex group.  A shift with no
+nonzero block from a summand of C^n to one of D^(n+r) has no variables, and
+``homotopy_hom`` returns 0 there without a solver.
 ``homotopy_hom`` returns the dimension alone: the certificates rest on
 dimensions, Hom(T, T[r]) = 0 and the Cartan matrix of End(T).  One echelon
 form of the homotopy columns serves both that dimension and the membership
@@ -358,128 +359,123 @@ def is_stalk(C: ProjComplex):
     return (t[0], n) if len(t) == 1 else None
 
 
-class _HomSolver:
-    """Exact solver for chain maps C -> D and null homotopies.
+def _positions(term):
+    """{vertex: the indices of term's summands at that vertex}."""
+    out = {}
+    for i, v in enumerate(term):
+        out.setdefault(v, []).append(i)
+    return out
 
-    The variables are the basis coordinates of the components f^n[r][c],
-    numbered by degree, target row, source column and basis word; the block
-    f^n[r][c] holds the variables from offset[(n, r, c)] on.  Blocks between
-    vertices with no nonzero maps get no variables; block dimensions are
-    read once per (source, target) vertex pair into a table.  The rows and
-    columns walk the nonzero differential entries only, and read the
-    products of an entry with the basis of a block once per vertex at the
-    block's far end, however many summands share that vertex; entries whose
-    products vanish emit nothing.  Nothing needs summing: a variable of
-    f^(n+1)[r][m] meets the rows of square (n, r, c) only through
-    d_C^n[m][c], one of f^n[m][c] only through d_D^n[r][m], and likewise
-    each homotopy coordinate reaches each variable through one differential
-    entry.
+
+def _terms(products, negate):
+    """(b, t, x) for each coordinate t, x of basis element b's product, negated if asked."""
+    return [(b, t, -x if negate else x) for b, coords in enumerate(products) for t, x in coords]
+
+
+class _HomSolver:
+    """Exact solver for chain maps C -> D[shift_by] and null homotopies.
+
+    Degree n of D[shift_by] is D^(n+shift_by), its differential's sign
+    (-1)^shift_by folded into the products of D's entries.  The variables
+    are the basis coordinates of the blocks f^n[r][c] from C^n[c] to
+    D^(n+shift_by)[r].  Each degree groups the summands of both terms by
+    vertex, and each (source vertex, target vertex) pair with a nonzero
+    block lays out all its (c, r) at once: f^n[r][c] starts at at_c + at_r,
+    where ``by_source[(n, c)][target vertex]`` is (at_c, {r: at_r}) and
+    ``by_target[(n, r)][source vertex]`` is (at_r, {c: at_c}).  Rows and
+    columns walk the nonzero differential entries, read an entry's products
+    with a block basis once per vertex group, and go into flat maps keyed
+    (n, c, r, t) and (r, c, basis index).  Nothing needs summing: a variable
+    of f^(n+1)[r][m] meets the rows of square (n, r, c) only through
+    d_C^n[m][c], one of f^n[m][c] only through D's entry (r, m), and each
+    homotopy coordinate reaches each variable through one entry.
     """
 
-    def __init__(self, C, D):
-        self.C, self.D = C, D
+    def __init__(self, C, D, shift_by=0):
+        self.C, self.D, self.shift_by = C, D, shift_by
         self.A = A = C.algebra
         self.nvars = 0
-        self.offset = {}
-        dims = {}  # (source vertex, target vertex) -> block dimension
-        self.by_source = {}  # (n, c) -> {target vertex: [(r, offset)]}
-        self.by_target = {}  # (n, r) -> {source vertex: [(c, offset)]}
-        for n in sorted(set(C.terms) & set(D.terms)):
-            sources = C.terms[n]
-            for r, tv in enumerate(D.terms[n]):
-                for c, sv in enumerate(sources):
-                    dim = dims.get((sv, tv))
-                    if dim is None:
-                        dim = dims[(sv, tv)] = len(A.block(sv, tv))
+        self.by_source = {}  # (n, c) -> {target vertex: (at_c, {r: at_r})}
+        self.by_target = {}  # (n, r) -> {source vertex: (at_r, {c: at_c})}
+        for n, sources in C.terms.items():
+            groups = _positions(D.term(n + shift_by)).items()
+            for sv, cs in _positions(sources).items() if groups else ():
+                for tv, rs in groups:
+                    dim = len(A.block(sv, tv))
                     if not dim:
                         continue
-                    base = self.offset[(n, r, c)] = self.nvars
-                    self.by_source.setdefault((n, c), {}).setdefault(tv, []).append((r, base))
-                    self.by_target.setdefault((n, r), {}).setdefault(sv, []).append((c, base))
-                    self.nvars += dim
+                    at_r = {r: j * dim for j, r in enumerate(rs)}
+                    at_c = {c: self.nvars + k * len(rs) * dim for k, c in enumerate(cs)}
+                    for c, at in at_c.items():
+                        self.by_source.setdefault((n, c), {})[tv] = (at, at_r)
+                    for r, at in at_r.items():
+                        self.by_target.setdefault((n, r), {})[sv] = (at, at_c)
+                    self.nvars += len(cs) * len(rs) * dim
 
     def constraint_rows(self):
-        """Sparse rows (over variable columns) expressing commutation squares.
-
-        Row (n, r, c, t) is coordinate t of the (r, c) entry of
-        f^(n+1) d_C^n - d_D^n f^n, read in application order.  Rows come in
-        the order (n, c, r, t).
+        """Sparse rows (over variable columns) expressing commutation squares,
+        in the order (n, c, r, t): row (n, r, c, t) is coordinate t of the
+        (r, c) entry of f^(n+1) d_C^n - d^n f^n, read in application order,
+        with d = (-1)^shift_by d_D^(n+shift_by) the differential of D[shift_by].
         """
-        A = self.A
-        rows = {}  # (n, c, r) -> {t: row}
-        # d_C then f^(n+1)
-        for n, matrix in self.C.diffs.items():
+        A, k = self.A, self.shift_by
+        rows = {}  # (n, c, r, t) -> row
+        for n, matrix in self.C.diffs.items():  # d_C then f^(n+1)
             for (m, c), d in matrix.items():
-                for tv, targets in self.by_source.get((n + 1, m), {}).items():
-                    products = A.times_basis(d, tv)
-                    terms = [(b, t, x) for b, coords in enumerate(products) for t, x in coords]
-                    for r, base in targets if terms else ():
-                        block = rows.setdefault((n, c, r), {})
-                        for b, t, coeff in terms:
-                            block.setdefault(t, {})[base + b] = coeff
-        # minus f^n then d_D
-        for n, matrix in self.D.diffs.items():
+                for tv, (at, targets) in self.by_source.get((n + 1, m), {}).items():
+                    terms = _terms(A.times_basis(d, tv), False)
+                    for r, at_r in targets.items():
+                        for b, t, x in terms:
+                            rows.setdefault((n, c, r, t), {})[at + at_r + b] = x
+        for n, matrix in self.D.diffs.items():  # minus f^(n-shift_by) then d
+            n -= k
             for (r, m), e in matrix.items():
-                for sv, sources in self.by_target.get((n, m), {}).items():
-                    products = A.basis_times(sv, e)
-                    terms = [(b, t, -x) for b, coords in enumerate(products) for t, x in coords]
-                    for c, base in sources if terms else ():
-                        block = rows.setdefault((n, c, r), {})
-                        for b, t, coeff in terms:
-                            block.setdefault(t, {})[base + b] = coeff
-        return [
-            rows[key][t] for key in sorted(rows) for t in sorted(rows[key])
-        ]
+                for sv, (at, sources) in self.by_target.get((n, m), {}).items():
+                    terms = _terms(A.basis_times(sv, e), not k % 2)
+                    for c, at_c in sources.items():
+                        for b, t, x in terms:
+                            rows.setdefault((n, c, r, t), {})[at + at_c + b] = x
+        return [rows[key] for key in sorted(rows)]
 
     def homotopy_span(self):
         """Echelon form of the image of s -> d s + s d, the null-homotopic
         chain maps, fed one image vector per s basis vector.
 
-        s^n[r][c] maps C^n[c] to D^(n-1)[r]; it reaches f^(n-1) through row c
-        of d_C^(n-1) and f^n through column r of d_D^(n-1).  The blocks
-        (r, c) are built from the differential entries, so only blocks that
-        some entry reaches with a block of variables are visited, and each
-        entry's products are read once per vertex.  Blocks are fed in the
-        order (r, c).
+        s^n[r][c] maps C^n[c] to D^(n-1+shift_by)[r]; it reaches f^(n-1)
+        through row c of d_C^(n-1) and f^n through column r of D's
+        differential there.  Only blocks that some entry reaches get image
+        vectors, fed in the order (r, c) per degree.
         """
-        C, D, A = self.C, self.D, self.A
+        C, D, A, k = self.C, self.D, self.A, self.shift_by
         span = SparseEchelon(A.field.one)
-        for n in sorted(C.terms):
-            if n - 1 not in D.terms:
+        for n in C.terms:
+            if n - 1 + k not in D.terms:
                 continue
-            hits = []  # (r, c, offset of an f block, products read into it)
+            cols = {}  # (r, c, b) -> image of basis vector b of s^n[r][c]
             for (c, c2), d in C.diffs.get(n - 1, {}).items():
-                for tv, targets in self.by_source.get((n - 1, c2), {}).items():
-                    products = A.times_basis(d, tv)
-                    if any(products):
-                        hits.extend((r, c, base, products) for r, base in targets)
-            for (r2, r), e in D.diffs.get(n - 1, {}).items():
-                for sv, sources in self.by_target.get((n, r2), {}).items():
-                    products = A.basis_times(sv, e)
-                    if any(products):
-                        hits.extend((r, c, base, products) for c, base in sources)
-            blocks = {}  # (r, c) -> image vectors of the basis of s^n[r][c]
-            for r, c, base, products in hits:
-                block = blocks.get((r, c))
-                if block is None:
-                    block = blocks[(r, c)] = [{} for _ in products]
-                for vec, coords in zip(block, products):
-                    for t, x in coords:
-                        vec[base + t] = x
-            for key in sorted(blocks):
-                for vec in blocks[key]:
-                    if vec:
-                        span.add(vec)
+                for tv, (at, targets) in self.by_source.get((n - 1, c2), {}).items():
+                    terms = _terms(A.times_basis(d, tv), False)
+                    for r, at_r in targets.items():
+                        for b, t, x in terms:
+                            cols.setdefault((r, c, b), {})[at + at_r + t] = x
+            for (r2, r), e in D.diffs.get(n - 1 + k, {}).items():
+                for sv, (at, sources) in self.by_target.get((n, r2), {}).items():
+                    terms = _terms(A.basis_times(sv, e), k % 2)
+                    for c, at_c in sources.items():
+                        for b, t, x in terms:
+                            cols.setdefault((r, c, b), {})[at + at_c + t] = x
+            for key in sorted(cols):
+                span.add(cols[key])
         return span
 
     def vectorize(self, f: ChainMap):
         vec = {}
         for n, matrix in f.comps.items():
             for (r, c), e in matrix.items():
-                base = self.offset[(n, r, c)]
-                for b, coeff in enumerate(e.coeffs):
+                at, at_r = self.by_source[(n, c)][e.target]
+                for var, coeff in enumerate(e.coeffs, at + at_r[r]):
                     if coeff:
-                        vec[base + b] = coeff
+                        vec[var] = coeff
         return vec
 
 
@@ -499,7 +495,7 @@ def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0) -> int:
     the null-homotopic ones."""
     if not _has_variables(C, D, shift_by):
         return 0
-    solver = _HomSolver(C, D.shift(shift_by))
+    solver = _HomSolver(C, D, shift_by)
     constraints = SparseEchelon(C.algebra.field.one)
     for row in solver.constraint_rows():
         constraints.add(row)

@@ -295,11 +295,19 @@ class SparseEchelon:
         return vec
 
     def add(self, vec):
-        """Insert a vector; returns True if it enlarged the span."""
-        red = self.reduce(vec)
-        if not red:
+        """Insert a vector; returns True if it enlarged the span.  The vector
+        is copied only to be reduced in place or stored: no dict of the caller
+        is kept."""
+        red = vec
+        while red:
+            lead = max(red)
+            row = self.pivots.get(lead)
+            if row is None:
+                break
+            red = dict(red) if red is vec else red
+            vec_add_scaled(red, row, -red[lead])
+        else:
             return False
-        lead = max(red)
         coeff = red[lead]
         if coeff != self.one:
             # a Fraction equal to -1 would make an int entry a Fraction: divide
@@ -307,6 +315,8 @@ class SparseEchelon:
                 red = {k: -v for k, v in red.items()}
             else:
                 red = {k: exact_div(v, coeff) for k, v in red.items()}
+        elif red is vec:
+            red = dict(vec)
         self.pivots[lead] = red
         return True
 

@@ -332,7 +332,10 @@ def solver_ranks(solver_class, C, D, shift_by=0):
     package's; (0, 0, 0) when no pair of summands has a nonzero block."""
     if not _has_variables(C, D, shift_by):
         return 0, 0, 0
-    solver = solver_class(C, D.shift(shift_by))
+    if solver_class is OracleHomSolver:
+        solver = solver_class(C, D.shift(shift_by))
+    else:
+        solver = solver_class(C, D, shift_by)
     constraints = SparseEchelon(C.algebra.field.one)
     for row in solver.constraint_rows():
         constraints.add(row)

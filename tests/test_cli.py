@@ -216,6 +216,23 @@ def test_reduce_canonicalises_each_graph_once(tmp_path, capsys, monkeypatch):
     assert len(rotated) == sum(len(g["vertices"]) for g in graphs)
 
 
+def test_reduce_checks_the_input_graph_twice(tmp_path, capsys, monkeypatch):
+    """reduce --certify runs the graph invariants on its input twice: in the
+    constructor that parses the file and on entry to the reduction."""
+    checked = []
+    check = graph.BrauerGraph._check
+
+    def counting_check(g):
+        checked.append(g)
+        return check(g)
+
+    path = _corpus_file(tmp_path, "mixed7")
+    monkeypatch.setattr(graph.BrauerGraph, "_check", counting_check)
+    assert run(["reduce", path, "--certify", "--json"]) == EXIT_OK
+    capsys.readouterr()
+    assert sum(g is checked[0] for g in checked) == 2
+
+
 def _reduce_mixed7_fails(tmp_path, capsys):
     """Exit code and stderr of reduce --certify --json on mixed7."""
     code = run(["reduce", _corpus_file(tmp_path, "mixed7"), "--certify", "--json"])

@@ -9,7 +9,9 @@ oracle must agree on the number of variables and on both ranks, not only on
 the dimension.  Every ``is_null_homotopic`` question that
 ``verify_end_generators`` asks must get the oracle's answer, and a relation
 between a summand and itself plus that summand's identity, which is not
-null-homotopic, must stay so.
+null-homotopic, must stay so.  On every summand pair, the solver for
+C -> D[r], which folds the sign of D[r] into D's products, must build the
+very rows and homotopy span of a solver for C -> D.shift(r).
 """
 import random
 
@@ -102,3 +104,34 @@ def test_enlarge_solver_matches_oracle(seed, edges, field, monkeypatch):
         A = quotient_basis(omega_relations(build_quiver(step.before)), field=field)
         Q = enlarge_complex(A, step.before, enlarge_data(step.before, step.at))
         assert_agrees_with_oracle(Q, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("name", ["deep21", "chain13_twigs", "enlarge14"])
+def test_folded_sign_matches_the_shifted_complex(name, field):
+    """The solver for C -> D[r] reads D at n + r and folds (-1)^r into D's
+    products.  On every summand pair and r = -2..2 it must build the very
+    rows and homotopy span that a solver for C -> D.shift(r) builds, and
+    give the same dimension.  The dimensions alone could not catch a dropped
+    sign: D with its differential negated is isomorphic to D."""
+    if name in SHRINK:
+        g = parse_graph(SHRINK[name])
+    else:  # the first step of the 14-edge trace
+        seed, edges = TRACES[-1]
+        step = reduce_to_normal_form(random_one_loop_graph(random.Random(seed), edges)).steps[0]
+        g = step.before
+    A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+    Q = shrink_complex(A, g) if name in SHRINK else enlarge_complex(A, g, enlarge_data(g, step.at))
+    nonzero = 0
+    for C in Q.summands.values():
+        for D in Q.summands.values():
+            for r in range(-2, 3):
+                dim = homotopy_hom(C, D, r)
+                assert dim == homotopy_hom(C, D.shift(r), 0), r
+                nonzero += dim > 0
+                folded, shifted = _HomSolver(C, D, r), _HomSolver(C, D.shift(r))
+                assert folded.nvars == shifted.nvars
+                assert folded.constraint_rows() == shifted.constraint_rows(), r
+                assert folded.homotopy_span().pivots == shifted.homotopy_span().pivots, r
+    assert nonzero

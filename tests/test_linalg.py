@@ -184,6 +184,23 @@ def test_echelon_add_over_q_keeps_exact_fractions():
     assert all(type(c) is int for c in ech.pivots[1].values())
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+def test_echelon_add_keeps_no_dict_of_the_caller(field):
+    """A vector whose lead has no pivot is stored as a copy, whatever its
+    pivot: mutating it afterwards leaves the stored rows as they were."""
+    one, two = field.one, field.from_int(2)
+    ech = SparseEchelon(one)
+    for vec in ({0: two, 3: one}, {1: one, 5: -one}, {2: one, 4: two}):
+        assert max(vec) not in ech.pivots
+        stored = {lead: dict(row) for lead, row in ech.pivots.items()}
+        assert ech.add(vec)
+        stored[max(vec)] = dict(ech.pivots[max(vec)])
+        vec[max(vec)] = two
+        vec[7] = one
+        del vec[min(vec)]
+        assert ech.pivots == stored
+
+
 class DividingEchelon(SparseEchelon):
     """Oracle: every stored row divided by its pivot entry by entry, as
     before rows with pivot -1 were negated."""
