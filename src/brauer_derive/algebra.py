@@ -333,14 +333,16 @@ class QuotientAlgebra:
     """Exact basis, reduction map and structure constants of a presentation.
 
     Completed algebras are immutable apart from internal caches of block
-    positions, of the reduced coordinates of each product word, of product
-    tables, of products with basis elements, of the coordinates of the
-    vertex idempotents and of the Cartan matrix (which caches its
-    determinant).  These only ever fill in deterministic values, so
-    concurrent reads (reduce, multiply, cartan) are safe.  Product tables
-    serve the homological layer (``multiply``, ``times_basis``,
-    ``basis_times``); the socle and the comparison of two algebras read
-    arrow actions instead (``arrow_rows``, ``socle_words``).
+    positions, of the coordinates of each path asked for (per block, filled
+    one word at a time), of products with basis elements, of the
+    coordinates of the vertex idempotents and of the Cartan matrix (which
+    caches its determinant).  These only ever fill in deterministic values,
+    so concurrent reads (reduce, multiply, cartan) are safe.  ``_class`` is
+    the one place where a path meets the normal form and the dropped words;
+    ``_product`` keeps its coordinates, and ``reduce_word``, ``multiply``,
+    ``times_basis`` and ``basis_times`` read them there.  The socle and the
+    comparison of two algebras read arrow actions (``arrow_rows``,
+    ``socle_words``) from ``_class`` directly.
 
     ``blocks`` is taken in the order given, as ``_block_words`` emits it:
     keys in the canonical vertex order, words in ``order_key`` order, every
@@ -367,7 +369,6 @@ class QuotientAlgebra:
         self.arrow_names = {i: a.name for i, a in enumerate(self.quiver.arrows)}
         self._positions = {}
         self._entries = {}
-        self._products = {}
         self._basis_products = {}
         self._units = {}
 
@@ -422,13 +423,9 @@ class QuotientAlgebra:
     def reduce_word(self, source, word):
         """Normal-form coordinates of a path given as arrow-id tuple."""
         target = source if not word else self.quiver.arrows[word[-1]].target
-        combo = self._rsys.nf_combo({word: self.field.one})
-        index = self._index(source, target)
-        coeffs = [self.field.zero] * len(index)
-        for w, c in combo.items():
-            if (source, w) in self.dropped:
-                continue
-            coeffs[index[w]] = c
+        coeffs = [self.field.zero] * len(self.block(source, target))
+        for pos, c in self._product(source, target, word):
+            coeffs[pos] = c
         return AlgebraElement(self, source, target, coeffs)
 
     def reduce(self, element: PathElement) -> AlgebraElement:
@@ -453,61 +450,45 @@ class QuotientAlgebra:
             raise CompositionMismatch(
                 f"cannot compose ({x.source}->{x.target}) with ({y.source}->{y.target})"
             )
-        table = self._product_table(x.source, x.target, y.target)
-        n = len(self.block(x.source, y.target))
-        coeffs = [self.field.zero] * n
-        for i, a in enumerate(x.coeffs):
+        i, k = x.source, y.target
+        right = [(wr, b) for wr, b in zip(self.block(x.target, k), y.coeffs) if b]
+        coeffs = [self.field.zero] * len(self.block(i, k))
+        for wl, a in zip(self.block(i, x.target), x.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(y.coeffs):
-                if not b:
-                    continue
-                for pos, c in table[i][j]:
+            for wr, b in right:
+                for pos, c in self._product(i, k, wl + wr):
                     coeffs[pos] = coeffs[pos] + a * b * c
-        return AlgebraElement(self, x.source, y.target, coeffs)
+        return AlgebraElement(self, i, k, coeffs)
 
-    def _product_table(self, i, j, k):
-        """table[l][r]: (position, coefficient) pairs of the product of basis
-        words l of block (i, j) and r of block (j, k).  Each product word's
-        pairs are computed once per block (i, k) and shared between tables.
-        Only ``multiply``, ``times_basis`` and ``basis_times`` read them."""
-        key = (i, j, k)
-        table = self._products.get(key)
-        if table is not None:
-            return table
-        cache = self._entries.setdefault((i, k), {})
-        index = self._index(i, k)
-        nf_word, dropped = self._rsys.nf_word, self.dropped
-        right = self.blocks.get((j, k), ())
-        table = []
-        for wl in self.blocks.get((i, j), ()):
-            row = []
-            for wr in right:
-                w = wl + wr
-                entry = cache.get(w)
-                if entry is None:
-                    entry = cache[w] = tuple(
-                        [(index[u], c) for u, c in nf_word(w).items() if (i, u) not in dropped]
-                    )
-                row.append(entry)
-            table.append(row)
-        self._products[key] = table
-        return table
+    def _product(self, i, k, word):
+        """(position, coefficient) pairs in block (i, k) of the class of a
+        path from i to k, memoized per block in ``_entries``.  Every product
+        and every reduced path is read through here."""
+        cache = self._entries.get((i, k))
+        if cache is None:
+            cache = self._entries[(i, k)] = {}
+        entry = cache.get(word)
+        if entry is None:
+            index = self._index(i, k)
+            entry = cache[word] = tuple([(index[u], c) for u, c in self._class(i, word).items()])
+        return entry
 
     def times_basis(self, x: AlgebraElement, k):
         """Coordinates of x * b for every basis element b of block (x.target, k).
 
         One tuple of (position, coefficient) pairs per b, zeros dropped, read
-        straight from the product table and memoized by x's coordinates.
+        from the product words of x's nonzero terms and memoized by x's
+        coordinates.
         """
         key = ("left", x.source, x.target, k, x.coeffs)
         out = self._basis_products.get(key)
         if out is None:
-            table = self._product_table(x.source, x.target, k)
-            terms = [(row, a) for row, a in zip(table, x.coeffs) if a]
+            i, product = x.source, self._product
+            terms = [(wl, a) for wl, a in zip(self.block(i, x.target), x.coeffs) if a]
             out = tuple(
-                _sparse_sum((row[b], a) for row, a in terms)
-                for b in range(len(self.block(x.target, k)))
+                _sparse_sum((product(i, k, wl + wr), a) for wl, a in terms)
+                for wr in self.block(x.target, k)
             )
             self._basis_products[key] = out
         return out
@@ -517,9 +498,12 @@ class QuotientAlgebra:
         key = ("right", i, y.source, y.target, y.coeffs)
         out = self._basis_products.get(key)
         if out is None:
-            table = self._product_table(i, y.source, y.target)
-            terms = [(col, a) for col, a in enumerate(y.coeffs) if a]
-            out = tuple(_sparse_sum((row[col], a) for col, a in terms) for row in table)
+            k, product = y.target, self._product
+            terms = [(wr, a) for wr, a in zip(self.block(y.source, k), y.coeffs) if a]
+            out = tuple(
+                _sparse_sum((product(i, k, wl + wr), a) for wr, a in terms)
+                for wl in self.block(i, y.source)
+            )
             self._basis_products[key] = out
         return out
 
@@ -544,7 +528,8 @@ class QuotientAlgebra:
 
     def _class(self, source, word):
         """{word: coefficient} of the class of a path from source: its normal
-        form with the dropped words removed.  Do not mutate the result."""
+        form with the dropped words removed, the one place here that reads
+        normal forms.  Do not mutate the result."""
         nf = self._rsys.nf_word(word)
         if not self.dropped:
             return nf

@@ -149,28 +149,23 @@ class BrauerGraph:
         self.cycle_edges = (loop,) + rotated[2:]
         self.trees = {}
         order = list(self.cycle_edges)
+        parent = {}
         for c in self.cycle_edges[1:]:
+            # preorder walk of the tree below c, children in circular order;
+            # a stack, not recursion, so depth is bounded by memory alone
             edges = []
-
-            def walk(edge, at):
-                for k in self.children(edge, at):
-                    edges.append(k)
-                    walk(k, self.far_vertex(k, at))
-
-            walk(c, self.far_vertex(c, self.center))
+            stack = [(c, self.far_vertex(c, self.center))]
+            while stack:
+                edge, at = stack.pop()
+                if edge != c:
+                    edges.append(edge)
+                for k in reversed(self.children(edge, at)):
+                    parent[k] = edge
+                    stack.append((k, self.far_vertex(k, at)))
             self.trees[c] = BrauerTree(c, tuple(edges))
             order.extend(edges)
         self.canonical_order = tuple(order)
         self.canonical_index = {e: i + 1 for i, e in enumerate(order)}
-        parent = {}
-        for c, tree in self.trees.items():
-            at = self.far_vertex(c, self.center)
-            stack = [(c, at)]
-            while stack:
-                edge, vtx = stack.pop()
-                for k in self.children(edge, vtx):
-                    parent[k] = edge
-                    stack.append((k, self.far_vertex(k, vtx)))
         self._parent = parent
 
     # -- navigation --------------------------------------------------

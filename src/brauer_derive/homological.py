@@ -18,9 +18,10 @@ products of D's entries, so no shifted copy is built.  It lays out each
 degree's variables by vertex groups and builds the rows and the homotopy
 columns from the stored entries into flat maps keyed (n, c, r, t) and
 (r, c, basis index), reading the products of an entry with a block's basis
-(memoized on the algebra) once per entry and vertex group.  A shift with no
-nonzero block from a summand of C^n to one of D^(n+r) has no variables, and
-``homotopy_hom`` returns 0 there without a solver.
+once per entry and vertex group (``times_basis`` and ``basis_times``,
+memoized on the algebra, which reduces each product word once per block).
+A shift with no nonzero block from a summand of C^n to one of D^(n+r) has no
+variables, and ``homotopy_hom`` returns 0 there without a solver.
 ``homotopy_hom`` returns the dimension alone: the certificates rest on
 dimensions, Hom(T, T[r]) = 0 and the Cartan matrix of End(T).  One echelon
 form of the homotopy columns serves both that dimension and the membership
@@ -85,15 +86,6 @@ class ProjComplex:
 
     def total_summands(self):
         return sum(len(t) for t in self.terms.values())
-
-    def shift(self, k):
-        """C[k] with (C[k])^n = C^(n+k) and differential scaled by (-1)^k."""
-        terms = {n - k: t for n, t in self.terms.items()}
-        diffs = {
-            n - k: {rc: -e if k % 2 else e for rc, e in matrix.items()}
-            for n, matrix in self.diffs.items()
-        }
-        return ProjComplex(self.algebra, terms, diffs)
 
     def __eq__(self, other):
         return (
@@ -245,14 +237,6 @@ class ChainMap:
             for n, matrix in self.comps.items()
         }
         return ChainMap(self.source, self.target, comps, check=False)
-
-    @staticmethod
-    def identity(C):
-        comps = {
-            n: {(i, i): C.algebra.e(v) for i, v in enumerate(t)}
-            for n, t in C.terms.items()
-        }
-        return ChainMap(C, C, comps, check=False)
 
 
 def mapping_cone(f: ChainMap) -> ProjComplex:

@@ -80,13 +80,6 @@ class TiltCertificate:
     det_source: int
     det_end: int
 
-    @property
-    def valid(self):
-        return (
-            all(v == 0 for v in self.hom_vanishing.values())
-            and abs(self.det_source) == abs(self.det_end)
-        )
-
     def to_json(self):
         return {
             "homVanishing": {str(k): v for k, v in sorted(self.hom_vanishing.items())},

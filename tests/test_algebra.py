@@ -454,7 +454,7 @@ def test_multiply_operation_surface():
         assert not left.is_zero()
 
 
-# -- arrow actions against the product-table oracle --------------------
+# -- arrow actions against the normal-form product oracle --------------
 
 FIELDS = {"Q": QQ, "GF(2)": PrimeField(2), "GF(3)": PrimeField(3)}
 

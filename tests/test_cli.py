@@ -288,6 +288,30 @@ def test_validate_ok(g_min_file, capsys):
     assert "3 edges" in capsys.readouterr().out
 
 
+def test_deep_chain_through_cli(tmp_path, capsys):
+    """A chain of 2,000 tree edges below the one cycle edge besides the
+    loop: validate, classify and quiver accept it and count 2,002 edges."""
+    lists = {"S": ["1", "1", "2"], "v2": ["2"]}
+    host = "v2"
+    for k in range(3, 2003):
+        lists[host].append(str(k))
+        host = f"v{k}"
+        lists[host] = [str(k)]
+    path = tmp_path / "chain.json"
+    path.write_text(
+        json.dumps({"vertices": [{"id": v, "cyclic": c} for v, c in lists.items()]}),
+        encoding="utf-8",
+    )
+    assert run(["validate", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["edges"] == 2002
+    assert run(["classify", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 2002
+    assert run(["quiver", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["vertices"]) == 2002
+    # the deepest edge lies below edge 2 and 1,999 more tree edges
+    assert len(parse_graph(path.read_text()).tree_path("2002")) == 2001
+
+
 def test_omega_reports(capsys):
     assert run(["omega", "1"]) == 0
     assert "dim: 4" in capsys.readouterr().out

@@ -11,7 +11,8 @@ the dimension.  Every ``is_null_homotopic`` question that
 between a summand and itself plus that summand's identity, which is not
 null-homotopic, must stay so.  On every summand pair, the solver for
 C -> D[r], which folds the sign of D[r] into D's products, must build the
-very rows and homotopy span of a solver for C -> D.shift(r).
+very rows and homotopy span of a solver for C -> ``shift(D, r)``, the
+shifted copy that conftest builds.
 """
 import random
 
@@ -21,7 +22,6 @@ from brauer_derive import tilting
 from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.graph import parse_graph
 from brauer_derive.homological import (
-    ChainMap,
     _HomSolver,
     homotopy_hom,
     is_null_homotopic,
@@ -38,7 +38,9 @@ from brauer_derive.tilting import (
 
 from conftest import (
     OracleHomSolver,
+    identity,
     oracle_is_null_homotopic,
+    shift,
     solver_ranks,
 )
 from test_random_graphs import random_one_loop_graph
@@ -78,7 +80,7 @@ def assert_agrees_with_oracle(Q, monkeypatch):
 
     monkeypatch.setattr(tilting, "is_null_homotopic", both)
     assert verify_end_generators(Q)
-    mutants = [f + ChainMap.identity(f.source) for f in asked if f.source is f.target]
+    mutants = [f + identity(f.source) for f in asked if f.source is f.target]
     assert asked and mutants
     for g in mutants:
         assert not is_null_homotopic(g) and not oracle_is_null_homotopic(g)
@@ -112,7 +114,7 @@ def test_enlarge_solver_matches_oracle(seed, edges, field, monkeypatch):
 def test_folded_sign_matches_the_shifted_complex(name, field):
     """The solver for C -> D[r] reads D at n + r and folds (-1)^r into D's
     products.  On every summand pair and r = -2..2 it must build the very
-    rows and homotopy span that a solver for C -> D.shift(r) builds, and
+    rows and homotopy span that a solver for C -> shift(D, r) builds, and
     give the same dimension.  The dimensions alone could not catch a dropped
     sign: D with its differential negated is isomorphic to D."""
     if name in SHRINK:
@@ -128,9 +130,9 @@ def test_folded_sign_matches_the_shifted_complex(name, field):
         for D in Q.summands.values():
             for r in range(-2, 3):
                 dim = homotopy_hom(C, D, r)
-                assert dim == homotopy_hom(C, D.shift(r), 0), r
+                assert dim == homotopy_hom(C, shift(D, r), 0), r
                 nonzero += dim > 0
-                folded, shifted = _HomSolver(C, D, r), _HomSolver(C, D.shift(r))
+                folded, shifted = _HomSolver(C, D, r), _HomSolver(C, shift(D, r))
                 assert folded.nvars == shifted.nvars
                 assert folded.constraint_rows() == shifted.constraint_rows(), r
                 assert folded.homotopy_span().pivots == shifted.homotopy_span().pivots, r

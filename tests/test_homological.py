@@ -23,7 +23,14 @@ from brauer_derive import linalg
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import shrink_complex
 
-from conftest import CORPUS_TEXTS, G_MIN_TEXT, algebra_for, corpus_graphs
+from conftest import (
+    CORPUS_TEXTS,
+    G_MIN_TEXT,
+    algebra_for,
+    corpus_graphs,
+    identity,
+    shift,
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +80,14 @@ def test_stalk_hom_dims(A3):
 
 def test_shift_identities(Am):
     Q3 = two_term(Am, "2", "3", Am.path_element(("a_2",)))
-    assert Q3.shift(0) == Q3
-    assert Q3.shift(1).shift(-1) == Q3
-    assert Q3.shift(2).term(-2) == ("2",)
+    assert shift(Q3, 0) == Q3
+    assert shift(shift(Q3, 1), -1) == Q3
+    assert shift(Q3, 2).term(-2) == ("2",)
     P1 = ProjComplex.stalk(Am, "1")
     for k in (-2, -1, 0, 1):
         assert (
             homotopy_hom(Q3, P1, k)
-            == homotopy_hom(Q3, P1.shift(k), 0)
+            == homotopy_hom(Q3, shift(P1, k), 0)
         )
 
 
@@ -89,7 +96,7 @@ def test_cone_of_zero_map(Am):
     D = ProjComplex.stalk(Am, "1")
     zero = ChainMap(C, D, {}, check=True)
     cone = mapping_cone(zero)
-    expected = direct_sum([C.shift(1), D])
+    expected = direct_sum([shift(C, 1), D])
     assert cone == expected
     assert check_complex(cone)
 
@@ -104,7 +111,7 @@ def test_cone_of_identity_contractible(Am):
         ProjComplex.stalk(Am, "1"),
         two_term(Am, "2", "3", Am.path_element(("a_2",))),
     ):
-        cone = mapping_cone(ChainMap.identity(C))
+        cone = mapping_cone(identity(C))
         assert check_complex(cone)
         assert minimize(cone).is_zero()
         for k in (-2, -1, 0, 1, 2):
@@ -114,7 +121,7 @@ def test_cone_of_identity_contractible(Am):
 def test_minimize_fixpoint_and_idempotent(Am):
     Q3 = two_term(Am, "2", "3", Am.path_element(("a_2",)))
     assert minimize(Q3) == Q3
-    cone = mapping_cone(ChainMap.identity(Q3))
+    cone = mapping_cone(identity(Q3))
     m = minimize(cone)
     assert m.is_zero()
     assert minimize(m) == m
@@ -372,7 +379,7 @@ def test_multiplicity_handling(Am):
     QQ = direct_sum([Q3, Q3])
     assert homotopy_hom(QQ, QQ) == 4 * homotopy_hom(Q3, Q3)
     assert homotopy_hom(QQ, QQ, 1) == 0
-    assert minimize(mapping_cone(ChainMap.identity(QQ))).is_zero()
+    assert minimize(mapping_cone(identity(QQ))).is_zero()
 
 
 @pytest.mark.parametrize("shifted_first", [False, True])
@@ -387,7 +394,7 @@ def test_negative_odd_shift_over_every_field(field, shifted_first):
     A = quotient_basis(omega_relations(build_quiver(g)), field=field)
     Q3 = shrink_complex(A, g).summands["3"]
     P2 = ProjComplex.stalk(A, "2", 1)
-    dim = homotopy_hom(P2, Q3.shift(-1), 0) if shifted_first else homotopy_hom(P2, Q3, -1)
+    dim = homotopy_hom(P2, shift(Q3, -1), 0) if shifted_first else homotopy_hom(P2, Q3, -1)
     assert dim == 1
 
 

@@ -23,7 +23,7 @@ from brauer_derive.linalg import (
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import check_tilting, shrink_complex, verify_end_generators
 
-from conftest import algebra_for, corpus_graphs
+from conftest import algebra_for, certificate_valid, corpus_graphs
 
 
 def det_fraction(rows):
@@ -250,13 +250,13 @@ def test_echelon_negation_stores_the_rows_division_stores(field):
 
 
 def _coefficients(A):
-    """Every coefficient in A's rules, product tables and basis products."""
+    """Every coefficient in A's rules, its cached path classes (``_entries``,
+    one cache per block) and its basis products."""
     for tail in A._rsys.rules.values():
         yield from tail.values()
-    for table in A._products.values():
-        for row in table:
-            for entries in row:
-                yield from (c for _, c in entries)
+    for cache in A._entries.values():
+        for entries in cache.values():
+            yield from (c for _, c in entries)
     for key, out in A._basis_products.items():
         yield from key[-1]
         for entries in out:
@@ -268,9 +268,9 @@ def test_shrink_over_q_keeps_coefficients_exact(name):
     g = corpus_graphs()[name]
     A = quotient_basis(omega_relations(build_quiver(g)), field=QQ)
     Q = shrink_complex(A, g)
-    assert check_tilting(Q).valid and verify_end_generators(Q)
+    assert certificate_valid(check_tilting(Q)) and verify_end_generators(Q)
     coefficients = list(_coefficients(A))
-    assert A._products and coefficients
+    assert A._entries and coefficients
     assert all(type(c) in (int, Fraction) for c in coefficients)
 
 

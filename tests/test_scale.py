@@ -18,6 +18,14 @@ reduction through the CLI's JSON trace, over Q and GF(2).
 digests of its stdout, so the output at these sizes is pinned byte for byte.
 Its stdout is also the same byte for byte over Q, GF(2), GF(3) and
 GF(1000003), on the depth-13 chain and on a 21-edge deep tree.
+``reduce --certify --json`` and ``tilt-enlarge --at 2 --json`` have golden
+digests too, on a seeded 14-edge random graph, the largest size of the
+reduce benchmark; every enlarge complex of its reduction also gets the
+generator relations.
+
+``multiply``, ``times_basis`` and ``basis_times`` are checked against the
+normal forms of the product words on the chain13 and deep21 algebras and on
+a socle quotient, over Q and GF(2).
 
 The largest basis-star inputs, Omega(59) and A(14) with its socle
 comparison, go through the CLI over Q and GF(2), and ``cartan --omega 36``,
@@ -30,20 +38,28 @@ import random
 
 import pytest
 
-from brauer_derive.algebra import omega_relations, quotient_basis
+from brauer_derive.algebra import (
+    AlgebraElement,
+    omega_relations,
+    quotient_basis,
+    socle_quotient,
+)
 from brauer_derive.cli import run
 from brauer_derive.graph import edge_count, parse_graph, serialize_graph
 from brauer_derive.homological import homotopy_hom
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
-from brauer_derive.reduction import certify_trace, load_trace
+from brauer_derive.reduction import certify_trace, load_trace, reduce_to_normal_form
 from brauer_derive.tilting import (
     check_tilting,
     end_cartan,
+    enlarge_complex,
+    enlarge_data,
     shrink_complex,
     verify_end_generators,
 )
 
+from conftest import certificate_valid, class_oracle
 from test_random_graphs import random_one_loop_graph
 
 
@@ -136,10 +152,77 @@ def test_shrink_certificate_at_benchmark_size(name, field):
     A = quotient_basis(omega_relations(build_quiver(g)), field=field)
     Q = shrink_complex(A, g)
     cert = check_tilting(Q)
-    assert cert.valid and set(cert.hom_vanishing.values()) == {0}
+    assert certificate_valid(cert) and set(cert.hom_vanishing.values()) == {0}
     assert verify_end_generators(Q)
     T = Q.direct_sum()
     assert homotopy_hom(T, T, 0) == end_cartan(Q).dim
+
+
+def _random_element(A, i, j, rng):
+    """An element of block (i, j): up to four random coefficients in
+    -3..3, zeros among them, at random positions, and zeros elsewhere."""
+    words = A.block(i, j)
+    coeffs = [A.field.zero] * len(words)
+    for pos in rng.sample(range(len(words)), min(len(words), rng.randint(1, 4))):
+        coeffs[pos] = A.field.from_int(rng.randint(-3, 3))
+    return AlgebraElement(A, i, j, coeffs)
+
+
+def _oracle_sum(A, i, k, terms):
+    """Sorted (position, coefficient) pairs, zeros dropped, of the sum of
+    c * (class of w) in block (i, k) over (w, c) pairs, from normal forms."""
+    index = {w: pos for pos, w in enumerate(A.block(i, k))}
+    acc = {}
+    for w, c in terms:
+        for u, d in class_oracle(A, i, w).items():
+            acc[index[u]] = acc.get(index[u], A.field.zero) + c * d
+    return tuple(sorted((pos, c) for pos, c in acc.items() if c))
+
+
+PRODUCT_CASES = {
+    "chain13_twigs": (GRAPHS["chain13_twigs"], False),
+    "deep21": (deep_tree(21, seed=3), False),
+    "chain13_twigs socle quotient": (GRAPHS["chain13_twigs"], True),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_products_match_normal_forms_at_benchmark_size(case, field):
+    """``multiply``, ``times_basis`` and ``basis_times`` of seeded random
+    elements over 60 block triples (i, j, k), 20 of them with i == k, equal
+    the sums of the normal forms of the product words; in the socle
+    quotient some of those normal forms hold dropped words."""
+    text, socle = PRODUCT_CASES[case]
+    A = quotient_basis(omega_relations(build_quiver(parse_graph(text))), field=field)
+    if socle:
+        A = socle_quotient(A)
+    rng = random.Random(11)
+    triples = [
+        (i, j, k) for i in A.vertices for j in A.vertices for k in A.vertices
+        if A.block(i, j) and A.block(j, k)
+    ]
+    sample = rng.sample([t for t in triples if t[0] != t[2]], 40)
+    sample += rng.sample([t for t in triples if t[0] == t[2]], 20)
+    dropped = 0
+    for i, j, k in sample:
+        left, right = A.block(i, j), A.block(j, k)
+        dropped += any(
+            (i, u) in A.dropped for wl in left for wr in right for u in A._rsys.nf_word(wl + wr)
+        )
+        x, y = _random_element(A, i, j, rng), _random_element(A, j, k, rng)
+        pairs = [(wl + wr, a * b) for wl, a in zip(left, x.coeffs) for wr, b in zip(right, y.coeffs)]
+        xy = A.multiply(x, y)
+        assert (xy.source, xy.target) == (i, k)
+        assert tuple((pos, c) for pos, c in enumerate(xy.coeffs) if c) == _oracle_sum(A, i, k, pairs)
+        assert A.times_basis(x, k) == tuple(
+            _oracle_sum(A, i, k, [(wl + wr, a) for wl, a in zip(left, x.coeffs)]) for wr in right
+        )
+        assert A.basis_times(i, y) == tuple(
+            _oracle_sum(A, i, k, [(wl + wr, b) for wr, b in zip(right, y.coeffs)]) for wl in left
+        )
+    assert bool(dropped) == socle
 
 
 # "graph flags": SHA-256 of the stdout of ``tilt-shrink FILE --json flags``
@@ -160,6 +243,46 @@ def test_shrink_json_digest_at_benchmark_size(key, tmp_path, capsys):
     assert run(["tilt-shrink", str(path), "--json", *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SHRINK_DIGESTS[key]
+
+
+# "command flags": SHA-256 of the stdout of ``command FILE flags`` on the
+# 14-edge random graph of reduce-random's size, the same over Q and GF(2)
+RANDOM14_DIGESTS = {
+    "reduce --certify --json": "2da12244d3dea074944f78e70f68cef469abbac2e94cd2795bf720706ae52125",
+    "tilt-enlarge --at 2 --json": "065b5d8c144eca115cc2d9db4c9b636fa8ddc309bd322c0af7b2c96eae33d0d3",
+}
+
+
+def random14():
+    return random_one_loop_graph(random.Random(7), 14)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("flags", [[], ["--field", "2"]], ids=["Q", "GF(2)"])
+@pytest.mark.parametrize("command", sorted(RANDOM14_DIGESTS))
+def test_random14_json_digest(command, flags, tmp_path, capsys):
+    name, *rest = command.split()
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(random14()), encoding="utf-8")
+    assert run([name, str(path), *rest, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RANDOM14_DIGESTS[command]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+def test_random14_enlarge_generators(field):
+    """The generator relations of End(T) on every enlarge complex of the
+    14-edge graph's reduction, beta fans among them."""
+    steps = fans = 0
+    for step in reduce_to_normal_form(random14()).steps:
+        g = step.before
+        A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+        d = enlarge_data(g, step.at)
+        assert verify_end_generators(enlarge_complex(A, g, d)), step.at
+        steps += 1
+        fans += bool(d.beta_fan)
+    assert (steps, fans) == (11, 3)
 
 
 @pytest.mark.slow

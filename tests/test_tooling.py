@@ -1,8 +1,9 @@
 """Static checks on ``src/brauer_derive`` with the stdlib ``ast`` module: no
 module (``__init__.py`` aside, which re-exports) imports a name it never
-uses, every top-level function or class is referenced somewhere in the
-package outside its own body and outside ``__init__.py``, and every
-exception class the package raises has an exit code in ``cli.run``.
+uses, every top-level function or class and every method of one is
+referenced somewhere in the package (or by the benchmark) outside its own
+body and outside ``__init__.py``, and every exception class the package
+raises has an exit code in ``cli.run``.
 
 The benchmark's tracer reads the program from outside (the arguments and
 results of the functions it wraps), so a last test runs every workload's
@@ -51,28 +52,47 @@ def unused_imports(sources):
     return found
 
 
-def orphan_helpers(sources):
-    """(module, name) for every top-level function or class that no code in
-    the package refers to outside its own definition.  A re-export in
-    ``__init__.py`` is not a use: a public name that only tests or other
-    callers outside the package read belongs next to those callers."""
+def orphan_helpers(sources, readers=()):
+    """(module, name) for every top-level function or class, and
+    (module, "Class.method") for every method of a top-level class, that no
+    code in the package or in ``readers`` refers to outside its own
+    definition.  A re-export in ``__init__.py`` is not a use: a public name
+    that only tests or other callers outside the package read belongs next
+    to those callers.  ``readers`` are outside callers that cannot hold a
+    helper themselves, such as the benchmark, which reads the program from
+    outside.  A class with a base defined outside the package is skipped
+    for methods, since that base may call them (``_Parser.error``)."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     counts = {}
-    for module, tree in trees.items():
-        if module == "__init__.py":
-            continue
+    for tree in [t for module, t in trees.items() if module != "__init__.py"] + [
+        ast.parse(text) for text in readers
+    ]:
         for name in _names(tree):
             counts[name] = counts.get(name, 0) + 1
+    classes = {
+        node.name for tree in trees.values() for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def unused(node):
+        return not node.name.startswith("__") and (
+            counts.get(node.name, 0) == _names(node).count(node.name)
+        )
+
     found = []
     for module, tree in sorted(trees.items()):
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            name = node.name
-            if name.startswith("__"):
-                continue
-            if counts.get(name, 0) == _names(node).count(name):
-                found.append((module, name))
+            if unused(node):
+                found.append((module, node.name))
+            if isinstance(node, ast.ClassDef) and all(
+                _class_name(b) in classes for b in node.bases
+            ):
+                found.extend(
+                    (module, f"{node.name}.{sub.name}") for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and unused(sub)
+                )
     return found
 
 
@@ -131,12 +151,34 @@ def _package_sources():
     return {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
 
 
+def _benchmark_sources():
+    """The benchmark's modules, its tests aside: it reads members of the
+    program (``ProjComplex.total_summands`` for its tracer's counters)."""
+    return [
+        p.read_text(encoding="utf-8") for p in sorted((ROOT / "bench").glob("*.py"))
+        if not p.name.startswith("test_")
+    ]
+
+
 def test_no_unused_imports():
     assert unused_imports(_package_sources()) == []
 
 
 def test_no_orphan_helpers():
-    assert orphan_helpers(_package_sources()) == []
+    assert orphan_helpers(_package_sources(), _benchmark_sources()) == []
+    # only the benchmark reads total_summands
+    assert orphan_helpers(_package_sources()) == [("homological.py", "ProjComplex.total_summands")]
+
+
+def test_only_the_class_of_a_path_reads_normal_forms():
+    """In ``algebra.py`` one method turns a path into its class; products
+    and reduced paths read it through ``_product``."""
+    tree = ast.parse(_package_sources()["algebra.py"])
+    readers = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and {"nf_word", "nf_combo"} & set(_names(node))
+    }
+    assert readers == {"_class"}
 
 
 def test_every_raised_exception_has_an_exit_code():
@@ -154,8 +196,16 @@ def test_checks_flag_injected_faults():
     sources["tilting.py"] += "\n\ndef _stray(x):\n    return _stray(x - 1) if x else 0\n"
     sources["graph.py"] += "\n\nclass Stray:\n    pass\n"
     sources["__init__.py"] += "\nfrom .graph import Stray\n"
+    sources["homological.py"] = sources["homological.py"].replace(
+        "    def degrees(self):",
+        "    def _stray_size(self):\n        return len(self.terms)\n\n    def degrees(self):",
+        1,
+    )
     assert unused_imports(sources) == [("linalg.py", "itertools"), ("linalg.py", "gcd")]
-    assert orphan_helpers(sources) == [("graph.py", "Stray"), ("tilting.py", "_stray")]
+    assert orphan_helpers(sources, _benchmark_sources()) == [
+        ("graph.py", "Stray"), ("homological.py", "ProjComplex._stray_size"),
+        ("tilting.py", "_stray"),
+    ]
 
 
 def test_exit_code_check_flags_injected_faults():
