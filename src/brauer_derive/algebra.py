@@ -99,18 +99,12 @@ def _render(terms, source, one):
 
 
 class Presentation:
-    """A quiver and its relations as named ``PathElement``s (``relations``)
-    and as tuples of (arrow-id word, coefficient) terms (``id_relations``).
-    Give either; named relations are made from the id terms on first use."""
+    """A quiver and its relations, each a tuple of (arrow-id word,
+    coefficient) terms (``id_relations``), which is what completion reads.
+    ``relations`` names them as ``PathElement``s, made on first use."""
 
-    def __init__(self, quiver, relations=None, id_relations=None):
+    def __init__(self, quiver, id_relations):
         self.quiver = quiver
-        if id_relations is None:
-            self.relations = tuple(relations)
-            ids = quiver.ids
-            id_relations = [
-                tuple((tuple(ids[n] for n in w), c) for w, c in rel.terms) for rel in relations
-            ]
         self.id_relations = tuple(id_relations)
 
     @cached_property
@@ -171,7 +165,7 @@ def omega_relations(q: BrauerQuiver) -> Presentation:
     a1, b_full = ids[q.loop_arrow.name], cycles[(loop, BETA)]
     rels.append(_relation(q, [(a1, a1), (a1,) + b_full], (1, -1)))
     rels.append(_relation(q, [(a1,) + b_full, b_full + (a1,)], (1, 1)))
-    return Presentation(q, id_relations=rels)
+    return Presentation(q, rels)
 
 
 def a_n_presentation(n: int) -> Presentation:
@@ -191,7 +185,7 @@ def a_n_presentation(n: int) -> Presentation:
         if v != loop:
             b_word = cycles[(v, BETA)]
             rels.append(_relation(q, [b_word + b_word[:1]]))
-    return Presentation(q, id_relations=rels)
+    return Presentation(q, rels)
 
 
 @dataclass(frozen=True)
@@ -209,9 +203,6 @@ class CartanMatrix:
     @cached_property
     def _det(self):
         return det_int([list(r) for r in self.rows])
-
-    def entry(self, i, j):
-        return self.rows[self.order.index(i)][self.order.index(j)]
 
     def reorder(self, order):
         """The matrix in vertex order ``order``, with its determinant if known."""
@@ -395,9 +386,6 @@ class QuotientAlgebra:
             out.append(AlgebraElement(self, i, j, coeffs))
         return out
 
-    def zero(self, i, j):
-        return AlgebraElement(self, i, j, [self.field.zero] * len(self.block(i, j)))
-
     def e(self, v):
         # the coordinates are kept, not the element, whose reference back to
         # the algebra would leave the algebra for the cyclic collector to free
@@ -427,21 +415,6 @@ class QuotientAlgebra:
         for pos, c in self._product(source, target, word):
             coeffs[pos] = c
         return AlgebraElement(self, source, target, coeffs)
-
-    def reduce(self, element: PathElement) -> AlgebraElement:
-        out = None
-        for word, coeff in element.terms:
-            scalar = self.field.div(
-                self.field.from_int(coeff.numerator), self.field.from_int(coeff.denominator)
-            )
-            out = (
-                self.path_element(word).scale(scalar)
-                if out is None
-                else out + self.path_element(word).scale(scalar)
-            )
-        if out is None:
-            raise CompositionMismatch("empty element has no block")
-        return out
 
     def multiply(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if x.algebra is not self or y.algebra is not self:

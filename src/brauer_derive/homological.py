@@ -7,8 +7,7 @@ application order.  Differential and chain-map matrices are sparse dicts
 {(row, col): element} holding their nonzero entries only, keys in sorted
 order.  Rows index the summands of the higher (respectively target) term and
 columns those of the lower (source) term; entry (r, c) lives in the block
-from the column vertex to the row vertex.  ``entry`` and ``comp`` read one
-entry, with None for zero.
+from the column vertex to the row vertex; an absent key is a zero entry.
 
 Homotopy Hom spaces are computed by two exact rank computations over the
 algebra's field: the solution space of the chain-map conditions and the
@@ -64,8 +63,9 @@ class ProjComplex:
                     self.diffs[n] = matrix
 
     @staticmethod
-    def stalk(algebra, vertex, degree=0):
-        return ProjComplex(algebra, {degree: (vertex,)}, {})
+    def stalk(algebra, vertex):
+        """P(vertex) in degree 0."""
+        return ProjComplex(algebra, {0: (vertex,)}, {})
 
     def degrees(self):
         return sorted(self.terms)
@@ -73,16 +73,10 @@ class ProjComplex:
     def term(self, n):
         return self.terms.get(n, ())
 
-    def entry(self, n, r, c):
-        return self.diffs.get(n, {}).get((r, c))
-
     @property
     def width(self):
         degs = self.degrees()
         return degs[-1] - degs[0] if degs else 0
-
-    def is_zero(self):
-        return not self.terms
 
     def total_summands(self):
         return sum(len(t) for t in self.terms.values())
@@ -193,9 +187,6 @@ class ChainMap:
                     self.comps[n] = matrix
         if check:
             self.check()
-
-    def comp(self, n, r, c):
-        return self.comps.get(n, {}).get((r, c))
 
     def check(self):
         C, D = self.source, self.target
@@ -492,17 +483,16 @@ def is_null_homotopic(f: ChainMap) -> bool:
     return not vec or solver.homotopy_span().contains(vec)
 
 
-def happel_cartan(summands, C: CartanMatrix, labels=None) -> CartanMatrix:
+def happel_cartan(summands, C: CartanMatrix, labels) -> CartanMatrix:
     """Cartan matrix of the endomorphism ring of a direct sum of complexes.
 
     Entry (z, z') is the alternating double sum over degrees r, s of
     (-1)^(r-s) dim Hom(Q_r, Q'_s), with the module Hom dimensions read off
     the Cartan matrix of the base algebra.  As (-1)^(r-s) = (-1)^r (-1)^s,
     this is S C S^T, where row z of S counts the summands of Q_z at each
-    vertex with the sign of their degree.
+    vertex with the sign of their degree.  ``labels`` names the summands,
+    in order.
     """
-    if labels is None:
-        labels = tuple(str(i) for i in range(len(summands)))
     index = {v: k for k, v in enumerate(C.order)}
     signed = []  # sparse rows of S
     for Q in summands:

@@ -57,21 +57,6 @@ class BrauerQuiver:
         self.loop_arrow = self.alpha_out[self.loop_vertex]
         self.exceptional_cycle = next(c for c in self.cycles if c.exceptional)
 
-    def arrows_by_source(self, v):
-        out = []
-        if v in self.beta_out:
-            out.append(self.beta_out[v])
-        if v in self.alpha_out:
-            out.append(self.alpha_out[v])
-        return tuple(out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BrauerQuiver)
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-        )
-
 
 def _raw_cycles(g: BrauerGraph):
     """(graph_vertex, [(src_edge, tgt_edge), ...]) for each vertex, with the
@@ -165,11 +150,19 @@ def cycle_words(q: BrauerQuiver) -> CycleWords:
     return out
 
 
+def _dot_id(text):
+    """A DOT quoted string: the only escape DOT reads inside one is \\"."""
+    return '"' + text.replace('"', '\\"') + '"'
+
+
 def quiver_to_dot(q: BrauerQuiver) -> str:
     lines = ["digraph brauer_quiver {"]
     for v in q.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for a in q.arrows:
-        lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.name}" camp="{a.camp}"];')
+        lines.append(
+            f"  {_dot_id(a.source)} -> {_dot_id(a.target)} "
+            f"[label={_dot_id(a.name)} camp={_dot_id(a.camp)}];"
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -90,26 +90,20 @@ def _pivot(g: BrauerGraph):
     return None
 
 
-class _AlgebraCache:
-    def __init__(self, cap, margin, field):
-        self.cap, self.margin, self.field = cap, margin, field
-        self.store = {}
-
-    def get(self, g):
-        key = g.canonical
-        if key not in self.store:
-            self.store[key] = quotient_basis(
-                omega_relations(build_quiver(g)), self.cap, self.margin, self.field
-            )
-        return self.store[key]
+def _algebra(g, cap, margin, field):
+    return quotient_basis(omega_relations(build_quiver(g)), cap, margin, field)
 
 
-def _certified_step(g, at, cache):
-    A = cache.get(g)
+def _certified_step(g, A, at, cap, margin, field):
+    """Certify the move at ``at`` of g, whose algebra is A (built here when
+    None): (moved graph, its algebra, certificate).  The algebra is carried
+    to the next step, since a trace never returns to a graph."""
+    if A is None:
+        A = _algebra(g, cap, margin, field)
     Q = enlarge_complex(A, g, enlarge_data(g, at))
     cert = check_tilting(Q)
     moved = enlarge_graph_move(g, at)
-    A2 = cache.get(moved)
+    A2 = _algebra(moved, cap, margin, field)
     expected = cert.end_cartan.reorder(A2.vertices)
     if A2.cartan().rows != expected.rows:
         raise CertificateFailure(
@@ -120,22 +114,21 @@ def _certified_step(g, at, cache):
     A2._cartan = expected
     if abs(cert.det_source) != abs(expected.det()):
         raise CertificateFailure(f"|det Cartan| changed at edge {at}")
-    return moved, cert
+    return moved, A2, cert
 
 
 def reduce_to_normal_form(
     g: BrauerGraph, certify: bool = False, cap=None, margin=None, field=QQ
 ) -> ReductionTrace:
     validate(g)
-    cache = _AlgebraCache(cap, margin, field)
     steps = []
-    current = g
+    current, A = g, None
     while True:
         at = _pivot(current)
         if at is None:
             break
         if certify:
-            moved, cert = _certified_step(current, at, cache)
+            moved, A, cert = _certified_step(current, A, at, cap, margin, field)
         else:
             moved, cert = enlarge_graph_move(current, at), None
         if edge_count(moved) != edge_count(current):
@@ -173,14 +166,13 @@ def certify_trace(t: ReductionTrace, cap=None, margin=None, field=QQ) -> bool:
     Each step is certified again from its graph alone, and a stored
     certificate must equal the recomputed one in its JSON form.
     """
-    cache = _AlgebraCache(cap, margin, field)
-    current = t.input
+    current, A = t.input, None
     validate(current)
     for idx, step in enumerate(t.steps):
         try:
             if step.before != current:
                 raise CertificateFailure("trace steps do not chain")
-            moved, cert = _certified_step(current, step.at, cache)
+            moved, A, cert = _certified_step(current, A, step.at, cap, margin, field)
             if moved != step.after:
                 raise CertificateFailure(f"stored result of step differs at {step.at}")
             stored = _certificate_json(step.certificate)

@@ -189,20 +189,31 @@ def end_cartan(Q: TiltingComplex) -> CartanMatrix:
     )
 
 
+def _tree_path_map(Q: TiltingComplex, x, y):
+    """Chain map Q(x) -> Q(y) between summands along tree paths: the
+    identity on the common prefix of the two paths, then, where they part,
+    the unique hom between the edges there."""
+    A, px, py = Q.algebra, Q.graph.tree_path(x), Q.graph.tree_path(y)
+    common = min(len(px), len(py))
+    t = 0
+    while t < common and px[t] == py[t]:
+        t += 1
+    comps = {m: {(0, 0): A.e(px[m])} for m in range(t)}
+    if t < common:
+        comps[t] = {(0, 0): _unique_hom(A, px[t], py[t])}
+    return ChainMap(Q.summands[x], Q.summands[y], comps, check=True)
+
+
 def _shrink_witnesses(Q: TiltingComplex):
     out = []
     g = Q.graph
     for z in Q.ordering:
-        C = Q.summands[z]
         if not g.is_tree_edge(z):
             out.append((GenerationWitness(f"summand Q({z})", z, 0), None))
             continue
         path = g.tree_path(z)
         parent = path[-2]
-        target = Q.summands[parent]
-        comps = {n: {(0, 0): Q.algebra.e(path[n])} for n in range(len(path) - 1)}
-        f = ChainMap(C, target, comps, check=True)
-        cone = mapping_cone(f)
+        cone = mapping_cone(_tree_path_map(Q, z, parent))
         out.append(
             (GenerationWitness(f"cone(Q({z}) -> Q({parent}))", z, len(path) - 2), cone)
         )
@@ -300,19 +311,8 @@ def _shrink_generator_maps(Q: TiltingComplex, target_quiver):
                 )
             maps[arrow.name] = _one_entry(Cx, Cy, elt)
             continue
-        px, py = g.tree_path(x), g.tree_path(y)
-        if list(py) == list(px[: len(py)]):
-            # truncation onto a prefix path: identity on common degrees
-            comps = {m: {(0, 0): A.e(py[m])} for m in range(len(py))}
-            maps[arrow.name] = ChainMap(Cx, Cy, comps, check=True)
-            continue
-        # branch switch: identity on the common prefix, then the unique hom
-        t = 0
-        while t < min(len(px), len(py)) and px[t] == py[t]:
-            t += 1
-        comps = {m: {(0, 0): A.e(px[m])} for m in range(t)}
-        comps[t] = {(0, 0): _unique_hom(A, px[t], py[t])}
-        maps[arrow.name] = ChainMap(Cx, Cy, comps, check=True)
+        # truncation onto a prefix path, or a switch of branch
+        maps[arrow.name] = _tree_path_map(Q, x, y)
     return maps
 
 

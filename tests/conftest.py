@@ -4,6 +4,7 @@ import pytest
 
 from brauer_derive.algebra import (
     AlgebraElement,
+    CompositionMismatch,
     PathElement,
     Presentation,
     QuiverMismatch,
@@ -123,7 +124,16 @@ def word_element(q, words, coeffs):
     """The named relation sum c * w over arrow-name words w, through the
     package's homogeneity check and term order."""
     terms = _relation(q, [tuple(q.ids[n] for n in w) for w in words], coeffs)
-    return Presentation(q, id_relations=[terms]).relations[0]
+    return Presentation(q, [terms]).relations[0]
+
+
+def named_presentation(q, relations):
+    """The presentation of q with the given named relations
+    (``PathElement``s), their arrow names turned into arrow ids."""
+    ids = q.ids
+    return Presentation(
+        q, [tuple((tuple(ids[n] for n in w), c) for w, c in rel.terms) for rel in relations]
+    )
 
 
 # Test-only oracles: the cycle walk and ``omega_relations`` as they were
@@ -181,7 +191,7 @@ def omega_relations_oracle(q):
     b_full = cycle_at(q, loop, BETA)
     rels.append(element([(a1, a1), (a1,) + b_full], [1, -1]))
     rels.append(element([(a1,) + b_full, b_full + (a1,)], [1, 1]))
-    return Presentation(q, tuple(rels))
+    return named_presentation(q, rels)
 
 
 # Test-only helpers that no code of the package calls: the shifted complex,
@@ -214,6 +224,52 @@ def certificate_valid(cert):
         all(v == 0 for v in cert.hom_vanishing.values())
         and abs(cert.det_source) == abs(cert.det_end)
     )
+
+
+# Test-only readers and builders that no code of the package calls: one
+# entry of a Cartan matrix, of a differential or of a chain map, the zero
+# complex, the zero element of a block, the class of a named combination of
+# paths, and the arrows out of a vertex.
+
+
+def cartan_entry(C, i, j):
+    """Entry (i, j) of the Cartan matrix C, by vertex names."""
+    return C.rows[C.order.index(i)][C.order.index(j)]
+
+
+def diff_entry(C, n, r, c):
+    """Entry (r, c) of the differential of C in degree n, None for zero."""
+    return C.diffs.get(n, {}).get((r, c))
+
+
+def map_entry(f, n, r, c):
+    """Entry (r, c) of the chain map f in degree n, None for zero."""
+    return f.comps.get(n, {}).get((r, c))
+
+
+def is_zero_complex(C):
+    return not C.terms
+
+
+def zero_element(A, i, j):
+    return AlgebraElement(A, i, j, [A.field.zero] * len(A.block(i, j)))
+
+
+def reduce_element(A, element):
+    """The class in A of a ``PathElement`` with rational coefficients."""
+    out = None
+    for word, coeff in element.terms:
+        scalar = A.field.div(A.field.from_int(coeff.numerator), A.field.from_int(coeff.denominator))
+        term = A.path_element(word).scale(scalar)
+        out = term if out is None else out + term
+    if out is None:
+        raise CompositionMismatch("empty element has no block")
+    return out
+
+
+def arrows_by_source(q, v):
+    """The arrows out of v, the beta arrow first."""
+    return tuple(out[v] for out in (q.beta_out, q.alpha_out) if v in out)
 
 
 # Test-only oracles: the product comparison and the product-based socle

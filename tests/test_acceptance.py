@@ -11,7 +11,6 @@ import time
 import pytest
 
 from brauer_derive.algebra import (
-    Presentation,
     omega_relations,
     a_n_presentation,
     presentations_equal_on_basis,
@@ -30,7 +29,13 @@ from brauer_derive.tilting import (
     shrink_complex,
 )
 
-from conftest import algebra_for, certificate_valid, word_element
+from conftest import (
+    algebra_for,
+    cartan_entry,
+    certificate_valid,
+    named_presentation,
+    word_element,
+)
 from test_homological import random_complexes, s_matrix
 from test_tilting import pattern
 
@@ -65,7 +70,7 @@ def displayed_omega_presentation(n):
     for j in range(2, n + 1):
         word = beta[j - 1:] + (a,) + beta[: j - 1] + (beta[j - 1],)
         rels.append(word_element(q, [word], [1]))
-    return Presentation(q, tuple(rels))
+    return named_presentation(q, rels)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -136,12 +141,12 @@ def test_a7_happel_identity(corpus):
         A = algebra_for(g)
         C = A.cartan()
         verts = A.vertices
-        Cm = [[C.entry(i, j) for j in verts] for i in verts]
+        Cm = [[cartan_entry(C, i, j) for j in verts] for i in verts]
         rng = random.Random(hash(name) % 100000)
         complexes = random_complexes(A, rng, 100)
         for lo in range(0, 100, 5):
             batch = complexes[lo : lo + 5]
-            got = happel_cartan(batch, C)
+            got = happel_cartan(batch, C, [str(k) for k in range(len(batch))])
             S = s_matrix(batch, verts)
             expect = [
                 [

@@ -13,7 +13,6 @@ import pytest
 
 from brauer_derive.algebra import (
     CompositionMismatch,
-    Presentation,
     _relation_combos,
     a_n_presentation,
     omega_relations,
@@ -28,10 +27,14 @@ from brauer_derive.quiver import build_quiver
 from conftest import (
     G_MIN_TEXT,
     algebra_for,
+    arrows_by_source,
+    cartan_entry,
     corpus_graphs,
+    named_presentation,
     omega_relations_oracle,
     path_element,
     products_equal_oracle,
+    reduce_element,
     relation_words,
     socle_words_oracle,
 )
@@ -177,7 +180,7 @@ def test_omega_relations_match_the_named_oracle():
         p, oracle = omega_relations(q), omega_relations_oracle(q)
         assert p.relations == oracle.relations, g
         assert [str(r) for r in p.relations] == [str(r) for r in oracle.relations]
-        hand_built = Presentation(q, oracle.relations)
+        hand_built = named_presentation(q, oracle.relations)
         assert hand_built.id_relations == p.id_relations
         for field in (QQ, PrimeField(2)):
             combos = [list(c.items()) for c in _relation_combos(p, field)]
@@ -314,7 +317,7 @@ def test_idempotent_grading(corpus):
             word = []
             src = at
             for _ in range(rng.randrange(1, 6)):
-                outs = q.arrows_by_source(at)
+                outs = arrows_by_source(q, at)
                 if not outs:
                     break
                 a = rng.choice(outs)
@@ -340,9 +343,9 @@ def test_hom_vanishing_pattern(corpus):
                     continue
                 common = any(i in cyc and j in cyc for cyc in cycles)
                 if not common:
-                    assert C.entry(i, j) == 0
+                    assert cartan_entry(C, i, j) == 0
                 else:
-                    assert C.entry(i, j) >= 1
+                    assert cartan_entry(C, i, j) >= 1
 
 
 def test_engine_stability_g_min(g_min):
@@ -424,9 +427,9 @@ def test_reduce_path_element(g_min):
     elt = path_element(
         "1", "1", {("a_1", "a_1"): Fraction(1), ("a_1", "b_1", "b_2"): Fraction(-1)}
     )
-    assert A.reduce(elt).is_zero()  # this is a relation
+    assert reduce_element(A, elt).is_zero()  # this is a relation
     half = path_element("1", "1", {("a_1",): Fraction(1, 2)})
-    got = A.reduce(half)
+    got = reduce_element(A, half)
     assert got == A.path_element(("a_1",)).scale(Fraction(1, 2))
 
 
@@ -435,7 +438,7 @@ def test_blockless_paths_are_composition_mismatches(g_min):
     with pytest.raises(CompositionMismatch, match="use e"):
         A.path_element(())
     with pytest.raises(CompositionMismatch, match="empty element"):
-        A.reduce(path_element("1", "1", {}))
+        reduce_element(A, path_element("1", "1", {}))
 
 
 def test_multiply_operation_surface():
@@ -493,7 +496,7 @@ def _deformed(p):
         if (a1, a1) in relation_words(r) else r
         for r in p.relations
     )
-    return Presentation(p.quiver, rels)
+    return named_presentation(p.quiver, rels)
 
 
 def _sign_flipped(p):
@@ -504,7 +507,7 @@ def _sign_flipped(p):
     terms = dict(last.terms)
     word = next(w for w in terms if w[-1] == p.quiver.loop_arrow.name)
     terms[word] = -terms[word]
-    return Presentation(p.quiver, (*rels, path_element(last.source, last.target, terms)))
+    return named_presentation(p.quiver, (*rels, path_element(last.source, last.target, terms)))
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -538,7 +541,7 @@ def test_perturbed_relation_changes_the_socle_quotient():
         "1", "1", {("a_1", "a_1"): Fraction(1), ("b_1", "b_2"): Fraction(1)}
     )
     base = socle_quotient(quotient_basis(p, field=F))
-    mutant = _socle(quotient_basis(Presentation(p.quiver, tuple(rels)), field=F))
+    mutant = _socle(quotient_basis(named_presentation(p.quiver, rels), field=F))
     assert base.blocks == mutant.blocks
     assert not _agree(base, mutant)
 
@@ -555,7 +558,7 @@ def test_perturbed_coefficient_changes_the_full_algebra(n):
     terms[("a_1", "a_1")] *= 2
     rels = list(p.relations)
     rels[r] = path_element(rel.source, rel.target, terms)
-    A, B = quotient_basis(p), quotient_basis(Presentation(p.quiver, tuple(rels)))
+    A, B = quotient_basis(p), quotient_basis(named_presentation(p.quiver, rels))
     assert A.blocks == B.blocks
     assert not _agree(A, B)
     assert _agree(_socle(A), _socle(B))

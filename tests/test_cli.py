@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -9,7 +10,6 @@ import pytest
 from brauer_derive import algebra, cli, graph, reduction, rewriting, tilting
 from brauer_derive.algebra import (
     CartanMismatch,
-    Presentation,
     a_n_presentation,
     quotient_basis,
 )
@@ -25,7 +25,13 @@ from brauer_derive.graph import parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
 from brauer_derive.linalg import PrimeField
 
-from conftest import CORPUS_TEXTS, G_MIN_TEXT, corpus_graphs, word_element
+from conftest import (
+    CORPUS_TEXTS,
+    G_MIN_TEXT,
+    corpus_graphs,
+    named_presentation,
+    word_element,
+)
 
 
 @pytest.fixture()
@@ -330,6 +336,27 @@ def test_quiver_dot(g_min_file, capsys):
     assert out.count("->") == 5
 
 
+# a DOT quoted string: inside one, DOT reads \" as a quote and any other
+# backslash as itself, so a backslash before the closing quote escapes it
+DOT_STRING = re.compile(r'"(?:[^"\\]|\\"|\\(?!"))*"')
+
+
+def test_quiver_dot_escapes_quotes(tmp_path, capsys):
+    """A quote in an edge label is escaped by a backslash in every DOT
+    string, in the ``quiver`` output and in the ``dot`` field of
+    ``quiver --json``."""
+    path = tmp_path / "quote.json"
+    path.write_text('{"vertices":[{"id":"S","cyclic":["1","1","x\\"y"]}]}', encoding="utf-8")
+    assert run(["quiver", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert run(["quiver", str(path), "--json"]) == EXIT_OK
+    dot = json.loads(capsys.readouterr().out)["dot"]
+    for out in (text, dot):
+        for line in out.splitlines():
+            assert '"' not in DOT_STRING.sub("", line), line
+        assert '  "x\\"y" -> "1" [label="b_x\\"y" camp="beta"];' in out.splitlines()
+
+
 def test_algebra_report(g_min_file, capsys):
     assert run(["algebra", g_min_file]) == 0
     out = capsys.readouterr().out
@@ -484,7 +511,7 @@ def test_non_admissible_presentation_is_certificate_failure(capsys, monkeypatch)
     a relation word of length 1 is an engine fault: exit 3, not exit 1."""
 
     def length_one(q):
-        return Presentation(q, (word_element(q, [(q.loop_arrow.name,)], [1]),))
+        return named_presentation(q, (word_element(q, [(q.loop_arrow.name,)], [1]),))
 
     monkeypatch.setattr(cli, "omega_relations", length_one)
     assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
@@ -496,7 +523,7 @@ def test_inhomogeneous_relation_is_certificate_failure(capsys, monkeypatch):
     engine fault: exit 3, not exit 1."""
 
     def inhomogeneous(q):  # b_1 leaves vertex 1, b_2 vertex 2
-        return Presentation(q, (word_element(q, [("b_1",), ("b_2",)], [1, 1]),))
+        return named_presentation(q, (word_element(q, [("b_1",), ("b_2",)], [1, 1]),))
 
     monkeypatch.setattr(cli, "omega_relations", inhomogeneous)
     assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE

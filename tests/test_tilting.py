@@ -24,6 +24,8 @@ from conftest import (
     algebra_for,
     canonical_relabel,
     certificate_valid,
+    diff_entry,
+    map_entry,
     structure_key,
 )
 
@@ -67,7 +69,7 @@ def test_shrink_g_min(g_min):
     assert is_stalk(Q.summands["2"]) == ("2", 0)
     Q3 = Q.summands["3"]
     assert Q3.term(0) == ("2",) and Q3.term(1) == ("3",)
-    assert str(Q3.entry(0, 0, 0)) == "a_2"
+    assert str(diff_entry(Q3, 0, 0, 0)) == "a_2"
 
 
 def test_shrink_depth_two_chain():
@@ -132,7 +134,7 @@ def test_enlarge_with_beta_fan():
     Q = enlarge_complex(A, g, d)
     Qp = Q.summands["3"]
     assert Qp.term(0) == ("2", "4")
-    assert str(Qp.entry(0, 0, 0)) == "a_2" and str(Qp.entry(0, 0, 1)) == "b_4"
+    assert str(diff_entry(Qp, 0, 0, 0)) == "a_2" and str(diff_entry(Qp, 0, 0, 1)) == "b_4"
     assert certificate_valid(check_tilting(Q))
 
 
@@ -209,7 +211,7 @@ def test_enlarge_factoring_of_old_cycle_map(g_min):
     into = maps["b_1"]  # 1 -> successor in the enlarged graph
     out = maps["b_3"]  # successor -> 2
     composite = into.compose(out)
-    e = composite.comp(0, 0, 0)
+    e = map_entry(composite, 0, 0, 0)
     assert e == A.path_element(("b_1",))
 
 

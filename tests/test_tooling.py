@@ -5,15 +5,39 @@ referenced somewhere in the package (or by the benchmark) outside its own
 body and outside ``__init__.py``, and every exception class the package
 raises has an exit code in ``cli.run``.
 
+The reference check counts names, so a member counts as used whenever
+anything else has its name: a method ``reduce`` is "used" by a call of
+``self.reduce`` on another class.  The traffic test closes that gap by
+running the program: it drives ``cli.main`` over a fixed corpus under
+``sys.setprofile`` and fails if a function or method defined in the
+package, nested ones included and dunder methods aside, is never entered,
+unless ``NOT_ENTERED`` names it with the reason it stays.  Three stay:
+``RewriteSystem.drop_rule`` and ``RewriteSystem._refresh_lengths``, the
+interreduction step of completion, which no presentation the program builds
+triggers but the hand-written relation sets of the rewriting tests do; and
+``ProjComplex.total_summands``, which the benchmark's tracer reads.  The test
+compares the set never entered with ``NOT_ENTERED`` exactly, so an entry
+that the corpus starts to reach, or whose function is gone, fails it too.
+
 The benchmark's tracer reads the program from outside (the arguments and
 results of the functions it wraps), so a last test runs every workload's
 tiny plan traced and checks that each declared per-layer metric comes out."""
 import ast
+import io
 import json
+import os
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+
+from brauer_derive import cli
+from brauer_derive.graph import parse_graph
+
+from conftest import CORPUS_TEXTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "brauer_derive"
@@ -221,6 +245,149 @@ def test_exit_code_check_flags_injected_faults():
     assert unmapped_exceptions(sources) == [
         ("graph.py", "StrayError"), ("linalg.py", "FieldMismatch"), ("linalg.py", "KeyError"),
     ]
+
+
+# -- the functions the CLI enters -----------------------------------------
+
+
+def package_functions(sources):
+    """{(module, first line): qualified name} of every function and method
+    defined in the package, nested ones included and dunder methods aside.
+    The first line is that of the first decorator, as in a code object's
+    ``co_firstlineno``, which is how ``cli_traffic`` names what it saw
+    (``co_qualname`` would name it directly, but only from Python 3.11)."""
+    found = {}
+
+    def visit(module, node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.FunctionDef):
+                if not (sub.name.startswith("__") and sub.name.endswith("__")):
+                    first = min([sub.lineno] + [d.lineno for d in sub.decorator_list])
+                    found[(module, first)] = prefix + sub.name
+                visit(module, sub, f"{prefix}{sub.name}.")
+            elif isinstance(sub, ast.ClassDef):
+                visit(module, sub, f"{prefix}{sub.name}.")
+            else:
+                visit(module, sub, prefix)
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), "")
+    return found
+
+
+def never_entered(sources, entered):
+    """Sorted (module, qualified name) of every function of ``sources`` whose
+    (module, first line) is not in ``entered``."""
+    return sorted(
+        (module, name) for (module, line), name in package_functions(sources).items()
+        if (module, line) not in entered
+    )
+
+
+def _main(argv):
+    """``cli.main(argv)`` with its output captured: (exit code, stdout)."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _corpus_runs(folder):
+    """Run the CLI over every corpus graph: each command on it, with and
+    without --json and over Q and GF(2) in turn, so that across the graphs
+    every command meets all four combinations; then ``reduce --certify
+    --json`` and ``verify`` on its output."""
+    for k, (name, text) in enumerate(sorted(CORPUS_TEXTS.items())):
+        path = folder / f"{name}.json"
+        path.write_text(text, encoding="utf-8")
+        path = str(path)
+        g = parse_graph(text)
+        at = next(c for c in g.cycle_edges[1:] if g.trees[c])
+        out = ("--json",) if k % 2 else ()
+        field = ("--field", "2") if k // 2 % 2 else ()
+        for argv in (
+            ["validate", path, *out],
+            ["quiver", path, *out],
+            ["classify", path, *out],
+            ["algebra", path, *out, *field],
+            ["cartan", path, *out, *field],
+            ["tilt-shrink", path, *out, *field],
+            ["tilt-enlarge", path, "--at", at, *out, *field],
+            ["reduce", path, *out],
+        ):
+            assert _main(argv)[0] == cli.EXIT_OK, argv
+        code, trace = _main(["reduce", path, "--certify", "--json", *field])
+        assert code == cli.EXIT_OK, name
+        (folder / "trace.json").write_text(trace, encoding="utf-8")
+        assert _main(["verify", str(folder / "trace.json"), *out, *field])[0] == cli.EXIT_OK
+
+
+@lru_cache(maxsize=None)
+def cli_traffic():
+    """(module, first line) of every package function that ``cli.main``
+    enters on the corpus runs, the builders, ``cartan --omega`` and
+    ``--an``, a ``--cap`` and an unknown flag, run under ``sys.setprofile``
+    on the package as already imported."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with tempfile.TemporaryDirectory() as folder:
+            _corpus_runs(Path(folder))
+        for argv in (
+            ["omega", "4", "--compare-socle"],
+            ["an", "4", "--compare-socle", "--json", "--field", "2"],
+            ["cartan", "--omega", "3", "--cap", "12"],
+            ["cartan", "--an", "3", "--json"],
+        ):
+            assert _main(argv)[0] == cli.EXIT_OK, argv
+        assert _main(["cartan", "--omega", "3", "--no-such-flag"])[0] == cli.EXIT_USAGE
+    finally:
+        sys.setprofile(previous)
+    package = os.path.dirname(cli.__file__)
+    return frozenset(
+        (os.path.basename(code.co_filename), code.co_firstlineno) for code in seen
+        if os.path.dirname(code.co_filename) == package
+    )
+
+
+# Functions the CLI never enters, each with the reason it stays in src/.
+NOT_ENTERED = {
+    ("rewriting.py", "RewriteSystem.drop_rule"): (
+        "interreduction in ``complete``: no presentation the program builds "
+        "gives a new lead that divides an older one, but hand-written relation "
+        "sets in the rewriting tests do, and completion must stay correct then"
+    ),
+    ("rewriting.py", "RewriteSystem._refresh_lengths"): "called by drop_rule alone",
+    ("homological.py", "ProjComplex.total_summands"): (
+        "the benchmark's tracer reads it for its homotopy_hom and minimize counters"
+    ),
+}
+
+
+def test_cli_traffic_enters_every_function():
+    assert never_entered(_package_sources(), cli_traffic()) == sorted(NOT_ENTERED)
+
+
+def test_traffic_flags_a_stray_method_the_name_count_misses():
+    """A method named ``reduce`` on a class that is itself used counts as
+    used by name, through ``SparseEchelon.contains``'s ``self.reduce``; the
+    traffic check sees that no run enters it.  It is appended at the end of
+    its module, so no recorded line moves."""
+    sources = _package_sources()
+    sources["linalg.py"] += (
+        "\n\nclass _Stray:\n    def reduce(self, vec):\n        return vec\n"
+        "\n\n_STRAY = _Stray()\n"
+    )
+    assert orphan_helpers(sources, _benchmark_sources()) == []
+    assert never_entered(sources, cli_traffic()) == sorted(
+        [*NOT_ENTERED, ("linalg.py", "_Stray.reduce")]
+    )
 
 
 # -- the benchmark tracer's view of the program ---------------------------
