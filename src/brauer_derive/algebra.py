@@ -326,14 +326,18 @@ class QuotientAlgebra:
     Completed algebras are immutable apart from internal caches of block
     positions, of the coordinates of each path asked for (per block, filled
     one word at a time), of products with basis elements, of the
-    coordinates of the vertex idempotents and of the Cartan matrix (which
-    caches its determinant).  These only ever fill in deterministic values,
-    so concurrent reads (reduce, multiply, cartan) are safe.  ``_class`` is
-    the one place where a path meets the normal form and the dropped words;
-    ``_product`` keeps its coordinates, and ``reduce_word``, ``multiply``,
-    ``times_basis`` and ``basis_times`` read them there.  The socle and the
-    comparison of two algebras read arrow actions (``arrow_rows``,
-    ``socle_words``) from ``_class`` directly.
+    coordinates of each product of two elements asked for (``_products``,
+    keyed by both factors' blocks and coordinates), of the coordinates of
+    the vertex idempotents and of the Cartan matrix (which caches its
+    determinant).  No cache keeps an element, whose reference back to the
+    algebra would leave the algebra for the cyclic collector to free.  The
+    caches only ever fill in deterministic values, so concurrent reads
+    (reduce, multiply, cartan) are safe.  ``_class`` is the one place where
+    a path meets the normal form and the dropped words; ``_product`` keeps
+    its coordinates, and ``reduce_word``, ``multiply``, ``times_basis`` and
+    ``basis_times`` read them there.  The socle and the comparison of two
+    algebras read arrow actions (``arrow_rows``, ``socle_words``) from
+    ``_class`` directly.
 
     ``blocks`` is taken in the order given, as ``_block_words`` emits it:
     keys in the canonical vertex order, words in ``order_key`` order, every
@@ -361,6 +365,7 @@ class QuotientAlgebra:
         self._positions = {}
         self._entries = {}
         self._basis_products = {}
+        self._products = {}
         self._units = {}
 
     def _index(self, i, j):
@@ -424,14 +429,18 @@ class QuotientAlgebra:
                 f"cannot compose ({x.source}->{x.target}) with ({y.source}->{y.target})"
             )
         i, k = x.source, y.target
-        right = [(wr, b) for wr, b in zip(self.block(x.target, k), y.coeffs) if b]
-        coeffs = [self.field.zero] * len(self.block(i, k))
-        for wl, a in zip(self.block(i, x.target), x.coeffs):
-            if not a:
-                continue
-            for wr, b in right:
-                for pos, c in self._product(i, k, wl + wr):
-                    coeffs[pos] = coeffs[pos] + a * b * c
+        key = (i, x.target, k, x.coeffs, y.coeffs)
+        coeffs = self._products.get(key)
+        if coeffs is None:
+            right = [(wr, b) for wr, b in zip(self.block(x.target, k), y.coeffs) if b]
+            coeffs = [self.field.zero] * len(self.block(i, k))
+            for wl, a in zip(self.block(i, x.target), x.coeffs):
+                if not a:
+                    continue
+                for wr, b in right:
+                    for pos, c in self._product(i, k, wl + wr):
+                        coeffs[pos] = coeffs[pos] + a * b * c
+            coeffs = self._products[key] = tuple(coeffs)
         return AlgebraElement(self, i, k, coeffs)
 
     def _product(self, i, k, word):

@@ -478,9 +478,10 @@ def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0) -> int:
 
 
 def is_null_homotopic(f: ChainMap) -> bool:
+    if not f.comps:  # the zero map: ``comps`` keeps nonzero entries only
+        return True
     solver = _HomSolver(f.source, f.target)
-    vec = solver.vectorize(f)
-    return not vec or solver.homotopy_span().contains(vec)
+    return solver.homotopy_span().contains(solver.vectorize(f))
 
 
 def happel_cartan(summands, C: CartanMatrix, labels) -> CartanMatrix:

@@ -150,8 +150,16 @@ def cycle_words(q: BrauerQuiver) -> CycleWords:
     return out
 
 
+_HTML_ENTITIES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
 def _dot_id(text):
-    """A DOT quoted string: the only escape DOT reads inside one is \\"."""
+    """A DOT ID for a name.  The only escape DOT reads inside a quoted string
+    is \\", so a backslash before the closing quote would escape it: a name
+    with a backslash is written as an HTML string <...> instead, its &, <, >
+    and " as entities, and any other name as a quoted string."""
+    if "\\" in text:
+        return "<" + text.translate(_HTML_ENTITIES) + ">"
     return '"' + text.replace('"', '\\"') + '"'
 
 

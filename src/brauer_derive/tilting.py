@@ -19,10 +19,18 @@ arrow of the target quiver (the loop-star of the same size for a shrink
 complex, the moved graph for an enlarge complex) to a generator chain map of
 the endomorphism ring and checks every relation of ``omega_relations`` of
 that quiver up to homotopy, through one loop for both kinds.
+
+On a shrink complex the witness maps Q(z) -> Q(parent) and the truncation
+and branch-switch generator maps are all tree-path maps, and the two users
+share them: each (x, y) map is built and square-checked once per complex and
+kept in ``TiltingComplex.path_maps`` (on a chain, every generator map
+Q(x) -> Q(succ x) is the witness map of x).  Products of elements are
+computed once per algebra (``QuotientAlgebra.multiply``), and a composite
+that is exactly zero is null-homotopic without a solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import CartanMatrix, QuotientAlgebra, omega_relations
 from .graph import BrauerGraph, GraphVertex, loop_star
@@ -104,6 +112,8 @@ class TiltingComplex:
     ordering: tuple
     kind: str
     data: EnlargeData | None = None
+    # (x, y) -> the tree-path chain map Q(x) -> Q(y), built and checked once
+    path_maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def direct_sum(self):
         return direct_sum([self.summands[z] for z in self.ordering])
@@ -192,16 +202,20 @@ def end_cartan(Q: TiltingComplex) -> CartanMatrix:
 def _tree_path_map(Q: TiltingComplex, x, y):
     """Chain map Q(x) -> Q(y) between summands along tree paths: the
     identity on the common prefix of the two paths, then, where they part,
-    the unique hom between the edges there."""
-    A, px, py = Q.algebra, Q.graph.tree_path(x), Q.graph.tree_path(y)
-    common = min(len(px), len(py))
-    t = 0
-    while t < common and px[t] == py[t]:
-        t += 1
-    comps = {m: {(0, 0): A.e(px[m])} for m in range(t)}
-    if t < common:
-        comps[t] = {(0, 0): _unique_hom(A, px[t], py[t])}
-    return ChainMap(Q.summands[x], Q.summands[y], comps, check=True)
+    the unique hom between the edges there.  Built and checked once per
+    (x, y) and kept in ``Q.path_maps``."""
+    f = Q.path_maps.get((x, y))
+    if f is None:
+        A, px, py = Q.algebra, Q.graph.tree_path(x), Q.graph.tree_path(y)
+        common = min(len(px), len(py))
+        t = 0
+        while t < common and px[t] == py[t]:
+            t += 1
+        comps = {m: {(0, 0): A.e(px[m])} for m in range(t)}
+        if t < common:
+            comps[t] = {(0, 0): _unique_hom(A, px[t], py[t])}
+        f = Q.path_maps[(x, y)] = ChainMap(Q.summands[x], Q.summands[y], comps, check=True)
+    return f
 
 
 def _shrink_witnesses(Q: TiltingComplex):

@@ -357,6 +357,38 @@ def test_quiver_dot_escapes_quotes(tmp_path, capsys):
         assert '  "x\\"y" -> "1" [label="b_x\\"y" camp="beta"];' in out.splitlines()
 
 
+# a DOT HTML string, as written here: its &, <, > and " are entities
+DOT_HTML = re.compile(r"<[^<>\"]*>")
+
+
+@pytest.mark.parametrize(
+    "name, written",
+    [("x\\", "<x\\>"), ('x\\<&"y', "<x\\&lt;&amp;&quot;y>")],
+    ids=["trailing-backslash", "backslash-and-entities"],
+)
+def test_quiver_dot_writes_backslash_names_as_html_strings(name, written, tmp_path, capsys):
+    """A name with a backslash would end a quoted DOT string early (``"x\\"``
+    reads as an unterminated string), so it is written as an HTML string, in
+    the ``quiver`` output and in the ``dot`` field of ``quiver --json``;
+    every other name stays a quoted string."""
+    path = tmp_path / "backslash.json"
+    lists = {"vertices": [{"id": "S", "cyclic": ["1", "1", name]}]}
+    path.write_text(json.dumps(lists), encoding="utf-8")
+    assert run(["quiver", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert run(["quiver", str(path), "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["vertices"] == ["1", name]
+    for out in (text, payload["dot"]):
+        for line in out.splitlines():
+            rest = DOT_HTML.sub("", DOT_STRING.sub("", line)).replace("->", "")
+            assert not set('"<>') & set(rest), line
+        lines = out.splitlines()
+        assert f"  {written};" in lines
+        assert f'  "1" -> {written} [label="b_1" camp="beta"];' in lines
+        assert f'  {written} -> "1" [label=<b_{written[1:]} camp="beta"];' in lines
+
+
 def test_algebra_report(g_min_file, capsys):
     assert run(["algebra", g_min_file]) == 0
     out = capsys.readouterr().out

@@ -25,7 +25,12 @@ generator relations.
 
 ``multiply``, ``times_basis`` and ``basis_times`` are checked against the
 normal forms of the product words on the chain13 and deep21 algebras and on
-a socle quotient, over Q and GF(2).
+a socle quotient, over Q and GF(2).  On the chain13 and deep21 shrink
+complexes, the memos are checked too: a product asked for twice is reduced
+once and equals the normal-form sum over Q, GF(2) and GF(3); each chain map
+is square-checked once however often it is asked for; and a broken
+generator map (a successor negated, the loop map doubled) still fails the
+relations after the shared maps and products have been built.
 
 The largest basis-star inputs, Omega(59) and A(14) with its socle
 comparison, go through the CLI over Q and GF(2), and ``cartan --omega 36``,
@@ -38,6 +43,7 @@ import random
 
 import pytest
 
+from brauer_derive import tilting
 from brauer_derive.algebra import (
     AlgebraElement,
     omega_relations,
@@ -45,12 +51,13 @@ from brauer_derive.algebra import (
     socle_quotient,
 )
 from brauer_derive.cli import run
-from brauer_derive.graph import edge_count, parse_graph, serialize_graph
-from brauer_derive.homological import homotopy_hom
+from brauer_derive.graph import edge_count, loop_star, parse_graph, serialize_graph
+from brauer_derive.homological import ChainMap, homotopy_hom
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
 from brauer_derive.reduction import certify_trace, load_trace, reduce_to_normal_form
 from brauer_derive.tilting import (
+    RelationFailure,
     check_tilting,
     end_cartan,
     enlarge_complex,
@@ -223,6 +230,110 @@ def test_products_match_normal_forms_at_benchmark_size(case, field):
             _oracle_sum(A, i, k, [(wl + wr, b) for wr, b in zip(right, y.coeffs)]) for wl in left
         )
     assert bool(dropped) == socle
+
+
+# the two shapes of the shrink-deep benchmark that the memo tests run on
+MEMO_CASES = {"chain13_twigs": GRAPHS["chain13_twigs"], "deep21": deep_tree(21, seed=3)}
+
+
+def _shrink(text, field):
+    g = parse_graph(text)
+    return shrink_complex(quotient_basis(omega_relations(build_quiver(g)), field=field), g)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_repeated_products_match_normal_forms(name, field, monkeypatch):
+    """``multiply`` asked twice for the same pair, the second time through
+    equal but new elements, reduces no product word the second time and
+    returns the normal-form sum both times.  Two left and two right factors
+    per block triple share their blocks, so a memo key that missed either
+    factor would return the wrong product.  The memo keeps coefficient
+    tuples, never elements."""
+    A = quotient_basis(omega_relations(build_quiver(parse_graph(MEMO_CASES[name]))), field=field)
+    reduced = []
+    product = A._product
+    monkeypatch.setattr(A, "_product", lambda i, k, w: reduced.append(w) or product(i, k, w))
+    rng = random.Random(5)
+    triples = [
+        (i, j, k) for i in A.vertices for j in A.vertices for k in A.vertices
+        if A.block(i, j) and A.block(j, k)
+    ]
+    for i, j, k in rng.sample(triples, 40):
+        lefts = [_random_element(A, i, j, rng) for _ in range(2)]
+        rights = [_random_element(A, j, k, rng) for _ in range(2)]
+        for x in lefts:
+            for y in rights:
+                pairs = [
+                    (wl + wr, a * b)
+                    for wl, a in zip(A.block(i, j), x.coeffs)
+                    for wr, b in zip(A.block(j, k), y.coeffs)
+                ]
+                first = A.multiply(x, y)
+                before = len(reduced)
+                again = AlgebraElement(A, i, j, x.coeffs), AlgebraElement(A, j, k, y.coeffs)
+                second = A.multiply(*again)
+                assert len(reduced) == before
+                for xy in (first, second):
+                    assert (xy.source, xy.target) == (i, k)
+                    coords = tuple((p, c) for p, c in enumerate(xy.coeffs) if c)
+                    assert coords == _oracle_sum(A, i, k, pairs)
+    assert reduced and A._products
+    for coeffs in A._products.values():
+        assert type(coeffs) is tuple and not any(isinstance(c, AlgebraElement) for c in coeffs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_each_chain_map_is_built_and_checked_once(name, field, monkeypatch):
+    """``check_tilting`` and ``verify_end_generators`` on one shrink complex
+    square-check as many chain maps as distinct maps were asked for: each
+    tree-path pair (x, y) once, shared by the generation witnesses and the
+    generator maps, and each one-entry generator map."""
+    Q = _shrink(MEMO_CASES[name], field)
+    checked, paths, entries = [], [], []
+    check, path_map, one_entry = ChainMap.check, tilting._tree_path_map, tilting._one_entry
+    monkeypatch.setattr(ChainMap, "check", lambda f: checked.append(f) or check(f))
+    monkeypatch.setattr(
+        tilting, "_tree_path_map", lambda Q, x, y: paths.append((x, y)) or path_map(Q, x, y)
+    )
+    monkeypatch.setattr(tilting, "_one_entry", lambda *a: entries.append(a) or one_entry(*a))
+    assert certificate_valid(check_tilting(Q)) and verify_end_generators(Q)
+    assert len(set(paths)) < len(paths)  # the two users share maps
+    assert len(checked) == len(set(paths)) + len(entries)
+    assert len({id(f) for f in checked}) == len(checked)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_shared_maps_never_hide_a_broken_generator(name, field, monkeypatch):
+    """Once ``check_tilting`` and ``verify_end_generators`` have built the
+    shared tree-path maps and filled the product memo, negating any one
+    successor map, or scaling the loop map by 2, still breaks the loop
+    relation alpha^2 = alpha b_1...b_n; the intact maps pass after every
+    broken run."""
+    Q = _shrink(MEMO_CASES[name], field)
+    assert certificate_valid(check_tilting(Q)) and verify_end_generators(Q)
+    target = build_quiver(loop_star(len(Q.ordering)))
+    broken = [(a.name, lambda f: -f) for a in target.exceptional_cycle.arrows]
+    broken.append((target.loop_arrow.name, lambda f: f + f))
+    original = tilting._shrink_generator_maps
+    for arrow, breaker in broken:
+
+        def maps_with_one_broken(Q, target):
+            maps = original(Q, target)
+            maps[arrow] = breaker(maps[arrow])
+            return maps
+
+        monkeypatch.setattr(tilting, "_shrink_generator_maps", maps_with_one_broken)
+        with pytest.raises(RelationFailure, match=r"a_1\*a_1 is not null-homotopic"):
+            verify_end_generators(Q)
+        monkeypatch.setattr(tilting, "_shrink_generator_maps", original)
+        assert verify_end_generators(Q)
+    assert len(broken) == len(Q.ordering) + 1
 
 
 # "graph flags": SHA-256 of the stdout of ``tilt-shrink FILE --json flags``
