@@ -21,6 +21,8 @@ serializing, so a loop-star round-trips as its single central vertex.
 
 A ``BrauerGraph`` is validated by its constructor and never changes after
 it, so its canonical form is computed once and kept as immutable tuples.
+One walk of the trees, with an explicit stack rather than recursion, records
+every tree edge's parent and every vertex's distance from the loop vertex.
 """
 from __future__ import annotations
 
@@ -64,16 +66,17 @@ class BrauerGraph:
     def __init__(self, vertices, implicit=frozenset()):
         self.vertices = tuple(vertices)
         self.implicit = frozenset(implicit)
-        self._check()
+        self.endpoints = self._check()
         self._derive()
 
     # -- construction ------------------------------------------------
 
     def _check(self):
+        """Raise on a broken invariant, else return {edge: its endpoints}."""
         ids = [v.id for v in self.vertices]
         if len(set(ids)) != len(ids):
             raise MalformedInput("duplicate vertex id")
-        incidences = {}
+        endpoints = {}
         loops = []
         for v in self.vertices:
             if not v.cyclic:
@@ -83,7 +86,7 @@ class BrauerGraph:
                 if not e:
                     raise ValidationError("empty edge label")
                 counts[e] = counts.get(e, 0) + 1
-                incidences[e] = incidences.get(e, 0) + 1
+                endpoints[e] = endpoints.get(e, ()) + (v.id,)
             for e, c in counts.items():
                 if c > 2:
                     raise ValidationError(
@@ -99,18 +102,14 @@ class BrauerGraph:
                     loops.append((e, v.id))
         if len(loops) != 1:
             raise ValidationError(f"exactly one loop required, found {len(loops)}")
-        for e, c in incidences.items():
-            if c != 2:
-                raise ValidationError(f"edge {e} must have exactly two incidences, has {c}")
+        for e, vs in endpoints.items():
+            if len(vs) != 2:
+                raise ValidationError(f"edge {e} must have exactly two incidences, has {len(vs)}")
         # Connectivity over vertices.
-        vertex_of = {}
-        for v in self.vertices:
-            for e in v.cyclic:
-                vertex_of.setdefault(e, []).append(v.id)
         adjacency = {v.id: set() for v in self.vertices}
-        for e, vs in vertex_of.items():
-            adjacency[vs[0]].add(vs[-1])
-            adjacency[vs[-1]].add(vs[0])
+        for a, b in endpoints.values():
+            adjacency[a].add(b)
+            adjacency[b].add(a)
         seen = set()
         stack = [self.vertices[0].id]
         while stack:
@@ -124,16 +123,12 @@ class BrauerGraph:
         # With the loop removed the graph must be a tree: n-1 edges on
         # len(vertices) vertices, still connected (removing a loop cannot
         # disconnect), so the edge count must equal the vertex count.
-        if len(incidences) != len(self.vertices):
+        if len(endpoints) != len(self.vertices):
             raise ValidationError("the loop is not the only cycle")
+        return endpoints
 
     def _derive(self):
         self.vertex_map = {v.id: v for v in self.vertices}
-        endpoints = {}
-        for v in self.vertices:
-            for e in v.cyclic:
-                endpoints.setdefault(e, []).append(v.id)
-        self.endpoints = {e: tuple(vs) for e, vs in endpoints.items()}
         loop = next(e for e, vs in self.endpoints.items() if vs[0] == vs[1])
         self.loop_edge = loop
         self.center = self.endpoints[loop][0]
@@ -150,23 +145,25 @@ class BrauerGraph:
         self.trees = {}
         order = list(self.cycle_edges)
         parent = {}
+        self.depth = {self.center: 0}  # graph vertex -> distance from the loop vertex
         for c in self.cycle_edges[1:]:
             # preorder walk of the tree below c, children in circular order;
             # a stack, not recursion, so depth is bounded by memory alone
             edges = []
-            stack = [(c, self.far_vertex(c, self.center))]
+            stack = [(c, self.far_vertex(c, self.center), 1)]
             while stack:
-                edge, at = stack.pop()
+                edge, at, d = stack.pop()
+                self.depth[at] = d
                 if edge != c:
                     edges.append(edge)
                 for k in reversed(self.children(edge, at)):
                     parent[k] = edge
-                    stack.append((k, self.far_vertex(k, at)))
+                    stack.append((k, self.far_vertex(k, at), d + 1))
             self.trees[c] = BrauerTree(c, tuple(edges))
             order.extend(edges)
         self.canonical_order = tuple(order)
         self.canonical_index = {e: i + 1 for i, e in enumerate(order)}
-        self._parent = parent
+        self._parent = parent  # tree edge -> the edge above it; cycle edges have none
 
     # -- navigation --------------------------------------------------
 
@@ -185,12 +182,12 @@ class BrauerGraph:
     def tree_path(self, edge):
         """Edges from the cycle edge of this tree down to ``edge``, inclusive."""
         path = [edge]
-        while path[0] in self._parent:
-            path.insert(0, self._parent[path[0]])
-        return tuple(path)
+        while path[-1] in self._parent:
+            path.append(self._parent[path[-1]])
+        return tuple(reversed(path))
 
     def is_tree_edge(self, edge):
-        return edge not in set(self.cycle_edges)
+        return edge in self._parent
 
     def is_loop_star(self):
         return all(not t for t in self.trees.values())

@@ -83,27 +83,12 @@ def _raw_cycles(g: BrauerGraph):
     return out
 
 
-def _depths(g: BrauerGraph):
-    """Distance of every graph vertex from the loop vertex."""
-    depth = {g.center: 0}
-    stack = [g.center]
-    while stack:
-        v = stack.pop()
-        for e in g.vertex_map[v].cyclic:
-            w = g.far_vertex(e, v)
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                stack.append(w)
-    return depth
-
-
 def build_quiver(g: BrauerGraph) -> BrauerQuiver:
-    depth = _depths(g)
     prefix = {ALPHA: "a", BETA: "b"}
     arrows_of = {}
     cycles = []
     for vid, steps, tag in _raw_cycles(g):
-        camp = ALPHA if tag == "loop" or depth[vid] % 2 else BETA
+        camp = ALPHA if tag == "loop" or g.depth[vid] % 2 else BETA
         cyc_arrows = tuple(Arrow(f"{prefix[camp]}_{s}", s, t, camp) for s, t in steps)
         arrows_of.update((a.name, a) for a in cyc_arrows)
         cycles.append(QCycle(cyc_arrows, vid, camp, tag is True))

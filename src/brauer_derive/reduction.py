@@ -102,7 +102,7 @@ def _certified_step(g, A, at, cap, margin, field):
         A = _algebra(g, cap, margin, field)
     Q = enlarge_complex(A, g, enlarge_data(g, at))
     cert = check_tilting(Q)
-    moved = enlarge_graph_move(g, at)
+    moved = Q.target
     A2 = _algebra(moved, cap, margin, field)
     expected = cert.end_cartan.reorder(A2.vertices)
     if A2.cartan().rows != expected.rows:
@@ -145,17 +145,27 @@ def load_trace(payload) -> ReductionTrace:
 
     Every graph is parsed, and so validated, again; a step's ``before`` is
     the previous step's ``after``.  Certificates stay JSON dicts, which
-    ``certify_trace`` compares with the ones it recomputes.
+    ``certify_trace`` compares with the ones it recomputes.  A payload not
+    shaped like that form raises ``MalformedInput``.
     """
     try:
         current = start = parse_graph(json.dumps(payload["input"]))
+        n, raw = payload["n"], payload["steps"]
+        if type(n) is not int or not isinstance(raw, list) or not all(
+            isinstance(s, dict) and isinstance(s["certificate"], (dict, type(None)))
+            for s in raw
+        ):
+            raise MalformedInput(
+                "not a reduction trace: 'n' must be an integer and 'steps' a list "
+                "of objects, each with an object or null 'certificate'"
+            )
         steps = []
-        for s in payload["steps"]:
+        for s in raw:
             after = parse_graph(json.dumps(s["after"]))
             steps.append(ReductionStep(current, after, s["at"], s["certificate"]))
             current = after
         normal_form = parse_graph(json.dumps(payload["normalForm"]))
-        return ReductionTrace(start, steps, normal_form, payload["n"])
+        return ReductionTrace(start, steps, normal_form, n)
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"not a reduction trace ({type(exc).__name__}: {exc})") from None
 

@@ -18,7 +18,8 @@ minimizes to the expected stalk).  ``verify_end_generators`` sends every
 arrow of the target quiver (the loop-star of the same size for a shrink
 complex, the moved graph for an enlarge complex) to a generator chain map of
 the endomorphism ring and checks every relation of ``omega_relations`` of
-that quiver up to homotopy, through one loop for both kinds.
+that quiver up to homotopy.  A complex carries the graph it tilts to, so the
+surgery runs once, when the complex is built.
 
 On a shrink complex the witness maps Q(z) -> Q(parent) and the truncation
 and branch-switch generator maps are all tree-path maps, and the two users
@@ -58,8 +59,7 @@ class EmptyTree(Exception):
 
 
 class CertificateFailure(Exception):
-    """A tilting certificate check failed; the message names the axiom, or
-    the complex kind that has no check."""
+    """A tilting certificate check failed; the message names the axiom."""
 
 
 class RelationFailure(Exception):
@@ -110,7 +110,10 @@ class TiltingComplex:
     graph: BrauerGraph
     summands: dict
     ordering: tuple
-    kind: str
+    # the graph whose algebra is End(T): the loop-star of the same size for a
+    # shrink complex, the moved graph for an enlarge complex
+    target: BrauerGraph
+    # the move of an enlarge complex; None marks a shrink complex
     data: EnlargeData | None = None
     # (x, y) -> the tree-path chain map Q(x) -> Q(y), built and checked once
     path_maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -141,17 +144,17 @@ def shrink_ordering(g: BrauerGraph):
     cycle edge; within a tree, children blocks in circular order with the
     subtree listed before its root edge."""
 
-    def block(edge, at):
-        out = []
-        for k in g.children(edge, at):
-            out.extend(block(k, g.far_vertex(k, at)))
-            out.append(k)
-        return out
-
     order = [g.loop_edge]
     for c in g.cycle_edges[1:]:
-        order.extend(block(c, g.far_vertex(c, g.center)))
-        order.append(c)
+        # preorder with children in reverse circular order, which reversed is
+        # the postorder above; a stack, so depth is bounded by memory alone
+        block = []
+        stack = [(c, g.far_vertex(c, g.center))]
+        while stack:
+            edge, at = stack.pop()
+            block.append(edge)
+            stack.extend((k, g.far_vertex(k, at)) for k in g.children(edge, at))
+        order.extend(reversed(block))
     return tuple(order)
 
 
@@ -162,7 +165,8 @@ def shrink_complex(A: QuotientAlgebra, g: BrauerGraph) -> TiltingComplex:
             summands[z] = _path_complex(A, g.tree_path(z))
         else:
             summands[z] = ProjComplex.stalk(A, z)
-    return TiltingComplex(A, g, summands, shrink_ordering(g), "shrink")
+    order = shrink_ordering(g)
+    return TiltingComplex(A, g, summands, order, loop_star(len(order)))
 
 
 def enlarge_data(g: BrauerGraph, at: str) -> EnlargeData:
@@ -190,7 +194,8 @@ def enlarge_complex(A: QuotientAlgebra, g: BrauerGraph, d: EnlargeData) -> Tilti
     summands = {}
     for z in g.canonical_order:
         summands[z] = two_term if z == d.succ else ProjComplex.stalk(A, z)
-    return TiltingComplex(A, g, summands, tuple(g.canonical_order), "enlarge", d)
+    moved = enlarge_graph_move(g, d.at)
+    return TiltingComplex(A, g, summands, tuple(g.canonical_order), moved, d)
 
 
 def end_cartan(Q: TiltingComplex) -> CartanMatrix:
@@ -267,7 +272,7 @@ def check_tilting(Q: TiltingComplex) -> TiltCertificate:
                 f"Hom(Q, Q[{r}]) has dimension {dim}, expected 0"
             )
     witnesses = []
-    raw = _shrink_witnesses(Q) if Q.kind == "shrink" else _enlarge_witnesses(Q)
+    raw = _shrink_witnesses(Q) if Q.data is None else _enlarge_witnesses(Q)
     for witness, cone in raw:
         if cone is not None:
             m = minimize(cone)
@@ -426,20 +431,11 @@ def _word_composites(maps, split):
 
 
 def verify_end_generators(Q: TiltingComplex) -> bool:
-    """Check every relation of ``omega_relations`` of the target quiver on
-    the generator chain maps of End(T), up to homotopy.
-
-    The target is the loop-star of the same size for a shrink complex and
-    the moved graph for an enlarge complex.
-    """
-    if Q.kind == "shrink":
-        target = build_quiver(loop_star(len(Q.ordering)))
-        maps = _shrink_generator_maps(Q, target)
-    elif Q.kind == "enlarge":
-        target = build_quiver(enlarge_graph_move(Q.graph, Q.data.at))
-        maps = _enlarge_generator_maps(Q, target)
-    else:
-        raise CertificateFailure(f"unknown kind {Q.kind!r}")
+    """Check every relation of ``omega_relations`` of the quiver of
+    ``Q.target`` on the generator chain maps of End(T), up to homotopy."""
+    target = build_quiver(Q.target)
+    generators = _shrink_generator_maps if Q.data is None else _enlarge_generator_maps
+    maps = generators(Q, target)
     composite = _word_composites(maps, target.beta_out[target.loop_vertex].name)
     for rel in omega_relations(target).relations:
         total = None

@@ -21,7 +21,7 @@ from brauer_derive.cli import (
     build_parser,
     run,
 )
-from brauer_derive.graph import parse_graph, serialize_graph
+from brauer_derive.graph import loop_star, parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
 from brauer_derive.linalg import PrimeField
 
@@ -165,6 +165,48 @@ def test_verify_rejects_malformed_input(tmp_path, capsys):
     assert code == EXIT_INVALID and "ValidationError" in out.err
 
 
+def _set(key, value):
+    return lambda p: p.update({key: value})
+
+
+def _set_step(key, value):
+    return lambda p: p["steps"][0].update({key: value})
+
+
+# traces that reduce --json never writes; on the one-edge loop-star, n = 1
+# and no steps, the first four used to verify (exit 0) or fail as a
+# certificate (exit 3)
+MISSHAPEN = {
+    "nTrue": ("star1", _set("n", True)),
+    "nFloat": ("star1", _set("n", 1.0)),
+    "nString": ("star1", _set("n", "1")),
+    "stepsObject": ("star1", _set("steps", {})),
+    "stepNotObject": ("g_min", lambda p: p["steps"].append("step")),
+    "certificateList": ("g_min", _set_step("certificate", [])),
+    "certificateString": ("g_min", _set_step("certificate", "certified")),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MISSHAPEN))
+def test_verify_rejects_a_misshapen_trace(shape, tmp_path, capsys):
+    name, edit = MISSHAPEN[shape]
+    path = tmp_path / f"{name}.json"
+    path.write_text(
+        '{"vertices":[{"id":"S","cyclic":["1","1"]}]}' if name == "star1" else G_MIN_TEXT,
+        encoding="utf-8",
+    )
+    assert run(["reduce", str(path), "--certify", "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    code, out = _verify(tmp_path, capsys, payload)
+    assert code == EXIT_OK, out.err
+    edit(payload)
+    for flags in ([], ["--json"]):
+        code, out = _verify(tmp_path, capsys, payload, flags)
+        assert code == EXIT_INVALID, out.err
+        assert out.out == ""
+        assert out.err.startswith("MalformedInput: not a reduction trace")
+
+
 def test_reduce_certifies_each_step_once(tmp_path, capsys, monkeypatch):
     """reduce --certify runs check_tilting once per step and builds each
     graph's algebra once."""
@@ -254,7 +296,7 @@ def test_reduce_rejects_a_wrong_surgery(tmp_path, capsys, monkeypatch):
         star = {"id": "S", "cyclic": [g.loop_edge, g.loop_edge, *rest]}
         return parse_graph(json.dumps({"vertices": [star]}))
 
-    monkeypatch.setattr(reduction, "enlarge_graph_move", to_loop_star)
+    monkeypatch.setattr(tilting, "enlarge_graph_move", to_loop_star)
     code, err = _reduce_mixed7_fails(tmp_path, capsys)
     assert code == EXIT_CERTIFICATE
     assert "surgery Cartan mismatch at edge" in err
@@ -507,18 +549,15 @@ def test_non_commuting_chain_map_is_certificate_failure(tmp_path, capsys, monkey
     assert "ChainMapFailure: square at degree 0 does not commute" in capsys.readouterr().err
 
 
-def test_internal_fault_is_certificate_failure(g_min_file, capsys, monkeypatch):
-    """A complex of a kind the generator check does not know is the
-    program's fault: exit 3, not the input error exit 1."""
-    verify = tilting.verify_end_generators
-
-    def twisted(Q):
-        Q.kind = "twist"
-        return verify(Q)
-
-    monkeypatch.setattr(cli, "verify_end_generators", twisted)
-    assert run(["tilt-shrink", g_min_file]) == EXIT_CERTIFICATE
-    assert "CertificateFailure: unknown kind 'twist'" in capsys.readouterr().err
+def test_internal_fault_is_certificate_failure(tmp_path, capsys, monkeypatch):
+    """An enlarge complex that records the wrong target graph, here the
+    loop-star on the same edges, is the program's fault: the generator check
+    finds a target arrow it has no map for, exit 3, not the input error exit 1."""
+    monkeypatch.setattr(tilting, "enlarge_graph_move", lambda g, at: loop_star(8))
+    assert run(["tilt-enlarge", _corpus_file(tmp_path, "wide8"), "--at", "2"]) == EXIT_CERTIFICATE
+    assert re.search(
+        r"RelationFailure: arrow \S+: no matching generator map", capsys.readouterr().err
+    )
 
 
 def test_basis_off_the_half_edge_cartan_is_certificate_failure(capsys, monkeypatch):

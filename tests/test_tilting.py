@@ -7,7 +7,6 @@ from brauer_derive.homological import homotopy_hom, is_stalk
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import (
-    CertificateFailure,
     EmptyTree,
     RelationFailure,
     check_tilting,
@@ -191,13 +190,6 @@ def test_relation_check_catches_a_negated_successor(text, field, monkeypatch):
         else:
             with pytest.raises(RelationFailure, match=r"a_1\*a_1 is not null-homotopic"):
                 verify_end_generators(Q)
-
-
-def test_verify_generators_rejects_unknown_kind(g_min):
-    Q = shrink_complex(algebra_for(g_min), g_min)
-    Q.kind = "twist"
-    with pytest.raises(CertificateFailure, match="unknown kind 'twist'"):
-        verify_end_generators(Q)
 
 
 def test_enlarge_factoring_of_old_cycle_map(g_min):
