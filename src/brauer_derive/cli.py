@@ -42,7 +42,7 @@ from .homological import ChainMapFailure, NotAComplex
 from .linalg import FieldMismatch, parse_field
 from .quiver import UnknownCamp, build_quiver, quiver_to_dot
 from .reduction import certify_trace, classify, load_trace, reduce_to_normal_form
-from .rewriting import NotAdmissible
+from .rewriting import InclusionAmbiguity, NotAdmissible
 from .tilting import (
     CertificateFailure,
     EmptyTree,
@@ -479,6 +479,7 @@ def run(argv) -> int:
         CartanMismatch,
         FieldMismatch,
         NotAdmissible,
+        InclusionAmbiguity,
         FactorMismatch,
         InhomogeneousRelation,
         UnknownCamp,

@@ -130,7 +130,7 @@ def reduce_to_normal_form(
         if certify:
             moved, A, cert = _certified_step(current, A, at, cap, margin, field)
         else:
-            moved, cert = enlarge_graph_move(current, at), None
+            moved, cert = enlarge_graph_move(current, enlarge_data(current, at)), None
         if edge_count(moved) != edge_count(current):
             raise CertificateFailure(f"edge count changed at edge {at}")
         steps.append(ReductionStep(current, moved, at, cert))
@@ -152,12 +152,14 @@ def load_trace(payload) -> ReductionTrace:
         current = start = parse_graph(json.dumps(payload["input"]))
         n, raw = payload["n"], payload["steps"]
         if type(n) is not int or not isinstance(raw, list) or not all(
-            isinstance(s, dict) and isinstance(s["certificate"], (dict, type(None)))
+            isinstance(s, dict)
+            and isinstance(s["at"], str)
+            and isinstance(s["certificate"], (dict, type(None)))
             for s in raw
         ):
             raise MalformedInput(
                 "not a reduction trace: 'n' must be an integer and 'steps' a list "
-                "of objects, each with an object or null 'certificate'"
+                "of objects, each with a string 'at' and an object or null 'certificate'"
             )
         steps = []
         for s in raw:

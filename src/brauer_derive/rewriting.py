@@ -21,21 +21,27 @@ each question reads only the leads that can answer it.
   counter.  When the new lead is monomial, ``complete`` therefore looks up
   its overlaps among the binomial leads only.  Skipped pairs never enter
   ``seen``, which loses nothing: a pair comes up only when the later of its
-  two leads is added, a live lead's tail never changes (``nf_combo`` output
-  is irreducible, so an added lead is always new), and a lead dropped as
-  stale stays reducible, so it is never added again.  A skipped pair could
-  still have set ``truncated``, so the binomial-only lookup is taken only
-  when ``truncated`` is already set or when no monomial pair can exceed
-  ``maxlen``: len(lead) + (longest monomial lead) - 1 <= maxlen.
-- Leads by contained arrow give the candidates for interreduction.
+  two leads is added, and a rule is never changed or dropped once added.
+  A skipped pair could still have set ``truncated``, so the binomial-only
+  lookup is taken only when ``truncated`` is already set or when no
+  monomial pair can exceed ``maxlen``:
+  len(lead) + (longest monomial lead) - 1 <= maxlen.
 - The lead lengths present per first and per last arrow bound the slices
-  ``find_factor`` and ``has_lead_suffix`` try at each position.  ``add_rule``
-  inserts a length that is new there, and ``drop_rule`` recounts them.
-The ``nf_word`` memo is cleared in full whenever a rule is added or dropped.
+  ``find_factor`` and ``has_lead_suffix`` try at each position.
+The ``nf_word`` memo is cleared in full whenever a rule is added.
 Keeping the entries whose word does not contain the new lead is unsound:
 such an entry's result, or a word met while rewriting it, may contain the
 new lead, and before confluence rewriting it again can give another normal
 form and so different later tails.
+
+A rule is added only for ``nf_combo`` output, which is irreducible, so a new
+lead never contains an older one.  An older lead may contain a newer one;
+that is an inclusion ambiguity, which ``overlaps`` (proper suffix-prefix
+overlaps only) does not resolve, so the diamond lemma would not apply
+(Bergman, 1978; Mora, TCS 134, 1994).  No presentation the program builds
+gives one, so instead of interreducing, ``complete`` checks every lead at
+the end and raises ``InclusionAmbiguity``, an engine fault, if another lead
+lies inside it.
 """
 from __future__ import annotations
 
@@ -48,37 +54,22 @@ def order_key(word):
     return (len(word), word)
 
 
-def has_factor(word, factor):
-    """True when factor occurs in word; ``tuple.index`` finds the candidate
-    starts, so only the places where factor's first arrow occurs are compared."""
-    first, n = factor[0], len(factor)
-    stop = len(word) - n + 1
-    i = 0
-    while True:
-        try:
-            i = word.index(first, i, stop)
-        except ValueError:
-            return False
-        if word[i : i + n] == factor:
-            return True
-        i += 1
-
-
 class NotAdmissible(Exception):
     """A completed consequence had a leading word of length < 2."""
+
+
+class InclusionAmbiguity(Exception):
+    """A completed lead contains another lead as a proper factor."""
 
 
 class RewriteSystem:
     """A set of rewriting rules lead -> combination of smaller words.
 
     ``rules`` keeps insertion order.  Beside it every lead is indexed by its
-    insertion stamp, its first arrow, its last arrow and each arrow it
-    contains, binomial leads (non-empty tail) also in their own first- and
-    last-arrow indexes, and the lead lengths present are kept per first and
-    last arrow.
-    ``add_rule`` and ``drop_rule`` keep all of them in step with ``rules``.
-    ``longest_monomial`` is the length of the longest monomial lead ever
-    added, a bound on the live ones.
+    insertion stamp, its first arrow and its last arrow, binomial leads
+    (non-empty tail) also in their own first- and last-arrow indexes, and
+    the lead lengths present are kept per first and last arrow.
+    ``longest_monomial`` is the length of the longest monomial lead.
     """
 
     def __init__(self, source, target, field):
@@ -88,10 +79,8 @@ class RewriteSystem:
         self.field = field
         self.rules = {}
         self._stamp = {}
-        self._clock = 0
         self._by_first = {}  # arrow -> set of leads starting with it
         self._by_last = {}  # arrow -> set of leads ending with it
-        self._by_arrow = {}  # arrow -> set of leads containing it
         self._binomial_first = {}  # arrow -> set of binomial leads starting with it
         self._binomial_last = {}
         self.longest_monomial = 0
@@ -100,46 +89,21 @@ class RewriteSystem:
         self._memo = {}
 
     def add_rule(self, lead, tail):
-        if lead not in self.rules:
-            self._stamp[lead] = self._clock
-            self._clock += 1
-            self._by_first.setdefault(lead[0], set()).add(lead)
-            self._by_last.setdefault(lead[-1], set()).add(lead)
-            for a in set(lead):
-                self._by_arrow.setdefault(a, set()).add(lead)
-            for lengths, end in ((self._first_lengths, lead[0]), (self._last_lengths, lead[-1])):
-                have = lengths.get(end, ())
-                if len(lead) not in have:
-                    lengths[end] = tuple(sorted(have + (len(lead),)))
+        """Add a rule whose lead is not yet one (see the module docstring)."""
+        self._stamp[lead] = len(self.rules)
+        self._by_first.setdefault(lead[0], set()).add(lead)
+        self._by_last.setdefault(lead[-1], set()).add(lead)
+        for lengths, end in ((self._first_lengths, lead[0]), (self._last_lengths, lead[-1])):
+            have = lengths.get(end, ())
+            if len(lead) not in have:
+                lengths[end] = tuple(sorted(have + (len(lead),)))
         if tail:
             self._binomial_first.setdefault(lead[0], set()).add(lead)
             self._binomial_last.setdefault(lead[-1], set()).add(lead)
         else:
-            self._binomial_first.get(lead[0], set()).discard(lead)
-            self._binomial_last.get(lead[-1], set()).discard(lead)
             self.longest_monomial = max(self.longest_monomial, len(lead))
-        self.rules[lead] = dict(tail)
+        self.rules[lead] = tail
         self._memo.clear()
-
-    def drop_rule(self, lead):
-        tail = self.rules.pop(lead)
-        del self._stamp[lead]
-        self._by_first[lead[0]].remove(lead)
-        self._by_last[lead[-1]].remove(lead)
-        for a in set(lead):
-            self._by_arrow[a].discard(lead)
-        if tail:
-            self._binomial_first[lead[0]].remove(lead)
-            self._binomial_last[lead[-1]].remove(lead)
-        self._refresh_lengths(lead)
-        self._memo.clear()
-        return tail
-
-    def _refresh_lengths(self, lead):
-        """Recount the lead lengths under lead's first and last arrow."""
-        first, last = lead[0], lead[-1]
-        self._first_lengths[first] = tuple(sorted({len(w) for w in self._by_first[first]}))
-        self._last_lengths[last] = tuple(sorted({len(w) for w in self._by_last[last]}))
 
     def find_factor(self, word):
         """Leftmost, shortest rule lead occurring as a factor of word."""
@@ -195,18 +159,6 @@ class RewriteSystem:
                         hits.append((self._stamp[other], 1, k, other))
         hits.sort()
         return [(lead, other, k) if side == 0 else (other, lead, k) for _, side, k, other in hits]
-
-    def stale(self, lead):
-        """Rules with a longer lead that has lead as a factor, in insertion
-        order: they must be requeued once lead becomes a rule."""
-        n = len(lead)
-        found = [
-            other
-            for other in self._by_arrow.get(lead[0], ())
-            if len(other) > n and has_factor(other, lead)
-        ]
-        found.sort(key=self._stamp.__getitem__)
-        return found
 
     def nf_word(self, word):
         """Normal form of a single word as a dict {word: coefficient}."""
@@ -265,14 +217,6 @@ def complete(relations, source, target, field, maxlen):
         lc = poly[lead]
         tail = {w: field.div(-c, lc) for w, c in poly.items() if w != lead}
 
-        # Interreduce: requeue rules whose lead now factors through the new lead.
-        for other in rs.stale(lead):
-            old_tail = rs.drop_rule(other)
-            requeued = {other: field.one}
-            vec_add_scaled(requeued, old_tail, -field.one)
-            heapq.heappush(heap, (len(other), counter, requeued))
-            counter += 1
-
         rs.add_rule(lead, tail)
 
         # Monomial pairs have empty S-polynomials; skip them when they cannot
@@ -293,6 +237,12 @@ def complete(relations, source, target, field, maxlen):
             if spoly:
                 heapq.heappush(heap, (total, counter, spoly))
                 counter += 1
+
+    # A proper factor of a lead lies in the lead less its first or last arrow.
+    for lead in rs.rules:
+        inner = rs.find_factor(lead[1:]) or rs.find_factor(lead[:-1])
+        if inner is not None:
+            raise InclusionAmbiguity(f"lead {lead} contains the lead {inner[1]}")
     return rs, truncated
 
 

@@ -194,7 +194,7 @@ def enlarge_complex(A: QuotientAlgebra, g: BrauerGraph, d: EnlargeData) -> Tilti
     summands = {}
     for z in g.canonical_order:
         summands[z] = two_term if z == d.succ else ProjComplex.stalk(A, z)
-    moved = enlarge_graph_move(g, d.at)
+    moved = enlarge_graph_move(g, d)
     return TiltingComplex(A, g, summands, tuple(g.canonical_order), moved, d)
 
 
@@ -454,15 +454,15 @@ def verify_end_generators(Q: TiltingComplex) -> bool:
 # -- graph surgery ----------------------------------------------------
 
 
-def enlarge_graph_move(g: BrauerGraph, at: str) -> BrauerGraph:
-    """Move the direct successor of ``at`` onto the exceptional cycle.
+def enlarge_graph_move(g: BrauerGraph, d: EnlargeData) -> BrauerGraph:
+    """Move the direct successor ``d.succ`` of ``d.at`` onto the exceptional
+    cycle.
 
     The successor edge is inserted in the circular order at the center
-    directly before ``at``; the remainder of its tree is spliced back per
+    directly before ``d.at``; the remainder of its tree is spliced back per
     the fan rules, preserving the edge count.
     """
-    d = enlarge_data(g, at)
-    succ = d.succ
+    at, succ = d.at, d.succ
     v = g.far_vertex(at, g.center)
     new_lists = {x.id: list(x.cyclic) for x in g.vertices}
     # center: insert succ directly before at

@@ -127,11 +127,10 @@ TAMPERINGS = {
     "generation": (_tamper_generation, "stored certificate does not re-validate"),
     "after": (_tamper_after, "step 0: stored result of step differs"),
     "normalForm": (_tamper_normal_form, "trace normal form mismatch"),
-    # edges no move can take: the loop, a leaf, none, and a JSON number
+    # edges no move can take: the loop, a leaf and none
     "atLoop": (_tamper_at("1"), "step 0: edge 1 is not a non-loop cycle edge"),
     "atLeaf": (_tamper_at("5"), "step 0: edge 5 is not a non-loop cycle edge"),
     "atMissing": (_tamper_at("9"), "step 0: edge 9 is not a non-loop cycle edge"),
-    "atNumber": (_tamper_at(2), "step 0: edge 2 is not a non-loop cycle edge"),
 }
 
 
@@ -175,7 +174,7 @@ def _set_step(key, value):
 
 # traces that reduce --json never writes; on the one-edge loop-star, n = 1
 # and no steps, the first four used to verify (exit 0) or fail as a
-# certificate (exit 3)
+# certificate (exit 3), and so did a step whose 'at' is a JSON number
 MISSHAPEN = {
     "nTrue": ("star1", _set("n", True)),
     "nFloat": ("star1", _set("n", 1.0)),
@@ -184,6 +183,7 @@ MISSHAPEN = {
     "stepNotObject": ("g_min", lambda p: p["steps"].append("step")),
     "certificateList": ("g_min", _set_step("certificate", [])),
     "certificateString": ("g_min", _set_step("certificate", "certified")),
+    "atNumber": ("g_min", _set_step("at", 2)),
 }
 
 
@@ -291,7 +291,7 @@ def test_reduce_rejects_a_wrong_surgery(tmp_path, capsys, monkeypatch):
     """A move that returns another valid graph on the same edges, here the
     loop-star, fails the surgery Cartan check."""
 
-    def to_loop_star(g, at):
+    def to_loop_star(g, d):
         rest = [e for e in g.canonical_order if e != g.loop_edge]
         star = {"id": "S", "cyclic": [g.loop_edge, g.loop_edge, *rest]}
         return parse_graph(json.dumps({"vertices": [star]}))
@@ -553,7 +553,7 @@ def test_internal_fault_is_certificate_failure(tmp_path, capsys, monkeypatch):
     """An enlarge complex that records the wrong target graph, here the
     loop-star on the same edges, is the program's fault: the generator check
     finds a target arrow it has no map for, exit 3, not the input error exit 1."""
-    monkeypatch.setattr(tilting, "enlarge_graph_move", lambda g, at: loop_star(8))
+    monkeypatch.setattr(tilting, "enlarge_graph_move", lambda g, d: loop_star(8))
     assert run(["tilt-enlarge", _corpus_file(tmp_path, "wide8"), "--at", "2"]) == EXIT_CERTIFICATE
     assert re.search(
         r"RelationFailure: arrow \S+: no matching generator map", capsys.readouterr().err
@@ -587,6 +587,24 @@ def test_non_admissible_presentation_is_certificate_failure(capsys, monkeypatch)
     monkeypatch.setattr(cli, "omega_relations", length_one)
     assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
     assert "NotAdmissible: presentation has a relation word" in capsys.readouterr().err
+
+
+def test_inclusion_ambiguity_is_certificate_failure(capsys, monkeypatch):
+    """A completion whose leads include one another is refused as an engine
+    fault: exit 3.  On the one-edge loop-star's quiver the relations bab,
+    aaaa + ba and aaaa give the lead ba inside the older lead bab."""
+
+    def ambiguous(q):
+        a, b = "a_1", "b_1"
+        return named_presentation(q, (
+            word_element(q, [(b, a, b)], [1]),
+            word_element(q, [(a, a, a, a), (b, a)], [1, 1]),
+            word_element(q, [(a, a, a, a)], [1]),
+        ))
+
+    monkeypatch.setattr(cli, "omega_relations", ambiguous)
+    assert run(["cartan", "--omega", "1"]) == EXIT_CERTIFICATE
+    assert "InclusionAmbiguity: lead (" in capsys.readouterr().err
 
 
 def test_inhomogeneous_relation_is_certificate_failure(capsys, monkeypatch):

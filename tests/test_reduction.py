@@ -60,9 +60,9 @@ def test_classify(corpus, g_min):
         n = classify(g)
         for c in g.cycle_edges[1:]:
             if g.trees[c]:
-                from brauer_derive.tilting import enlarge_graph_move
+                from brauer_derive.tilting import enlarge_data, enlarge_graph_move
 
-                assert classify(enlarge_graph_move(g, c)) == n
+                assert classify(enlarge_graph_move(g, enlarge_data(g, c))) == n
 
 
 def test_certified_trace_dets_constant():
@@ -123,8 +123,6 @@ def test_prime_field_certified_pipeline(g_min):
 
 
 def test_tampered_graph_rejected(g_min):
-    from brauer_derive.tilting import enlarge_graph_move
-
     trace = reduce_to_normal_form(g_min, certify=True)
     bad = copy.deepcopy(trace)
     # swap the recorded result for a different (valid) graph

@@ -198,7 +198,7 @@ def test_enlarge_factoring_of_old_cycle_map(g_min):
 
     A = algebra_for(g_min)
     Q = enlarge_complex(A, g_min, enlarge_data(g_min, "2"))
-    moved = enlarge_graph_move(g_min, "2")
+    moved = enlarge_graph_move(g_min, enlarge_data(g_min, "2"))
     maps = _enlarge_generator_maps(Q, build_quiver(moved))
     into = maps["b_1"]  # 1 -> successor in the enlarged graph
     out = maps["b_3"]  # successor -> 2
@@ -208,7 +208,7 @@ def test_enlarge_factoring_of_old_cycle_map(g_min):
 
 
 def test_enlarge_graph_move_g_min(g_min):
-    moved = enlarge_graph_move(g_min, "2")
+    moved = enlarge_graph_move(g_min, enlarge_data(g_min, "2"))
     assert moved.vertex_map["S"].cyclic == ("1", "1", "3", "2")
     assert moved.is_loop_star()
     assert edge_count(moved) == edge_count(g_min) == 3
@@ -216,7 +216,7 @@ def test_enlarge_graph_move_g_min(g_min):
 
 def test_enlarge_graph_move_reattaches_fan():
     g = parse_graph(CHAIN2_TEXT)
-    moved = enlarge_graph_move(g, "2")
+    moved = enlarge_graph_move(g, enlarge_data(g, "2"))
     assert moved.vertex_map["S"].cyclic == ("1", "1", "3", "2")
     assert moved.trees["3"].edges == ("4",)
     assert moved.trees["2"].edges == ()
@@ -226,7 +226,7 @@ def test_enlarge_graph_move_reattaches_fan():
 def test_enlarge_cartan_cross_check(g_min):
     A = algebra_for(g_min)
     cert = check_tilting(enlarge_complex(A, g_min, enlarge_data(g_min, "2")))
-    moved = enlarge_graph_move(g_min, "2")
+    moved = enlarge_graph_move(g_min, enlarge_data(g_min, "2"))
     A2 = algebra_for(moved)
     assert A2.cartan().rows == cert.end_cartan.reorder(A2.vertices).rows
     # and the moved graph is the loop-star up to the canonical relabeling

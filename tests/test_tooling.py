@@ -11,10 +11,7 @@ anything else has its name: a method ``reduce`` is "used" by a call of
 running the program: it drives ``cli.main`` over a fixed corpus under
 ``sys.setprofile`` and fails if a function or method defined in the
 package, nested ones included and dunder methods aside, is never entered,
-unless ``NOT_ENTERED`` names it with the reason it stays.  Three stay:
-``RewriteSystem.drop_rule`` and ``RewriteSystem._refresh_lengths``, the
-interreduction step of completion, which no presentation the program builds
-triggers but the hand-written relation sets of the rewriting tests do; and
+unless ``NOT_ENTERED`` names it with the reason it stays.  One stays:
 ``ProjComplex.total_summands``, which the benchmark's tracer reads.  The test
 compares the set never entered with ``NOT_ENTERED`` exactly, so an entry
 that the corpus starts to reach, or whose function is gone, fails it too.
@@ -358,12 +355,6 @@ def cli_traffic():
 
 # Functions the CLI never enters, each with the reason it stays in src/.
 NOT_ENTERED = {
-    ("rewriting.py", "RewriteSystem.drop_rule"): (
-        "interreduction in ``complete``: no presentation the program builds "
-        "gives a new lead that divides an older one, but hand-written relation "
-        "sets in the rewriting tests do, and completion must stay correct then"
-    ),
-    ("rewriting.py", "RewriteSystem._refresh_lengths"): "called by drop_rule alone",
     ("homological.py", "ProjComplex.total_summands"): (
         "the benchmark's tracer reads it for its homotopy_hom and minimize counters"
     ),
