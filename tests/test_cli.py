@@ -133,18 +133,27 @@ TAMPERINGS = {
     "atMissing": (_tamper_at("9"), "step 0: edge 9 is not a non-loop cycle edge"),
 }
 
+# tamperings that leave no reduction trace at all: malformed input, exit 1
+MALFORMED_TAMPERINGS = {
+    # reduce writes each step's edge as a string, never a JSON number
+    "atNumber": (_tamper_at(2), "MalformedInput: not a reduction trace"),
+}
+
 
 @pytest.mark.parametrize("field_flags", [[], ["--field", "2"]], ids=["Q", "GF2"])
-@pytest.mark.parametrize("tamper", sorted(TAMPERINGS))
+@pytest.mark.parametrize("tamper", sorted({**TAMPERINGS, **MALFORMED_TAMPERINGS}))
 def test_verify_rejects_tampered_trace(tamper, field_flags, tmp_path, capsys):
     payload = _certified_trace(tmp_path, capsys, "mixed7", field_flags)
     assert len(payload["steps"]) > 1
-    edit, message = TAMPERINGS[tamper]
+    if tamper in TAMPERINGS:
+        (edit, message), expected = TAMPERINGS[tamper], EXIT_CERTIFICATE
+    else:
+        (edit, message), expected = MALFORMED_TAMPERINGS[tamper], EXIT_INVALID
     before = json.dumps(payload)
     edit(payload)
     assert json.dumps(payload) != before
     code, out = _verify(tmp_path, capsys, payload, field_flags)
-    assert code == EXIT_CERTIFICATE
+    assert code == expected
     assert message in out.err
 
 
@@ -174,7 +183,8 @@ def _set_step(key, value):
 
 # traces that reduce --json never writes; on the one-edge loop-star, n = 1
 # and no steps, the first four used to verify (exit 0) or fail as a
-# certificate (exit 3), and so did a step whose 'at' is a JSON number
+# certificate (exit 3); a step whose 'at' is a JSON number is among
+# MALFORMED_TAMPERINGS
 MISSHAPEN = {
     "nTrue": ("star1", _set("n", True)),
     "nFloat": ("star1", _set("n", 1.0)),
@@ -183,7 +193,6 @@ MISSHAPEN = {
     "stepNotObject": ("g_min", lambda p: p["steps"].append("step")),
     "certificateList": ("g_min", _set_step("certificate", [])),
     "certificateString": ("g_min", _set_step("certificate", "certified")),
-    "atNumber": ("g_min", _set_step("at", 2)),
 }
 
 
