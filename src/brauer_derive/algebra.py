@@ -17,8 +17,9 @@ overlap is discarded; such a completion is confluent, so by Bergman's
 diamond lemma (Adv. Math. 29, 1978) its normal words are a basis.  With the
 finite-dimensionality witness (no normal word of length cap) the basis is
 proven; a bound that reaches its ceiling or a surviving word of length cap
-raises ``NotStabilized``.  The finished basis is then checked against the
-closed form of the Cartan matrix of the presentation's graph,
+raises ``NotStabilized``.  The number of basis words in each block, counted
+in one pass, is then checked against the closed form of the Cartan matrix of
+the presentation's graph,
 C_ij = sum over graph vertices v of a_i(v) * a_j(v), with a_i(v) the number
 of half-edges of edge i at v (two for the loop); a mismatch raises
 ``CartanMismatch``.  Every presentation built here (``omega_relations`` of a
@@ -323,13 +324,13 @@ def _sparse_sum(scaled):
 class QuotientAlgebra:
     """Exact basis, reduction map and structure constants of a presentation.
 
-    Completed algebras are immutable apart from internal caches of block
-    positions, of the coordinates of each path asked for (per block, filled
-    one word at a time), of products with basis elements, of the
-    coordinates of each product of two elements asked for (``_products``,
-    keyed by both factors' blocks and coordinates), of the coordinates of
-    the vertex idempotents and of the Cartan matrix (which caches its
-    determinant).  No cache keeps an element, whose reference back to the
+    Completed algebras are immutable apart from internal caches of the word
+    table (``blocks``), of block positions, of the coordinates of each path
+    asked for (per block, filled one word at a time), of products with basis
+    elements, of the coordinates of each product of two elements asked for
+    (``_products``, keyed by both factors' blocks and coordinates), of the
+    coordinates of the vertex idempotents and of the Cartan matrix (which
+    caches its determinant).  No cache keeps an element, whose reference back to the
     algebra would leave the algebra for the cyclic collector to free.  The
     caches only ever fill in deterministic values, so concurrent reads
     (reduce, multiply, cartan) are safe.  ``_class`` is the one place where
@@ -339,27 +340,29 @@ class QuotientAlgebra:
     algebras read arrow actions (``arrow_rows``, ``socle_words``) from
     ``_class`` directly.
 
-    ``blocks`` is taken in the order given, as ``_block_words`` emits it:
-    keys in the canonical vertex order, words in ``order_key`` order, every
-    block a tuple.
+    The basis is held as the levels of ``rewriting.normal_words`` and the
+    number of words in each non-empty block (``_counts``), which is all that
+    ``dim`` and ``cartan`` read.  ``blocks``, the words of every block less
+    the dropped ones, is built from the levels when first read, by
+    ``_block_words``: keys in the canonical vertex order, words in
+    ``order_key`` order, every block a tuple.  Without ``counts``, as for a
+    socle quotient, they are counted from ``blocks`` at once.
     """
 
-    def __init__(self, presentation, cap, margin, field, rsys, blocks, dropped=frozenset()):
+    def __init__(self, presentation, cap, margin, field, rsys, levels, counts=None,
+                 dropped=frozenset()):
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.cap = cap
         self.margin = margin
         self.field = field
         self._rsys = rsys
+        self._levels = levels
         self.dropped = frozenset(dropped)
         self.vertices = self.quiver.vertices
-        if dropped:
-            self.blocks = {
-                key: tuple(w for w in words if (key[0], w) not in dropped)
-                for key, words in blocks.items()
-            }
-        else:
-            self.blocks = dict(blocks)
+        if counts is None:
+            counts = {key: len(words) for key, words in self.blocks.items() if words}
+        self._counts = counts
         self.arrow_ids = self.quiver.ids
         self.arrow_names = {i: a.name for i, a in enumerate(self.quiver.arrows)}
         self._positions = {}
@@ -375,9 +378,13 @@ class QuotientAlgebra:
             index = self._positions[(i, j)] = {w: p for p, w in enumerate(self.block(i, j))}
         return index
 
+    @cached_property
+    def blocks(self):
+        return _block_words(self.quiver, self._levels, self.dropped)
+
     @property
     def dim(self):
-        return sum(len(ws) for ws in self.blocks.values())
+        return sum(self._counts.values())
 
     def block(self, i, j):
         return self.blocks.get((i, j), ())
@@ -494,8 +501,8 @@ class QuotientAlgebra:
 
     @cached_property
     def _cartan(self):
-        order, blocks = self.vertices, self.blocks
-        rows = tuple(tuple(len(blocks.get((i, j), ())) for j in order) for i in order)
+        order, counts = self.vertices, self._counts
+        rows = tuple(tuple(counts.get((i, j), 0) for j in order) for i in order)
         return CartanMatrix(order, rows)
 
     @cached_property
@@ -584,35 +591,56 @@ def _relation_combos(p: Presentation, field):
     ]
 
 
-def _block_words(q, levels):
-    """Normal words by block (source, target) as tuples, and the number of
-    words of each non-empty block.
+def _block_words(q, levels, dropped):
+    """Normal words by block (source, target) as tuples, less the (source,
+    word) pairs in ``dropped``.
 
     Keys come in ``q.vertices`` order (the canonical order), and each block's
     words in ``order_key`` order: levels ascend in length, and within a level
     the words from one source are sorted, because ``normal_words`` extends
     the previous level in order by arrows of ascending id.
     """
+    source = [a.source for a in q.arrows]
     target = [a.target for a in q.arrows]
-    found = {}
-    for level in levels:
-        for src, word in level:
-            found.setdefault((src, target[word[-1]] if word else src), []).append(word)
+    found = {(v, v): [()] for v in levels[0]}
+    for level in levels[1:]:
+        for word in level:
+            found.setdefault((source[word[0]], target[word[-1]]), []).append(word)
+    if dropped:
+        found = {
+            key: [w for w in words if (key[0], w) not in dropped] for key, words in found.items()
+        }
     blocks = dict.fromkeys(product(q.vertices, repeat=2), ())
     blocks.update((key, tuple(words)) for key, words in found.items())
-    return blocks, {key: len(words) for key, words in found.items()}
+    return blocks
 
 
-def _check_half_edge_cartan(q, blocks, counts):
+def _block_counts(q, levels):
+    """{(source, target): number of normal words} of every non-empty block,
+    counted in one pass over the levels."""
+    source = [a.source for a in q.arrows]
+    target = [a.target for a in q.arrows]
+    counts = dict.fromkeys(((v, v) for v in levels[0]), 1)
+    for level in levels[1:]:
+        for word in level:
+            key = (source[word[0]], target[word[-1]])
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _check_half_edge_cartan(q, counts):
     """Raise ``CartanMismatch`` unless every block has sum_v a_i(v) * a_j(v)
-    words, a_i(v) counting the half-edges of edge i at graph vertex v."""
+    words, a_i(v) counting the half-edges of edge i at graph vertex v; the
+    message names the first block off it in the canonical order."""
     expected = {}  # a pair of half-edges of i and j at v adds 1 to C_ij
     for v in q.graph.vertices:
         for i in v.cyclic:
             for j in v.cyclic:
                 expected[(i, j)] = expected.get((i, j), 0) + 1
     if counts != expected:
-        i, j = next(k for k in blocks if counts.get(k, 0) != expected.get(k, 0))
+        i, j = next(
+            k for k in product(q.vertices, repeat=2) if counts.get(k, 0) != expected.get(k, 0)
+        )
         raise CartanMismatch(
             f"block ({i},{j}) has {counts.get((i, j), 0)} basis words, "
             f"the graph's half-edges give {expected.get((i, j), 0)}"
@@ -649,15 +677,15 @@ def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> Quotient
         raise NotStabilized(
             f"normal words of length {cap} survive; raise cap (cap={cap}, margin={margin})"
         )
-    blocks, counts = _block_words(q, levels)
-    _check_half_edge_cartan(q, blocks, counts)
-    return QuotientAlgebra(p, cap, margin, field, rs, blocks)
+    counts = _block_counts(q, levels)
+    _check_half_edge_cartan(q, counts)
+    return QuotientAlgebra(p, cap, margin, field, rs, levels, counts)
 
 
 def socle_quotient(A: QuotientAlgebra) -> QuotientAlgebra:
     """Quotient by the span of the basis classes annihilated by all arrows."""
     return QuotientAlgebra(
-        A.presentation, A.cap, A.margin, A.field, A._rsys, A.blocks,
+        A.presentation, A.cap, A.margin, A.field, A._rsys, A._levels,
         dropped=A.dropped | set(A.socle_words()),
     )
 

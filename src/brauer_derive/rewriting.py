@@ -19,9 +19,11 @@ each question reads only the leads that can answer it.
   is not empty.  The S-polynomial of two monomial rules (empty tails) is
   identically zero, so it is never pushed and never advances the heap
   counter.  When the new lead is monomial, ``complete`` therefore looks up
-  its overlaps among the binomial leads only.  Skipped pairs never enter
-  ``seen``, which loses nothing: a pair comes up only when the later of its
-  two leads is added, and a rule is never changed or dropped once added.
+  its overlaps among the binomial leads only.  Skipping loses nothing: a
+  pair comes up only when the later of its two leads is added, and a rule
+  is never changed or dropped once added.  For the same reason the only
+  pairs met twice are a lead's overlaps with itself, which ``overlaps``
+  lists on both sides, so only those are remembered as taken.
   A skipped pair could still have set ``truncated``, so the binomial-only
   lookup is taken only when ``truncated`` is already set or when no
   monomial pair can exceed ``maxlen``:
@@ -39,9 +41,9 @@ lead never contains an older one.  An older lead may contain a newer one;
 that is an inclusion ambiguity, which ``overlaps`` (proper suffix-prefix
 overlaps only) does not resolve, so the diamond lemma would not apply
 (Bergman, 1978; Mora, TCS 134, 1994).  No presentation the program builds
-gives one, so instead of interreducing, ``complete`` checks every lead at
-the end and raises ``InclusionAmbiguity``, an engine fault, if another lead
-lies inside it.
+gives one, so instead of interreducing, ``complete`` checks at the end
+every lead that some later lead is shorter than, and raises
+``InclusionAmbiguity``, an engine fault, if another lead lies inside it.
 """
 from __future__ import annotations
 
@@ -179,6 +181,10 @@ class RewriteSystem:
         return result
 
     def nf_combo(self, combo):
+        if len(combo) == 1:
+            # one term: its normal form scaled, as the loop below would build it
+            ((word, coeff),) = combo.items()
+            return {u: coeff * c for u, c in self.nf_word(word).items()} if coeff else {}
         out = {}
         for word, coeff in combo.items():
             if coeff:
@@ -203,7 +209,6 @@ def complete(relations, source, target, field, maxlen):
         length = max(len(w) for w in rel)
         heapq.heappush(heap, (length, counter, rel))
         counter += 1
-    seen = set()
     truncated = False
 
     while heap:
@@ -222,24 +227,41 @@ def complete(relations, source, target, field, maxlen):
         # Monomial pairs have empty S-polynomials; skip them when they cannot
         # set ``truncated`` (see the module docstring).
         binomial = not tail and (truncated or len(lead) + rs.longest_monomial - 1 <= maxlen)
+        # Every other pair comes up once, when the later of its leads is
+        # added; ``overlaps`` lists lead against itself on both sides.
+        seen = set()  # k of the self-overlaps of lead taken so far
         for first, second, k in rs.overlaps(lead, binomial):
             total = len(first) + len(second) - k
             if total > maxlen:
                 truncated = True
                 continue
-            key = (first, second, k)
-            if key in seen:
-                continue
-            seen.add(key)
+            if first == second:
+                if k in seen:
+                    continue
+                seen.add(k)
             suffix, prefix = second[k:], first[: len(first) - k]
-            spoly = {w + suffix: c for w, c in rs.rules[first].items()}
-            vec_add_scaled(spoly, {prefix + w: c for w, c in rs.rules[second].items()}, -field.one)
+            first_tail, second_tail = rs.rules[first], rs.rules[second]
+            if first_tail:
+                spoly = {w + suffix: c for w, c in first_tail.items()}
+                if second_tail:
+                    second_part = {prefix + w: c for w, c in second_tail.items()}
+                    vec_add_scaled(spoly, second_part, -field.one)
+            else:
+                spoly = {prefix + w: -c for w, c in second_tail.items()}
             if spoly:
                 heapq.heappush(heap, (total, counter, spoly))
                 counter += 1
 
-    # A proper factor of a lead lies in the lead less its first or last arrow.
-    for lead in rs.rules:
+    # A lead contains no lead added before it, so only a lead that some later
+    # lead is shorter than can contain one; a proper factor of a lead lies in
+    # the lead less its first or last arrow.
+    candidates = []  # last added first
+    shortest = float("inf")
+    for lead in reversed(rs.rules):
+        if shortest < len(lead):
+            candidates.append(lead)
+        shortest = min(shortest, len(lead))
+    for lead in reversed(candidates):
         inner = rs.find_factor(lead[1:]) or rs.find_factor(lead[:-1])
         if inner is not None:
             raise InclusionAmbiguity(f"lead {lead} contains the lead {inner[1]}")
@@ -247,22 +269,20 @@ def complete(relations, source, target, field, maxlen):
 
 
 def normal_words(rs, vertices, arrows_by_source, maxlen):
-    """Factor-free words by length: levels[k] is a list of (source, word).
+    """Factor-free words by length: levels[0] lists the vertices, one per
+    trivial word e_v, and levels[k] for k >= 1 the words of length k, whose
+    source is their first arrow's.  So sum(len(level)) is the dimension.
 
     Stops early once a length yields no survivors (normal words are closed
     under taking factors, so nothing longer can survive either).
     """
-    levels = [[(v, ()) for v in vertices]]
+    has_lead_suffix, target = rs.has_lead_suffix, rs.target
+    levels = [list(vertices)]
+    words = [(a,) for v in vertices for a in arrows_by_source.get(v, ())]
     for _ in range(maxlen):
-        prev = levels[-1]
-        nxt = []
-        for src, word in prev:
-            at = rs.target[word[-1]] if word else src
-            for a in arrows_by_source.get(at, ()):
-                cand = word + (a,)
-                if not rs.has_lead_suffix(cand):
-                    nxt.append((src, cand))
-        if not nxt:
+        survivors = [w for w in words if not has_lead_suffix(w)]
+        if not survivors:
             break
-        levels.append(nxt)
+        levels.append(survivors)
+        words = [w + (a,) for w in survivors for a in arrows_by_source.get(target[w[-1]], ())]
     return levels

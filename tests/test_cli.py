@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import time
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -570,20 +571,37 @@ def test_internal_fault_is_certificate_failure(tmp_path, capsys, monkeypatch):
 
 
 def test_basis_off_the_half_edge_cartan_is_certificate_failure(capsys, monkeypatch):
-    """A normal-word enumeration that loses one word breaks the closed-form
-    Cartan witness: quotient_basis raises and the CLI exits 3."""
+    """A normal-word enumeration that loses words breaks the closed-form
+    Cartan witness: quotient_basis raises, naming the first block off it in
+    the canonical vertex order, and the CLI exits 3."""
     enumerate_words = rewriting.normal_words
+    clean = quotient_basis(a_n_presentation(3))
+    lost = []  # (source, target) of each word dropped, one per length
 
-    def drop_one(rs, vertices, arrows_by_source, maxlen):
+    def drop_last(rs, vertices, arrows_by_source, maxlen):
+        # the last word of each length: its blocks come late in the order
+        # the words are met, where the diagonal blocks of length 0 lead
         levels = enumerate_words(rs, vertices, arrows_by_source, maxlen)
-        del levels[-1][0]
+        lost.clear()
+        for level in levels[1:]:
+            word = level.pop()
+            lost.append((rs.source[word[0]], rs.target[word[-1]]))
         return levels
 
-    monkeypatch.setattr(rewriting, "normal_words", drop_one)
-    with pytest.raises(CartanMismatch, match="half-edges"):
+    def first_off():
+        order = clean.vertices
+        i, j = next(key for key in product(order, repeat=2) if key in lost)
+        words = clean.cartan().rows[order.index(i)][order.index(j)]
+        return f"block ({i},{j}) has {words - lost.count((i, j))} basis words, " \
+            f"the graph's half-edges give {words}"
+
+    monkeypatch.setattr(rewriting, "normal_words", drop_last)
+    with pytest.raises(CartanMismatch) as info:
         quotient_basis(a_n_presentation(3))
+    assert len(set(lost)) > 1
+    assert str(info.value) == first_off()
     assert run(["cartan", "--omega", "3"]) == EXIT_CERTIFICATE
-    assert "CartanMismatch: block" in capsys.readouterr().err
+    assert f"CartanMismatch: {first_off()}" in capsys.readouterr().err
 
 
 def test_non_admissible_presentation_is_certificate_failure(capsys, monkeypatch):

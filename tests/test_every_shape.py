@@ -1,4 +1,4 @@
-"""Every one-loop Brauer graph up to 7 edges, through the CLI.
+"""Every one-loop Brauer graph up to 8 edges, through the CLI.
 
 Up to isomorphism, a one-loop Brauer graph with n edges is a plane tree with
 n - 1 edges whose root carries the loop in one of its corners.  Cutting the
@@ -24,7 +24,8 @@ from brauer_derive.graph import edge_count, parse_graph
 
 from conftest import canonical_relabel, structure_key
 
-EDGES = range(1, 8)
+# n = 8 is 429 graphs, several seconds, so it carries the ``slow`` marker
+EDGES = [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)]
 
 
 def plane_trees(edges):

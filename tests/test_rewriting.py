@@ -37,7 +37,13 @@ from brauer_derive.algebra import (
 from brauer_derive.graph import loop_star
 from brauer_derive.linalg import QQ, PrimeField, vec_add_scaled
 from brauer_derive.quiver import build_quiver
-from brauer_derive.rewriting import InclusionAmbiguity, RewriteSystem, complete, order_key
+from brauer_derive.rewriting import (
+    InclusionAmbiguity,
+    NotAdmissible,
+    RewriteSystem,
+    complete,
+    order_key,
+)
 
 from conftest import corpus_graphs
 from test_random_graphs import random_one_loop_graph
@@ -393,3 +399,29 @@ def test_inclusion_ambiguity_is_refused(field, outer):
     assert not truncated
     with pytest.raises(InclusionAmbiguity, match=re.escape(f"lead {word} contains the lead (1, 2)")):
         complete(relations, (0,) * 4, (0,) * 4, field, 8)
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
+def test_a_lead_of_one_arrow_is_not_admissible(field):
+    """A relation a, or aa + a once aa is a rule, leaves a consequence whose
+    lead is the arrow a: the ideal is not admissible and ``complete`` says so
+    instead of adding a rule of length 1."""
+    for relations in ([{(0,): field.one}], [{(0, 0): field.one}, {(0, 0): field.one, (0,): field.one}]):
+        with pytest.raises(NotAdmissible, match="^ideal contains a generator of length 1$"):
+            complete(relations, (0,), (0,), field, 8)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
+def test_nf_combo_matches_brute_force(field):
+    """``nf_combo`` of one term scales its word's memoized normal form, and
+    of several terms sums them; both equal the brute-force normal form,
+    coefficient by coefficient, on random words over a completed system."""
+    q = build_quiver(corpus_graphs()["mixed7"])
+    rs = quotient_basis(omega_relations(q), field=field)._rsys
+    rng = Random(3)
+    arrows = len(q.arrows)
+    for terms in [1] * 150 + [2, 3] * 50:
+        combo = {
+            random_word(rng, arrows, 7): field.from_int(rng.randint(-3, 3)) for _ in range(terms)
+        }
+        assert rs.nf_combo(combo) == brute_nf(rs.rules, combo, field), combo

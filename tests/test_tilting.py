@@ -3,10 +3,11 @@ import pytest
 from brauer_derive import tilting
 from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.graph import edge_count, loop_star, parse_graph
-from brauer_derive.homological import homotopy_hom, is_stalk
+from brauer_derive.homological import ProjComplex, homotopy_hom, is_stalk
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import (
+    CertificateFailure,
     EmptyTree,
     RelationFailure,
     check_tilting,
@@ -104,6 +105,31 @@ def test_check_tilting_stalks_trivially_valid():
     cert = check_tilting(shrink_complex(A, g))
     assert certificate_valid(cert)
     assert cert.end_cartan.rows == A.cartan().rows
+
+
+def test_check_tilting_rejects_a_summand_beside_its_shift():
+    """P(2) in degree 0 and again in degree 1: a nonzero map from P(2) in
+    degree 1 to the degree-0 stalks is a chain map T -> T[-1] that no
+    homotopy reaches, so the Hom-vanishing check rejects the sum."""
+    g = loop_star(3)
+    A = algebra_for(g)
+    Q = shrink_complex(A, g)
+    Q.summands["3"] = ProjComplex(A, {1: ("2",)}, {})
+    message = r"^Hom\(Q, Q\[-1\]\) has dimension 4, expected 0$"
+    with pytest.raises(CertificateFailure, match=message):
+        check_tilting(Q)
+
+
+def test_check_tilting_rejects_witnesses_that_miss_a_projective(g_min, monkeypatch):
+    """Without the witness of the loop edge the others, cones included,
+    still minimize to their stalks, but they no longer cover P(1)."""
+    witnesses = tilting._shrink_witnesses
+    monkeypatch.setattr(tilting, "_shrink_witnesses", lambda Q: witnesses(Q)[1:])
+    Q = shrink_complex(algebra_for(g_min), g_min)
+    assert [w.matches_vertex for w, _ in tilting._shrink_witnesses(Q)] == ["3", "2"]
+    message = "^generation witnesses do not cover every projective$"
+    with pytest.raises(CertificateFailure, match=message):
+        check_tilting(Q)
 
 
 def test_end_cartan_pattern_g_min(g_min):
