@@ -27,6 +27,7 @@ graph, ``a_n_presentation``) has this Cartan matrix.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -591,6 +592,17 @@ def _relation_combos(p: Presentation, field):
     ]
 
 
+def _keyed_levels(q, levels):
+    """(keys, words) of each level of ``rewriting.normal_words``: the words
+    and the block (source, target) of each, level 0 giving the trivial word
+    () of every vertex.  The one place that reads the level format."""
+    source = [a.source for a in q.arrows]
+    target = [a.target for a in q.arrows]
+    yield [(v, v) for v in levels[0]], [()] * len(levels[0])
+    for level in levels[1:]:
+        yield [(source[w[0]], target[w[-1]]) for w in level], level
+
+
 def _block_words(q, levels, dropped):
     """Normal words by block (source, target) as tuples, less the (source,
     word) pairs in ``dropped``.
@@ -600,16 +612,11 @@ def _block_words(q, levels, dropped):
     the words from one source are sorted, because ``normal_words`` extends
     the previous level in order by arrows of ascending id.
     """
-    source = [a.source for a in q.arrows]
-    target = [a.target for a in q.arrows]
-    found = {(v, v): [()] for v in levels[0]}
-    for level in levels[1:]:
-        for word in level:
-            found.setdefault((source[word[0]], target[word[-1]]), []).append(word)
-    if dropped:
-        found = {
-            key: [w for w in words if (key[0], w) not in dropped] for key, words in found.items()
-        }
+    found = {}
+    for keys, words in _keyed_levels(q, levels):
+        for key, word in zip(keys, words):
+            if (key[0], word) not in dropped:
+                found.setdefault(key, []).append(word)
     blocks = dict.fromkeys(product(q.vertices, repeat=2), ())
     blocks.update((key, tuple(words)) for key, words in found.items())
     return blocks
@@ -618,13 +625,9 @@ def _block_words(q, levels, dropped):
 def _block_counts(q, levels):
     """{(source, target): number of normal words} of every non-empty block,
     counted in one pass over the levels."""
-    source = [a.source for a in q.arrows]
-    target = [a.target for a in q.arrows]
-    counts = dict.fromkeys(((v, v) for v in levels[0]), 1)
-    for level in levels[1:]:
-        for word in level:
-            key = (source[word[0]], target[word[-1]])
-            counts[key] = counts.get(key, 0) + 1
+    counts = Counter()
+    for keys, _ in _keyed_levels(q, levels):
+        counts.update(keys)
     return counts
 
 

@@ -41,9 +41,9 @@ lead never contains an older one.  An older lead may contain a newer one;
 that is an inclusion ambiguity, which ``overlaps`` (proper suffix-prefix
 overlaps only) does not resolve, so the diamond lemma would not apply
 (Bergman, 1978; Mora, TCS 134, 1994).  No presentation the program builds
-gives one, so instead of interreducing, ``complete`` checks at the end
-every lead that some later lead is shorter than, and raises
-``InclusionAmbiguity``, an engine fault, if another lead lies inside it.
+gives one, so instead of interreducing, ``complete`` checks every lead at
+the end and raises ``InclusionAmbiguity``, an engine fault, if another lead
+lies inside it.
 """
 from __future__ import annotations
 
@@ -181,10 +181,6 @@ class RewriteSystem:
         return result
 
     def nf_combo(self, combo):
-        if len(combo) == 1:
-            # one term: its normal form scaled, as the loop below would build it
-            ((word, coeff),) = combo.items()
-            return {u: coeff * c for u, c in self.nf_word(word).items()} if coeff else {}
         out = {}
         for word, coeff in combo.items():
             if coeff:
@@ -240,28 +236,14 @@ def complete(relations, source, target, field, maxlen):
                     continue
                 seen.add(k)
             suffix, prefix = second[k:], first[: len(first) - k]
-            first_tail, second_tail = rs.rules[first], rs.rules[second]
-            if first_tail:
-                spoly = {w + suffix: c for w, c in first_tail.items()}
-                if second_tail:
-                    second_part = {prefix + w: c for w, c in second_tail.items()}
-                    vec_add_scaled(spoly, second_part, -field.one)
-            else:
-                spoly = {prefix + w: -c for w, c in second_tail.items()}
+            spoly = {w + suffix: c for w, c in rs.rules[first].items()}
+            vec_add_scaled(spoly, {prefix + w: c for w, c in rs.rules[second].items()}, -field.one)
             if spoly:
                 heapq.heappush(heap, (total, counter, spoly))
                 counter += 1
 
-    # A lead contains no lead added before it, so only a lead that some later
-    # lead is shorter than can contain one; a proper factor of a lead lies in
-    # the lead less its first or last arrow.
-    candidates = []  # last added first
-    shortest = float("inf")
-    for lead in reversed(rs.rules):
-        if shortest < len(lead):
-            candidates.append(lead)
-        shortest = min(shortest, len(lead))
-    for lead in reversed(candidates):
+    # A proper factor of a lead lies in the lead less its first or last arrow.
+    for lead in rs.rules:
         inner = rs.find_factor(lead[1:]) or rs.find_factor(lead[:-1])
         if inner is not None:
             raise InclusionAmbiguity(f"lead {lead} contains the lead {inner[1]}")

@@ -413,9 +413,9 @@ def test_a_lead_of_one_arrow_is_not_admissible(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
 def test_nf_combo_matches_brute_force(field):
-    """``nf_combo`` of one term scales its word's memoized normal form, and
-    of several terms sums them; both equal the brute-force normal form,
-    coefficient by coefficient, on random words over a completed system."""
+    """``nf_combo`` of one term and of several terms equals the brute-force
+    normal form, coefficient by coefficient, on random words over a
+    completed system."""
     q = build_quiver(corpus_graphs()["mixed7"])
     rs = quotient_basis(omega_relations(q), field=field)._rsys
     rng = Random(3)
