@@ -1,12 +1,18 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from brauer_derive.graph import loop_star, parse_graph
+from brauer_derive.algebra import omega_relations
+from brauer_derive.graph import BrauerGraph, GraphVertex, loop_star, parse_graph
 from brauer_derive.quiver import ALPHA, BETA, build_quiver, cycle_words, quiver_to_dot
 
 from conftest import G_MIN_TEXT, corpus_graphs, cycle_at
 from test_random_graphs import random_one_loop_graph
+from test_scale import chain_with_twigs, deep_tree, graph_text
+
+QUIVER_DIGEST = "9afb8d696a12fbfe50eacb658998120343abe2ae6f5a2f24173daf0ec43c1c14"
 
 
 def arrow_set(q):
@@ -144,3 +150,60 @@ def test_exceptional_cycle():
     exc = q.exceptional_cycle
     assert exc.camp == BETA
     assert [a.name for a in exc.arrows] == ["b_1", "b_2"]
+
+
+def _starting_at_second_incidence(g):
+    """The same graph with the centre's list rotated to start at the loop's
+    second incidence, e.g. ("1", "2", "3", "1") for ("1", "1", "2", "3")."""
+    lst, loop = g.vertex_map[g.center].cyclic, g.loop_edge
+    m = len(lst)
+    i = next(i for i in range(m) if lst[i] == loop == lst[(i + 1) % m])
+    rotated = lst[i + 1 :] + lst[: i + 1]
+    return BrauerGraph(
+        [GraphVertex(v.id, rotated if v.id == g.center else v.cyclic) for v in g.vertices],
+        g.implicit,
+    )
+
+
+def _pin_graphs():
+    graphs = list(corpus_graphs().values()) + [loop_star(n) for n in (1, 2, 3, 9, 59)]
+    for seed in range(300):
+        rng = random.Random(7300 + seed)
+        graphs.append(random_one_loop_graph(rng, rng.randint(3, 30)))
+    graphs += [parse_graph(chain_with_twigs(d, ())) for d in (1, 5, 24)]
+    graphs.append(parse_graph(chain_with_twigs(13, (2, 7))))
+    graphs += [parse_graph(deep_tree(n, seed)) for n, seed in ((18, 5), (21, 1), (30, 2))]
+    graphs += [_starting_at_second_incidence(g) for g in graphs[::7]]
+    graphs += [
+        parse_graph(graph_text({"S": ["1", "2", "3", "1"], "u": ["2", "4"]})),
+        parse_graph(graph_text({"S": ["1", "2", "1"]})),
+    ]
+    return graphs
+
+
+def _quiver_structure(g):
+    """Vertices, arrows in order, every cycle word, the cycles as a set and
+    the Omega relations of the quiver of g."""
+    q = build_quiver(g)
+    return [
+        list(q.vertices),
+        [[a.name, a.source, a.target, a.camp] for a in q.arrows],
+        sorted([v, camp, list(w)] for (v, camp), w in cycle_words(q).items()),
+        sorted(
+            [c.graph_vertex, c.camp, c.exceptional, [a.name for a in c.arrows]]
+            for c in q.cycles
+        ),
+        [[[list(w), c] for w, c in rel] for rel in omega_relations(q).id_relations],
+    ]
+
+
+def test_quiver_structure_is_pinned():
+    """Golden digest of the quiver structure over the corpus, five loop-stars,
+    300 seeded random graphs of 3-30 edges, chains, deep trees and centre
+    lists that start at the loop's second incidence.  The order of
+    ``q.cycles`` is not part of the structure, so the cycles are compared as
+    a sorted set."""
+    graphs = _pin_graphs()
+    assert len(graphs) == 369
+    text = json.dumps([_quiver_structure(g) for g in graphs], separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == QUIVER_DIGEST
