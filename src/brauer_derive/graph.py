@@ -49,19 +49,10 @@ class GraphVertex:
     cyclic: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class BrauerTree:
-    """The tree hanging off a cycle edge, edges listed in preorder."""
-
-    root_edge: str
-    edges: tuple[str, ...]
-
-    def __bool__(self):
-        return bool(self.edges)
-
-
 class BrauerGraph:
-    """Validated one-loop Brauer graph with derived cycle/tree structure."""
+    """Validated one-loop Brauer graph with derived cycle/tree structure.
+    ``trees[c]`` is the tuple of the edges of the tree below the cycle edge
+    c, in preorder, empty (so false) when c carries no tree."""
 
     def __init__(self, vertices, implicit=frozenset()):
         self.vertices = tuple(vertices)
@@ -132,16 +123,12 @@ class BrauerGraph:
         loop = next(e for e, vs in self.endpoints.items() if vs[0] == vs[1])
         self.loop_edge = loop
         self.center = self.endpoints[loop][0]
-        s_list = self.vertex_map[self.center].cyclic
-        m = len(s_list)
-        first = s_list.index(loop)
-        if s_list[(first + 1) % m] == loop:
-            start = first
-        else:
-            start = (first - 1) % m
-        rotated = tuple(s_list[(start + i) % m] for i in range(m))
-        # rotated = (loop, loop, e2, ..., er)
-        self.cycle_edges = (loop,) + rotated[2:]
+        lst = self.vertex_map[self.center].cyclic
+        k = lst.index(loop)
+        if lst[(k + 1) % len(lst)] == loop:
+            k += 1
+        # read from the loop's second incidence, the list is (loop, e2, ..., er, loop)
+        self.cycle_edges = (lst[k:] + lst[:k])[:-1]
         self.trees = {}
         order = list(self.cycle_edges)
         parent = {}
@@ -159,10 +146,9 @@ class BrauerGraph:
                 for k in reversed(self.children(edge, at)):
                     parent[k] = edge
                     stack.append((k, self.far_vertex(k, at), d + 1))
-            self.trees[c] = BrauerTree(c, tuple(edges))
+            self.trees[c] = tuple(edges)
             order.extend(edges)
         self.canonical_order = tuple(order)
-        self.canonical_index = {e: i + 1 for i, e in enumerate(order)}
         self._parent = parent  # tree edge -> the edge above it; cycle edges have none
 
     # -- navigation --------------------------------------------------

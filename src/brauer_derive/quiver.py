@@ -10,6 +10,9 @@ loop vertex: beta at even distance (the exceptional cycle included), alpha
 at odd distance, and the loop arrow alpha.  Deleting the loop leaves a tree,
 so the two cycles through a quiver vertex (the two ends of a graph edge)
 sit at adjacent distances and always get different camps.
+
+``build_quiver`` makes the cycles in one pass over the graph's cycle edges,
+vertex lists and depths; a leaf of T keeps its trivial cycle, with no arrows.
 """
 from __future__ import annotations
 
@@ -58,51 +61,30 @@ class BrauerQuiver:
         self.exceptional_cycle = next(c for c in self.cycles if c.exceptional)
 
 
-def _raw_cycles(g: BrauerGraph):
-    """(graph_vertex, [(src_edge, tgt_edge), ...]) for each vertex, with the
-    loop vertex split into the loop step and the exceptional cycle."""
-    out = []
-    for v in g.vertices:
-        lst = v.cyclic
-        m = len(lst)
-        if m == 1:
-            out.append((v.id, [], False))
-            continue
-        steps = [(lst[i], lst[(i + 1) % m]) for i in range(m)]
-        if v.id == g.center:
-            loop = g.loop_edge
-            first = next(
-                i for i in range(m) if lst[i] == loop and lst[(i + 1) % m] == loop
-            )
-            loop_step = steps[first]
-            rest = [steps[(first + k) % m] for k in range(1, m)]
-            out.append((v.id, [loop_step], "loop"))
-            out.append((v.id, rest, True))
-        else:
-            out.append((v.id, steps, False))
-    return out
-
-
 def build_quiver(g: BrauerGraph) -> BrauerQuiver:
-    prefix = {ALPHA: "a", BETA: "b"}
-    arrows_of = {}
-    cycles = []
-    for vid, steps, tag in _raw_cycles(g):
-        camp = ALPHA if tag == "loop" or g.depth[vid] % 2 else BETA
-        cyc_arrows = tuple(Arrow(f"{prefix[camp]}_{s}", s, t, camp) for s, t in steps)
-        arrows_of.update((a.name, a) for a in cyc_arrows)
-        cycles.append(QCycle(cyc_arrows, vid, camp, tag is True))
-    vertices = g.canonical_order
-    ordered = [arrows_of[f"b_{v}"] for v in vertices if f"b_{v}" in arrows_of]
-    ordered += [arrows_of[f"a_{v}"] for v in vertices if f"a_{v}" in arrows_of]
-    cycles.sort(key=lambda c: (g.canonical_index.get(_cycle_anchor(c, g), 0), c.camp))
-    return BrauerQuiver(g, vertices, ordered, cycles)
+    """The quiver of g in one pass: the loop step alone, the exceptional cycle
+    through ``g.cycle_edges`` from the loop vertex, and one cycle per other
+    vertex, trivial at a leaf, which stays.  Arrows are beta first, each camp
+    in ``g.canonical_order`` of its source."""
+    loop, ce = g.loop_edge, g.cycle_edges
+    cycles = [
+        _cycle(g.center, [(loop, loop)], ALPHA, False),
+        _cycle(g.center, zip(ce, ce[1:] + ce[:1]), BETA, True),
+    ]
+    for v in g.vertices:
+        if v.id != g.center:
+            lst = v.cyclic
+            steps = zip(lst, lst[1:] + lst[:1]) if len(lst) > 1 else ()
+            cycles.append(_cycle(v.id, steps, ALPHA if g.depth[v.id] % 2 else BETA, False))
+    by_name = {a.name: a for c in cycles for a in c.arrows}
+    names = [f"{p}_{e}" for p in "ba" for e in g.canonical_order]
+    arrows = [by_name[n] for n in names if n in by_name]
+    return BrauerQuiver(g, g.canonical_order, arrows, cycles)
 
 
-def _cycle_anchor(c: QCycle, g: BrauerGraph):
-    if c.arrows:
-        return min((a.source for a in c.arrows), key=lambda e: g.canonical_index[e])
-    return g.vertex_map[c.graph_vertex].cyclic[0]
+def _cycle(vid, steps, camp, exceptional):
+    arrows = tuple(Arrow(f"{camp[0]}_{s}", s, t, camp) for s, t in steps)
+    return QCycle(arrows, vid, camp, exceptional)
 
 
 class CycleWords(dict):
@@ -118,18 +100,15 @@ class CycleWords(dict):
 
 def cycle_words(q: BrauerQuiver) -> CycleWords:
     """The cycle word of every vertex and camp, ids indexing ``q.arrows``: the
-    rotations of one walk per cycle.  Every start on the exceptional cycle but
-    the loop vertex inserts the loop arrow on passing the loop vertex."""
-    ids, loop = q.ids, q.loop_vertex
+    rotations of one walk per cycle.  The exceptional cycle starts at the loop
+    vertex, and every later start on it inserts the loop arrow on passing the
+    loop vertex."""
+    ids = q.ids
     out = CycleWords()
     for c in q.cycles:
-        arrows = c.arrows
-        if c.exceptional:
-            s = next(k for k, a in enumerate(arrows) if a.source == loop)
-            arrows = arrows[s:] + arrows[:s]
-        word = tuple(ids[a.name] for a in arrows)
+        word = tuple(ids[a.name] for a in c.arrows)
         passing = word + (ids[q.loop_arrow.name],) if c.exceptional else word
-        for k, a in enumerate(arrows):
+        for k, a in enumerate(c.arrows):
             w = passing if k else word
             out[(a.source, c.camp)] = w[k:] + w[:k]
     return out

@@ -115,6 +115,10 @@ def _tamper_normal_form(p):
     p["normalForm"] = p["input"]
 
 
+def _tamper_n(p):
+    p["n"] += 1
+
+
 def _tamper_at(at):
     def edit(p):
         p["steps"][0]["at"] = at
@@ -128,6 +132,7 @@ TAMPERINGS = {
     "generation": (_tamper_generation, "stored certificate does not re-validate"),
     "after": (_tamper_after, "step 0: stored result of step differs"),
     "normalForm": (_tamper_normal_form, "trace normal form mismatch"),
+    "n": (_tamper_n, "normal form is not the loop-star of the right size"),
     # edges no move can take: the loop, a leaf and none
     "atLoop": (_tamper_at("1"), "step 0: edge 1 is not a non-loop cycle edge"),
     "atLeaf": (_tamper_at("5"), "step 0: edge 5 is not a non-loop cycle edge"),
@@ -568,6 +573,52 @@ def test_internal_fault_is_certificate_failure(tmp_path, capsys, monkeypatch):
     assert re.search(
         r"RelationFailure: arrow \S+: no matching generator map", capsys.readouterr().err
     )
+
+
+def test_witness_that_does_not_minimize_is_certificate_failure(tmp_path, capsys, monkeypatch):
+    """A generation witness whose cone does not minimize to its stalk, here
+    because ``minimize`` hands the cone back unchanged, fails the tilting
+    certificate: exit 3."""
+    monkeypatch.setattr(tilting, "minimize", lambda C: C)
+    assert run(["tilt-shrink", _corpus_file(tmp_path, "chain2")]) == EXIT_CERTIFICATE
+    assert (
+        "CertificateFailure: generation witness cone(Q(4) -> Q(3)) does not minimize "
+        "to P(4)[1]" in capsys.readouterr().err
+    )
+
+
+def test_changed_determinant_is_certificate_failure(tmp_path, capsys, monkeypatch):
+    """An endomorphism-ring Cartan matrix with one diagonal entry raised has
+    another |det| than the algebra's: exit 3."""
+    end_cartan = tilting.end_cartan
+
+    def raised(Q):
+        c = end_cartan(Q)
+        rows = [list(r) for r in c.rows]
+        rows[0][0] += 1
+        return algebra.CartanMatrix(c.order, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(tilting, "end_cartan", raised)
+    assert run(["tilt-shrink", _corpus_file(tmp_path, "chain2")]) == EXIT_CERTIFICATE
+    assert "CertificateFailure: |det| changed across the tilt: 4 vs 8" in capsys.readouterr().err
+
+
+def test_reduction_that_changes_the_edge_count_is_certificate_failure(
+    tmp_path, capsys, monkeypatch
+):
+    """A move that lands on a graph with fewer edges, here always the
+    two-edge loop-star, is the program's fault: exit 3."""
+    monkeypatch.setattr(reduction, "enlarge_graph_move", lambda g, d: loop_star(2))
+    assert run(["reduce", _corpus_file(tmp_path, "g_min")]) == EXIT_CERTIFICATE
+    assert "CertificateFailure: edge count changed at edge 2" in capsys.readouterr().err
+
+
+def test_reduction_that_stops_short_is_certificate_failure(tmp_path, capsys, monkeypatch):
+    """A pivot search that finds no edge to move while a tree is left ends
+    the reduction away from a loop-star: exit 3."""
+    monkeypatch.setattr(reduction, "_pivot", lambda g: None)
+    assert run(["reduce", _corpus_file(tmp_path, "g_min")]) == EXIT_CERTIFICATE
+    assert "CertificateFailure: reduction did not end at a loop-star" in capsys.readouterr().err
 
 
 def test_basis_off_the_half_edge_cartan_is_certificate_failure(capsys, monkeypatch):

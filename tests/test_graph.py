@@ -26,7 +26,7 @@ def test_parse_loop_star_file():
 def test_parse_g_min():
     g = parse_graph(G_MIN_TEXT)
     assert g.cycle_edges == ("1", "2")
-    assert g.trees["2"].edges == ("3",)
+    assert g.trees["2"] == ("3",)
     assert edge_count(g) == 3
 
 
@@ -79,7 +79,7 @@ def test_loop_star_validates(n):
 
 def test_edge_count_additivity(corpus):
     for g in corpus.values():
-        trees = sum(len(t.edges) for t in g.trees.values())
+        trees = sum(len(t) for t in g.trees.values())
         assert edge_count(g) == len(g.cycle_edges) + trees
         # two incidences per edge, counting synthesized leaves
         incidences = sum(len(v.cyclic) for v in g.vertices)
@@ -124,7 +124,7 @@ def test_canonical_relabel():
     relabeled, mapping = canonical_relabel(g)
     assert mapping == {"x": "1", "y": "2", "z": "3"}
     assert relabeled.cycle_edges == ("1", "2")
-    assert relabeled.trees["2"].edges == ("3",)
+    assert relabeled.trees["2"] == ("3",)
 
 
 def test_tree_paths():

@@ -84,7 +84,7 @@ def test_random_certified_pipeline(seed):
         assert verify_end_generators(Q2)
 
     trace = reduce_to_normal_form(g, certify=True)
-    assert len(trace.steps) == sum(len(t.edges) for t in g.trees.values())
+    assert len(trace.steps) == sum(len(t) for t in g.trees.values())
     assert trace.normal_form.is_loop_star()
     relabeled, _ = canonical_relabel(trace.normal_form)
     assert structure_key(relabeled) == structure_key(loop_star(n))

@@ -10,6 +10,8 @@ from brauer_derive.graph import (
 )
 from brauer_derive.reduction import (
     CertificateFailure,
+    ReductionStep,
+    ReductionTrace,
     certify_trace,
     classify,
     reduce_to_normal_form,
@@ -19,7 +21,7 @@ from conftest import algebra_for, canonical_relabel, structure_key
 
 
 def tree_edge_count(g):
-    return sum(len(t.edges) for t in g.trees.values())
+    return sum(len(t) for t in g.trees.values())
 
 
 def test_loop_star_already_normal():
@@ -129,3 +131,15 @@ def test_tampered_graph_rejected(g_min):
     bad.steps[0].after = loop_star(3)
     with pytest.raises(CertificateFailure, match="step 0"):
         certify_trace(bad)
+
+
+def test_steps_that_do_not_chain_are_rejected(g_min):
+    """A trace whose first step starts from another graph than the input
+    does not chain.  ``load_trace`` always chains the steps it reads, so
+    only a trace built through the API reaches this check."""
+    trace = reduce_to_normal_form(g_min)
+    (step,) = trace.steps
+    stray = ReductionStep(loop_star(3), step.after, step.at, None)
+    broken = ReductionTrace(trace.input, [stray], trace.normal_form, trace.n)
+    with pytest.raises(CertificateFailure, match="^step 0: trace steps do not chain$"):
+        certify_trace(broken)

@@ -137,7 +137,7 @@ def test_graph_shapes():
     chain = parse_graph(SCALING["chain24"])
     assert max(len(chain.tree_path(z)) for z in chain.canonical_order) == 25
     fan = parse_graph(SCALING["fan20"])
-    assert edge_count(fan) == 23 and len(fan.trees["2"].edges) == 20
+    assert edge_count(fan) == 23 and len(fan.trees["2"]) == 20
 
 
 def _assert_reduction_round_trip(text, field, tmp_path, capsys):

@@ -244,8 +244,8 @@ def test_enlarge_graph_move_reattaches_fan():
     g = parse_graph(CHAIN2_TEXT)
     moved = enlarge_graph_move(g, enlarge_data(g, "2"))
     assert moved.vertex_map["S"].cyclic == ("1", "1", "3", "2")
-    assert moved.trees["3"].edges == ("4",)
-    assert moved.trees["2"].edges == ()
+    assert moved.trees["3"] == ("4",)
+    assert moved.trees["2"] == ()
     assert edge_count(moved) == 4
 
 
