@@ -11,13 +11,13 @@ what completion reads; named relations are made only when asked for.
 
 ``quotient_basis`` turns a presentation into exact structure: a normal-form
 basis for every ordered pair of vertices, a reduction map for paths, and
-structure constants over the rationals (or a prime field).  Completion of
-the relations starts at the length bound cap + margin and grows it until no
-overlap is discarded; such a completion is confluent, so by Bergman's
-diamond lemma (Adv. Math. 29, 1978) its normal words are a basis.  With the
+structure constants over the rationals (or a prime field).  The relations
+are completed once, at the length bound max(cap + margin, 2 * cap); a
+completion that discards no overlap is confluent, so by Bergman's diamond
+lemma (Adv. Math. 29, 1978) its normal words are a basis.  With the
 finite-dimensionality witness (no normal word of length cap) the basis is
-proven; a bound that reaches its ceiling or a surviving word of length cap
-raises ``NotStabilized``.  The number of basis words in each block, counted
+proven; a completion that discards an overlap or a surviving word of length
+cap raises ``NotStabilized``.  The number of basis words in each block, counted
 in one pass, is then checked against the closed form of the Cartan matrix of
 the presentation's graph,
 C_ij = sum over graph vertices v of a_i(v) * a_j(v), with a_i(v) the number
@@ -305,8 +305,8 @@ class AlgebraElement:
         return [(w, c) for w, c in zip(words, self.coeffs) if c]
 
     def __str__(self):
-        names = self.algebra.arrow_names
-        terms = [(tuple(names[a] for a in w), c) for w, c in self.terms()]
+        arrows = self.algebra.quiver.arrows
+        terms = [(tuple(arrows[a].name for a in w), c) for w, c in self.terms()]
         return _render(terms, self.source, self.algebra.field.one)
 
     def __repr__(self):
@@ -364,8 +364,6 @@ class QuotientAlgebra:
         if counts is None:
             counts = {key: len(words) for key, words in self.blocks.items() if words}
         self._counts = counts
-        self.arrow_ids = self.quiver.ids
-        self.arrow_names = {i: a.name for i, a in enumerate(self.quiver.arrows)}
         self._positions = {}
         self._entries = {}
         self._basis_products = {}
@@ -409,7 +407,7 @@ class QuotientAlgebra:
 
     def arrow_element(self, name):
         a = self.quiver.by_name[name]
-        return self.reduce_word(a.source, (self.arrow_ids[name],))
+        return self.reduce_word(a.source, (self.quiver.ids[name],))
 
     def path_element(self, names):
         """Reduce the path given by arrow names (must be composable)."""
@@ -419,11 +417,11 @@ class QuotientAlgebra:
         for a, b in zip(arrows, arrows[1:]):
             if a.target != b.source:
                 raise CompositionMismatch(f"{a.name} then {b.name} do not compose")
-        return self.reduce_word(arrows[0].source, tuple(self.arrow_ids[n] for n in names))
+        return self.reduce_word(arrows[0].source, tuple(self.quiver.ids[n] for n in names))
 
     def reduce_word(self, source, word):
         """Normal-form coordinates of a path given as arrow-id tuple."""
-        target = source if not word else self.quiver.arrows[word[-1]].target
+        target = source if not word else self.quiver.target[word[-1]]
         coeffs = [self.field.zero] * len(self.block(source, target))
         for pos, c in self._product(source, target, word):
             coeffs[pos] = c
@@ -506,16 +504,6 @@ class QuotientAlgebra:
         rows = tuple(tuple(counts.get((i, j), 0) for j in order) for i in order)
         return CartanMatrix(order, rows)
 
-    @cached_property
-    def _arrows_at(self):
-        """({vertex: ids of the arrows out of it}, {vertex: (id, source) of
-        the arrows into it})."""
-        out, into = {}, {}
-        for a, arrow in enumerate(self.quiver.arrows):
-            out.setdefault(arrow.source, []).append(a)
-            into.setdefault(arrow.target, []).append((a, arrow.source))
-        return out, into
-
     def _class(self, source, word):
         """{word: coefficient} of the class of a path from source: its normal
         form with the dropped words removed, the one place here that reads
@@ -526,7 +514,7 @@ class QuotientAlgebra:
         return {u: c for u, c in nf.items() if (source, u) not in self.dropped}
 
     def _word_text(self, source, word):
-        return "*".join(self.arrow_names[a] for a in word) if word else f"e_{source}"
+        return "*".join(self.quiver.arrows[a].name for a in word) if word else f"e_{source}"
 
     def arrow_rows(self):
         """{(i, w, a): class of w * a} for every basis word w of every block
@@ -538,7 +526,7 @@ class QuotientAlgebra:
         length of the right factor, so two algebras with equal blocks and
         equal rows have equal products.  The check runs on every call.
         """
-        out, _ = self._arrows_at
+        out = self.quiver.out_ids
         rows = {}
         for (i, j), words in self.blocks.items():
             for w in words:
@@ -556,12 +544,12 @@ class QuotientAlgebra:
 
     def socle_words(self):
         """Basis classes killed by every arrow on both sides."""
-        out, into = self._arrows_at
+        q = self.quiver
         found = []
         for (i, j), words in self.blocks.items():
             for w in words:
-                if not any(self._class(i, w + (a,)) for a in out.get(j, ())) and not any(
-                    self._class(s, (a,) + w) for a, s in into.get(i, ())
+                if not any(self._class(i, w + (a,)) for a in q.out_ids.get(j, ())) and not any(
+                    self._class(q.source[a], (a,) + w) for a in q.in_ids.get(i, ())
                 ):
                     found.append((i, w))
         return found
@@ -596,11 +584,9 @@ def _keyed_levels(q, levels):
     """(keys, words) of each level of ``rewriting.normal_words``: the words
     and the block (source, target) of each, level 0 giving the trivial word
     () of every vertex.  The one place that reads the level format."""
-    source = [a.source for a in q.arrows]
-    target = [a.target for a in q.arrows]
     yield [(v, v) for v in levels[0]], [()] * len(levels[0])
     for level in levels[1:]:
-        yield [(source[w[0]], target[w[-1]]) for w in level], level
+        yield [(q.source[w[0]], q.target[w[-1]]) for w in level], level
 
 
 def _block_words(q, levels, dropped):
@@ -657,25 +643,17 @@ def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> Quotient
     dcap, dmargin = _default_bounds(q)
     cap = dcap if cap is None else cap
     margin = dmargin if margin is None else margin
-    src = tuple(a.source for a in q.arrows)
-    tgt = tuple(a.target for a in q.arrows)
-    by_source = {}
-    for i, a in enumerate(q.arrows):
-        by_source.setdefault(a.source, []).append(i)
-    combos = _relation_combos(p, field)
-
-    # Only an untruncated completion is confluent, so the length bound grows
-    # until one is reached.  The ceiling only limits the work: past it this
-    # fails closed with NotStabilized and never accepts a truncated system.
-    for bound in range(cap + margin, max(cap + margin, 2 * cap) + 1):
-        rs, truncated = rewriting.complete(combos, src, tgt, field, bound)
-        if not truncated:
-            break
-    else:
+    # A completion untruncated at some bound is so, with the same rules, at
+    # every larger one: no overlap exceeds it, and the binomial-only lookup a
+    # larger bound allows skips only monomial pairs, whose S-polynomials are
+    # empty.  So one completion at the ceiling decides, failing closed.
+    bound = max(cap + margin, 2 * cap)
+    rs, truncated = rewriting.complete(_relation_combos(p, field), field, bound)
+    if truncated:
         raise NotStabilized(
             f"completion truncated up to length {bound}; raise cap (cap={cap}, margin={margin})"
         )
-    levels = rewriting.normal_words(rs, q.vertices, by_source, cap)
+    levels = rewriting.normal_words(rs, q.vertices, q.out_ids, q.target, cap)
     if len(levels) > cap:
         raise NotStabilized(
             f"normal words of length {cap} survive; raise cap (cap={cap}, margin={margin})"

@@ -253,21 +253,11 @@ def parse_graph(text: str) -> BrauerGraph:
 
 
 def _least_rotation(cyclic):
-    """Lexicographically least rotation keeping any duplicated edge adjacent."""
-    m = len(cyclic)
-    best = None
-    for s in range(m):
-        rot = cyclic[s:] + cyclic[:s]
-        ok = True
-        seen = {}
-        for i, e in enumerate(rot):
-            if e in seen and i - seen[e] != 1:
-                ok = False
-                break
-            seen[e] = i
-        if ok and (best is None or rot < best):
-            best = rot
-    return best
+    """Lexicographically least rotation, which keeps the loop's incidences
+    adjacent: validation leaves the loop L the only edge listed twice, at
+    adjacent places, so a rotation that splits it starts L, x with x != L
+    and loses to the one starting L, L if L < x, else to the one from x."""
+    return min(cyclic[s:] + cyclic[:s] for s in range(len(cyclic)))
 
 
 def _canonical_obj(g: BrauerGraph):

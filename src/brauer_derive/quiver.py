@@ -13,6 +13,8 @@ sit at adjacent distances and always get different camps.
 
 ``build_quiver`` makes the cycles in one pass over the graph's cycle edges,
 vertex lists and depths; a leaf of T keeps its trivial cycle, with no arrows.
+Arrow ids index ``arrows``; the quiver holds the one table of their sources,
+targets, and ascending ids out of and into each vertex.
 """
 from __future__ import annotations
 
@@ -52,6 +54,12 @@ class BrauerQuiver:
         self.cycles = tuple(cycles)
         self.by_name = {a.name: a for a in self.arrows}
         self.ids = {a.name: i for i, a in enumerate(self.arrows)}
+        self.source = tuple(a.source for a in self.arrows)  # by arrow id
+        self.target = tuple(a.target for a in self.arrows)
+        self.out_ids, self.in_ids = {}, {}  # vertex -> ascending arrow ids
+        for i, a in enumerate(self.arrows):
+            self.out_ids.setdefault(a.source, []).append(i)
+            self.in_ids.setdefault(a.target, []).append(i)
         self.alpha_out = {a.source: a for a in self.arrows if a.camp == ALPHA}
         self.beta_out = {a.source: a for a in self.arrows if a.camp == BETA}
         self.alpha_in = {a.target: a for a in self.arrows if a.camp == ALPHA}

@@ -1,11 +1,11 @@
 """Rewriting engine for two-sided path-algebra ideals.
 
-Paths are tuples of small integer arrow ids whose numeric order realizes the
-term order: words are compared length first, then lexicographically by arrow
-id.  Relations are completed into a rewriting system by resolving overlaps of
-leading words (bounded by a maximum word length), after which normal forms
-are unique and the surviving factor-free words of each length enumerate a
-basis of the quotient.
+A word engine: paths are tuples of small integer arrow ids, compared length
+first, then lexicographically by id, and only ``normal_words`` reads arrow
+ends, which its caller passes.  Relations are completed into a rewriting
+system by resolving overlaps of leading words (bounded by a maximum word
+length), after which normal forms are unique and the surviving factor-free
+words of each length enumerate a basis of the quotient.
 
 Completion is output-sensitive: ``RewriteSystem`` indexes its leads so that
 each question reads only the leads that can answer it.
@@ -74,10 +74,7 @@ class RewriteSystem:
     ``longest_monomial`` is the length of the longest monomial lead.
     """
 
-    def __init__(self, source, target, field):
-        # source[a] / target[a]: endpoint vertices of arrow id a
-        self.source = source
-        self.target = target
+    def __init__(self, field):
         self.field = field
         self.rules = {}
         self._stamp = {}
@@ -188,14 +185,14 @@ class RewriteSystem:
         return out
 
 
-def complete(relations, source, target, field, maxlen):
+def complete(relations, field, maxlen):
     """Bounded completion of a list of relation combos.
 
     Returns (system, truncated); ``truncated`` records whether any overlap
     was discarded for exceeding ``maxlen``, i.e. whether the resulting
     system might be degree-limited rather than a full completion.
     """
-    rs = RewriteSystem(source, target, field)
+    rs = RewriteSystem(field)
     heap = []
     counter = 0
     for rel in relations:
@@ -250,15 +247,16 @@ def complete(relations, source, target, field, maxlen):
     return rs, truncated
 
 
-def normal_words(rs, vertices, arrows_by_source, maxlen):
+def normal_words(rs, vertices, arrows_by_source, target, maxlen):
     """Factor-free words by length: levels[0] lists the vertices, one per
     trivial word e_v, and levels[k] for k >= 1 the words of length k, whose
     source is their first arrow's.  So sum(len(level)) is the dimension.
+    ``arrows_by_source[v]``: ascending ids out of v; ``target[a]``: a's target.
 
     Stops early once a length yields no survivors (normal words are closed
     under taking factors, so nothing longer can survive either).
     """
-    has_lead_suffix, target = rs.has_lead_suffix, rs.target
+    has_lead_suffix = rs.has_lead_suffix
     levels = [list(vertices)]
     words = [(a,) for v in vertices for a in arrows_by_source.get(v, ())]
     for _ in range(maxlen):

@@ -351,6 +351,58 @@ def test_validate_ok(g_min_file, capsys):
     assert "3 edges" in capsys.readouterr().out
 
 
+INPUT_FAULTS = {
+    "duplicateId": (
+        '{"vertices":[{"id":"S","cyclic":["1","1","2"]},{"id":"S","cyclic":["2"]}]}',
+        "MalformedInput: duplicate vertex id",
+    ),
+    "emptyList": (
+        '{"vertices":[{"id":"S","cyclic":["1","1","2"]},{"id":"u","cyclic":[]}]}',
+        "ValidationError: empty cyclic list at vertex u",
+    ),
+    "emptyLabel": (
+        '{"vertices":[{"id":"S","cyclic":["1","1",""]}]}',
+        "ValidationError: empty edge label",
+    ),
+    "threeAtOneVertex": (
+        '{"vertices":[{"id":"S","cyclic":["1","1","1","2"]}]}',
+        "ValidationError: edge 1 has more than two incidences at vertex S",
+    ),
+    "threeVertices": (
+        '{"vertices":[{"id":"S","cyclic":["1","1","2"]},{"id":"u","cyclic":["2"]},'
+        '{"id":"w","cyclic":["2"]}]}',
+        "ValidationError: edge 2 must have exactly two incidences, has 3",
+    ),
+    "noVerticesKey": (
+        '{"graph":[]}',
+        "MalformedInput: expected an object with a 'vertices' key",
+    ),
+    "noCyclic": (
+        '{"vertices":[{"id":"S"}]}',
+        "MalformedInput: each vertex needs 'id' and 'cyclic'",
+    ),
+    "numberLabel": (
+        '{"vertices":[{"id":"S","cyclic":["1","1",2]}]}',
+        "MalformedInput: vertex ids and edge labels must be strings",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_FAULTS))
+def test_validate_rejects_each_input_fault(name, tmp_path, capsys):
+    text, message = INPUT_FAULTS[name]
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [["omega", "0"], ["an", "0"], ["cartan", "--omega", "0"]])
+def test_size_zero_is_a_domain_error(argv, capsys):
+    assert run(argv) == EXIT_INVALID
+    assert capsys.readouterr().err == "DomainError: n must be >= 1, got 0\n"
+
+
 def test_deep_chain_through_cli(tmp_path, capsys):
     """A chain of 2,000 tree edges below the one cycle edge besides the
     loop: validate, classify and quiver accept it and count 2,002 edges."""
@@ -629,14 +681,15 @@ def test_basis_off_the_half_edge_cartan_is_certificate_failure(capsys, monkeypat
     clean = quotient_basis(a_n_presentation(3))
     lost = []  # (source, target) of each word dropped, one per length
 
-    def drop_last(rs, vertices, arrows_by_source, maxlen):
+    def drop_last(rs, vertices, arrows_by_source, target, maxlen):
         # the last word of each length: its blocks come late in the order
         # the words are met, where the diagonal blocks of length 0 lead
-        levels = enumerate_words(rs, vertices, arrows_by_source, maxlen)
+        levels = enumerate_words(rs, vertices, arrows_by_source, target, maxlen)
         lost.clear()
+        q = clean.quiver
         for level in levels[1:]:
             word = level.pop()
-            lost.append((rs.source[word[0]], rs.target[word[-1]]))
+            lost.append((q.source[word[0]], q.target[word[-1]]))
         return levels
 
     def first_off():

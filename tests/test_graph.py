@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from brauer_derive.graph import (
     DomainError,
     MalformedInput,
     ValidationError,
+    _least_rotation,
     edge_count,
     loop_star,
     parse_graph,
@@ -13,7 +15,9 @@ from brauer_derive.graph import (
     validate,
 )
 
-from conftest import G_MIN_TEXT, canonical_relabel
+from conftest import G_MIN_TEXT, canonical_relabel, corpus_graphs
+from test_random_graphs import random_one_loop_graph
+from test_scale import chain_with_twigs, deep_tree
 
 
 def test_parse_loop_star_file():
@@ -141,3 +145,42 @@ def test_graph_json_shape():
     obj = json.loads(serialize_graph(loop_star(4)))
     assert list(obj) == ["vertices"]
     assert obj["vertices"][0]["id"] == "S"
+
+
+def scanning_least_rotation(cyclic):
+    """The least rotation among those that keep every duplicated edge's two
+    places adjacent, found by scanning each rotation."""
+    m = len(cyclic)
+    best = None
+    for s in range(m):
+        rot = cyclic[s:] + cyclic[:s]
+        ok = True
+        seen = {}
+        for i, e in enumerate(rot):
+            if e in seen and i - seen[e] != 1:
+                ok = False
+                break
+            seen[e] = i
+        if ok and (best is None or rot < best):
+            best = rot
+    return best
+
+
+def test_least_rotation_matches_the_scan():
+    """On every rotation of every vertex list of the corpus, small and large
+    loop-stars, 900 seeded random graphs, chain13_twigs and deep21, as a tuple
+    and as a list, the least rotation never splits the loop: it is the
+    scan's."""
+    graphs = list(corpus_graphs().values()) + [loop_star(n) for n in (1, 2, 3, 9)]
+    graphs += [random_one_loop_graph(random.Random(s), 2 + s % 29) for s in range(900)]
+    graphs += [parse_graph(chain_with_twigs(13, (2, 7))), parse_graph(deep_tree(21, seed=3))]
+    lists = 0
+    for g in graphs:
+        for v in g.vertices:
+            m = len(v.cyclic)
+            for s in range(m):
+                rot = v.cyclic[s:] + v.cyclic[:s]
+                assert _least_rotation(rot) == scanning_least_rotation(rot), rot
+                assert _least_rotation(list(rot)) == scanning_least_rotation(list(rot)), rot
+                lists += 1
+    assert lists > 25000

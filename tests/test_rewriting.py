@@ -237,7 +237,7 @@ def random_word(rng, arrows, longest):
 def test_indexes_match_brute_force(seed):
     rng = Random(seed)
     arrows = 3
-    rs = RewriteSystem((0,) * arrows, (0,) * arrows, QQ)
+    rs = RewriteSystem(QQ)
     for step in range(150):
         lead = random_word(rng, arrows, 5)
         while lead in rs.rules:
@@ -365,13 +365,11 @@ ORACLE_MAXLENS = (3, 4, 6, 9, 14, 40)
 @pytest.mark.parametrize("name", sorted(ORACLE))
 def test_complete_matches_all_pairs_oracle(name):
     p = ORACLE[name]
-    source = tuple(a.source for a in p.quiver.arrows)
-    target = tuple(a.target for a in p.quiver.arrows)
     flags = set()
     for field in FIELDS.values():
         combos = _relation_combos(p, field)
         for maxlen in ORACLE_MAXLENS:
-            rs, truncated = complete(combos, source, target, field, maxlen)
+            rs, truncated = complete(combos, field, maxlen)
             ref, ref_truncated = reference_complete(combos, field, maxlen)
             assert list(rs.rules.items()) == list(ref.items()), (field, maxlen)
             assert truncated == ref_truncated, (field, maxlen)
@@ -398,7 +396,7 @@ def test_inclusion_ambiguity_is_refused(field, outer):
     assert rules == {(a, a, a, a): {(b, c): -field.one}, (b, c): {}}
     assert not truncated
     with pytest.raises(InclusionAmbiguity, match=re.escape(f"lead {word} contains the lead (1, 2)")):
-        complete(relations, (0,) * 4, (0,) * 4, field, 8)
+        complete(relations, field, 8)
 
 
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS)
@@ -408,7 +406,7 @@ def test_a_lead_of_one_arrow_is_not_admissible(field):
     instead of adding a rule of length 1."""
     for relations in ([{(0,): field.one}], [{(0, 0): field.one}, {(0, 0): field.one, (0,): field.one}]):
         with pytest.raises(NotAdmissible, match="^ideal contains a generator of length 1$"):
-            complete(relations, (0,), (0,), field, 8)
+            complete(relations, field, 8)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])

@@ -37,7 +37,7 @@ def reference_blocks(A):
     while level:
         nxt = []
         for source, word in level:
-            at = rs.target[word[-1]] if word else source
+            at = q.target[word[-1]] if word else source
             if (source, word) not in A.dropped:
                 found.setdefault((source, at), []).append(word)
             for a in by_source.get(at, ()):
@@ -123,8 +123,8 @@ def test_levels_add_up_to_the_dimension(name, field, monkeypatch):
     levels = []
     normal_words = algebra.rewriting.normal_words
 
-    def spy(rs, vertices, arrows_by_source, maxlen):
-        levels.append(normal_words(rs, vertices, arrows_by_source, maxlen))
+    def spy(rs, vertices, arrows_by_source, target, maxlen):
+        levels.append(normal_words(rs, vertices, arrows_by_source, target, maxlen))
         return levels[-1]
 
     monkeypatch.setattr(algebra.rewriting, "normal_words", spy)
