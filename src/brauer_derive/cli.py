@@ -99,22 +99,14 @@ def _star_presentation(kind, n):
     return a_n_presentation(n)
 
 
-def _json_key(key):
-    """A dict key as ``json`` writes it: non-string scalars by their JSON text."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            kind = type(key).__name__
-            raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
-        key = json.dumps(key)
-    return encode_basestring_ascii(key)
-
-
 def _dumps(payload):
     """``json.dumps(payload, indent=2)``, byte for byte.
 
     ``indent`` makes ``json`` fall back to its pure-Python encoder; this
     writer produces the same text with less work: strings go through the C
-    string encoder, and a list of ints is joined in one step.
+    string encoder, and a list of ints is joined in one step.  Every
+    payload has string keys; the string encoder raises ``TypeError`` on
+    any other key.
     """
     out = []
     put = out.append
@@ -129,7 +121,7 @@ def _dumps(payload):
             inner = indent + "  "
             sep = "{\n" + inner
             for key, item in value.items():
-                put(sep + _json_key(key) + ": ")
+                put(sep + encode_basestring_ascii(key) + ": ")
                 walk(item, inner)
                 sep = ",\n" + inner
             put("\n" + indent + "}")

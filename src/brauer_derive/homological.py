@@ -19,8 +19,10 @@ columns from the stored entries into flat maps keyed (n, c, r, t) and
 (r, c, basis index), reading the products of an entry with a block's basis
 once per entry and vertex group (``times_basis`` and ``basis_times``,
 memoized on the algebra, which reduces each product word once per block).
-A shift with no nonzero block from a summand of C^n to one of D^(n+r) has no
-variables, and ``homotopy_hom`` returns 0 there without a solver.
+The solver's layout finds the variables: a shift with no nonzero block from
+a summand of C^n to one of D^(n+r) has none, and ``homotopy_hom`` returns 0
+there.  Null-homotopic maps are chain maps, so the homotopy span is built
+only when the commutation rows leave some chain map.
 ``homotopy_hom`` returns the dimension alone: the certificates rest on
 dimensions, Hom(T, T[r]) = 0 and the Cartan matrix of End(T).  One echelon
 form of the homotopy columns serves both that dimension and the membership
@@ -373,12 +375,15 @@ class _HomSolver:
         self.by_source = {}  # (n, c) -> {target vertex: (at_c, {r: at_r})}
         self.by_target = {}  # (n, r) -> {source vertex: (at_r, {c: at_c})}
         for n, sources in C.terms.items():
-            groups = _positions(D.term(n + shift_by)).items()
-            for sv, cs in _positions(sources).items() if groups else ():
-                for tv, rs in groups:
+            targets = D.term(n + shift_by)
+            groups = None  # _positions(targets), made at the first nonzero block
+            for sv, cs in _positions(sources).items() if targets else ():
+                for tv in dict.fromkeys(targets):
                     dim = len(A.block(sv, tv))
                     if not dim:
                         continue
+                    groups = groups or _positions(targets)
+                    rs = groups[tv]
                     at_r = {r: j * dim for j, r in enumerate(rs)}
                     at_c = {c: self.nvars + k * len(rs) * dim for k, c in enumerate(cs)}
                     for c, at in at_c.items():
@@ -454,27 +459,19 @@ class _HomSolver:
         return vec
 
 
-def _has_variables(C: ProjComplex, D: ProjComplex, shift_by: int) -> bool:
-    """Whether some C^n, D^(n+shift_by) pair of summands has a nonzero block."""
-    A = C.algebra
-    for n, sources in C.terms.items():
-        targets = set(D.term(n + shift_by))
-        if targets and any(A.block(s, t) for s in set(sources) for t in targets):
-            return True
-    return False
-
-
 def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0) -> int:
     """Exact dimension of Hom in the homotopy category from C to D[shift_by]:
     the chain maps (variables less the rank of the commutation rows) modulo
-    the null-homotopic ones."""
-    if not _has_variables(C, D, shift_by):
-        return 0
+    the null-homotopic ones, which are chain maps too, so the homotopy span
+    is built only when some chain map exists."""
     solver = _HomSolver(C, D, shift_by)
+    if not solver.nvars:
+        return 0
     constraints = SparseEchelon(C.algebra.field.one)
     for row in solver.constraint_rows():
         constraints.add(row)
-    return solver.nvars - constraints.rank - solver.homotopy_span().rank
+    chain_maps = solver.nvars - constraints.rank
+    return chain_maps and chain_maps - solver.homotopy_span().rank
 
 
 def is_null_homotopic(f: ChainMap) -> bool:

@@ -20,7 +20,7 @@ from brauer_derive.graph import (
     parse_graph,
     serialize_graph,
 )
-from brauer_derive.homological import ChainMap, ProjComplex, _has_variables
+from brauer_derive.homological import ChainMap, ProjComplex
 from brauer_derive.linalg import SparseEchelon
 from brauer_derive.quiver import ALPHA, BETA, build_quiver
 
@@ -424,8 +424,6 @@ def solver_ranks(solver_class, C, D, shift_by=0):
     """(variables, rank of the commutation rows, rank of the homotopy
     span) of a solver for C -> D[shift_by], ``OracleHomSolver`` or the
     package's; (0, 0, 0) when no pair of summands has a nonzero block."""
-    if not _has_variables(C, D, shift_by):
-        return 0, 0, 0
     if solver_class is OracleHomSolver:
         solver = solver_class(C, shift(D, shift_by))
     else:

@@ -441,6 +441,17 @@ def test_blockless_paths_are_composition_mismatches(g_min):
         reduce_element(A, path_element("1", "1", {}))
 
 
+
+def test_elements_reject_other_blocks_paths_and_algebras(g_min):
+    A = algebra_for(g_min)
+    with pytest.raises(CompositionMismatch, match="^elements live in different blocks$"):
+        A.e("1") + A.e("2")
+    with pytest.raises(CompositionMismatch, match="^b_1 then a_1 do not compose$"):
+        A.path_element(("b_1", "a_1"))
+    other = algebra_for(loop_star(1))
+    with pytest.raises(CompositionMismatch, match="^elements of a different algebra$"):
+        A.multiply(A.e("1"), other.e("1"))
+
 def test_multiply_operation_surface():
     A1 = algebra_for(loop_star(1))
     a = A1.path_element(("a_1",))

@@ -403,6 +403,12 @@ def test_size_zero_is_a_domain_error(argv, capsys):
     assert capsys.readouterr().err == "DomainError: n must be >= 1, got 0\n"
 
 
+
+@pytest.mark.parametrize("spec,message", [("foo", "unknown field 'foo'"), ("4", "4 is not prime")])
+def test_unknown_field_is_an_input_error(spec, message, capsys):
+    assert run(["cartan", "--omega", "2", "--field", spec]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"ValueError: {message}\n"
+
 def test_deep_chain_through_cli(tmp_path, capsys):
     """A chain of 2,000 tree edges below the one cycle edge besides the
     loop: validate, classify and quiver accept it and count 2,002 edges."""
@@ -1393,7 +1399,6 @@ JSON_CASES = [
     {"a": [], "b": {}, "c": [[], {}]},
     [1, True, False, None, 2.5, -0.0, 10**30, "x"],
     {"é☃\n\"\\": ["ü", {"k": [1, 2, [3, []]]}]},
-    {1: 2, True: 3, None: 4, 2.5: 5, False: [0, -1]},
     (1, (2, "a")),
     [float("nan"), float("inf")],
     "plain",
@@ -1404,6 +1409,16 @@ JSON_CASES = [
 @pytest.mark.parametrize("value", JSON_CASES, ids=repr)
 def test_json_writer_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_rejects_non_string_keys():
+    """Every payload the CLI writes has string keys only; ``_dumps`` raises
+    ``TypeError`` on any other key, though ``json`` would write it."""
+    for key in (1, True, None, 2.5, False):
+        with pytest.raises(TypeError):
+            cli._dumps({key: 0})
+    with pytest.raises(TypeError):
+        cli._dumps({"a": [{"b": {1: 2}}]})
 
 
 def test_json_writer_rejects_what_json_rejects():

@@ -137,3 +137,35 @@ def test_folded_sign_matches_the_shifted_complex(name, field):
                 assert folded.constraint_rows() == shifted.constraint_rows(), r
                 assert folded.homotopy_span().pivots == shifted.homotopy_span().pivots, r
     assert nonzero
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+@pytest.mark.parametrize("name", ["deep21", "enlarge13"])
+def test_homotopy_span_only_where_chain_maps_exist(name, field, monkeypatch):
+    """Every null-homotopic map is a chain map, so ``homotopy_hom`` builds
+    the homotopy span only at the shifts whose chain-map space, counted here
+    by the oracle as variables less the rank of the commutation rows, is
+    nonzero.  At r = -1 these complexes have variables but no chain maps."""
+    if name in SHRINK:
+        g = parse_graph(SHRINK[name])
+        A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+        Q = shrink_complex(A, g)
+    else:  # the first step of a seeded 13-edge trace
+        step = reduce_to_normal_form(random_one_loop_graph(random.Random(13), 13)).steps[0]
+        A = quotient_basis(omega_relations(build_quiver(step.before)), field=field)
+        Q = enlarge_complex(A, step.before, enlarge_data(step.before, step.at))
+    total = Q.direct_sum()
+    width = total.width
+    with_variables = with_chain_maps = 0
+    for r in range(-width - 1, width + 2):
+        if r:
+            nvars, rows, _ = solver_ranks(OracleHomSolver, total, total, r)
+            with_variables += nvars > 0
+            with_chain_maps += nvars > rows
+    built = []
+    homotopy_span = _HomSolver.homotopy_span
+    monkeypatch.setattr(
+        _HomSolver, "homotopy_span", lambda self: built.append(self.shift_by) or homotopy_span(self)
+    )
+    tilting.check_tilting(Q)
+    assert len(built) == with_chain_maps < with_variables

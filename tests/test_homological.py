@@ -73,6 +73,24 @@ def test_check_complex(Am):
         check_complex(bad)
 
 
+
+def test_check_complex_rejects_an_entry_in_the_wrong_block(Am):
+    # b_1 runs from 1 to 2, but d0 goes from P(2) to P(3)
+    bad = ProjComplex(Am, {0: ("2",), 1: ("3",)}, {0: {(0, 0): Am.path_element(("b_1",))}})
+    with pytest.raises(NotAComplex, match=r"^entry \(0,0\) of d0 lies in the wrong block$"):
+        check_complex(bad)
+
+
+def test_chain_maps_reject_misplaced_and_mismatched_operands(Am):
+    P2, P3 = ProjComplex.stalk(Am, "2"), ProjComplex.stalk(Am, "3")
+    with pytest.raises(ChainMapFailure, match=r"^component \(0,0\) at degree 0 in wrong block$"):
+        ChainMap(P2, P2, {0: {(0, 0): Am.e("1")}})
+    f = ChainMap(P2, P3, {0: {(0, 0): Am.path_element(("a_2",))}})
+    with pytest.raises(ChainMapFailure, match="^chain maps do not compose$"):
+        f.compose(f)
+    with pytest.raises(ChainMapFailure, match="^chain maps between different complexes$"):
+        f + identity(P2)
+
 def test_stalk_hom_dims(A3):
     C = A3.cartan()
     for i in A3.vertices:
