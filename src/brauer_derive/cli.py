@@ -39,7 +39,7 @@ from .graph import (
     _canonical_obj,
 )
 from .homological import ChainMapFailure, NotAComplex
-from .linalg import FieldMismatch, parse_field
+from .linalg import FieldMismatch, NotIntegral, parse_field
 from .quiver import UnknownCamp, build_quiver, quiver_to_dot
 from .reduction import certify_trace, classify, load_trace, reduce_to_normal_form
 from .rewriting import InclusionAmbiguity, NotAdmissible
@@ -470,6 +470,7 @@ def run(argv) -> int:
         QuiverMismatch,
         CartanMismatch,
         FieldMismatch,
+        NotIntegral,
         NotAdmissible,
         InclusionAmbiguity,
         FactorMismatch,

@@ -12,8 +12,10 @@ from the column vertex to the row vertex; an absent key is a zero entry.
 Homotopy Hom spaces are computed by two exact rank computations over the
 algebra's field: the solution space of the chain-map conditions and the
 image of the homotopy map s -> ds + sd inside it, both on the whole of the
-two complexes.  The solver reads D[r] off D, its sign (-1)^r folded into the
-products of D's entries, so no shifted copy is built.  It lays out each
+two complexes.  Over GF(2) the ranks are taken on rows packed as bits; over
+Q a screen that takes them mod 2 may prove a Hom space 0 first.  The solver
+reads D[r] off D, its sign (-1)^r folded into the products of D's entries,
+so no shifted copy is built.  It lays out each
 degree's variables by vertex groups and builds the rows and the homotopy
 columns from the stored entries into flat maps keyed (n, c, r, t) and
 (r, c, basis index), reading the products of an entry with a block's basis
@@ -36,7 +38,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .algebra import AlgebraElement, CartanMatrix
-from .linalg import SparseEchelon
+from .linalg import QQ, BitEchelon, NotIntegral, echelon_for, parity_bits
 
 
 class NotAComplex(Exception):
@@ -417,9 +419,10 @@ class _HomSolver:
                             rows.setdefault((n, c, r, t), {})[at + at_c + b] = x
         return [rows[key] for key in sorted(rows)]
 
-    def homotopy_span(self):
+    def homotopy_span(self, span=None):
         """Echelon form of the image of s -> d s + s d, the null-homotopic
-        chain maps, fed one image vector per s basis vector.
+        chain maps, fed one image vector per s basis vector into ``span``,
+        by default an empty echelon of the algebra's field.
 
         s^n[r][c] maps C^n[c] to D^(n-1+shift_by)[r]; it reaches f^(n-1)
         through row c of d_C^(n-1) and f^n through column r of D's
@@ -427,7 +430,7 @@ class _HomSolver:
         vectors, fed in the order (r, c) per degree.
         """
         C, D, A, k = self.C, self.D, self.A, self.shift_by
-        span = SparseEchelon(A.field.one)
+        span = echelon_for(A.field) if span is None else span
         for n in C.terms:
             if n - 1 + k not in D.terms:
                 continue
@@ -444,9 +447,17 @@ class _HomSolver:
                     for c, at_c in sources.items():
                         for b, t, x in terms:
                             cols.setdefault((r, c, b), {})[at + at_c + t] = x
-            for key in sorted(cols):
-                span.add(cols[key])
+            span.extend(cols[key] for key in sorted(cols))
         return span
+
+    def dimension(self, echelon):
+        """The variables less the rank of the commutation rows and, when
+        that leaves chain maps, less the rank of the homotopy span, each
+        fed into a fresh ``echelon()``."""
+        rows = echelon()
+        rows.extend(self.constraint_rows())
+        chain_maps = self.nvars - rows.rank
+        return chain_maps and chain_maps - self.homotopy_span(echelon()).rank
 
     def vectorize(self, f: ChainMap):
         vec = {}
@@ -463,18 +474,42 @@ def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0) -> int:
     """Exact dimension of Hom in the homotopy category from C to D[shift_by]:
     the chain maps (variables less the rank of the commutation rows) modulo
     the null-homotopic ones, which are chain maps too, so the homotopy span
-    is built only when some chain map exists."""
+    is built only when some chain map exists.
+
+    Over GF(2) both ranks come from ``BitEchelon``, over an odd prime from
+    ``SparseEchelon``.  Over Q, ``_vanishes_mod_2`` first takes both ranks
+    mod 2 and may prove the dimension 0; otherwise the ranks are taken
+    exactly over Q, so only exact ranks ever report a nonzero dimension.
+    """
     solver = _HomSolver(C, D, shift_by)
     if not solver.nvars:
         return 0
-    constraints = SparseEchelon(C.algebra.field.one)
-    for row in solver.constraint_rows():
-        constraints.add(row)
-    chain_maps = solver.nvars - constraints.rank
-    return chain_maps and chain_maps - solver.homotopy_span().rank
+    field = C.algebra.field
+    if field == QQ and _vanishes_mod_2(solver):
+        return 0
+    return solver.dimension(lambda: echelon_for(field))
+
+
+def _vanishes_mod_2(solver):
+    """True only if every row and column entry is an int and the variables
+    less the ranks mod 2 of the rows R and of the homotopy columns H leave
+    nothing: then Hom over Q is 0.
+
+    Each rank can only fall mod 2, as a minor that vanishes over Q vanishes
+    mod 2, so the true dimension nvars - rank_Q(R) - rank_Q(H) is at most
+    nvars - rank_2(R) - rank_2(H), and it is never negative, since the
+    null-homotopic maps are chain maps.  A ``Fraction`` entry has no parity
+    bit here, so it sends the question to the exact ranks.
+    """
+    try:
+        return solver.dimension(lambda: BitEchelon(parity_bits)) <= 0
+    except NotIntegral:
+        return False
 
 
 def is_null_homotopic(f: ChainMap) -> bool:
+    """Whether f lies in the homotopy span, decided in the echelon of the
+    algebra's field: exact over Q, as membership has no mod-2 screen."""
     if not f.comps:  # the zero map: ``comps`` keeps nonzero entries only
         return True
     solver = _HomSolver(f.source, f.target)

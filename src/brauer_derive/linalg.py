@@ -19,9 +19,13 @@ int, which is a coefficient over Q: GF(p) never absorbs a rational
 coefficient silently.  Elements of GF(p) are made with ``from_int``.
 Elements are interned, one object per residue met, so an operator makes
 no object and a memo key hashes each coefficient through a stored hash.
-``SparseEchelon`` tests a pivot against the field's own ``one``: an element
-of GF(p) never equals the int 1, so a test against 1 would divide every
-stored row over GF(p) through, entry by entry, for nothing.
+``SparseEchelon`` serves Q and the odd primes.  It tests a pivot against
+the field's own ``one``: an element of GF(p) never equals the int 1, so a
+test against 1 would divide every stored row over GF(p) through, entry by
+entry, for nothing.  Over GF(2) every nonzero coefficient is 1, so
+``BitEchelon`` packs a vector into the bits of one int and reduces it by a
+row with one XOR (``echelon_for`` picks the echelon of a field).  Both
+echelons take a vector's explicit zero coefficients as absent.
 """
 from __future__ import annotations
 
@@ -285,7 +289,7 @@ class SparseEchelon:
 
     def reduce(self, vec):
         """Return vec reduced against all stored pivot rows (a fresh dict)."""
-        vec = dict(vec)
+        vec = {k: v for k, v in vec.items() if v}
         while vec:
             lead = max(vec)
             row = self.pivots.get(lead)
@@ -298,7 +302,7 @@ class SparseEchelon:
         """Insert a vector; returns True if it enlarged the span.  The vector
         is copied only to be reduced in place or stored: no dict of the caller
         is kept."""
-        red = vec
+        red = vec if all(vec.values()) else {k: v for k, v in vec.items() if v}
         while red:
             lead = max(red)
             row = self.pivots.get(lead)
@@ -322,6 +326,87 @@ class SparseEchelon:
 
     def contains(self, vec):
         return not self.reduce(vec)
+
+    def extend(self, vecs):
+        for vec in vecs:
+            self.add(vec)
+
+
+def gf2_bits(vec):
+    """A vector over GF(2), keyed by nonnegative ints, as the bits of one
+    int: bit k is set where entry k is nonzero."""
+    bits = 0
+    for k, v in vec.items():
+        if v.value:
+            bits |= 1 << k
+    return bits
+
+
+class NotIntegral(Exception):
+    """A vector handed to ``parity_bits`` has an entry that is not an int.
+    The mod-2 screen catches it; one that escaped would be an engine fault."""
+
+
+def parity_bits(vec):
+    """An integer vector, keyed by nonnegative ints, reduced mod 2 as the
+    bits of one int: bit k is set where entry k is odd.  Raises
+    ``NotIntegral`` on an entry that is not an int, ``Fraction`` included."""
+    bits = 0
+    for k, v in vec.items():
+        if type(v) is not int:
+            raise NotIntegral(f"entry {k} is {v!r}, not an int")
+        if v & 1:
+            bits |= 1 << k
+    return bits
+
+
+class BitEchelon:
+    """Incremental row echelon form over GF(2), each row the bits of one int.
+
+    ``extend`` and ``contains`` take dict vectors, as ``SparseEchelon``'s
+    do, and ``pack`` (``gf2_bits`` unless given) turns each into bits.  A
+    row's pivot is its highest set bit, the largest column key, which is
+    ``SparseEchelon``'s rule, so over GF(2) both keep rows with the same
+    pivots and reach the same rank.  Reducing by a row is one XOR.
+    """
+
+    def __init__(self, pack=gf2_bits):
+        self.pack = pack
+        self.pivots = {}  # highest bit -> row
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def extend(self, vecs):
+        """Insert each vector.  The reduction is written out here and in
+        ``contains``, not called: the rows of a Hom system hold two entries
+        on average, so a call per row shows."""
+        pack, pivots = self.pack, self.pivots
+        for vec in vecs:
+            bits = pack(vec)
+            while bits:
+                lead = bits.bit_length() - 1
+                row = pivots.get(lead)
+                if row is None:
+                    pivots[lead] = bits
+                    break
+                bits ^= row
+
+    def contains(self, vec):
+        bits, pivots = self.pack(vec), self.pivots
+        while bits:
+            row = pivots.get(bits.bit_length() - 1)
+            if row is None:
+                return False
+            bits ^= row
+        return True
+
+
+def echelon_for(field):
+    """An empty echelon form for vectors over field: ``BitEchelon`` over
+    GF(2), ``SparseEchelon`` otherwise."""
+    return BitEchelon() if getattr(field, "p", None) == 2 else SparseEchelon(field.one)
 
 
 def det_int(rows):

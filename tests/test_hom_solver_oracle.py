@@ -6,13 +6,15 @@ the enlarge complexes along seeded reduce traces of 10, 12 and 14 edges (the
 reduce-random sizes), each over Q, GF(2), GF(3) and GF(1000003).  For every
 shift that ``check_tilting`` visits, and for shift 0, the solver and the
 oracle must agree on the number of variables and on both ranks, not only on
-the dimension.  Every ``is_null_homotopic`` question that
-``verify_end_generators`` asks must get the oracle's answer, and a relation
-between a summand and itself plus that summand's identity, which is not
-null-homotopic, must stay so.  On every summand pair, the solver for
-C -> D[r], which folds the sign of D[r] into D's products, must build the
-very rows and homotopy span of a solver for C -> ``shift(D, r)``, the
-shifted copy that conftest builds.
+the dimension.  Over GF(2), ``BitEchelon`` must reach ``SparseEchelon``'s
+ranks on the solver's rows and homotopy columns.  Over Q, the mod-2 screen
+must prove every nonzero shift's Hom 0 and must not prove shift 0's.  Every
+``is_null_homotopic`` question that ``verify_end_generators`` asks must get
+the oracle's answer, and a relation between a summand and itself plus that
+summand's identity, which is not null-homotopic, must stay so.  On every
+summand pair, the solver for C -> D[r], which folds the sign of D[r] into
+D's products, must build the very rows and homotopy span of a solver for
+C -> ``shift(D, r)``, the shifted copy that conftest builds.
 """
 import random
 
@@ -23,10 +25,11 @@ from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.graph import parse_graph
 from brauer_derive.homological import (
     _HomSolver,
+    _vanishes_mod_2,
     homotopy_hom,
     is_null_homotopic,
 )
-from brauer_derive.linalg import QQ, PrimeField
+from brauer_derive.linalg import QQ, BitEchelon, PrimeField, SparseEchelon
 from brauer_derive.quiver import build_quiver
 from brauer_derive.reduction import reduce_to_normal_form
 from brauer_derive.tilting import (
@@ -59,6 +62,15 @@ SHRINK = {
 TRACES = [(11, 10), (12, 12), (13, 14)]
 
 
+def echelon_ranks(total, r, echelon):
+    """Ranks of the solver's commutation rows and of all its homotopy
+    columns, each fed into a fresh ``echelon()``."""
+    solver = _HomSolver(total, total, r)
+    rows = echelon()
+    rows.extend(solver.constraint_rows())
+    return rows.rank, solver.homotopy_span(echelon()).rank
+
+
 def assert_agrees_with_oracle(Q, monkeypatch):
     """Ranks at every shift ``check_tilting`` visits and at 0, the answers
     ``verify_end_generators`` gets, and the mutant relations."""
@@ -70,6 +82,13 @@ def assert_agrees_with_oracle(Q, monkeypatch):
         nvars, rows, span = ranks
         assert homotopy_hom(total, total, r) == nvars - rows - span
         assert (nvars - rows - span > 0) == (r == 0), r
+        field = total.algebra.field
+        if field == PrimeField(2):
+            assert echelon_ranks(total, r, BitEchelon) == echelon_ranks(
+                total, r, lambda: SparseEchelon(field.one)
+            ), r
+        elif field == QQ:
+            assert _vanishes_mod_2(_HomSolver(total, total, r)) == (r != 0), r
     asked = []
 
     def both(f):
@@ -165,7 +184,8 @@ def test_homotopy_span_only_where_chain_maps_exist(name, field, monkeypatch):
     built = []
     homotopy_span = _HomSolver.homotopy_span
     monkeypatch.setattr(
-        _HomSolver, "homotopy_span", lambda self: built.append(self.shift_by) or homotopy_span(self)
+        _HomSolver, "homotopy_span",
+        lambda self, span=None: built.append(self.shift_by) or homotopy_span(self, span),
     )
     tilting.check_tilting(Q)
     assert len(built) == with_chain_maps < with_variables

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,9 +18,12 @@ from brauer_derive.homological import (
     is_stalk,
     mapping_cone,
     minimize,
+    _HomSolver,
     _local_inverse,
+    _vanishes_mod_2,
 )
 from brauer_derive import linalg
+from brauer_derive.linalg import QQ, BitEchelon, NotIntegral, SparseEchelon, parity_bits
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import shrink_complex
 
@@ -177,6 +181,46 @@ def test_homotopy_hom_basis(Am):
     """End(P(2)) has one dimension per basis word of e_2 A e_2."""
     P2 = ProjComplex.stalk(Am, "2")
     assert homotopy_hom(P2, P2, 0) == 2 == len(Am.block("2", "2"))
+
+
+def _mod2_count(solver):
+    return solver.dimension(lambda: BitEchelon(parity_bits))
+
+
+def test_mod2_screen_leaves_an_even_differential_to_the_exact_ranks(Am):
+    """P(2) -> P(2) by 2 e_2 is contractible over Q, but its differential is
+    0 mod 2, so the mod-2 count at shift 0 is positive: the screen proves
+    nothing and the exact ranks answer 0.  A screen that took a positive
+    count as vanishing would also give 0 for End(P(2)), which has
+    dimension 2."""
+    assert Am.field == QQ
+    C = two_term(Am, "2", "2", Am.e("2").scale(2))
+    assert check_complex(C)
+    solver = _HomSolver(C, C, 0)
+    assert _mod2_count(solver) > 0 and not _vanishes_mod_2(solver)
+    assert solver.dimension(lambda: SparseEchelon(QQ.one)) == 0
+    for k in range(-2, 3):
+        assert homotopy_hom(C, C, k) == 0
+    P2 = ProjComplex.stalk(Am, "2")
+    assert _mod2_count(_HomSolver(P2, P2)) == 2 and not _vanishes_mod_2(_HomSolver(P2, P2))
+    assert homotopy_hom(P2, P2) == 2
+
+
+def test_mod2_screen_does_not_run_on_a_fraction_entry(Am):
+    """P(2) -> P(2) by 1/2 e_2 has Fraction entries in its rows, so no
+    parity is read: the screen stops at the first of them and the exact
+    ranks answer, 0 as the complex is contractible."""
+    C = two_term(Am, "2", "2", Am.e("2").scale(Fraction(1, 2)))
+    for k in range(-2, 3):
+        solver = _HomSolver(C, C, k)
+        if not solver.nvars:
+            continue
+        with pytest.raises(NotIntegral):
+            _mod2_count(solver)
+        assert not _vanishes_mod_2(solver)
+        assert homotopy_hom(C, C, k) == 0
+    P2 = ProjComplex.stalk(Am, "2")
+    assert homotopy_hom(C, P2, 0) == 0 == homotopy_hom(P2, C, 1)
 
 
 def test_null_homotopy(Am):

@@ -1,6 +1,7 @@
 """``det_int`` (fraction-free Bareiss) against plain elimination over Q, the
-primality test behind ``PrimeField`` against trial division, and exactness
-of the int path over Q: divisions give ints or Fractions, never floats."""
+primality test behind ``PrimeField`` against trial division, exactness of
+the int path over Q (divisions give ints or Fractions, never floats), and
+``BitEchelon`` over GF(2) against ``SparseEchelon``."""
 import copy
 import operator
 import pickle
@@ -15,10 +16,15 @@ from brauer_derive.linalg import (
     QQ,
     FieldMismatch,
     PrimeField,
+    BitEchelon,
+    NotIntegral,
     PrimeFieldElement,
     SparseEchelon,
     det_int,
+    echelon_for,
     exact_div,
+    gf2_bits,
+    parity_bits,
 )
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import check_tilting, shrink_complex, verify_end_generators
@@ -247,6 +253,78 @@ def test_echelon_negation_stores_the_rows_division_stores(field):
     assert any(type(c) is type(minus_one) and c == minus_one for c in pivots_seen)
     if field == QQ:
         assert any(type(c) is Fraction and c == -1 for c in pivots_seen)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "GF2", "GF3"])
+def test_echelons_take_zero_coefficients_as_absent(field):
+    """An explicit zero is no entry: not a pivot to divide by, not a key
+    that keeps a vector out of the span, not a bit."""
+    zero, one = field.zero, field.one
+    echelons = [SparseEchelon(one)] + ([BitEchelon()] if field.name == "GF(2)" else [])
+    for ech in echelons:
+        ech.extend([{}, {3: zero}])
+        assert ech.rank == 0
+        ech.extend([{5: zero, 2: one}])
+        assert set(ech.pivots) == {2} and ech.contains({5: zero, 2: one})
+        assert ech.contains({5: zero}) and ech.contains({})
+        ech.extend([{2: one, 7: zero}])
+        assert ech.rank == 1 and not ech.contains({5: one, 2: zero})
+    assert SparseEchelon(one).add({5: zero, 2: one})
+    if field == QQ:
+        assert echelons[0].pivots == {2: {2: 1}}
+        assert echelons[0].reduce({5: 0, 2: 1, 1: 3}) == {1: 3}
+    else:
+        assert echelons[0].pivots == {2: {2: one}}
+    if len(echelons) > 1:
+        assert echelons[1].pivots == {2: 0b100}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bit_echelon_matches_sparse_echelon_over_gf2(seed):
+    """On random sparse vectors over GF(2), among them empty ones, repeats
+    and explicit zeros, ``BitEchelon`` keeps the pivots of
+    ``SparseEchelon``, answers ``contains`` alike, and stores each row as
+    the bits of the sparse row; one ``extend`` of all the vectors ends
+    where the vectors fed one at a time do."""
+    F = PrimeField(2)
+    rng = random.Random(seed)
+    sparse, bits = SparseEchelon(F.one), BitEchelon()
+    seen = []
+    for _ in range(150):
+        kind = rng.random()
+        if kind < 0.1:
+            vec = {}
+        elif kind < 0.25 and seen:
+            vec = dict(rng.choice(seen))
+        else:
+            keys = rng.sample(range(70), rng.randint(1, 5))
+            vec = {k: F.from_int(rng.randint(0, 1)) for k in keys}
+        seen.append(vec)
+        probe = {k: F.from_int(rng.randint(0, 1)) for k in rng.sample(range(70), 3)}
+        assert bits.contains(probe) == sparse.contains(probe)
+        sparse.add(vec)
+        bits.extend([vec])
+        assert bits.rank == sparse.rank
+        assert {lead: gf2_bits(row) for lead, row in sparse.pivots.items()} == bits.pivots
+    assert 0 < sparse.rank < 70
+    extended = BitEchelon()
+    extended.extend(seen)
+    assert extended.pivots == bits.pivots
+
+
+def test_parity_bits_reads_ints_mod_2_and_refuses_the_rest():
+    assert parity_bits({}) == 0
+    assert parity_bits({0: 3, 2: -1, 4: 2, 5: 0, 70: -7}) == 1 | 1 << 2 | 1 << 70
+    for entry in (Fraction(1, 2), Fraction(2), PrimeField(2).one, 1.0):
+        with pytest.raises(NotIntegral):
+            parity_bits({0: 1, 3: entry})
+
+
+def test_echelon_for_packs_bits_over_gf2_alone():
+    assert type(echelon_for(PrimeField(2))) is BitEchelon
+    for field in (QQ, PrimeField(3), PrimeField(1000003)):
+        ech = echelon_for(field)
+        assert type(ech) is SparseEchelon and ech.one == field.one
 
 
 def _coefficients(A):

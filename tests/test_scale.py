@@ -8,7 +8,9 @@ dimension of the endomorphism ring that the Cartan matrix predicts, which
 does not depend on the solver and is far from 0.
 
 Certified reductions of random graphs with 20 and 30 edges go through the
-CLI's JSON trace and are checked again from that artifact.
+CLI's JSON trace and are checked again from that artifact.  One of 40 edges,
+the 40-edge size of the reduce scaling sweep, goes through ``reduce
+--certify --json`` and then the CLI's ``verify`` on the stored trace.
 
 Two scaling families go further: a chain of depth 24 and a fan of 20 leaf
 edges at one vertex.  Each gets the certificates above and a certified
@@ -416,6 +418,21 @@ def test_certified_reduction_round_trip(n, field, tmp_path, capsys):
     g = random_one_loop_graph(random.Random(7), n)
     assert edge_count(g) == n
     _assert_reduction_round_trip(serialize_graph(g), field, tmp_path, capsys)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+def test_forty_edge_reduction_verifies_through_cli(field, tmp_path, capsys):
+    g = random_one_loop_graph(random.Random(5000), 40)
+    assert edge_count(g) == 40
+    path, trace = tmp_path / "g.json", tmp_path / "trace.json"
+    path.write_text(serialize_graph(g), encoding="utf-8")
+    flags = [] if field == QQ else ["--field", "2"]
+    assert run(["reduce", str(path), "--certify", "--json", *flags]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["steps"]) > 0
+    trace.write_text(out, encoding="utf-8")
+    assert run(["verify", str(trace), *flags]) == 0
 
 
 @pytest.mark.slow

@@ -290,7 +290,10 @@ def _corpus_runs(folder):
     """Run the CLI over every corpus graph: each command on it, with and
     without --json and over Q and GF(2) in turn, so that across the graphs
     every command meets all four combinations; then ``reduce --certify
-    --json`` and ``verify`` on its output."""
+    --json`` and ``verify`` on its output.  The first graph also goes
+    through ``tilt-shrink`` over GF(3): over Q the mod-2 screen proves every
+    Hom the CLI asks about 0, so only an odd prime takes ``SparseEchelon``
+    to the ranks of a Hom system."""
     for k, (name, text) in enumerate(sorted(CORPUS_TEXTS.items())):
         path = folder / f"{name}.json"
         path.write_text(text, encoding="utf-8")
@@ -308,6 +311,7 @@ def _corpus_runs(folder):
             ["tilt-shrink", path, *out, *field],
             ["tilt-enlarge", path, "--at", at, *out, *field],
             ["reduce", path, *out],
+            *([["tilt-shrink", path, "--field", "3"]] if k == 0 else []),
         ):
             assert _main(argv)[0] == cli.EXIT_OK, argv
         code, trace = _main(["reduce", path, "--certify", "--json", *field])
