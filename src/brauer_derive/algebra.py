@@ -381,7 +381,7 @@ class QuotientAlgebra:
     def blocks(self):
         return _block_words(self.quiver, self._levels, self.dropped)
 
-    @property
+    @cached_property
     def dim(self):
         return sum(self._counts.values())
 

@@ -12,15 +12,18 @@ from the column vertex to the row vertex; an absent key is a zero entry.
 Homotopy Hom spaces are computed by two exact rank computations over the
 algebra's field: the solution space of the chain-map conditions and the
 image of the homotopy map s -> ds + sd inside it, both on the whole of the
-two complexes.  Over GF(2) the ranks are taken on rows packed as bits; over
-Q a screen that takes them mod 2 may prove a Hom space 0 first.  The solver
-reads D[r] off D, its sign (-1)^r folded into the products of D's entries,
-so no shifted copy is built.  It lays out each
-degree's variables by vertex groups and builds the rows and the homotopy
-columns from the stored entries into flat maps keyed (n, c, r, t) and
-(r, c, basis index), reading the products of an entry with a block's basis
-once per entry and vertex group (``times_basis`` and ``basis_times``,
-memoized on the algebra, which reduces each product word once per block).
+two complexes.  Over GF(2) the ranks are taken on rows laid out as bits;
+over Q a screen that takes them mod 2, on the same bit layout, may prove a
+Hom space 0 first.  The solver reads D[r] off D, its sign (-1)^r folded
+into the products of D's entries, so no shifted copy is built.  It lays
+out each degree's variables by vertex groups and builds the rows and the
+homotopy columns from the stored entries, reading the products of an entry
+with a block's basis once per entry and vertex group (``times_basis`` and
+``basis_times``, memoized on the algebra, which reduces each product word
+once per block).  One walk over the entries and vertex groups serves both
+layouts: for ``SparseEchelon`` each group's products become dict entries,
+for ``BitEchelon`` one mask per coordinate, shifted and ORed into one int
+per row or column (``_gather``).
 The solver's layout finds the variables: a shift with no nonzero block from
 a summand of C^n to one of D^(n+r) has none, and ``homotopy_hom`` returns 0
 there.  Null-homotopic maps are chain maps, so the homotopy span is built
@@ -38,7 +41,7 @@ from __future__ import annotations
 from itertools import groupby
 
 from .algebra import AlgebraElement, CartanMatrix
-from .linalg import QQ, BitEchelon, NotIntegral, echelon_for, parity_bits
+from .linalg import QQ, BitEchelon, NotIntegral, echelon_for, mod_2
 
 
 class NotAComplex(Exception):
@@ -346,9 +349,45 @@ def _positions(term):
     return out
 
 
-def _terms(products, negate):
-    """(b, t, x) for each coordinate t, x of basis element b's product, negated if asked."""
-    return [(b, t, -x if negate else x) for b, coords in enumerate(products) for t, x in coords]
+def _pieces(products, negate, rows, bits):
+    """An entry's products with a block basis as pieces for ``_gather``:
+    (i, k, x) for each coordinate t, x of basis element b's product,
+    negated if asked, with i, k = t, b for the rows and b, t for the
+    columns; with ``bits``, (i, mask), bit k of mask ``mod_2(x)``, as mod 2
+    a sign changes nothing."""
+    terms = [(t, b, x) if rows else (b, t, x) for b, coords in enumerate(products) for t, x in coords]
+    if not bits:
+        return [(i, k, -x) for i, k, x in terms] if negate else terms
+    masks = {}
+    for i, k, x in terms:
+        if mod_2(x):
+            masks[i] = masks.get(i, 0) | 1 << k
+    return masks.items()
+
+
+def _gather(blocks, bits):
+    """The vectors of blocks (first, step, members, offset, pieces): member
+    j, at_j of ``members`` places piece i at offset + at_j of vector
+    first + j * step + i.  Over (i, k, x) terms that is entry
+    offset + at_j + k of a dict, the dicts in the order of their numbers;
+    with ``bits``, over (i, mask) pieces, mask << (offset + at_j) ORed into
+    an int, the ints in the order met, which no rank and no span membership
+    depends on.  Nothing needs summing (see ``_HomSolver``)."""
+    vecs = {}
+    if bits:
+        get = vecs.get
+        for first, step, members, at, masks in blocks:
+            for j, at_j in members.items():
+                base, shift = first + j * step, at + at_j
+                for i, mask in masks:
+                    vecs[base + i] = get(base + i, 0) | mask << shift
+        return vecs.values()
+    for first, step, members, at, terms in blocks:
+        for j, at_j in members.items():
+            base, shift = first + j * step, at + at_j
+            for i, k, x in terms:
+                vecs.setdefault(base + i, {})[shift + k] = x
+    return [vecs[key] for key in sorted(vecs)]
 
 
 class _HomSolver:
@@ -362,15 +401,25 @@ class _HomSolver:
     block lays out all its (c, r) at once: f^n[r][c] starts at at_c + at_r,
     where ``by_source[(n, c)][target vertex]`` is (at_c, {r: at_r}) and
     ``by_target[(n, r)][source vertex]`` is (at_r, {c: at_c}).  Rows and
-    columns walk the nonzero differential entries, read an entry's products
-    with a block basis once per vertex group, and go into flat maps keyed
-    (n, c, r, t) and (r, c, basis index).  Nothing needs summing: a variable
-    of f^(n+1)[r][m] meets the rows of square (n, r, c) only through
-    d_C^n[m][c], one of f^n[m][c] only through D's entry (r, m), and each
-    homotopy coordinate reaches each variable through one entry.
+    columns walk the nonzero differential entries and read an entry's
+    products with a block basis once per vertex group, which turns them
+    into pieces once (``_pieces``); ``_gather`` places these at the offset
+    of every summand of the group, one degree n at a time, into row
+    (c, r, t) or column (r, c, basis index), each numbered by one int:
+    dict entries for ``SparseEchelon``, or for ``BitEchelon`` one mask per
+    coordinate shifted and ORed into an int, with no dict row built.
+    Nothing needs summing: a variable of f^(n+1)[r][m] meets the rows of
+    square (n, r, c) only through d_C^n[m][c], one of f^n[m][c] only
+    through D's entry (r, m), and each homotopy coordinate reaches each
+    variable through one entry.
+
+    C and D must be complexes over one algebra: the products of D's
+    entries are read in C's.
     """
 
     def __init__(self, C, D, shift_by=0):
+        if C.algebra is not D.algebra:
+            raise ChainMapFailure("Hom between complexes over different algebras")
         self.C, self.D, self.shift_by = C, D, shift_by
         self.A = A = C.algebra
         self.nvars = 0
@@ -394,77 +443,96 @@ class _HomSolver:
                         self.by_target.setdefault((n, r), {})[sv] = (at, at_c)
                     self.nvars += len(cs) * len(rs) * dim
 
-    def constraint_rows(self):
-        """Sparse rows (over variable columns) expressing commutation squares,
-        in the order (n, c, r, t): row (n, r, c, t) is coordinate t of the
-        (r, c) entry of f^(n+1) d_C^n - d^n f^n, read in application order,
-        with d = (-1)^shift_by d_D^(n+shift_by) the differential of D[shift_by].
+    def constraint_rows(self, n, bits=False):
+        """Rows (over variable columns) expressing the commutation squares
+        at degree n, in the order (c, r, t), or as ints in no order with
+        ``bits``: row (r, c, t) is coordinate t of the (r, c) entry of
+        f^(n+1) d_C^n - d^n f^n, read in application order, with
+        d = (-1)^shift_by d_D^(n+shift_by) the differential of D[shift_by].
         """
-        A, k = self.A, self.shift_by
-        rows = {}  # (n, c, r, t) -> row
-        for n, matrix in self.C.diffs.items():  # d_C then f^(n+1)
-            for (m, c), d in matrix.items():
-                for tv, (at, targets) in self.by_source.get((n + 1, m), {}).items():
-                    terms = _terms(A.times_basis(d, tv), False)
-                    for r, at_r in targets.items():
-                        for b, t, x in terms:
-                            rows.setdefault((n, c, r, t), {})[at + at_r + b] = x
-        for n, matrix in self.D.diffs.items():  # minus f^(n-shift_by) then d
-            n -= k
-            for (r, m), e in matrix.items():
-                for sv, (at, sources) in self.by_target.get((n, m), {}).items():
-                    terms = _terms(A.basis_times(sv, e), not k % 2)
-                    for c, at_c in sources.items():
-                        for b, t, x in terms:
-                            rows.setdefault((n, c, r, t), {})[at + at_c + b] = x
-        return [rows[key] for key in sorted(rows)]
+        return _gather(self._row_blocks(n, bits), bits)
 
-    def homotopy_span(self, span=None):
-        """Echelon form of the image of s -> d s + s d, the null-homotopic
-        chain maps, fed one image vector per s basis vector into ``span``,
-        by default an empty echelon of the algebra's field.
+    def _row_blocks(self, n, bits):
+        """The blocks of ``_gather`` for degree n's rows, row (c, r, t)
+        numbered (c W + r) T + t: W is the number of summands of
+        D^(n+1+shift_by), T the dimension of the algebra, which bounds the
+        coordinates in a block."""
+        C, D, A, k = self.C, self.D, self.A, self.shift_by
+        W, T = len(D.term(n + 1 + k)), A.dim
+        for (m, c), d in C.diffs.get(n, {}).items():  # d_C then f^(n+1)
+            for tv, (at, targets) in self.by_source.get((n + 1, m), {}).items():
+                got = _pieces(A.times_basis(d, tv), False, True, bits)
+                if got:
+                    yield c * W * T, T, targets, at, got
+        for (r, m), e in D.diffs.get(n + k, {}).items():  # minus f^n then d
+            for sv, (at, sources) in self.by_target.get((n, m), {}).items():
+                got = _pieces(A.basis_times(sv, e), not k % 2, True, bits)
+                if got:
+                    yield r * T, W * T, sources, at, got
+
+    def homotopy_columns(self, n, bits=False):
+        """The image vectors of the basis vectors of s^n under
+        s -> d s + s d, whose image is the null-homotopic chain maps: dicts
+        in the order (r, c, basis index), or ints in no order with ``bits``.
 
         s^n[r][c] maps C^n[c] to D^(n-1+shift_by)[r]; it reaches f^(n-1)
         through row c of d_C^(n-1) and f^n through column r of D's
         differential there.  Only blocks that some entry reaches get image
-        vectors, fed in the order (r, c) per degree.
+        vectors.
         """
+        return _gather(self._column_blocks(n, bits), bits)
+
+    def _column_blocks(self, n, bits):
+        """The blocks of ``_gather`` for degree n's columns, column (r, c, b)
+        numbered (r W + c) T + b: W is the number of summands of C^n, T the
+        dimension of the algebra, which bounds the coordinates in a block."""
         C, D, A, k = self.C, self.D, self.A, self.shift_by
-        span = echelon_for(A.field) if span is None else span
-        for n in C.terms:
-            if n - 1 + k not in D.terms:
-                continue
-            cols = {}  # (r, c, b) -> image of basis vector b of s^n[r][c]
-            for (c, c2), d in C.diffs.get(n - 1, {}).items():
-                for tv, (at, targets) in self.by_source.get((n - 1, c2), {}).items():
-                    terms = _terms(A.times_basis(d, tv), False)
-                    for r, at_r in targets.items():
-                        for b, t, x in terms:
-                            cols.setdefault((r, c, b), {})[at + at_r + t] = x
-            for (r2, r), e in D.diffs.get(n - 1 + k, {}).items():
-                for sv, (at, sources) in self.by_target.get((n, r2), {}).items():
-                    terms = _terms(A.basis_times(sv, e), k % 2)
-                    for c, at_c in sources.items():
-                        for b, t, x in terms:
-                            cols.setdefault((r, c, b), {})[at + at_c + t] = x
-            span.extend(cols[key] for key in sorted(cols))
+        W, T = len(C.term(n)), A.dim
+        for (c, c2), d in C.diffs.get(n - 1, {}).items():
+            for tv, (at, targets) in self.by_source.get((n - 1, c2), {}).items():
+                got = _pieces(A.times_basis(d, tv), False, False, bits)
+                if got:
+                    yield c * T, W * T, targets, at, got
+        for (r2, r), e in D.diffs.get(n - 1 + k, {}).items():
+            for sv, (at, sources) in self.by_target.get((n, r2), {}).items():
+                got = _pieces(A.basis_times(sv, e), k % 2, False, bits)
+                if got:
+                    yield r * W * T, T, sources, at, got
+
+    def homotopy_span(self, span=None):
+        """Echelon form of the null-homotopic chain maps: the homotopy
+        columns of each degree in turn fed into ``span``, by default an
+        empty echelon of the algebra's field, laid out as ``span.bits``
+        asks."""
+        span = echelon_for(self.A.field) if span is None else span
+        for n in self.C.terms:
+            if n - 1 + self.shift_by in self.D.terms:
+                span.extend(self.homotopy_columns(n, span.bits))
         return span
 
     def dimension(self, echelon):
         """The variables less the rank of the commutation rows and, when
         that leaves chain maps, less the rank of the homotopy span, each
-        fed into a fresh ``echelon()``."""
+        fed one degree at a time into a fresh ``echelon()``, in the layout
+        it takes."""
         rows = echelon()
-        rows.extend(self.constraint_rows())
+        for n in self.C.terms:
+            if n + 1 + self.shift_by in self.D.terms:
+                rows.extend(self.constraint_rows(n, rows.bits))
         chain_maps = self.nvars - rows.rank
         return chain_maps and chain_maps - self.homotopy_span(echelon()).rank
 
-    def vectorize(self, f: ChainMap):
-        vec = {}
+    def vectorize(self, f: ChainMap, bits=False):
+        """f's coordinates over the variables: a dict, or an int with ``bits``."""
+        vec = 0 if bits else {}
         for n, matrix in f.comps.items():
             for (r, c), e in matrix.items():
                 at, at_r = self.by_source[(n, c)][e.target]
-                for var, coeff in enumerate(e.coeffs, at + at_r[r]):
+                at += at_r[r]
+                if bits:
+                    vec |= sum(mod_2(x) << b for b, x in enumerate(e.coeffs)) << at
+                    continue
+                for var, coeff in enumerate(e.coeffs, at):
                     if coeff:
                         vec[var] = coeff
         return vec
@@ -498,22 +566,25 @@ def _vanishes_mod_2(solver):
     Each rank can only fall mod 2, as a minor that vanishes over Q vanishes
     mod 2, so the true dimension nvars - rank_Q(R) - rank_Q(H) is at most
     nvars - rank_2(R) - rank_2(H), and it is never negative, since the
-    null-homotopic maps are chain maps.  A ``Fraction`` entry has no parity
-    bit here, so it sends the question to the exact ranks.
+    null-homotopic maps are chain maps.  R and H are laid out as bits
+    directly, each entry read by ``mod_2``; a ``Fraction`` entry has no
+    image there, so it sends the question to the exact ranks.
     """
     try:
-        return solver.dimension(lambda: BitEchelon(parity_bits)) <= 0
+        return solver.dimension(BitEchelon) <= 0
     except NotIntegral:
         return False
 
 
 def is_null_homotopic(f: ChainMap) -> bool:
     """Whether f lies in the homotopy span, decided in the echelon of the
-    algebra's field: exact over Q, as membership has no mod-2 screen."""
+    algebra's field, f laid out as that echelon takes it: exact over Q, as
+    membership has no mod-2 screen."""
     if not f.comps:  # the zero map: ``comps`` keeps nonzero entries only
         return True
     solver = _HomSolver(f.source, f.target)
-    return solver.homotopy_span().contains(solver.vectorize(f))
+    span = solver.homotopy_span()
+    return span.contains(solver.vectorize(f, span.bits))
 
 
 def happel_cartan(summands, C: CartanMatrix, labels) -> CartanMatrix:

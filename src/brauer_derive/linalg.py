@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals or a prime field.
 
-Everything here works on sparse vectors represented as dicts mapping a
-hashable column key to a nonzero field element.  Both fields support the
-usual operators, so the elimination code is field agnostic.
+Vectors are sparse dicts mapping a hashable column key to a field element,
+except over GF(2), where ``BitEchelon`` takes them as ints.  Both fields
+support the usual operators, so the sparse elimination is field agnostic.
 
 Over Q a coefficient is a plain ``int`` until a division does not come out
 even, and only then a ``fractions.Fraction``.  Every structure constant and
@@ -22,10 +22,12 @@ no object and a memo key hashes each coefficient through a stored hash.
 ``SparseEchelon`` serves Q and the odd primes.  It tests a pivot against
 the field's own ``one``: an element of GF(p) never equals the int 1, so a
 test against 1 would divide every stored row over GF(p) through, entry by
-entry, for nothing.  Over GF(2) every nonzero coefficient is 1, so
-``BitEchelon`` packs a vector into the bits of one int and reduces it by a
-row with one XOR (``echelon_for`` picks the echelon of a field).  Both
-echelons take a vector's explicit zero coefficients as absent.
+entry, for nothing, and it takes a vector's explicit zero coefficients as
+absent.  Over GF(2) every nonzero coefficient is 1, so ``BitEchelon``
+takes each vector as the bits of one int, laid out so by its caller, and
+reduces it by a row with one XOR.  ``echelon_for`` picks the echelon of a
+field, an echelon's ``bits`` says which of the two kinds of vector it
+takes, and ``mod_2`` reads an int or an element of GF(2) as a bit.
 """
 from __future__ import annotations
 
@@ -278,6 +280,8 @@ class SparseEchelon:
     field's own -1 as pivot is negated instead of divided entry by entry.
     """
 
+    bits = False  # the vectors it takes are dicts
+
     def __init__(self, one):
         self.one = one
         self.minus_one = -one
@@ -332,46 +336,36 @@ class SparseEchelon:
             self.add(vec)
 
 
-def gf2_bits(vec):
-    """A vector over GF(2), keyed by nonnegative ints, as the bits of one
-    int: bit k is set where entry k is nonzero."""
-    bits = 0
-    for k, v in vec.items():
-        if v.value:
-            bits |= 1 << k
-    return bits
-
-
 class NotIntegral(Exception):
-    """A vector handed to ``parity_bits`` has an entry that is not an int.
-    The mod-2 screen catches it; one that escaped would be an engine fault."""
+    """An entry read mod 2 by ``mod_2`` is neither an int nor an element of
+    GF(2).  The mod-2 screen catches it; one that escaped would be an
+    engine fault."""
 
 
-def parity_bits(vec):
-    """An integer vector, keyed by nonnegative ints, reduced mod 2 as the
-    bits of one int: bit k is set where entry k is odd.  Raises
-    ``NotIntegral`` on an entry that is not an int, ``Fraction`` included."""
-    bits = 0
-    for k, v in vec.items():
-        if type(v) is not int:
-            raise NotIntegral(f"entry {k} is {v!r}, not an int")
-        if v & 1:
-            bits |= 1 << k
-    return bits
+def mod_2(x):
+    """The image of x in GF(2), as 0 or 1: an int's parity, or an element
+    of GF(2)'s value.  Raises ``NotIntegral`` on anything else,
+    ``Fraction`` and the elements of odd prime fields included."""
+    if type(x) is int:
+        return x & 1
+    if type(x) is PrimeFieldElement and x.p == 2:
+        return x.value
+    raise NotIntegral(f"{x!r} is not an int or an element of GF(2)")
 
 
 class BitEchelon:
     """Incremental row echelon form over GF(2), each row the bits of one int.
 
-    ``extend`` and ``contains`` take dict vectors, as ``SparseEchelon``'s
-    do, and ``pack`` (``gf2_bits`` unless given) turns each into bits.  A
-    row's pivot is its highest set bit, the largest column key, which is
-    ``SparseEchelon``'s rule, so over GF(2) both keep rows with the same
-    pivots and reach the same rank.  Reducing by a row is one XOR.
+    ``extend`` and ``contains`` take vectors as ints, bit k the coefficient
+    of column k.  A row's pivot is its highest set bit, the largest column
+    key, which is ``SparseEchelon``'s rule, so over GF(2) both keep rows
+    with the same pivots and reach the same rank.  Reducing by a row is one
+    XOR.
     """
 
-    def __init__(self, pack=gf2_bits):
-        self.pack = pack
+    bits = True  # the vectors it takes are ints
+
+    def __init__(self):
         self.pivots = {}  # highest bit -> row
 
     @property
@@ -382,9 +376,8 @@ class BitEchelon:
         """Insert each vector.  The reduction is written out here and in
         ``contains``, not called: the rows of a Hom system hold two entries
         on average, so a call per row shows."""
-        pack, pivots = self.pack, self.pivots
-        for vec in vecs:
-            bits = pack(vec)
+        pivots = self.pivots
+        for bits in vecs:
             while bits:
                 lead = bits.bit_length() - 1
                 row = pivots.get(lead)
@@ -393,8 +386,8 @@ class BitEchelon:
                     break
                 bits ^= row
 
-    def contains(self, vec):
-        bits, pivots = self.pack(vec), self.pivots
+    def contains(self, bits):
+        pivots = self.pivots
         while bits:
             row = pivots.get(bits.bit_length() - 1)
             if row is None:

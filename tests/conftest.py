@@ -21,7 +21,7 @@ from brauer_derive.graph import (
     serialize_graph,
 )
 from brauer_derive.homological import ChainMap, ProjComplex
-from brauer_derive.linalg import SparseEchelon
+from brauer_derive.linalg import NotIntegral, SparseEchelon
 from brauer_derive.quiver import ALPHA, BETA, build_quiver
 
 G_MIN_TEXT = (
@@ -420,16 +420,46 @@ class OracleHomSolver:
         return vec
 
 
+# Test-only reference packings of dict vectors into bits: the layout tests
+# compare the bit vectors the Hom solver lays out directly with these
+# packings of the dict vectors it lays out for ``SparseEchelon``.
+
+
+def gf2_bits(vec):
+    """A vector over GF(2), keyed by nonnegative ints, as the bits of one
+    int: bit k is set where entry k is nonzero."""
+    bits = 0
+    for k, v in vec.items():
+        if v.value:
+            bits |= 1 << k
+    return bits
+
+
+def parity_bits(vec):
+    """An integer vector, keyed by nonnegative ints, reduced mod 2 as the
+    bits of one int: bit k is set where entry k is odd.  Raises
+    ``NotIntegral`` on an entry that is not an int, ``Fraction`` included."""
+    bits = 0
+    for k, v in vec.items():
+        if type(v) is not int:
+            raise NotIntegral(f"entry {k} is {v!r}, not an int")
+        if v & 1:
+            bits |= 1 << k
+    return bits
+
+
 def solver_ranks(solver_class, C, D, shift_by=0):
     """(variables, rank of the commutation rows, rank of the homotopy
     span) of a solver for C -> D[shift_by], ``OracleHomSolver`` or the
     package's; (0, 0, 0) when no pair of summands has a nonzero block."""
     if solver_class is OracleHomSolver:
         solver = solver_class(C, shift(D, shift_by))
-    else:
+        rows = solver.constraint_rows()
+    else:  # the package's solver gives the rows one degree at a time
         solver = solver_class(C, D, shift_by)
+        rows = [row for n in C.terms for row in solver.constraint_rows(n)]
     constraints = SparseEchelon(C.algebra.field.one)
-    for row in solver.constraint_rows():
+    for row in rows:
         constraints.add(row)
     return solver.nvars, constraints.rank, solver.homotopy_span().rank
 

@@ -11,7 +11,12 @@ ranks on the solver's rows and homotopy columns.  Over Q, the mod-2 screen
 must prove every nonzero shift's Hom 0 and must not prove shift 0's.  Every
 ``is_null_homotopic`` question that ``verify_end_generators`` asks must get
 the oracle's answer, and a relation between a summand and itself plus that
-summand's identity, which is not null-homotopic, must stay so.  On every
+summand's identity, which is not null-homotopic, must stay so.  Over Q and
+GF(2), at each of these shifts, the rows and the columns of each degree
+that the solver lays out as bits must be, sorted and without zeros, the
+reference packing in conftest of the dict rows and columns it lays out for
+``SparseEchelon``.  All of this runs over Q and GF(2) on the shrink
+complex of a deep tree with 40 edges too.  On every
 summand pair, the solver for C -> D[r], which folds the sign of D[r] into
 D's products, must build the very rows and homotopy span of a solver for
 C -> ``shift(D, r)``, the shifted copy that conftest builds.
@@ -41,8 +46,10 @@ from brauer_derive.tilting import (
 
 from conftest import (
     OracleHomSolver,
+    gf2_bits,
     identity,
     oracle_is_null_homotopic,
+    parity_bits,
     shift,
     solver_ranks,
 )
@@ -67,8 +74,25 @@ def echelon_ranks(total, r, echelon):
     columns, each fed into a fresh ``echelon()``."""
     solver = _HomSolver(total, total, r)
     rows = echelon()
-    rows.extend(solver.constraint_rows())
+    for n in total.terms:
+        rows.extend(solver.constraint_rows(n, rows.bits))
     return rows.rank, solver.homotopy_span(echelon()).rank
+
+
+def assert_layouts_agree(total, r):
+    """The bit rows and bit columns of the solver for total -> total[r],
+    degree by degree, zeros dropped and sorted, against the reference
+    packing (parity over Q, nonzero over GF(2)) of its dict vectors.
+    Returns how many nonzero rows and columns were compared."""
+    pack = parity_bits if total.algebra.field == QQ else gf2_bits
+    solver = _HomSolver(total, total, r)
+    compared = 0
+    for n in total.terms:
+        for vectors in (solver.constraint_rows, solver.homotopy_columns):
+            bits = sorted(b for b in vectors(n, True) if b)
+            assert bits == sorted(b for b in map(pack, vectors(n)) if b), (r, n)
+            compared += len(bits)
+    return compared
 
 
 def assert_agrees_with_oracle(Q, monkeypatch):
@@ -89,6 +113,8 @@ def assert_agrees_with_oracle(Q, monkeypatch):
             ), r
         elif field == QQ:
             assert _vanishes_mod_2(_HomSolver(total, total, r)) == (r != 0), r
+        if field in (QQ, PrimeField(2)):
+            assert assert_layouts_agree(total, r) or not nvars, r
     asked = []
 
     def both(f):
@@ -128,6 +154,16 @@ def test_enlarge_solver_matches_oracle(seed, edges, field, monkeypatch):
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+def test_deep40_solver_matches_oracle(field, monkeypatch):
+    """The deepest shrink complex tested, twice the depth of the benchmark's
+    deepest, on the fields whose Hom systems are laid out as bits."""
+    g = parse_graph(deep_tree(40, seed=3))
+    A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+    assert_agrees_with_oracle(shrink_complex(A, g), monkeypatch)
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 @pytest.mark.parametrize("name", ["deep21", "chain13_twigs", "enlarge14"])
 def test_folded_sign_matches_the_shifted_complex(name, field):
@@ -153,18 +189,22 @@ def test_folded_sign_matches_the_shifted_complex(name, field):
                 nonzero += dim > 0
                 folded, shifted = _HomSolver(C, D, r), _HomSolver(C, shift(D, r))
                 assert folded.nvars == shifted.nvars
-                assert folded.constraint_rows() == shifted.constraint_rows(), r
+                for n in C.terms:
+                    assert folded.constraint_rows(n) == shifted.constraint_rows(n), (r, n)
                 assert folded.homotopy_span().pivots == shifted.homotopy_span().pivots, r
     assert nonzero
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
 @pytest.mark.parametrize("name", ["deep21", "enlarge13"])
 def test_homotopy_span_only_where_chain_maps_exist(name, field, monkeypatch):
     """Every null-homotopic map is a chain map, so ``homotopy_hom`` builds
     the homotopy span only at the shifts whose chain-map space, counted here
     by the oracle as variables less the rank of the commutation rows, is
-    nonzero.  At r = -1 these complexes have variables but no chain maps."""
+    nonzero.  At r = -1 these complexes have variables but no chain maps.
+    This holds in both layouts: the span is built as bits over GF(2) and by
+    the mod-2 screen over Q, which decides every shift here, and as dicts
+    over GF(3)."""
     if name in SHRINK:
         g = parse_graph(SHRINK[name])
         A = quotient_basis(omega_relations(build_quiver(g)), field=field)
@@ -185,7 +225,8 @@ def test_homotopy_span_only_where_chain_maps_exist(name, field, monkeypatch):
     homotopy_span = _HomSolver.homotopy_span
     monkeypatch.setattr(
         _HomSolver, "homotopy_span",
-        lambda self, span=None: built.append(self.shift_by) or homotopy_span(self, span),
+        lambda self, span: built.append(span.bits) or homotopy_span(self, span),
     )
     tilting.check_tilting(Q)
     assert len(built) == with_chain_maps < with_variables
+    assert set(built) == {field != PrimeField(3)}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauer_derive.algebra import omega_relations, quotient_basis
+from brauer_derive.algebra import a_n_presentation, omega_relations, quotient_basis
 from brauer_derive.graph import loop_star, parse_graph
 from brauer_derive.homological import (
     ChainMap,
@@ -23,7 +23,7 @@ from brauer_derive.homological import (
     _vanishes_mod_2,
 )
 from brauer_derive import linalg
-from brauer_derive.linalg import QQ, BitEchelon, NotIntegral, SparseEchelon, parity_bits
+from brauer_derive.linalg import QQ, BitEchelon, NotIntegral, PrimeField, SparseEchelon
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import shrink_complex
 
@@ -94,6 +94,23 @@ def test_chain_maps_reject_misplaced_and_mismatched_operands(Am):
         f.compose(f)
     with pytest.raises(ChainMapFailure, match="^chain maps between different complexes$"):
         f + identity(P2)
+
+def test_hom_refuses_complexes_over_different_algebras(A3):
+    """Lambda(3) and A(3) share their vertices, so nothing else stops the
+    solver from reading D's entries through C's algebra."""
+    A = quotient_basis(a_n_presentation(3))
+    assert A.vertices == A3.vertices
+    for C, D in [
+        (ProjComplex.stalk(A3, "1"), ProjComplex.stalk(A, "1")),
+        (ProjComplex.stalk(A, "1"), ProjComplex.stalk(A3, "1")),
+    ]:
+        message = r"^Hom between complexes over different algebras$"
+        with pytest.raises(ChainMapFailure, match=message):
+            homotopy_hom(C, D, 0)
+        f = ChainMap(C, D, {0: {(0, 0): C.algebra.e("1")}}, check=False)
+        with pytest.raises(ChainMapFailure, match=message):
+            is_null_homotopic(f)
+
 
 def test_stalk_hom_dims(A3):
     C = A3.cartan()
@@ -183,8 +200,28 @@ def test_homotopy_hom_basis(Am):
     assert homotopy_hom(P2, P2, 0) == 2 == len(Am.block("2", "2"))
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("graph,arrow", [
+    (G_MIN_TEXT, "a_2"),  # P(2) -> P(3)
+    ("loop_star(3)", "a_1"),  # P(1) -> P(1), whose block has dimension 4
+])
+def test_hom_between_more_copies_than_the_algebra_has_dimensions(field, graph, arrow):
+    """Hom(C^k, C^k[r]) is k^2 Hom(C, C[r]).  With k above dim A, the
+    summand indices bound the numbers the solver gives its rows and
+    columns as much as the coordinates in a block do."""
+    g = loop_star(3) if graph == "loop_star(3)" else parse_graph(graph)
+    A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+    x = A.path_element((arrow,))
+    C = two_term(A, x.source, x.target, x)
+    k = A.dim + 2
+    Ck = direct_sum([C] * k)
+    dims = [homotopy_hom(C, C, r) for r in range(-2, 3)]
+    assert dims[2] > 0
+    assert [homotopy_hom(Ck, Ck, r) for r in range(-2, 3)] == [k * k * d for d in dims]
+
+
 def _mod2_count(solver):
-    return solver.dimension(lambda: BitEchelon(parity_bits))
+    return solver.dimension(BitEchelon)
 
 
 def test_mod2_screen_leaves_an_even_differential_to_the_exact_ranks(Am):

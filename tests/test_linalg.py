@@ -23,13 +23,12 @@ from brauer_derive.linalg import (
     det_int,
     echelon_for,
     exact_div,
-    gf2_bits,
-    parity_bits,
+    mod_2,
 )
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import check_tilting, shrink_complex, verify_end_generators
 
-from conftest import algebra_for, certificate_valid, corpus_graphs
+from conftest import algebra_for, certificate_valid, corpus_graphs, gf2_bits
 
 
 def det_fraction(rows):
@@ -258,34 +257,39 @@ def test_echelon_negation_stores_the_rows_division_stores(field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "GF2", "GF3"])
 def test_echelons_take_zero_coefficients_as_absent(field):
     """An explicit zero is no entry: not a pivot to divide by, not a key
-    that keeps a vector out of the span, not a bit."""
+    that keeps a vector out of the span.  ``BitEchelon`` takes ints, so it
+    is fed the reference packing of each vector, which sets no bit for a
+    zero."""
     zero, one = field.zero, field.one
-    echelons = [SparseEchelon(one)] + ([BitEchelon()] if field.name == "GF(2)" else [])
-    for ech in echelons:
-        ech.extend([{}, {3: zero}])
+    echelons = [(SparseEchelon(one), dict)]
+    if field.name == "GF(2)":
+        echelons.append((BitEchelon(), gf2_bits))
+    for ech, vector in echelons:
+        ech.extend([vector({}), vector({3: zero})])
         assert ech.rank == 0
-        ech.extend([{5: zero, 2: one}])
-        assert set(ech.pivots) == {2} and ech.contains({5: zero, 2: one})
-        assert ech.contains({5: zero}) and ech.contains({})
-        ech.extend([{2: one, 7: zero}])
-        assert ech.rank == 1 and not ech.contains({5: one, 2: zero})
+        ech.extend([vector({5: zero, 2: one})])
+        assert set(ech.pivots) == {2} and ech.contains(vector({5: zero, 2: one}))
+        assert ech.contains(vector({5: zero})) and ech.contains(vector({}))
+        ech.extend([vector({2: one, 7: zero})])
+        assert ech.rank == 1 and not ech.contains(vector({5: one, 2: zero}))
     assert SparseEchelon(one).add({5: zero, 2: one})
+    sparse = echelons[0][0]
     if field == QQ:
-        assert echelons[0].pivots == {2: {2: 1}}
-        assert echelons[0].reduce({5: 0, 2: 1, 1: 3}) == {1: 3}
+        assert sparse.pivots == {2: {2: 1}}
+        assert sparse.reduce({5: 0, 2: 1, 1: 3}) == {1: 3}
     else:
-        assert echelons[0].pivots == {2: {2: one}}
+        assert sparse.pivots == {2: {2: one}}
     if len(echelons) > 1:
-        assert echelons[1].pivots == {2: 0b100}
+        assert echelons[1][0].pivots == {2: 0b100}
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_bit_echelon_matches_sparse_echelon_over_gf2(seed):
     """On random sparse vectors over GF(2), among them empty ones, repeats
-    and explicit zeros, ``BitEchelon`` keeps the pivots of
-    ``SparseEchelon``, answers ``contains`` alike, and stores each row as
-    the bits of the sparse row; one ``extend`` of all the vectors ends
-    where the vectors fed one at a time do."""
+    and explicit zeros, ``BitEchelon`` fed the packing of each keeps the
+    pivots of ``SparseEchelon``, answers ``contains`` alike, and stores
+    each row as the bits of the sparse row; one ``extend`` of all the
+    vectors ends where the vectors fed one at a time do."""
     F = PrimeField(2)
     rng = random.Random(seed)
     sparse, bits = SparseEchelon(F.one), BitEchelon()
@@ -301,30 +305,34 @@ def test_bit_echelon_matches_sparse_echelon_over_gf2(seed):
             vec = {k: F.from_int(rng.randint(0, 1)) for k in keys}
         seen.append(vec)
         probe = {k: F.from_int(rng.randint(0, 1)) for k in rng.sample(range(70), 3)}
-        assert bits.contains(probe) == sparse.contains(probe)
+        assert bits.contains(gf2_bits(probe)) == sparse.contains(probe)
         sparse.add(vec)
-        bits.extend([vec])
+        bits.extend([gf2_bits(vec)])
         assert bits.rank == sparse.rank
         assert {lead: gf2_bits(row) for lead, row in sparse.pivots.items()} == bits.pivots
     assert 0 < sparse.rank < 70
     extended = BitEchelon()
-    extended.extend(seen)
+    extended.extend(map(gf2_bits, seen))
     assert extended.pivots == bits.pivots
 
 
-def test_parity_bits_reads_ints_mod_2_and_refuses_the_rest():
-    assert parity_bits({}) == 0
-    assert parity_bits({0: 3, 2: -1, 4: 2, 5: 0, 70: -7}) == 1 | 1 << 2 | 1 << 70
-    for entry in (Fraction(1, 2), Fraction(2), PrimeField(2).one, 1.0):
+def test_mod_2_reads_ints_and_gf2_and_refuses_the_rest():
+    """An int's parity and an element of GF(2)'s value; every other entry,
+    an int-valued ``Fraction`` and an element of GF(3) among them, raises."""
+    F2 = PrimeField(2)
+    assert [mod_2(x) for x in (0, 3, -1, 2, -7, 1 << 70, F2.zero, F2.one)] == [
+        0, 1, 1, 0, 1, 0, 0, 1,
+    ]
+    for entry in (Fraction(1, 2), Fraction(2), PrimeField(3).one, 1.0, True):
         with pytest.raises(NotIntegral):
-            parity_bits({0: 1, 3: entry})
+            mod_2(entry)
 
 
 def test_echelon_for_packs_bits_over_gf2_alone():
-    assert type(echelon_for(PrimeField(2))) is BitEchelon
+    assert type(echelon_for(PrimeField(2))) is BitEchelon and echelon_for(PrimeField(2)).bits
     for field in (QQ, PrimeField(3), PrimeField(1000003)):
         ech = echelon_for(field)
-        assert type(ech) is SparseEchelon and ech.one == field.one
+        assert type(ech) is SparseEchelon and ech.one == field.one and not ech.bits
 
 
 def _coefficients(A):
