@@ -346,8 +346,8 @@ class QuotientAlgebra:
     ``dim`` and ``cartan`` read.  ``blocks``, the words of every block less
     the dropped ones, is built from the levels when first read, by
     ``_block_words``: keys in the canonical vertex order, words in
-    ``order_key`` order, every block a tuple.  Without ``counts``, as for a
-    socle quotient, they are counted from ``blocks`` at once.
+    length-lexicographic order, every block a tuple.  Without ``counts``, as
+    for a socle quotient, they are counted from ``blocks`` at once.
     """
 
     def __init__(self, presentation, cap, margin, field, rsys, levels, counts=None,
@@ -458,8 +458,8 @@ class QuotientAlgebra:
             cache = self._entries[(i, k)] = {}
         entry = cache.get(word)
         if entry is None:
-            index = self._index(i, k)
-            entry = cache[word] = tuple([(index[u], c) for u, c in self._class(i, word).items()])
+            term = self._class(i, word)
+            entry = cache[word] = () if term is None else ((self._index(i, k)[term[0]], term[1]),)
         return entry
 
     def times_basis(self, x: AlgebraElement, k):
@@ -505,20 +505,20 @@ class QuotientAlgebra:
         return CartanMatrix(order, rows)
 
     def _class(self, source, word):
-        """{word: coefficient} of the class of a path from source: its normal
-        form with the dropped words removed, the one place here that reads
-        normal forms.  Do not mutate the result."""
-        nf = self._rsys.nf_word(word)
-        if not self.dropped:
-            return nf
-        return {u: c for u, c in nf.items() if (source, u) not in self.dropped}
+        """(word, coefficient) of the class of a path from source, or None:
+        its normal form (one signed word, see ``rewriting``) unless that word
+        is dropped.  The one place here that reads normal forms."""
+        term = self._rsys.nf_word(word, self.field.one)
+        if term is not None and (source, term[0]) in self.dropped:
+            return None
+        return term
 
     def _word_text(self, source, word):
         return "*".join(self.quiver.arrows[a].name for a in word) if word else f"e_{source}"
 
     def arrow_rows(self):
-        """{(i, w, a): class of w * a} for every basis word w of every block
-        (i, j) and every arrow id a out of j.
+        """{(i, w, a): class of w * a, as ``_class`` gives it} for every basis
+        word w of every block (i, j) and every arrow id a out of j.
 
         Every non-empty basis word w must be the class of w[:-1] * w[-1],
         else ``FactorMismatch``.  With that, x * (y'a) = (x * y') * a gives
@@ -535,7 +535,7 @@ class QuotientAlgebra:
         one = self.field.one
         for (i, j), words in self.blocks.items():
             for w in words:
-                if w and rows.get((i, w[:-1], w[-1])) != {w: one}:
+                if w and rows.get((i, w[:-1], w[-1])) != (w, one):
                     raise FactorMismatch(
                         f"basis word {self._word_text(i, w)} of block ({i},{j}) is not "
                         "the class of its prefix times its last arrow"
@@ -594,9 +594,9 @@ def _block_words(q, levels, dropped):
     word) pairs in ``dropped``.
 
     Keys come in ``q.vertices`` order (the canonical order), and each block's
-    words in ``order_key`` order: levels ascend in length, and within a level
-    the words from one source are sorted, because ``normal_words`` extends
-    the previous level in order by arrows of ascending id.
+    words in length-lexicographic order: levels ascend in length, and within
+    a level the words from one source are sorted, because ``normal_words``
+    extends the previous level in order by arrows of ascending id.
     """
     found = {}
     for keys, words in _keyed_levels(q, levels):

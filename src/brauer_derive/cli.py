@@ -42,7 +42,7 @@ from .homological import ChainMapFailure, NotAComplex
 from .linalg import FieldMismatch, NotIntegral, parse_field
 from .quiver import UnknownCamp, build_quiver, quiver_to_dot
 from .reduction import certify_trace, classify, load_trace, reduce_to_normal_form
-from .rewriting import InclusionAmbiguity, NotAdmissible
+from .rewriting import InclusionAmbiguity, NonBinomialRelation, NotAdmissible
 from .tilting import (
     CertificateFailure,
     EmptyTree,
@@ -473,6 +473,7 @@ def run(argv) -> int:
         NotIntegral,
         NotAdmissible,
         InclusionAmbiguity,
+        NonBinomialRelation,
         FactorMismatch,
         InhomogeneousRelation,
         UnknownCamp,

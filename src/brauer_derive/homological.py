@@ -62,6 +62,7 @@ class ProjComplex:
     def __init__(self, algebra, terms, diffs):
         self.algebra = algebra
         self.terms = {n: tuple(t) for n, t in sorted(terms.items()) if t}
+        self._positions = {}
         self.diffs = {}
         for n in sorted(diffs):
             if n in self.terms and n + 1 in self.terms:
@@ -79,6 +80,14 @@ class ProjComplex:
 
     def term(self, n):
         return self.terms.get(n, ())
+
+    def positions(self, n):
+        """{vertex: the indices of degree n's summands there}, made once."""
+        if n not in self._positions:
+            out = self._positions[n] = {}
+            for i, v in enumerate(self.term(n)):
+                out.setdefault(v, []).append(i)
+        return self._positions[n]
 
     @property
     def width(self):
@@ -341,14 +350,6 @@ def is_stalk(C: ProjComplex):
     return (t[0], n) if len(t) == 1 else None
 
 
-def _positions(term):
-    """{vertex: the indices of term's summands at that vertex}."""
-    out = {}
-    for i, v in enumerate(term):
-        out.setdefault(v, []).append(i)
-    return out
-
-
 def _pieces(products, negate, rows, bits):
     """An entry's products with a block basis as pieces for ``_gather``:
     (i, k, x) for each coordinate t, x of basis element b's product,
@@ -425,16 +426,13 @@ class _HomSolver:
         self.nvars = 0
         self.by_source = {}  # (n, c) -> {target vertex: (at_c, {r: at_r})}
         self.by_target = {}  # (n, r) -> {source vertex: (at_r, {c: at_c})}
-        for n, sources in C.terms.items():
-            targets = D.term(n + shift_by)
-            groups = None  # _positions(targets), made at the first nonzero block
-            for sv, cs in _positions(sources).items() if targets else ():
-                for tv in dict.fromkeys(targets):
+        for n in C.terms:
+            groups = D.positions(n + shift_by)
+            for sv, cs in C.positions(n).items() if groups else ():
+                for tv, rs in groups.items():
                     dim = len(A.block(sv, tv))
                     if not dim:
                         continue
-                    groups = groups or _positions(targets)
-                    rs = groups[tv]
                     at_r = {r: j * dim for j, r in enumerate(rs)}
                     at_c = {c: self.nvars + k * len(rs) * dim for k, c in enumerate(cs)}
                     for c, at in at_c.items():

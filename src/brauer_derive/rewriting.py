@@ -7,6 +7,19 @@ system by resolving overlaps of leading words (bounded by a maximum word
 length), after which normal forms are unique and the surviving factor-free
 words of each length enumerate a basis of the quotient.
 
+Relations must be binomial, one path or a sum or difference of two, as is
+every one ``algebra`` builds (else ``NonBinomialRelation``, an engine
+fault).  Then, by induction on the rules added, every polynomial in
+``complete`` has at most two terms and every tail at most one: with
+one-term tails a rewrite step, and so a normal form, maps c * w to 0 or to
+one signed word; an S-polynomial tail1 * s - p * tail2 has at most two
+terms; taking the lead off two terms leaves one.  The completion and the
+diamond lemma (below) hold unchanged.  Normal forms and S-polynomials read
+each rule's tail term (``_term``), making no dict per word, and none is
+memoized: a memo had to be cleared at every added rule (an entry's normal
+form, or a word met while rewriting it, may contain the new lead), and
+after completion ``QuotientAlgebra`` keeps each class it reads.
+
 Completion is output-sensitive: ``RewriteSystem`` indexes its leads so that
 each question reads only the leads that can answer it.
 - Leads by first arrow and by last arrow find overlaps: an overlap of
@@ -29,31 +42,20 @@ each question reads only the leads that can answer it.
   monomial pair can exceed ``maxlen``:
   len(lead) + (longest monomial lead) - 1 <= maxlen.
 - The lead lengths present per first and per last arrow bound the slices
-  ``find_factor`` and ``has_lead_suffix`` try at each position.
-The ``nf_word`` memo is cleared in full whenever a rule is added.
-Keeping the entries whose word does not contain the new lead is unsound:
-such an entry's result, or a word met while rewriting it, may contain the
-new lead, and before confluence rewriting it again can give another normal
-form and so different later tails.
+  ``find_factor`` and ``lead_suffix`` try at each position.
 
 A rule is added only for ``nf_combo`` output, which is irreducible, so a new
 lead never contains an older one.  An older lead may contain a newer one;
 that is an inclusion ambiguity, which ``overlaps`` (proper suffix-prefix
 overlaps only) does not resolve, so the diamond lemma would not apply
 (Bergman, 1978; Mora, TCS 134, 1994).  No presentation the program builds
-gives one, so instead of interreducing, ``complete`` checks every lead at
-the end and raises ``InclusionAmbiguity``, an engine fault, if another lead
-lies inside it.
+gives one, so instead of interreducing, ``complete`` checks every lead of
+three or more arrows (no lead is one arrow) at the end and raises
+``InclusionAmbiguity``, an engine fault, if another lead lies inside it.
 """
 from __future__ import annotations
 
 import heapq
-
-from .linalg import vec_add_scaled
-
-
-def order_key(word):
-    return (len(word), word)
 
 
 class NotAdmissible(Exception):
@@ -64,19 +66,25 @@ class InclusionAmbiguity(Exception):
     """A completed lead contains another lead as a proper factor."""
 
 
-class RewriteSystem:
-    """A set of rewriting rules lead -> combination of smaller words.
+class NonBinomialRelation(Exception):
+    """A relation given to ``complete`` has three or more terms."""
 
-    ``rules`` keeps insertion order.  Beside it every lead is indexed by its
-    insertion stamp, its first arrow and its last arrow, binomial leads
-    (non-empty tail) also in their own first- and last-arrow indexes, and
-    the lead lengths present are kept per first and last arrow.
+
+class RewriteSystem:
+    """A set of rewriting rules lead -> at most one smaller signed word.
+
+    ``rules`` keeps insertion order, each tail a dict of at most one term,
+    which ``_term`` holds as (word, coefficient), or None.  Every lead is
+    indexed by its insertion stamp, its first arrow and its last arrow,
+    binomial leads (non-empty tail) also in their own first- and last-arrow
+    indexes, and the lead lengths present are kept per first and last arrow.
     ``longest_monomial`` is the length of the longest monomial lead.
     """
 
     def __init__(self, field):
         self.field = field
         self.rules = {}
+        self._term = {}
         self._stamp = {}
         self._by_first = {}  # arrow -> set of leads starting with it
         self._by_last = {}  # arrow -> set of leads ending with it
@@ -85,10 +93,10 @@ class RewriteSystem:
         self.longest_monomial = 0
         self._first_lengths = {}  # arrow -> ascending lengths of its leads
         self._last_lengths = {}
-        self._memo = {}
 
-    def add_rule(self, lead, tail):
-        """Add a rule whose lead is not yet one (see the module docstring)."""
+    def add_rule(self, lead, term):
+        """Add the rule lead -> term, a (word, coefficient) pair or None for
+        0, whose lead is not yet one (see the module docstring)."""
         self._stamp[lead] = len(self.rules)
         self._by_first.setdefault(lead[0], set()).add(lead)
         self._by_last.setdefault(lead[-1], set()).add(lead)
@@ -96,13 +104,13 @@ class RewriteSystem:
             have = lengths.get(end, ())
             if len(lead) not in have:
                 lengths[end] = tuple(sorted(have + (len(lead),)))
-        if tail:
+        if term is not None:
             self._binomial_first.setdefault(lead[0], set()).add(lead)
             self._binomial_last.setdefault(lead[-1], set()).add(lead)
         else:
             self.longest_monomial = max(self.longest_monomial, len(lead))
-        self.rules[lead] = tail
-        self._memo.clear()
+        self.rules[lead] = {term[0]: term[1]} if term is not None else {}
+        self._term[lead] = term
 
     def find_factor(self, word):
         """Leftmost, shortest rule lead occurring as a factor of word."""
@@ -118,18 +126,17 @@ class RewriteSystem:
                     return i, cand
         return None
 
-    def has_lead_suffix(self, word):
-        """True when some rule lead is a suffix of word."""
-        if not word:
-            return False
+    def lead_suffix(self, word):
+        """The shortest rule lead that is a suffix of word, or None."""
         rules = self.rules
         n = len(word)
-        for length in self._last_lengths.get(word[-1], ()):
+        for length in self._last_lengths.get(word[-1], ()) if word else ():
             if length > n:
                 break
-            if word[-length:] in rules:
-                return True
-        return False
+            cand = word[-length:]
+            if cand in rules:
+                return cand
+        return None
 
     def overlaps(self, lead, binomial=False):
         """Proper overlaps of lead with every rule, as (first, second, k):
@@ -159,34 +166,37 @@ class RewriteSystem:
         hits.sort()
         return [(lead, other, k) if side == 0 else (other, lead, k) for _, side, k, other in hits]
 
-    def nf_word(self, word):
-        """Normal form of a single word as a dict {word: coefficient}."""
-        memo = self._memo
-        cached = memo.get(word)
-        if cached is not None:
-            return cached
-        hit = self.find_factor(word)
-        if hit is None:
-            result = {word: self.field.one}
-        else:
+    def nf_word(self, word, coeff):
+        """Normal form of coeff * word as (word, coefficient), or None for 0,
+        rewriting the leftmost, shortest lead by its tail term until none is left."""
+        find_factor, tails = self.find_factor, self._term
+        hit = find_factor(word)
+        while hit is not None:
             i, lead = hit
-            prefix, suffix = word[:i], word[i + len(lead) :]
-            result = {}
-            for tword, tcoeff in self.rules[lead].items():
-                vec_add_scaled(result, self.nf_word(prefix + tword + suffix), tcoeff)
-        memo[word] = result
-        return result
+            term = tails[lead]
+            if term is None:
+                return None
+            word = word[:i] + term[0] + word[i + len(lead) :]
+            coeff = term[1] * coeff
+            hit = find_factor(word)
+        return word, coeff
 
-    def nf_combo(self, combo):
+    def nf_combo(self, terms):
+        """Normal form of a combination of (word, coefficient) terms as
+        {word: coefficient}, zeros dropped."""
         out = {}
-        for word, coeff in combo.items():
-            if coeff:
-                vec_add_scaled(out, self.nf_word(word), coeff)
+        for word, coeff in terms:
+            term = self.nf_word(word, coeff) if coeff else None
+            if term is not None:
+                word, coeff = term
+                coeff = out.pop(word) + coeff if word in out else coeff
+                if coeff:
+                    out[word] = coeff
         return out
 
 
 def complete(relations, field, maxlen):
-    """Bounded completion of a list of relation combos.
+    """Bounded completion of a list of binomial relation combos.
 
     Returns (system, truncated); ``truncated`` records whether any overlap
     was discarded for exceeding ``maxlen``, i.e. whether the resulting
@@ -196,30 +206,32 @@ def complete(relations, field, maxlen):
     heap = []
     counter = 0
     for rel in relations:
-        rel = {w: c for w, c in rel.items() if c}
-        if not rel:
-            continue
-        length = max(len(w) for w in rel)
-        heapq.heappush(heap, (length, counter, rel))
-        counter += 1
+        terms = [(w, c) for w, c in rel.items() if c]
+        if len(terms) > 2:
+            raise NonBinomialRelation(f"relation of {len(terms)} terms, not at most two")
+        if terms:
+            heapq.heappush(heap, (max(len(w) for w, _ in terms), counter, terms))
+            counter += 1
     truncated = False
 
     while heap:
-        _, _, poly = heapq.heappop(heap)
-        poly = rs.nf_combo(poly)
+        _, _, terms = heapq.heappop(heap)
+        poly = rs.nf_combo(terms)
         if not poly:
             continue
-        lead = max(poly, key=order_key)
+        # at most two terms (see the module docstring); the larger is the lead
+        (lead, lc), *rest = poly.items()
+        if rest and (len(rest[0][0]), rest[0][0]) > (len(lead), lead):
+            (lead, lc), rest = rest[0], [(lead, lc)]
+        term = (rest[0][0], field.div(-rest[0][1], lc)) if rest else None
         if len(lead) < 2:
             raise NotAdmissible(f"ideal contains a generator of length {len(lead)}")
-        lc = poly[lead]
-        tail = {w: field.div(-c, lc) for w, c in poly.items() if w != lead}
 
-        rs.add_rule(lead, tail)
+        rs.add_rule(lead, term)
 
         # Monomial pairs have empty S-polynomials; skip them when they cannot
         # set ``truncated`` (see the module docstring).
-        binomial = not tail and (truncated or len(lead) + rs.longest_monomial - 1 <= maxlen)
+        binomial = term is None and (truncated or len(lead) + rs.longest_monomial - 1 <= maxlen)
         # Every other pair comes up once, when the later of its leads is
         # added; ``overlaps`` lists lead against itself on both sides.
         seen = set()  # k of the self-overlaps of lead taken so far
@@ -232,18 +244,23 @@ def complete(relations, field, maxlen):
                 if k in seen:
                     continue
                 seen.add(k)
-            suffix, prefix = second[k:], first[: len(first) - k]
-            spoly = {w + suffix: c for w, c in rs.rules[first].items()}
-            vec_add_scaled(spoly, {prefix + w: c for w, c in rs.rules[second].items()}, -field.one)
+            # tail(first) * second[k:] - first[:-k] * tail(second)
+            t1, t2 = rs._term[first], rs._term[second]
+            spoly = [(t1[0] + second[k:], t1[1])] if t1 else []
+            if t2:
+                spoly.append((first[: len(first) - k] + t2[0], -t2[1]))
             if spoly:
                 heapq.heappush(heap, (total, counter, spoly))
                 counter += 1
 
-    # A proper factor of a lead lies in the lead less its first or last arrow.
+    # A proper factor of a lead lies in the lead less its last arrow, or is
+    # a suffix of the lead less its first.
     for lead in rs.rules:
-        inner = rs.find_factor(lead[1:]) or rs.find_factor(lead[:-1])
-        if inner is not None:
-            raise InclusionAmbiguity(f"lead {lead} contains the lead {inner[1]}")
+        if len(lead) > 2:
+            hit = rs.find_factor(lead[:-1])
+            inner = hit[1] if hit else rs.lead_suffix(lead[1:])
+            if inner is not None:
+                raise InclusionAmbiguity(f"lead {lead} contains the lead {inner}")
     return rs, truncated
 
 
@@ -256,11 +273,11 @@ def normal_words(rs, vertices, arrows_by_source, target, maxlen):
     Stops early once a length yields no survivors (normal words are closed
     under taking factors, so nothing longer can survive either).
     """
-    has_lead_suffix = rs.has_lead_suffix
+    lead_suffix = rs.lead_suffix
     levels = [list(vertices)]
     words = [(a,) for v in vertices for a in arrows_by_source.get(v, ())]
     for _ in range(maxlen):
-        survivors = [w for w in words if not has_lead_suffix(w)]
+        survivors = [w for w in words if lead_suffix(w) is None]
         if not survivors:
             break
         levels.append(survivors)

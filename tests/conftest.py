@@ -281,7 +281,8 @@ def class_oracle(A, source, word):
     """{word: coefficient} of the class of a path from source, read straight
     from the normal form with A's dropped words removed, not through any
     cache of A."""
-    return {u: c for u, c in A._rsys.nf_word(word).items() if (source, u) not in A.dropped}
+    term = A._rsys.nf_word(word, A.field.one)
+    return {} if term is None or (source, term[0]) in A.dropped else dict([term])
 
 
 def products_equal_oracle(A, B):

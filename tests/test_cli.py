@@ -744,6 +744,19 @@ def test_inclusion_ambiguity_is_certificate_failure(capsys, monkeypatch):
     assert "InclusionAmbiguity: lead (" in capsys.readouterr().err
 
 
+def test_non_binomial_relation_is_certificate_failure(capsys, monkeypatch):
+    """Completion takes relations of at most two terms, as every one the
+    program builds is: a relation of three terms is an engine fault, exit 3."""
+
+    def three_terms(q):
+        a, b = "a_1", "b_1"
+        return named_presentation(q, (word_element(q, [(a, a), (a, b), (b, a)], [1, 1, 1]),))
+
+    monkeypatch.setattr(cli, "omega_relations", three_terms)
+    assert run(["cartan", "--omega", "1"]) == EXIT_CERTIFICATE
+    assert "NonBinomialRelation: relation of 3 terms, not at most two" in capsys.readouterr().err
+
+
 def test_inhomogeneous_relation_is_certificate_failure(capsys, monkeypatch):
     """A relation the program built with terms in different blocks is an
     engine fault: exit 3, not exit 1."""
@@ -771,7 +784,8 @@ def test_broken_factor_fails_the_socle_comparison(capsys, monkeypatch):
     ids = {a.name: k for k, a in enumerate(a_n_presentation(3).quiver.arrows)}
     word = (ids["a_1"], ids["b_1"])
     monkeypatch.setattr(
-        rewriting.RewriteSystem, "nf_word", lambda rs, w: {} if w == word else nf_word(rs, w)
+        rewriting.RewriteSystem, "nf_word",
+        lambda rs, w, c: None if w == word else nf_word(rs, w, c),
     )
     assert run(["an", "3", "--compare-socle"]) == EXIT_CERTIFICATE
     err = capsys.readouterr().err

@@ -15,10 +15,14 @@ An oracle keeps the completion loop over a plain dict of rules that
 resolves every pair of leads, monomial pairs included, and interreduces:
 overlaps, factors and stale rules are all found by brute force.
 ``complete`` must give the same rules, in order and with their tails, and the
-same ``truncated`` flag on seeded relation sets over Q and GF(2), at bounds
-small enough to truncate and large enough to finish.  On a relation set
+same ``truncated`` flag on seeded relation sets over Q, GF(2) and GF(3), at
+bounds small enough to truncate and large enough to finish, and on
+benchmark-sized presentations at their ceiling bound.  On a relation set
 that makes the oracle interreduce, ``complete`` must raise
 ``InclusionAmbiguity`` instead.
+
+Every relation the package builds is binomial, so every completed rule has
+at most one tail term; ``complete`` refuses a relation of three terms.
 """
 import hashlib
 import heapq
@@ -29,6 +33,7 @@ from random import Random
 import pytest
 
 from brauer_derive.algebra import (
+    _default_bounds,
     _relation_combos,
     a_n_presentation,
     omega_relations,
@@ -39,10 +44,10 @@ from brauer_derive.linalg import QQ, PrimeField, vec_add_scaled
 from brauer_derive.quiver import build_quiver
 from brauer_derive.rewriting import (
     InclusionAmbiguity,
+    NonBinomialRelation,
     NotAdmissible,
     RewriteSystem,
     complete,
-    order_key,
 )
 
 from conftest import corpus_graphs
@@ -206,8 +211,8 @@ def brute_find_factor(rules, word):
     return None
 
 
-def brute_has_lead_suffix(rules, word):
-    return any(word[-length:] in rules for length in range(1, len(word) + 1))
+def brute_lead_suffix(rules, word):
+    return next((word[-n:] for n in range(1, len(word) + 1) if word[-n:] in rules), None)
 
 
 def brute_overlaps(rules, lead):
@@ -243,7 +248,7 @@ def test_indexes_match_brute_force(seed):
         while lead in rs.rules:
             lead = random_word(rng, arrows, 5)
         # every third rule is monomial
-        rs.add_rule(lead, {(): QQ.from_int(step)} if step % 3 else {})
+        rs.add_rule(lead, ((), QQ.from_int(step)) if step % 3 else None)
         rules = rs.rules
         live = set(rules)
         for index in (rs._by_first, rs._by_last):
@@ -261,14 +266,14 @@ def test_indexes_match_brute_force(seed):
         for _ in range(8):
             word = random_word(rng, arrows, 9)
             assert rs.find_factor(word) == brute_find_factor(rules, word)
-            assert rs.has_lead_suffix(word) == brute_has_lead_suffix(rules, word)
+            assert rs.lead_suffix(word) == brute_lead_suffix(rules, word)
         probes = [random_word(rng, arrows, 5) for _ in range(3)]
         probes += rng.sample(list(rules), min(3, len(rules)))
         for lead in probes:
             assert rs.overlaps(lead) == brute_overlaps(rules, lead)
             binomial_rules = {w: t for w, t in rules.items() if t}
             assert rs.overlaps(lead, binomial=True) == brute_overlaps(binomial_rules, lead)
-    assert rs.find_factor(()) is None and not rs.has_lead_suffix(())
+    assert rs.find_factor(()) is None and rs.lead_suffix(()) is None
 
 
 # -- completion against the all-pairs oracle ------------------------------
@@ -320,7 +325,7 @@ def reference_complete(relations, field, maxlen):
         poly = brute_nf(rules, poly, field)
         if not poly:
             continue
-        lead = max(poly, key=order_key)
+        lead = max(poly, key=lambda w: (len(w), w))
         lc = poly[lead]
         tail = {w: field.div(-c, lc) for w, c in poly.items() if w != lead}
         for other in brute_stale(rules, lead):
@@ -360,13 +365,14 @@ def oracle_presentations():
 
 ORACLE = oracle_presentations()
 ORACLE_MAXLENS = (3, 4, 6, 9, 14, 40)
+ORACLE_FIELDS = (QQ, PrimeField(2), PrimeField(3))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE))
 def test_complete_matches_all_pairs_oracle(name):
     p = ORACLE[name]
     flags = set()
-    for field in FIELDS.values():
+    for field in ORACLE_FIELDS:
         combos = _relation_combos(p, field)
         for maxlen in ORACLE_MAXLENS:
             rs, truncated = complete(combos, field, maxlen)
@@ -375,6 +381,58 @@ def test_complete_matches_all_pairs_oracle(name):
             assert truncated == ref_truncated, (field, maxlen)
             flags.add(truncated)
     assert flags == {True, False}
+
+
+def ceiling_bound(p):
+    """The one bound ``quotient_basis`` completes p at by default."""
+    cap, margin = _default_bounds(p.quiver)
+    return max(cap + margin, 2 * cap)
+
+
+# benchmark-sized presentations, completed at their ceiling bound only
+ORACLE_AT_CEILING = {
+    "omega_36": lambda: omega_relations(build_quiver(loop_star(36))),
+    "omega_59": lambda: omega_relations(build_quiver(loop_star(59))),
+    "random_7_14": lambda: omega_relations(build_quiver(random_one_loop_graph(Random(7), 14))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_AT_CEILING))
+def test_complete_matches_all_pairs_oracle_at_the_ceiling(name):
+    p = ORACLE_AT_CEILING[name]()
+    bound = ceiling_bound(p)
+    for field in ORACLE_FIELDS:
+        combos = _relation_combos(p, field)
+        rs, truncated = complete(combos, field, bound)
+        ref, ref_truncated = reference_complete(combos, field, bound)
+        assert list(rs.rules.items()) == list(ref.items()), field
+        assert truncated == ref_truncated is False, field
+
+
+@pytest.mark.parametrize("name", sorted(golden_presentations()))
+def test_every_rule_has_at_most_one_tail_term(name):
+    """Every relation built is binomial, so every completed rule rewrites
+    its lead to one signed word or to 0, and ``_term`` holds that word."""
+    p = golden_presentations()[name]()
+    for field in ORACLE_FIELDS:
+        rs, truncated = complete(_relation_combos(p, field), field, ceiling_bound(p))
+        assert not truncated
+        assert all(len(tail) <= 1 for tail in rs.rules.values()), field
+        assert rs._term == {
+            lead: next(iter(tail.items()), None) for lead, tail in rs.rules.items()
+        }, field
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "GF2", "GF3"])
+def test_a_relation_of_three_terms_is_refused(field):
+    """``complete`` takes relations of at most two nonzero terms only."""
+    one = field.one
+    complete([{(0, 0): one, (0, 1): one, (1, 0): field.zero}], field, 8)
+    three = {(0, 0): one, (0, 1): one, (1, 0): one}
+    with pytest.raises(
+        NonBinomialRelation, match="^relation of 3 terms, not at most two$"
+    ):
+        complete([{(1, 1): one}, three], field, 8)
 
 
 @pytest.mark.parametrize("outer", ["bcd", "dbc"])
@@ -422,4 +480,4 @@ def test_nf_combo_matches_brute_force(field):
         combo = {
             random_word(rng, arrows, 7): field.from_int(rng.randint(-3, 3)) for _ in range(terms)
         }
-        assert rs.nf_combo(combo) == brute_nf(rs.rules, combo, field), combo
+        assert rs.nf_combo(combo.items()) == brute_nf(rs.rules, combo, field), combo

@@ -41,7 +41,7 @@ def reference_blocks(A):
             if (source, word) not in A.dropped:
                 found.setdefault((source, at), []).append(word)
             for a in by_source.get(at, ()):
-                if not rs.has_lead_suffix(word + (a,)):
+                if rs.lead_suffix(word + (a,)) is None:
                     nxt.append((source, word + (a,)))
         level = nxt
     blocks = dict.fromkeys(product(q.vertices, repeat=2), ())
