@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import product
 
 from . import rewriting
-from .linalg import QQ, det_int, vec_add_scaled
+from .linalg import QQ, det_int
 from .quiver import ALPHA, BETA, BrauerQuiver, build_quiver, cycle_words
 
 
@@ -313,33 +313,24 @@ class AlgebraElement:
         return f"<{self.source}->{self.target}: {self}>"
 
 
-def _sparse_sum(scaled):
-    """Sum of a * entries over (entries, a) pairs; entries are (position,
-    coefficient) pairs.  Returns sorted pairs with zeros dropped."""
-    acc = {}
-    for entries, a in scaled:
-        vec_add_scaled(acc, dict(entries), a)
-    return tuple(sorted(acc.items()))
-
-
 class QuotientAlgebra:
     """Exact basis, reduction map and structure constants of a presentation.
 
     Completed algebras are immutable apart from internal caches of the word
-    table (``blocks``), of block positions, of the coordinates of each path
-    asked for (per block, filled one word at a time), of products with basis
-    elements, of the coordinates of each product of two elements asked for
-    (``_products``, keyed by both factors' blocks and coordinates), of the
-    coordinates of the vertex idempotents and of the Cartan matrix (which
-    caches its determinant).  No cache keeps an element, whose reference back to the
-    algebra would leave the algebra for the cyclic collector to free.  The
-    caches only ever fill in deterministic values, so concurrent reads
-    (reduce, multiply, cartan) are safe.  ``_class`` is the one place where
-    a path meets the normal form and the dropped words; ``_product`` keeps
-    its coordinates, and ``reduce_word``, ``multiply``, ``times_basis`` and
-    ``basis_times`` read them there.  The socle and the comparison of two
-    algebras read arrow actions (``arrow_rows``, ``socle_words``) from
-    ``_class`` directly.
+    table (``blocks``), of block positions, of the signed class of each path
+    asked for (``_entries``, per block, filled one word at a time), of
+    products with basis elements (``_basis_products``), of the coordinates of
+    each product of two elements asked for (``_products``, keyed by both
+    factors' blocks and coordinates), of the vertex idempotents' coordinates
+    and of the Cartan matrix (which caches its determinant).  No cache keeps
+    an element, whose reference back to the algebra would leave the algebra
+    for the cyclic collector to free.  The caches only ever fill in
+    deterministic values, so concurrent reads (reduce, multiply, cartan) are
+    safe.  ``_class`` is the one place where a path meets the normal form and
+    the dropped words; ``_class_sum`` keeps and sums its classes for
+    ``reduce_word``, ``multiply``, ``times_basis`` and ``basis_times``.  The
+    socle and the comparison of two algebras read arrow actions
+    (``arrow_rows``, ``socle_words``) from ``_class`` directly.
 
     The basis is held as the levels of ``rewriting.normal_words`` and the
     number of words in each non-empty block (``_counts``), which is all that
@@ -423,7 +414,7 @@ class QuotientAlgebra:
         """Normal-form coordinates of a path given as arrow-id tuple."""
         target = source if not word else self.quiver.target[word[-1]]
         coeffs = [self.field.zero] * len(self.block(source, target))
-        for pos, c in self._product(source, target, word):
+        for pos, c in self._class_sum(source, target, [(word, self.field.one)]):
             coeffs[pos] = c
         return AlgebraElement(self, source, target, coeffs)
 
@@ -439,46 +430,50 @@ class QuotientAlgebra:
         coeffs = self._products.get(key)
         if coeffs is None:
             right = [(wr, b) for wr, b in zip(self.block(x.target, k), y.coeffs) if b]
+            left = [(wl, a) for wl, a in zip(self.block(i, x.target), x.coeffs) if a]
             coeffs = [self.field.zero] * len(self.block(i, k))
-            for wl, a in zip(self.block(i, x.target), x.coeffs):
-                if not a:
-                    continue
-                for wr, b in right:
-                    for pos, c in self._product(i, k, wl + wr):
-                        coeffs[pos] = coeffs[pos] + a * b * c
+            terms = ((wl + wr, a * b) for wl, a in left for wr, b in right)
+            for pos, c in self._class_sum(i, k, terms):
+                coeffs[pos] = c
             coeffs = self._products[key] = tuple(coeffs)
         return AlgebraElement(self, i, k, coeffs)
 
-    def _product(self, i, k, word):
-        """(position, coefficient) pairs in block (i, k) of the class of a
-        path from i to k, memoized per block in ``_entries``.  Every product
-        and every reduced path is read through here."""
+    def _class_sum(self, i, k, terms):
+        """Sorted (position, coefficient) pairs, zeros dropped, of the sum of
+        c * (class of w) over (w, c) terms of paths w from i to k.  Each class
+        is kept in ``_entries[(i, k)]`` as one signed word, (position,
+        coefficient), or None (see ``rewriting``)."""
         cache = self._entries.get((i, k))
         if cache is None:
             cache = self._entries[(i, k)] = {}
-        entry = cache.get(word)
-        if entry is None:
-            term = self._class(i, word)
-            entry = cache[word] = () if term is None else ((self._index(i, k)[term[0]], term[1]),)
-        return entry
+        acc = {}
+        for word, c in terms:
+            entry = cache.get(word, False)  # False: not read yet
+            if entry is False:
+                term = self._class(i, word)
+                entry = cache[word] = term and (self._index(i, k)[term[0]], term[1])
+            if entry is not None:
+                pos, d = entry
+                new = acc.pop(pos) + c * d if pos in acc else c * d
+                if new:
+                    acc[pos] = new
+        return tuple(sorted(acc.items()))
 
     def times_basis(self, x: AlgebraElement, k):
         """Coordinates of x * b for every basis element b of block (x.target, k).
 
-        One tuple of (position, coefficient) pairs per b, zeros dropped, read
+        One tuple of (position, coefficient) pairs per b, zeros dropped, summed
         from the product words of x's nonzero terms and memoized by x's
         coordinates.
         """
         key = ("left", x.source, x.target, k, x.coeffs)
         out = self._basis_products.get(key)
         if out is None:
-            i, product = x.source, self._product
-            terms = [(wl, a) for wl, a in zip(self.block(i, x.target), x.coeffs) if a]
-            out = tuple(
-                _sparse_sum((product(i, k, wl + wr), a) for wl, a in terms)
+            terms = [(wl, a) for wl, a in zip(self.block(x.source, x.target), x.coeffs) if a]
+            out = self._basis_products[key] = tuple(
+                self._class_sum(x.source, k, [(wl + wr, a) for wl, a in terms])
                 for wr in self.block(x.target, k)
             )
-            self._basis_products[key] = out
         return out
 
     def basis_times(self, i, y: AlgebraElement):
@@ -486,13 +481,11 @@ class QuotientAlgebra:
         key = ("right", i, y.source, y.target, y.coeffs)
         out = self._basis_products.get(key)
         if out is None:
-            k, product = y.target, self._product
-            terms = [(wr, a) for wr, a in zip(self.block(y.source, k), y.coeffs) if a]
-            out = tuple(
-                _sparse_sum((product(i, k, wl + wr), a) for wr, a in terms)
+            terms = [(wr, a) for wr, a in zip(self.block(y.source, y.target), y.coeffs) if a]
+            out = self._basis_products[key] = tuple(
+                self._class_sum(i, y.target, [(wl + wr, a) for wr, a in terms])
                 for wl in self.block(i, y.source)
             )
-            self._basis_products[key] = out
         return out
 
     def cartan(self) -> CartanMatrix:

@@ -19,11 +19,11 @@ into the products of D's entries, so no shifted copy is built.  It lays
 out each degree's variables by vertex groups and builds the rows and the
 homotopy columns from the stored entries, reading the products of an entry
 with a block's basis once per entry and vertex group (``times_basis`` and
-``basis_times``, memoized on the algebra, which reduces each product word
-once per block).  One walk over the entries and vertex groups serves both
-layouts: for ``SparseEchelon`` each group's products become dict entries,
-for ``BitEchelon`` one mask per coordinate, shifted and ORed into one int
-per row or column (``_gather``).
+``basis_times``, memoized on the algebra, which sums the product words'
+signed classes, each read once per block).  One walk over the entries and
+vertex groups serves both layouts: for ``SparseEchelon`` each group's
+products become dict entries, for ``BitEchelon`` one mask per coordinate,
+shifted and ORed into one int per row or column (``_gather``).
 The solver's layout finds the variables: a shift with no nonzero block from
 a summand of C^n to one of D^(n+r) has none, and ``homotopy_hom`` returns 0
 there.  Null-homotopic maps are chain maps, so the homotopy span is built

@@ -14,11 +14,12 @@ fault).  Then, by induction on the rules added, every polynomial in
 one-term tails a rewrite step, and so a normal form, maps c * w to 0 or to
 one signed word; an S-polynomial tail1 * s - p * tail2 has at most two
 terms; taking the lead off two terms leaves one.  The completion and the
-diamond lemma (below) hold unchanged.  Normal forms and S-polynomials read
-each rule's tail term (``_term``), making no dict per word, and none is
-memoized: a memo had to be cleared at every added rule (an entry's normal
-form, or a word met while rewriting it, may contain the new lead), and
-after completion ``QuotientAlgebra`` keeps each class it reads.
+diamond lemma (below) hold unchanged.  So ``rules`` maps each lead to its
+tail term, (word, coefficient) or None for 0, and ``complete`` reduces each
+term of a polynomial with ``nf_word``, making no dict per word.  No normal
+form is memoized: a memo had to be cleared at every added rule (an entry's
+normal form, or a word met while rewriting it, may contain the new lead),
+and after completion ``QuotientAlgebra`` keeps each class it reads.
 
 Completion is output-sensitive: ``RewriteSystem`` indexes its leads so that
 each question reads only the leads that can answer it.
@@ -29,7 +30,7 @@ each question reads only the leads that can answer it.
   Sorting the hits by the other lead's insertion stamp, then side, then k
   gives the order of a scan over all rules, so the heap sees the same pushes.
 - A second pair of these indexes holds only the binomial leads, whose tail
-  is not empty.  The S-polynomial of two monomial rules (empty tails) is
+  is a word.  The S-polynomial of two monomial rules (tails 0) is
   identically zero, so it is never pushed and never advances the heap
   counter.  When the new lead is monomial, ``complete`` therefore looks up
   its overlaps among the binomial leads only.  Skipping loses nothing: a
@@ -44,7 +45,7 @@ each question reads only the leads that can answer it.
 - The lead lengths present per first and per last arrow bound the slices
   ``find_factor`` and ``lead_suffix`` try at each position.
 
-A rule is added only for ``nf_combo`` output, which is irreducible, so a new
+A rule is added only for a lead that ``nf_word`` left irreducible, so a new
 lead never contains an older one.  An older lead may contain a newer one;
 that is an inclusion ambiguity, which ``overlaps`` (proper suffix-prefix
 overlaps only) does not resolve, so the diamond lemma would not apply
@@ -73,10 +74,10 @@ class NonBinomialRelation(Exception):
 class RewriteSystem:
     """A set of rewriting rules lead -> at most one smaller signed word.
 
-    ``rules`` keeps insertion order, each tail a dict of at most one term,
-    which ``_term`` holds as (word, coefficient), or None.  Every lead is
+    ``rules`` maps each lead, in insertion order, to its tail term as
+    (word, coefficient), or to None for a monomial lead.  Every lead is
     indexed by its insertion stamp, its first arrow and its last arrow,
-    binomial leads (non-empty tail) also in their own first- and last-arrow
+    binomial leads (tail a word) also in their own first- and last-arrow
     indexes, and the lead lengths present are kept per first and last arrow.
     ``longest_monomial`` is the length of the longest monomial lead.
     """
@@ -84,7 +85,6 @@ class RewriteSystem:
     def __init__(self, field):
         self.field = field
         self.rules = {}
-        self._term = {}
         self._stamp = {}
         self._by_first = {}  # arrow -> set of leads starting with it
         self._by_last = {}  # arrow -> set of leads ending with it
@@ -109,8 +109,7 @@ class RewriteSystem:
             self._binomial_last.setdefault(lead[-1], set()).add(lead)
         else:
             self.longest_monomial = max(self.longest_monomial, len(lead))
-        self.rules[lead] = {term[0]: term[1]} if term is not None else {}
-        self._term[lead] = term
+        self.rules[lead] = term
 
     def find_factor(self, word):
         """Leftmost, shortest rule lead occurring as a factor of word."""
@@ -143,7 +142,7 @@ class RewriteSystem:
         the suffix of first of length k equals the prefix of second.  They
         come in rule insertion order, (lead, other) before (other, lead),
         then by k; lead against itself appears once on each side.  With
-        ``binomial`` only the rules with a non-empty tail are read."""
+        ``binomial`` only the rules whose tail is a word are read."""
         if binomial:
             by_first, by_last = self._binomial_first, self._binomial_last
         else:
@@ -169,7 +168,7 @@ class RewriteSystem:
     def nf_word(self, word, coeff):
         """Normal form of coeff * word as (word, coefficient), or None for 0,
         rewriting the leftmost, shortest lead by its tail term until none is left."""
-        find_factor, tails = self.find_factor, self._term
+        find_factor, tails = self.find_factor, self.rules
         hit = find_factor(word)
         while hit is not None:
             i, lead = hit
@@ -180,19 +179,6 @@ class RewriteSystem:
             coeff = term[1] * coeff
             hit = find_factor(word)
         return word, coeff
-
-    def nf_combo(self, terms):
-        """Normal form of a combination of (word, coefficient) terms as
-        {word: coefficient}, zeros dropped."""
-        out = {}
-        for word, coeff in terms:
-            term = self.nf_word(word, coeff) if coeff else None
-            if term is not None:
-                word, coeff = term
-                coeff = out.pop(word) + coeff if word in out else coeff
-                if coeff:
-                    out[word] = coeff
-        return out
 
 
 def complete(relations, field, maxlen):
@@ -216,13 +202,18 @@ def complete(relations, field, maxlen):
 
     while heap:
         _, _, terms = heapq.heappop(heap)
-        poly = rs.nf_combo(terms)
+        # at most two terms, each now 0 or one signed word (see the module
+        # docstring); equal words merge, else the larger word leads
+        poly = [t for w, c in terms if (t := rs.nf_word(w, c)) is not None]
+        if len(poly) == 2:
+            (u, a), (v, b) = poly
+            if u == v:
+                poly = [(u, a + b)] if a + b else []
+            elif (len(v), v) > (len(u), u):
+                poly.reverse()
         if not poly:
             continue
-        # at most two terms (see the module docstring); the larger is the lead
-        (lead, lc), *rest = poly.items()
-        if rest and (len(rest[0][0]), rest[0][0]) > (len(lead), lead):
-            (lead, lc), rest = rest[0], [(lead, lc)]
+        (lead, lc), *rest = poly
         term = (rest[0][0], field.div(-rest[0][1], lc)) if rest else None
         if len(lead) < 2:
             raise NotAdmissible(f"ideal contains a generator of length {len(lead)}")
@@ -245,7 +236,7 @@ def complete(relations, field, maxlen):
                     continue
                 seen.add(k)
             # tail(first) * second[k:] - first[:-k] * tail(second)
-            t1, t2 = rs._term[first], rs._term[second]
+            t1, t2 = rs.rules[first], rs.rules[second]
             spoly = [(t1[0] + second[k:], t1[1])] if t1 else []
             if t2:
                 spoly.append((first[: len(first) - k] + t2[0], -t2[1]))

@@ -26,8 +26,9 @@ and branch-switch generator maps are all tree-path maps, and the two users
 share them: each (x, y) map is built and square-checked once per complex and
 kept in ``TiltingComplex.path_maps`` (on a chain, every generator map
 Q(x) -> Q(succ x) is the witness map of x).  Products of elements are
-computed once per algebra (``QuotientAlgebra.multiply``), and a composite
-that is exactly zero is null-homotopic without a solver.
+computed once per algebra (``QuotientAlgebra.multiply``, from the classes
+the Hom solver reads), and an exactly zero composite is null-homotopic
+without a solver.
 """
 from __future__ import annotations
 

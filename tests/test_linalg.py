@@ -338,11 +338,13 @@ def test_echelon_for_packs_bits_over_gf2_alone():
 def _coefficients(A):
     """Every coefficient in A's rules, its cached path classes (``_entries``,
     one cache per block) and its basis products."""
-    for tail in A._rsys.rules.values():
-        yield from tail.values()
+    for term in A._rsys.rules.values():
+        if term is not None:
+            yield term[1]
     for cache in A._entries.values():
-        for entries in cache.values():
-            yield from (c for _, c in entries)
+        for entry in cache.values():
+            if entry is not None:
+                yield entry[1]
     for key, out in A._basis_products.items():
         yield from key[-1]
         for entries in out:

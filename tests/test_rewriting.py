@@ -181,10 +181,17 @@ def test_completion_digests_cover_every_case():
     assert set(COMPLETION_DIGESTS) == expected
 
 
+def oracle_rules(rules):
+    """``RewriteSystem.rules``, each tail a (word, coefficient) term or None,
+    as the oracle's {lead: {word: coefficient}}, in the same order."""
+    return {lead: {} if term is None else {term[0]: term[1]} for lead, term in rules.items()}
+
+
 def _pinned_rules(rules, field):
-    """The rules as (lead, tail) pairs; over Q each tail coefficient is
-    written as a ``Fraction``, so the digest pins values and not whether a
-    coefficient is held as an int or a Fraction."""
+    """The rules as (lead, {word: coefficient}) pairs; over Q each tail
+    coefficient is written as a ``Fraction``, so the digest pins values and
+    not whether a coefficient is held as an int or a Fraction."""
+    rules = oracle_rules(rules)
     if field != QQ:
         return list(rules.items())
     return [(lead, {w: Fraction(c) for w, c in tail.items()}) for lead, tail in rules.items()]
@@ -377,7 +384,7 @@ def test_complete_matches_all_pairs_oracle(name):
         for maxlen in ORACLE_MAXLENS:
             rs, truncated = complete(combos, field, maxlen)
             ref, ref_truncated = reference_complete(combos, field, maxlen)
-            assert list(rs.rules.items()) == list(ref.items()), (field, maxlen)
+            assert list(oracle_rules(rs.rules).items()) == list(ref.items()), (field, maxlen)
             assert truncated == ref_truncated, (field, maxlen)
             flags.add(truncated)
     assert flags == {True, False}
@@ -405,22 +412,43 @@ def test_complete_matches_all_pairs_oracle_at_the_ceiling(name):
         combos = _relation_combos(p, field)
         rs, truncated = complete(combos, field, bound)
         ref, ref_truncated = reference_complete(combos, field, bound)
-        assert list(rs.rules.items()) == list(ref.items()), field
+        assert list(oracle_rules(rs.rules).items()) == list(ref.items()), field
         assert truncated == ref_truncated is False, field
 
 
 @pytest.mark.parametrize("name", sorted(golden_presentations()))
 def test_every_rule_has_at_most_one_tail_term(name):
     """Every relation built is binomial, so every completed rule rewrites
-    its lead to one signed word or to 0, and ``_term`` holds that word."""
+    its lead to one signed word, (word, nonzero coefficient), or to 0, None."""
     p = golden_presentations()[name]()
     for field in ORACLE_FIELDS:
         rs, truncated = complete(_relation_combos(p, field), field, ceiling_bound(p))
         assert not truncated
-        assert all(len(tail) <= 1 for tail in rs.rules.values()), field
-        assert rs._term == {
-            lead: next(iter(tail.items()), None) for lead, tail in rs.rules.items()
-        }, field
+        for term in rs.rules.values():
+            if term is not None:
+                word, coeff = term
+                assert type(word) is tuple and coeff, (field, term)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "GF2", "GF3"])
+def test_two_terms_reducing_to_one_word_merge(field):
+    """The relation (0,1) - (2,3) gives the rule (2,3) -> (0,1), so both
+    terms of a second relation (0,1) + (2,3) reduce to the word (0,1) and
+    ``complete`` adds their coefficients: 2 * (0,1) is the monomial rule
+    (0,1) -> 0 unless 2 = 0, as over GF(2).  Of (2,3) - (0,1) the two terms
+    cancel in every field."""
+    one = field.one
+    first = {(0, 1): one, (2, 3): -one}
+    for second, monomial in (
+        ({(0, 1): one, (2, 3): one}, bool(one + one)),
+        ({(2, 3): one, (0, 1): -one}, False),
+    ):
+        rs, truncated = complete([first, second], field, 6)
+        expected = {(2, 3): ((0, 1), one)} | ({(0, 1): None} if monomial else {})
+        assert list(rs.rules.items()) == list(expected.items()) and not truncated, second
+        ref, ref_truncated = reference_complete([first, second], field, 6)
+        assert list(oracle_rules(rs.rules).items()) == list(ref.items()), second
+        assert truncated == ref_truncated, second
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "GF2", "GF3"])
@@ -468,16 +496,20 @@ def test_a_lead_of_one_arrow_is_not_admissible(field):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "GF3"])
-def test_nf_combo_matches_brute_force(field):
-    """``nf_combo`` of one term and of several terms equals the brute-force
-    normal form, coefficient by coefficient, on random words over a
-    completed system."""
+def test_nf_word_matches_brute_force(field):
+    """``nf_word`` of a random word with a random nonzero coefficient equals
+    the brute-force normal form over a completed system: one signed word,
+    or None where the brute force gives 0."""
     q = build_quiver(corpus_graphs()["mixed7"])
     rs = quotient_basis(omega_relations(q), field=field)._rsys
+    rules = oracle_rules(rs.rules)
     rng = Random(3)
     arrows = len(q.arrows)
-    for terms in [1] * 150 + [2, 3] * 50:
-        combo = {
-            random_word(rng, arrows, 7): field.from_int(rng.randint(-3, 3)) for _ in range(terms)
-        }
-        assert rs.nf_combo(combo.items()) == brute_nf(rs.rules, combo, field), combo
+    seen = set()
+    for _ in range(300):
+        word = random_word(rng, arrows, 7)
+        coeff = field.from_int(rng.choice([-2, -1, 1, 2]))
+        term = rs.nf_word(word, coeff)
+        assert ({} if term is None else dict([term])) == brute_nf(rules, {word: coeff}, field), word
+        seen.add(term is None)
+    assert seen == {True, False}

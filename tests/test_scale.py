@@ -253,12 +253,11 @@ def test_repeated_products_match_normal_forms(name, field, monkeypatch):
     equal but new elements, reduces no product word the second time and
     returns the normal-form sum both times.  Two left and two right factors
     per block triple share their blocks, so a memo key that missed either
-    factor would return the wrong product.  The memo keeps coefficient
-    tuples, never elements."""
+    factor would return the wrong product.  No cache keeps an element."""
     A = quotient_basis(omega_relations(build_quiver(parse_graph(MEMO_CASES[name]))), field=field)
     reduced = []
-    product = A._product
-    monkeypatch.setattr(A, "_product", lambda i, k, w: reduced.append(w) or product(i, k, w))
+    read = A._class
+    monkeypatch.setattr(A, "_class", lambda i, w: reduced.append(w) or read(i, w))
     rng = random.Random(5)
     triples = [
         (i, j, k) for i in A.vertices for j in A.vertices for k in A.vertices
@@ -283,9 +282,16 @@ def test_repeated_products_match_normal_forms(name, field, monkeypatch):
                     assert (xy.source, xy.target) == (i, k)
                     coords = tuple((p, c) for p, c in enumerate(xy.coeffs) if c)
                     assert coords == _oracle_sum(A, i, k, pairs)
-    assert reduced and A._products
+        A.times_basis(lefts[0], k), A.basis_times(i, rights[0])
+    assert reduced and A._products and A._entries and A._basis_products
     for coeffs in A._products.values():
         assert type(coeffs) is tuple and not any(isinstance(c, AlgebraElement) for c in coeffs)
+    for cache in A._entries.values():
+        for entry in cache.values():
+            assert entry is None or not any(isinstance(c, AlgebraElement) for c in entry)
+    for key, out in A._basis_products.items():
+        assert not any(isinstance(c, AlgebraElement) for c in key)
+        assert not any(isinstance(c, AlgebraElement) for coords in out for _, c in coords)
 
 
 @pytest.mark.slow

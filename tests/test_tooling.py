@@ -190,15 +190,21 @@ def test_no_orphan_helpers():
     assert orphan_helpers(_package_sources()) == [("homological.py", "ProjComplex.total_summands")]
 
 
+def _readers(tree, name):
+    """Names of the functions under ``tree`` that read ``name``."""
+    return {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and name in _names(node)
+    }
+
+
 def test_only_the_class_of_a_path_reads_normal_forms():
     """In ``algebra.py`` one method turns a path into its class; products
-    and reduced paths read it through ``_product``."""
+    and reduced paths sum classes through ``_class_sum`` alone, and only
+    the arrow actions read ``_class`` besides."""
     tree = ast.parse(_package_sources()["algebra.py"])
-    readers = {
-        node.name for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and {"nf_word", "nf_combo"} & set(_names(node))
-    }
-    assert readers == {"_class"}
+    assert _readers(tree, "nf_word") == {"_class"}
+    assert _readers(tree, "_class") == {"_class_sum", "arrow_rows", "socle_words"}
 
 
 def test_every_raised_exception_has_an_exit_code():
