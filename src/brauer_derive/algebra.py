@@ -23,12 +23,17 @@ the presentation's graph,
 C_ij = sum over graph vertices v of a_i(v) * a_j(v), with a_i(v) the number
 of half-edges of edge i at v (two for the loop); a mismatch raises
 ``CartanMismatch``.  Every presentation built here (``omega_relations`` of a
-graph, ``a_n_presentation``) has this Cartan matrix.
+graph, ``a_n_presentation``) has this Cartan matrix.  The check proves
+C = M M^T for the half-edge matrix M (a_i(v) at row i and column v), which
+is square, as a one-loop graph has as many vertices as edges.  So
+det C = det(M)^2, and the algebra's ``CartanMatrix`` takes its determinant
+from M: ``linalg.det_int`` on M's sparse rows, which are triangular up to a
+permutation (a leaf vertex meets one edge), at O(nnz).
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -192,8 +197,24 @@ def a_n_presentation(n: int) -> Presentation:
 
 @dataclass(frozen=True)
 class CartanMatrix:
+    """A Cartan matrix: ``rows[i][j]`` for the vertices ``order[i]`` and
+    ``order[j]``, and its determinant, exact.
+
+    ``factor`` is (F, d) when the program has proved that the matrix is
+    F·B·Fᵀ, for a square integer matrix F given as sparse rows {column:
+    entry} and a matrix B of determinant d.  Then det = det(F)²·d, which
+    ``linalg.det_int`` reads off F's sparse rows.  ``quotient_basis`` gives
+    an algebra's matrix the factor (M, 1), M the half-edge matrix its Cartan
+    check proves C = M·Mᵀ with, and ``homological.happel_cartan`` gives
+    Happel's S·C·Sᵀ the factor (S, det C) when S is square.  A matrix
+    without a factor has its determinant eliminated from its rows.  Either
+    way the determinant is computed when first read and kept; the factor
+    takes no part in equality.
+    """
+
     order: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
+    factor: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self):
@@ -204,16 +225,19 @@ class CartanMatrix:
 
     @cached_property
     def _det(self):
-        return det_int([list(r) for r in self.rows])
+        if self.factor is None:
+            return det_int([{j: v for j, v in enumerate(r) if v} for r in self.rows])
+        F, d = self.factor
+        return det_int(F) ** 2 * d
 
     def reorder(self, order):
-        """The matrix in vertex order ``order``, with its determinant if known."""
-        idx = [self.order.index(v) for v in order]
-        out = CartanMatrix(
-            tuple(order), tuple(tuple(self.rows[i][j] for j in idx) for i in idx)
-        )
-        if "_det" in self.__dict__:
-            out.__dict__["_det"] = self._det
+        """The matrix P·C·Pᵀ in vertex order ``order``, a permutation of
+        ``self.order``, which carries C's determinant: det(P)² = 1."""
+        index = {v: k for k, v in enumerate(self.order)}
+        idx = [index[v] for v in order]
+        columns = list(zip(*[self.rows[i] for i in idx]))  # of P C
+        out = CartanMatrix(tuple(order), tuple(zip(*[columns[j] for j in idx])))
+        out.__dict__["_det"] = self.det()
         return out
 
     def to_json(self):
@@ -322,7 +346,7 @@ class QuotientAlgebra:
     products with basis elements (``_basis_products``), of the coordinates of
     each product of two elements asked for (``_products``, keyed by both
     factors' blocks and coordinates), of the vertex idempotents' coordinates
-    and of the Cartan matrix (which caches its determinant).  No cache keeps
+    and of the Cartan matrix (which caches its determinant once read).  No cache keeps
     an element, whose reference back to the algebra would leave the algebra
     for the cyclic collector to free.  The caches only ever fill in
     deterministic values, so concurrent reads (reduce, multiply, cartan) are
@@ -334,7 +358,10 @@ class QuotientAlgebra:
 
     The basis is held as the levels of ``rewriting.normal_words`` and the
     number of words in each non-empty block (``_counts``), which is all that
-    ``dim`` and ``cartan`` read.  ``blocks``, the words of every block less
+    ``dim`` and ``cartan`` read: ``cartan`` fills its rows from the counts,
+    and takes its determinant from the half-edge matrix ``quotient_basis``
+    hands over (``half_edges``), or, without one, as for a socle quotient,
+    from its rows.  ``blocks``, the words of every block less
     the dropped ones, is built from the levels when first read, by
     ``_block_words``: keys in the canonical vertex order, words in
     length-lexicographic order, every block a tuple.  Without ``counts``, as
@@ -342,7 +369,7 @@ class QuotientAlgebra:
     """
 
     def __init__(self, presentation, cap, margin, field, rsys, levels, counts=None,
-                 dropped=frozenset()):
+                 dropped=frozenset(), half_edges=None):
         self.presentation = presentation
         self.quiver = presentation.quiver
         self.cap = cap
@@ -355,6 +382,7 @@ class QuotientAlgebra:
         if counts is None:
             counts = {key: len(words) for key, words in self.blocks.items() if words}
         self._counts = counts
+        self._half_edges = half_edges
         self._positions = {}
         self._entries = {}
         self._basis_products = {}
@@ -493,9 +521,13 @@ class QuotientAlgebra:
 
     @cached_property
     def _cartan(self):
-        order, counts = self.vertices, self._counts
-        rows = tuple(tuple(counts.get((i, j), 0) for j in order) for i in order)
-        return CartanMatrix(order, rows)
+        order = self.vertices
+        index = {v: k for k, v in enumerate(order)}
+        rows = [[0] * len(order) for _ in order]
+        for (i, j), c in self._counts.items():
+            rows[index[i]][index[j]] = c
+        factor = None if self._half_edges is None else (self._half_edges, 1)
+        return CartanMatrix(order, tuple(map(tuple, rows)), factor)
 
     def _class(self, source, word):
         """(word, coefficient) of the class of a path from source, or None:
@@ -613,10 +645,17 @@ def _block_counts(q, levels):
 def _check_half_edge_cartan(q, counts):
     """Raise ``CartanMismatch`` unless every block has sum_v a_i(v) * a_j(v)
     words, a_i(v) counting the half-edges of edge i at graph vertex v; the
-    message names the first block off it in the canonical order."""
+    message names the first block off it in the canonical order.  Return
+    the half-edge matrix M, built in the same pass, which this proves
+    C = M·Mᵀ for: a_i(v) at row i, in ``q.vertices`` order, and column v,
+    in the graph's vertex order, as sparse rows {column: entry}."""
+    row_of = {e: k for k, e in enumerate(q.vertices)}
+    half_edges = [{} for _ in q.vertices]
     expected = {}  # a pair of half-edges of i and j at v adds 1 to C_ij
-    for v in q.graph.vertices:
+    for col, v in enumerate(q.graph.vertices):
         for i in v.cyclic:
+            row = half_edges[row_of[i]]
+            row[col] = row.get(col, 0) + 1
             for j in v.cyclic:
                 expected[(i, j)] = expected.get((i, j), 0) + 1
     if counts != expected:
@@ -627,9 +666,13 @@ def _check_half_edge_cartan(q, counts):
             f"block ({i},{j}) has {counts.get((i, j), 0)} basis words, "
             f"the graph's half-edges give {expected.get((i, j), 0)}"
         )
+    return half_edges
 
 
 def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> QuotientAlgebra:
+    """The algebra of p, its basis proven (see the module docstring).  It
+    keeps the half-edge matrix M of the Cartan check, from which its Cartan
+    matrix reads det C = det(M)^2 when first asked."""
     if not p.admissible():
         raise rewriting.NotAdmissible("presentation has a relation word of length < 2")
     q = p.quiver
@@ -652,8 +695,8 @@ def quotient_basis(p: Presentation, cap=None, margin=None, field=QQ) -> Quotient
             f"normal words of length {cap} survive; raise cap (cap={cap}, margin={margin})"
         )
     counts = _block_counts(q, levels)
-    _check_half_edge_cartan(q, counts)
-    return QuotientAlgebra(p, cap, margin, field, rs, levels, counts)
+    half_edges = _check_half_edge_cartan(q, counts)
+    return QuotientAlgebra(p, cap, margin, field, rs, levels, counts, half_edges=half_edges)
 
 
 def socle_quotient(A: QuotientAlgebra) -> QuotientAlgebra:

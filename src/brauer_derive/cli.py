@@ -104,9 +104,9 @@ def _dumps(payload):
 
     ``indent`` makes ``json`` fall back to its pure-Python encoder; this
     writer produces the same text with less work: strings go through the C
-    string encoder, and a list of ints is joined in one step.  Every
-    payload has string keys; the string encoder raises ``TypeError`` on
-    any other key.
+    string encoder, and a list of ints, or of strings, is joined in one
+    step.  Every payload has string keys; the string encoder raises
+    ``TypeError`` on any other key.
     """
     out = []
     put = out.append
@@ -132,6 +132,8 @@ def _dumps(payload):
             inner = indent + "  "
             if all(type(v) is int for v in value):
                 put("[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)))
+            elif all(type(v) is str for v in value):
+                put("[\n" + inner + (",\n" + inner).join(map(encode_basestring_ascii, value)))
             else:
                 sep = "[\n" + inner
                 for item in value:

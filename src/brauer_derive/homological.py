@@ -35,10 +35,19 @@ test of ``is_null_homotopic``.  ``minimize`` strips contractible two-term pieces
 Gaussian elimination on differential entries that are units of the local
 endomorphism rings; a unit c (e_i - r) with r radical is inverted by the
 finite series c^-1 (e_i + r + r^2 + ...), no solver needed.
+
+``happel_cartan`` gives the Cartan matrix of End(T) as S C S^T, S the
+signed class matrix of T's summands.  When S is square, det(S C S^T) =
+det(S)^2 det(C), and that is how the determinant is read: det S from S's
+sparse rows, det C from the algebra's own factor (see ``algebra``).  With
+det C != 0, |det C| = |det S C S^T| is then exactly det(S)^2 = 1: the
+classes of T's summands form a basis of the Grothendieck group K_0, which
+is what the determinant check of a tilting certificate certifies.
 """
 from __future__ import annotations
 
 from itertools import groupby
+from operator import add, neg
 
 from .algebra import AlgebraElement, CartanMatrix
 from .linalg import QQ, BitEchelon, NotIntegral, echelon_for, mod_2
@@ -586,7 +595,9 @@ def is_null_homotopic(f: ChainMap) -> bool:
 
 
 def happel_cartan(summands, C: CartanMatrix, labels) -> CartanMatrix:
-    """Cartan matrix of the endomorphism ring of a direct sum of complexes.
+    """Cartan matrix of the endomorphism ring of a direct sum of complexes
+    (Happel, *Triangulated categories in the representation theory of
+    finite-dimensional algebras*, 1988).
 
     Entry (z, z') is the alternating double sum over degrees r, s of
     (-1)^(r-s) dim Hom(Q_r, Q'_s), with the module Hom dimensions read off
@@ -594,6 +605,13 @@ def happel_cartan(summands, C: CartanMatrix, labels) -> CartanMatrix:
     this is S C S^T, where row z of S counts the summands of Q_z at each
     vertex with the sign of their degree.  ``labels`` names the summands,
     in order.
+
+    S is kept as sparse rows, and the product is taken as S (C S^T), each
+    factor's rows combined from the rows of a transpose (``_combine``): a
+    unit row of S (one summand, in an even degree) takes its row as it is,
+    and only the other rows are summed.  When S is square the result
+    carries the factor (S, det C), so its determinant is det(S)^2 det(C)
+    (see ``CartanMatrix``); otherwise it is eliminated from the rows.
     """
     index = {v: k for k, v in enumerate(C.order)}
     signed = []  # sparse rows of S
@@ -602,13 +620,26 @@ def happel_cartan(summands, C: CartanMatrix, labels) -> CartanMatrix:
         for n, term in Q.terms.items():
             sign = -1 if n % 2 else 1
             for v in term:
-                row[index[v]] = row.get(index[v], 0) + sign
-        signed.append([(k, m) for k, m in row.items() if m])
-    rows = []
-    for sz in signed:
-        sc = [0] * len(C.order)  # row z of S C
-        for k, m in sz:
-            for j, value in enumerate(C.rows[k]):
-                sc[j] += m * value
-        rows.append(tuple(sum(sc[j] * m for j, m in sw) for sw in signed))
-    return CartanMatrix(tuple(labels), tuple(rows))
+                k = index[v]
+                row[k] = row.get(k, 0) + sign
+        signed.append({k: m for k, m in row.items() if m})
+    # the rows of S C^T, which are the columns of C S^T; then S (C S^T)
+    columns, zero = list(zip(*C.rows)), (0,) * len(C.order)
+    c_st = list(zip(*[_combine(columns, s, zero) for s in signed]))
+    rows = tuple(_combine(c_st, s, (0,) * len(signed)) for s in signed)
+    factor = (signed, C.det()) if len(signed) == len(C.order) else None
+    return CartanMatrix(tuple(labels), rows, factor)
+
+
+def _combine(vectors, entries, zero):
+    """The sum of m * vectors[k] over the (k, m) items of ``entries``, as a
+    tuple, or ``zero`` when there are none.  A single entry 1 gives
+    vectors[k] itself; otherwise the sum is a chain of ``map``s, which the
+    final ``tuple`` evaluates in one pass."""
+    acc = None
+    for k, m in entries.items():
+        v = vectors[k]
+        if m != 1:
+            v = map(neg, v) if m == -1 else map(m.__mul__, v)
+        acc = v if acc is None else map(add, acc, v)
+    return zero if acc is None else tuple(acc)

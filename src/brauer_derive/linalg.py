@@ -402,40 +402,105 @@ def echelon_for(field):
     return BitEchelon() if getattr(field, "p", None) == 2 else SparseEchelon(field.one)
 
 
+def _permutation_sign(perm):
+    """+1 or -1, the sign of the permutation t -> perm[t] of range(len(perm))."""
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        t = perm[start]
+        seen[start] = True
+        while not seen[t]:  # each further element of the cycle is one transposition
+            seen[t] = True
+            sign = -sign
+            t = perm[t]
+    return sign
+
+
 def det_int(rows):
     """Determinant of a square integer matrix, exact.
 
-    Fraction-free Bareiss elimination (Bareiss 1968): after step k every
-    entry below and right of the pivot is a (k+1)-minor of the input, so each
-    division is exact and all arithmetic stays on native ints.  Rows are
-    sparse dicts {column: nonzero entry}.  Step k sends a row i > k to
-    (pivot * row_i - row_i[k] * row_k) / prev, prev being the previous pivot
-    (1 at the first step); a row with no entry in column k becomes
-    pivot * row_i / prev, so when pivot == prev it is left as it is.  The
-    Cartan matrix of a loop-star is diagonal after the first step, so most
-    of its rows take that case.
+    ``rows`` is a sequence of n sparse rows, each a mapping {column: entry}
+    with columns in range(n); zero entries may be left out.  The matrix is
+    not changed.
+
+    Fraction-free Bareiss elimination (Bareiss 1968) with sparse pivoting.
+    Each step takes a column with the fewest nonzero entries among those
+    left and, in it, a row with the fewest entries, so a column with one
+    entry (a leaf) goes first.  With the pivots taken in that order, the
+    elimination is Bareiss's on the matrix P A Q whose rows and columns are
+    permuted into pivot order: after a step with pivot p, every entry left
+    is a minor of P A Q, so each division by the previous pivot is exact and
+    all arithmetic stays on native ints, and the last pivot is det(P A Q).
+    A step sends a row with entry f in the pivot column to
+    (p * row - f * pivot row) / prev; a row with no entry there would only
+    be scaled by p / prev, so it is left as it is, with the prev it was
+    last written at, and brought up to date when a step reads it.  A matrix
+    that is triangular up to a permutation of rows and columns, as the
+    half-edge matrix M and Happel's class matrix S are (see ``algebra`` and
+    ``homological.happel_cartan``), always has a leaf column, and removing
+    a leaf with its row leaves another, so its determinant costs O(nnz).
     """
-    m = [{j: v for j, v in enumerate(map(operator.index, row)) if v} for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if k not in m[k]:
-            pr = next((i for i in range(k + 1, n) if k in m[i]), None)
-            if pr is None:
-                return 0
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        row_k = m[k]
-        pivot = row_k[k]
-        rest = [(j, v) for j, v in row_k.items() if j != k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            f = row_i.pop(k, 0)
-            if not f and pivot == prev:
-                continue
-            new = {j: pivot * v for j, v in row_i.items()}
-            for j, v in rest:
+    n = len(rows)
+    m, cols = [], [set() for _ in range(n)]  # cols[j]: the rows with an entry in column j
+    for i, row in enumerate(rows):
+        entries = {}
+        for j, v in row.items():
+            if v:
+                entries[j] = operator.index(v)
+                cols[j].add(i)
+        if not entries:
+            return 0
+        m.append(entries)
+    if not all(cols):
+        return 0
+    level = [1] * n  # the prev that row i's stored entries were written at
+    leaves = [j for j, c in enumerate(cols) if len(c) == 1]
+    perm = [0] * n  # pivot row -> its pivot column; cols[j] is None once j is pivoted
+    prev = 1
+    for _ in range(n):
+        k = None
+        while leaves:
+            j = leaves.pop()
+            if cols[j] is not None and len(cols[j]) == 1:
+                k = j
+                break
+        if k is None:
+            k = min(
+                (j for j in range(n) if cols[j] is not None), key=lambda j: (len(cols[j]), j)
+            )
+        below, cols[k] = cols[k], None
+        r = min(below, key=lambda i: (len(m[i]), i)) if len(below) > 1 else next(iter(below))
+        below.discard(r)
+        perm[r] = k
+        pivot_row = m[r]
+        if level[r] != prev:
+            pivot_row = {j: v * prev // level[r] for j, v in pivot_row.items()}
+        p = pivot_row.pop(k)
+        for i in below:
+            row = m[i]
+            if level[i] != prev:
+                row = {j: v * prev // level[i] for j, v in row.items()}
+            f = row.pop(k)
+            new = {j: p * v for j, v in row.items()}
+            for j, v in pivot_row.items():
                 new[j] = new.get(j, 0) - f * v
-            m[i] = {j: v // prev for j, v in new.items() if v}
-        prev = pivot
-    return sign * m[-1].get(n - 1, 0) if n else 1
+            new = {j: v // prev for j, v in new.items() if v}
+            if not new:
+                return 0
+            for j in new.keys() - row.keys():
+                cols[j].add(i)
+            for j in row.keys() - new.keys():
+                cols[j].discard(i)
+                if len(cols[j]) < 2:
+                    if not cols[j]:
+                        return 0
+                    leaves.append(j)
+            m[i], level[i] = new, p
+        for j in pivot_row:
+            c = cols[j]
+            c.discard(r)
+            if len(c) < 2:
+                if not c:
+                    return 0
+                leaves.append(j)
+        prev = p
+    return _permutation_sign(perm) * prev

@@ -7,10 +7,19 @@ endomorphism ring.  The trace ends at a loop-star with the same number of
 edges, which indexes the derived-equivalence class.
 
 A graph's constructor is its validation, so only the graph a reduction
-starts from is validated again.  A step computes one determinant, det_end:
-a moved graph whose Cartan rows equal the endomorphism ring's, reordered to
-its vertices, has that matrix up to a simultaneous permutation of rows and
-columns, which keeps the determinant.
+starts from is validated again.  No step eliminates a Cartan matrix.  The
+input's determinant is det(M)^2, M the half-edge matrix with C = M M^T,
+which the algebra's Cartan check proves (see ``algebra``).  A step's
+det_end is det(S)^2 det(C), S the square class matrix of the enlarging
+complex and C the source algebra's Cartan matrix (see ``homological``).
+As det C = 4, the step's |det| check holds exactly when det(S)^2 = 1: the
+classes of the complex's summands form a basis of K_0.  A moved graph whose
+Cartan rows equal the endomorphism ring's, reordered to its vertices, has
+that matrix up to a simultaneous permutation of rows and columns, which
+keeps the determinant; so the moved graph's algebra takes that matrix, with
+det_end, as its own, and the next step reads its det C from there.  A
+reduction thus eliminates the input's M once and each step's S once, both
+sparse and triangular up to a permutation.
 """
 from __future__ import annotations
 
@@ -104,6 +113,11 @@ def _certified_step(g, A, at, cap, margin, field):
     cert = check_tilting(Q)
     moved = Q.target
     A2 = _algebra(moved, cap, margin, field)
+    if set(A2.vertices) != set(cert.end_cartan.order):
+        raise CertificateFailure(
+            f"surgery edge mismatch at edge {at}: endomorphism ring and moved graph "
+            "have different edges"
+        )
     expected = cert.end_cartan.reorder(A2.vertices)
     if A2.cartan().rows != expected.rows:
         raise CertificateFailure(

@@ -14,7 +14,13 @@ are cross-checked through Cartan matrices rather than trusting the surgery.
 ``check_tilting`` certifies the tilting axioms: vanishing of homotopy Homs
 of the full direct sum at all nonzero shifts within the provable window,
 plus one generation witness per simple projective (a mapping cone that
-minimizes to the expected stalk).  ``verify_end_generators`` sends every
+minimizes to the expected stalk), Happel's Cartan matrix S C S^T of End(T)
+and |det| invariance.  No Cartan matrix is eliminated for the last: with
+S square, det_end = det(S)^2 det_source (see ``homological``), so with
+det_source != 0 the check holds exactly when det(S)^2 = 1, that is, when
+the classes of T's summands form a basis of K_0, as a tilting complex's
+must.  An ordering that lists a summand twice gives S a doubled row, and
+det_end = 0 fails it.  ``verify_end_generators`` sends every
 arrow of the target quiver (the loop-star of the same size for a shrink
 complex, the moved graph for an enlarge complex) to a generator chain map of
 the endomorphism ring and checks every relation of ``omega_relations`` of

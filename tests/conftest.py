@@ -1,5 +1,7 @@
 """Shared corpus of one-loop Brauer graphs, cached algebra builds, and the
 canonical relabelling that compares graphs up to edge names."""
+from fractions import Fraction
+
 import pytest
 
 from brauer_derive.algebra import (
@@ -224,6 +226,33 @@ def certificate_valid(cert):
         all(v == 0 for v in cert.hom_vanishing.values())
         and abs(cert.det_source) == abs(cert.det_end)
     )
+
+
+def det_fraction(rows):
+    """Reference determinant: Gaussian elimination over ``Fraction``."""
+    n = len(rows)
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def factored_det_exact(C):
+    """C carries a factorization the program proved (``CartanMatrix.factor``),
+    and the determinant read off it equals elimination over ``Fraction`` on
+    C's rows."""
+    return C.factor is not None and C.det() == det_fraction(C.rows)
 
 
 # Test-only readers and builders that no code of the package calls: one

@@ -12,6 +12,7 @@ from brauer_derive import algebra, cli, graph, reduction, rewriting, tilting
 from brauer_derive.algebra import (
     CartanMismatch,
     a_n_presentation,
+    omega_relations,
     quotient_basis,
 )
 from brauer_derive.cli import (
@@ -22,9 +23,10 @@ from brauer_derive.cli import (
     build_parser,
     run,
 )
-from brauer_derive.graph import loop_star, parse_graph, serialize_graph
+from brauer_derive.graph import BrauerGraph, GraphVertex, loop_star, parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
 from brauer_derive.linalg import PrimeField
+from brauer_derive.quiver import build_quiver
 
 from conftest import (
     CORPUS_TEXTS,
@@ -244,19 +246,50 @@ def test_reduce_certifies_each_step_once(tmp_path, capsys, monkeypatch):
     assert len(builds) == len(graphs) == 5
 
 
-def test_reduce_computes_one_determinant_per_step(tmp_path, capsys, monkeypatch):
-    """reduce --certify eliminates the input's Cartan matrix and each step's
-    endomorphism-ring matrix once: the moved graph's determinant is det_end."""
-    dets = []
+def _dense(rows):
+    n = len(rows)
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
+def _times(a, b):
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def _transpose(a):
+    return [list(c) for c in zip(*a)]
+
+
+def test_reduce_eliminates_the_input_half_edges_and_each_step_class_matrix(
+    tmp_path, capsys, monkeypatch
+):
+    """reduce --certify hands ``det_int`` the input's half-edge matrix M once,
+    with M M^T its Cartan matrix, and each step's class matrix S once, with
+    S C S^T the step's endomorphism-ring matrix; never a Cartan matrix."""
+    seen = []
     det_int = algebra.det_int
 
-    def counting_det_int(rows):
-        dets.append(rows)
+    def recording_det_int(rows):
+        seen.append(_dense(rows))
         return det_int(rows)
 
-    monkeypatch.setattr(algebra, "det_int", counting_det_int)
+    monkeypatch.setattr(algebra, "det_int", recording_det_int)
     payload = _certified_trace(tmp_path, capsys, "mixed7", [])
-    assert len(dets) == len(payload["steps"]) + 1 == 5
+    monkeypatch.setattr(algebra, "det_int", det_int)
+    steps = payload["steps"]
+    assert len(seen) == len(steps) + 1 == 5
+    graphs = [parse_graph(json.dumps(payload["input"]))]
+    graphs += [parse_graph(json.dumps(s["after"])) for s in steps]
+    cartans = [quotient_basis(omega_relations(build_quiver(g))).cartan() for g in graphs]
+    M, classes = seen[0], seen[1:]
+    assert _times(M, _transpose(M)) == [list(r) for r in cartans[0].rows]
+    for S, C, step in zip(classes, cartans, steps):
+        end = step["certificate"]["endCartan"]
+        assert end["order"] == list(C.order)
+        assert _times(_times(S, [list(r) for r in C.rows]), _transpose(S)) == end["matrix"]
+        assert det_int([{j: v for j, v in enumerate(r) if v} for r in S]) ** 2 == 1
+    matrices = [[list(r) for r in C.rows] for C in cartans]
+    matrices += [step["certificate"]["endCartan"]["matrix"] for step in steps]
+    assert not any(rows in matrices for rows in seen)
 
 
 def test_reduce_canonicalises_each_graph_once(tmp_path, capsys, monkeypatch):
@@ -315,6 +348,50 @@ def test_reduce_rejects_a_wrong_surgery(tmp_path, capsys, monkeypatch):
     code, err = _reduce_mixed7_fails(tmp_path, capsys)
     assert code == EXIT_CERTIFICATE
     assert "surgery Cartan mismatch at edge" in err
+
+
+def _rename_moved_successor(monkeypatch):
+    """Make the surgery rename the edge it moves, d.succ, to d.succ + "x":
+    the moved graph is valid, but its edges are not the endomorphism
+    ring's."""
+    move = tilting.enlarge_graph_move
+
+    def renamed(g, d):
+        moved = move(g, d)
+        vertices = [
+            GraphVertex(v.id, tuple(e + "x" if e == d.succ else e for e in v.cyclic))
+            for v in moved.vertices
+        ]
+        return BrauerGraph(vertices, moved.implicit)
+
+    monkeypatch.setattr(tilting, "enlarge_graph_move", renamed)
+
+
+def test_reduce_rejects_a_surgery_that_renames_an_edge(tmp_path, capsys, monkeypatch):
+    """A moved graph with other edge names than the endomorphism ring's is
+    a certificate fault that names the step's edge (exit 3), not an input
+    error from a failed lookup."""
+    _rename_moved_successor(monkeypatch)
+    code, err = _reduce_mixed7_fails(tmp_path, capsys)
+    assert code == EXIT_CERTIFICATE
+    assert err == (
+        "CertificateFailure: surgery edge mismatch at edge 2: endomorphism ring and "
+        "moved graph have different edges\n"
+    )
+
+
+def test_verify_rejects_a_surgery_that_renames_an_edge(tmp_path, capsys, monkeypatch):
+    """``verify`` takes every step again, so the same renaming fails a stored
+    trace at its first step, with exit 3."""
+    payload = _certified_trace(tmp_path, capsys, "mixed7", [])
+    _rename_moved_successor(monkeypatch)
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(["verify", str(path)]) == EXIT_CERTIFICATE
+    assert capsys.readouterr().err == (
+        "CertificateFailure: step 0: surgery edge mismatch at edge 2: endomorphism "
+        "ring and moved graph have different edges\n"
+    )
 
 
 def test_reduce_rejects_a_tampered_source_determinant(tmp_path, capsys, monkeypatch):
@@ -659,6 +736,21 @@ def test_changed_determinant_is_certificate_failure(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(tilting, "end_cartan", raised)
     assert run(["tilt-shrink", _corpus_file(tmp_path, "chain2")]) == EXIT_CERTIFICATE
     assert "CertificateFailure: |det| changed across the tilt: 4 vs 8" in capsys.readouterr().err
+
+
+def test_summand_listed_twice_is_certificate_failure(tmp_path, capsys, monkeypatch):
+    """A shrink ordering that lists one summand twice, in place of another,
+    gives Happel's class matrix S a doubled row: det S = 0, so
+    det_end = det(S)^2 det_source = 0, and the |det| check fails: exit 3."""
+    shrink_ordering = tilting.shrink_ordering
+
+    def doubled(g):
+        order = shrink_ordering(g)
+        return (order[0], order[0], *order[2:])
+
+    monkeypatch.setattr(tilting, "shrink_ordering", doubled)
+    assert run(["tilt-shrink", _corpus_file(tmp_path, "chain2")]) == EXIT_CERTIFICATE
+    assert "CertificateFailure: |det| changed across the tilt: 4 vs 0" in capsys.readouterr().err
 
 
 def test_reduction_that_changes_the_edge_count_is_certificate_failure(
@@ -1415,6 +1507,10 @@ JSON_CASES = [
     {"é☃\n\"\\": ["ü", {"k": [1, 2, [3, []]]}]},
     (1, (2, "a")),
     [float("nan"), float("inf")],
+    ["é☃", "a\"b", "c\\d", ""],
+    {"order": ["1", "10", "ü"], "cyclic": ("x", "y")},
+    ["1", 2, "3"],
+    [2, "1"],
     "plain",
     7,
 ]

@@ -19,10 +19,12 @@ from math import comb
 
 import pytest
 
+from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.cli import EXIT_OK, run
 from brauer_derive.graph import edge_count, parse_graph
+from brauer_derive.quiver import build_quiver
 
-from conftest import canonical_relabel, structure_key
+from conftest import canonical_relabel, factored_det_exact, structure_key
 
 # n = 8 is 429 graphs, several seconds, so it carries the ``slow`` marker
 EDGES = [*range(1, 8), pytest.param(8, marks=pytest.mark.slow)]
@@ -72,6 +74,19 @@ def test_every_shape_appears_once(n):
     assert all(edge_count(g) == n for g in graphs)
     shapes = {structure_key(canonical_relabel(g)[0]) for g in graphs}
     assert len(shapes) == len(graphs) == comb(2 * (n - 1), n - 1) // n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_shape_takes_its_cartan_determinant_from_its_half_edges(n):
+    """The Cartan matrix of every shape up to 7 edges carries the half-edge
+    matrix M, n x n, that its check proves C = M M^T with, and det(M)^2
+    equals elimination over ``Fraction`` on C: 4 every time."""
+    for tree in plane_trees(n - 1):
+        g = parse_graph(one_loop_graph(tree))
+        C = quotient_basis(omega_relations(build_quiver(g))).cartan()
+        M, base_det = C.factor
+        assert base_det == 1 and len(M) == n
+        assert factored_det_exact(C) and C.det() == 4
 
 
 @pytest.mark.parametrize("n", EDGES)

@@ -1,8 +1,9 @@
-"""``det_int`` (fraction-free Bareiss) against plain elimination over Q, the
+"""``det_int`` (sparse fraction-free Bareiss) against plain elimination over Q, the
 primality test behind ``PrimeField`` against trial division, exactness of
 the int path over Q (divisions give ints or Fractions, never floats), and
 ``BitEchelon`` over GF(2) against ``SparseEchelon``."""
 import copy
+import json
 import operator
 import pickle
 import random
@@ -10,7 +11,9 @@ from fractions import Fraction
 
 import pytest
 
+from brauer_derive import algebra
 from brauer_derive.algebra import omega_relations, quotient_basis
+from brauer_derive.cli import run
 from brauer_derive.graph import loop_star
 from brauer_derive.linalg import (
     QQ,
@@ -28,27 +31,13 @@ from brauer_derive.linalg import (
 from brauer_derive.quiver import build_quiver
 from brauer_derive.tilting import check_tilting, shrink_complex, verify_end_generators
 
-from conftest import algebra_for, certificate_valid, corpus_graphs, gf2_bits
+from conftest import algebra_for, certificate_valid, corpus_graphs, det_fraction, gf2_bits
 
 
-def det_fraction(rows):
-    """Reference determinant: Gaussian elimination over ``Fraction``."""
-    n = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    assert det.denominator == 1
-    return int(det)
+def sparse_rows(rows):
+    """A dense matrix as the sparse rows {column: nonzero entry} that
+    ``det_int`` takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
 def random_matrices(seed):
@@ -75,18 +64,18 @@ def test_det_int_matches_fraction_elimination(seed):
     kinds = {"singular": 0, "swap": 0}
     for m in random_matrices(seed):
         expected = det_fraction(m)
-        assert det_int(m) == expected, m
+        assert det_int(sparse_rows(m)) == expected, m
         kinds["singular"] += expected == 0 and len(m) > 0
         kinds["swap"] += len(m) > 1 and m[0][0] == 0
     assert all(kinds.values()), kinds
 
 
 def test_det_int_edge_cases():
-    assert det_int([]) == 1
-    assert det_int([[7]]) == 7
-    assert det_int([[0, 1], [1, 0]]) == -1
-    assert det_int([[0, 0], [1, 2]]) == 0
-    assert det_int([[2, 4], [1, 2]]) == 0
+    assert det_int(sparse_rows([])) == 1
+    assert det_int(sparse_rows([[7]])) == 7
+    assert det_int(sparse_rows([[0, 1], [1, 0]])) == -1
+    assert det_int(sparse_rows([[0, 0], [1, 2]])) == 0
+    assert det_int(sparse_rows([[2, 4], [1, 2]])) == 0
 
 
 def loop_star_cartan(n):
@@ -98,10 +87,11 @@ def loop_star_cartan(n):
     return rows
 
 
-# Sparse Bareiss: after its first step the loop-star matrix is diagonal, so
-# most rows are left as they are; in "singular" row 2 is twice row 0, and in
-# "row_swap" the pivot of step 1 is 0 after step 0, beside a row that step 0
-# leaves alone
+# Sparse Bareiss with fewest-entries pivoting: the loop-star matrix is dense
+# and, after its first step, diagonal, so every other column is a leaf; in
+# "singular" row 2 is twice row 0, so a row vanishes; "row_swap" starts with
+# no leaf, and its first step (column 0, row 0) cancels row 1's entry in
+# column 1, which leaves a leaf there
 DET_CASES = {
     "loop_star_59": loop_star_cartan(59),
     "singular": [[2, 0, 1, 0], [0, 3, 0, 1], [4, 0, 2, 0], [0, 1, 5, 1]],
@@ -112,21 +102,50 @@ DET_CASES = {
 @pytest.mark.parametrize("name", sorted(DET_CASES))
 def test_det_int_sparse_cases(name):
     rows = DET_CASES[name]
-    before = [list(r) for r in rows]
-    assert det_int(rows) == det_fraction(rows)
-    assert rows == before
+    sparse = sparse_rows(rows)
+    before = [dict(r) for r in sparse]
+    assert det_int(sparse) == det_fraction(rows)
+    assert sparse == before
     if name == "loop_star_59":
         assert rows == [list(r) for r in algebra_for(loop_star(59)).cartan().rows]
-        assert abs(det_int(rows)) == 4
-    assert (det_int(rows) == 0) == (name == "singular")
+        assert abs(det_int(sparse)) == 4
+    assert (det_int(sparse) == 0) == (name == "singular")
+
+
+@pytest.mark.slow
+def test_cartan_omega_and_an_determinants_come_from_their_half_edges(capsys, monkeypatch):
+    """``cartan --omega N`` and ``cartan --an N`` print det(M)^2 for every N
+    up to 59: ``det_int`` sees only the half-edge matrix M of loop_star(N),
+    n x n with M M^T the printed matrix, and det(M)^2 equals elimination
+    over ``Fraction`` on that matrix, which the two share."""
+    seen = []
+
+    def recording_det_int(rows):
+        seen.append([[row.get(j, 0) for j in range(len(rows))] for row in rows])
+        return det_int(rows)
+
+    monkeypatch.setattr(algebra, "det_int", recording_det_int)
+    for n in range(1, 60):
+        payloads = []
+        for kind in ("--omega", "--an"):
+            seen.clear()
+            assert run(["cartan", kind, str(n), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            (M,) = seen
+            assert [[sum(a * b for a, b in zip(r, c)) for c in M] for r in M] == payload["matrix"]
+            payloads.append(payload)
+        omega, an = payloads
+        assert omega["matrix"] == an["matrix"] == loop_star_cartan(n)
+        assert omega["det"] == an["det"] == det_fraction(omega["matrix"]) == 4, n
 
 
 def test_det_int_on_cartan_matrices():
     graphs = dict(corpus_graphs(), loop_star_59=loop_star(59))
     for name, g in graphs.items():
         rows = [list(r) for r in algebra_for(g).cartan().rows]
-        assert det_int(rows) == det_fraction(rows), name
-    assert abs(det_int([list(r) for r in algebra_for(loop_star(59)).cartan().rows])) == 4
+        assert det_int(sparse_rows(rows)) == det_fraction(rows), name
+    rows = algebra_for(loop_star(59)).cartan().rows
+    assert abs(det_int(sparse_rows(rows))) == 4
 
 
 def test_prime_field_accepts_exactly_the_primes_below_10000():

@@ -25,13 +25,14 @@ from brauer_derive.quiver import build_quiver
 from brauer_derive.reduction import certify_trace, reduce_to_normal_form
 from brauer_derive.tilting import (
     check_tilting,
+    end_cartan,
     enlarge_complex,
     enlarge_data,
     shrink_complex,
     verify_end_generators,
 )
 
-from conftest import canonical_relabel, certificate_valid, structure_key
+from conftest import canonical_relabel, certificate_valid, factored_det_exact, structure_key
 
 
 def random_one_loop_graph(rng, n_edges):
@@ -71,19 +72,25 @@ def test_random_certified_pipeline(seed):
     C = A.cartan()
     assert C.dim == A.dim
     assert abs(C.det()) == 4
+    assert factored_det_exact(C)
 
     Q = shrink_complex(A, g)
     cert = check_tilting(Q)
     assert certificate_valid(cert)
     assert verify_end_generators(Q)
+    # det(S)^2 det(C), S the square class matrix, is exact on End(Q)'s rows
+    assert factored_det_exact(end_cartan(Q))
 
     pivots = [c for c in g.cycle_edges[1:] if g.trees[c]]
     if pivots:
         Q2 = enlarge_complex(A, g, enlarge_data(g, pivots[0]))
         assert certificate_valid(check_tilting(Q2))
         assert verify_end_generators(Q2)
+        assert factored_det_exact(end_cartan(Q2))
 
     trace = reduce_to_normal_form(g, certify=True)
+    # every step's enlarge complex, its End ring's determinant taken from S
+    assert all(factored_det_exact(s.certificate.end_cartan) for s in trace.steps)
     assert len(trace.steps) == sum(len(t) for t in g.trees.values())
     assert trace.normal_form.is_loop_star()
     relabeled, _ = canonical_relabel(trace.normal_form)
@@ -106,6 +113,7 @@ def test_enlarge_generator_maps_over_gf2():
             Q = enlarge_complex(A, g, d)
             assert certificate_valid(check_tilting(Q))
             assert verify_end_generators(Q)
+            assert factored_det_exact(end_cartan(Q))
             pivots += 1
             fans += bool(d.beta_fan)
     assert (pivots, fans) == (12, 5)
