@@ -316,13 +316,10 @@ class AlgebraElement:
         )
 
     def scalar_part(self):
-        """Coefficient of the trivial path; only sensible when source == target."""
+        """Coefficient of the trivial path, first in a diagonal block (see ``e``)."""
         if self.source != self.target:
             return self.algebra.field.zero
-        words = self.algebra.blocks[(self.source, self.target)]
-        if words and words[0] == ():
-            return self.coeffs[0]
-        return self.algebra.field.zero
+        return self.coeffs[0]
 
     def terms(self):
         words = self.algebra.blocks[(self.source, self.target)]
@@ -343,12 +340,10 @@ class QuotientAlgebra:
     Completed algebras are immutable apart from internal caches of the word
     table (``blocks``), of block positions, of the signed class of each path
     asked for (``_entries``, per block, filled one word at a time), of
-    products with basis elements (``_basis_products``), of the coordinates of
-    each product of two elements asked for (``_products``, keyed by both
-    factors' blocks and coordinates), of the vertex idempotents' coordinates
-    and of the Cartan matrix (which caches its determinant once read).  No cache keeps
-    an element, whose reference back to the algebra would leave the algebra
-    for the cyclic collector to free.  The caches only ever fill in
+    products with basis elements (``_basis_products``) and of the Cartan
+    matrix (which caches its determinant once read).  No cache keeps an
+    element, whose reference back to the algebra would leave the algebra for
+    the cyclic collector to free.  The caches only ever fill in
     deterministic values, so concurrent reads (reduce, multiply, cartan) are
     safe.  ``_class`` is the one place where a path meets the normal form and
     the dropped words; ``_class_sum`` keeps and sums its classes for
@@ -386,8 +381,6 @@ class QuotientAlgebra:
         self._positions = {}
         self._entries = {}
         self._basis_products = {}
-        self._products = {}
-        self._units = {}
 
     def _index(self, i, j):
         """{word: position} of block (i, j), cached."""
@@ -417,11 +410,10 @@ class QuotientAlgebra:
         return out
 
     def e(self, v):
-        # the coordinates are kept, not the element, whose reference back to
-        # the algebra would leave the algebra for the cyclic collector to free
-        coeffs = self._units.get(v)
-        if coeffs is None:
-            coeffs = self._units[v] = self.reduce_word(v, ()).coeffs
+        """The vertex idempotent e_v: the trivial word () comes first in block
+        (v, v), whose words are in length-lexicographic order, and is never
+        a dropped socle word, as an arrow leaves every vertex."""
+        coeffs = (self.field.one,) + (self.field.zero,) * (len(self.block(v, v)) - 1)
         return AlgebraElement(self, v, v, coeffs)
 
     def arrow_element(self, name):
@@ -453,17 +445,20 @@ class QuotientAlgebra:
             raise CompositionMismatch(
                 f"cannot compose ({x.source}->{x.target}) with ({y.source}->{y.target})"
             )
+        # e_v y = y and x e_v = x.  e_v holds the field's own one object, so
+        # identity finds it; an equal factor made otherwise is multiplied out.
+        one, zero = self.field.one, self.field.zero
+        for e, other in ((x, y), (y, x)):
+            u = e.coeffs
+            if e.source == e.target and u[0] is one and u.count(zero) == len(u) - 1:
+                return other
         i, k = x.source, y.target
-        key = (i, x.target, k, x.coeffs, y.coeffs)
-        coeffs = self._products.get(key)
-        if coeffs is None:
-            right = [(wr, b) for wr, b in zip(self.block(x.target, k), y.coeffs) if b]
-            left = [(wl, a) for wl, a in zip(self.block(i, x.target), x.coeffs) if a]
-            coeffs = [self.field.zero] * len(self.block(i, k))
-            terms = ((wl + wr, a * b) for wl, a in left for wr, b in right)
-            for pos, c in self._class_sum(i, k, terms):
-                coeffs[pos] = c
-            coeffs = self._products[key] = tuple(coeffs)
+        right = [(wr, b) for wr, b in zip(self.block(x.target, k), y.coeffs) if b]
+        left = [(wl, a) for wl, a in zip(self.block(i, x.target), x.coeffs) if a]
+        coeffs = [self.field.zero] * len(self.block(i, k))
+        terms = ((wl + wr, a * b) for wl, a in left for wr, b in right)
+        for pos, c in self._class_sum(i, k, terms):
+            coeffs[pos] = c
         return AlgebraElement(self, i, k, coeffs)
 
     def _class_sum(self, i, k, terms):

@@ -32,9 +32,10 @@ and branch-switch generator maps are all tree-path maps, and the two users
 share them: each (x, y) map is built and square-checked once per complex and
 kept in ``TiltingComplex.path_maps`` (on a chain, every generator map
 Q(x) -> Q(succ x) is the witness map of x).  Products of elements are
-computed once per algebra (``QuotientAlgebra.multiply``, from the classes
-the Hom solver reads), and an exactly zero composite is null-homotopic
-without a solver.
+summed from the path classes the algebra keeps for the Hom solver
+(``QuotientAlgebra.multiply``), a product with a vertex idempotent is the
+other factor, and an exactly zero composite is null-homotopic without a
+solver.
 """
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from brauer_derive.algebra import (
+    AlgebraElement,
     CompositionMismatch,
     _relation_combos,
     a_n_presentation,
@@ -574,3 +575,44 @@ def test_perturbed_coefficient_changes_the_full_algebra(n):
     assert not _agree(A, B)
     assert _agree(_socle(A), _socle(B))
 
+
+def _idempotent_cases():
+    """Name -> presentation: every corpus graph, Omega(N) and A(N) for
+    N <= 6, and (None) the socle quotient of Omega(4)."""
+    cases = {name: omega_relations(build_quiver(g)) for name, g in corpus_graphs().items()}
+    for n in range(1, 7):
+        cases[f"omega{n}"] = omega_relations(build_quiver(loop_star(n)))
+        cases[f"an{n}"] = a_n_presentation(n)
+    cases["omega4 socle quotient"] = None
+    return cases
+
+
+IDEMPOTENT_CASES = _idempotent_cases()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("case", sorted(IDEMPOTENT_CASES))
+def test_vertex_idempotent_is_the_first_basis_word(case, field):
+    """``e`` and ``scalar_part`` read position 0 of a diagonal block as the
+    trivial word, and ``multiply`` returns the other factor of e_v: () is
+    the first word of every block (v, v), e_v is the class of (), and e_i b
+    and b e_j are b for every basis element b, summed from path classes by
+    ``times_basis`` and ``basis_times``, which take no short cut."""
+    p, F = IDEMPOTENT_CASES[case], FIELDS[field]
+    if p is None:
+        A = socle_quotient(quotient_basis(omega_relations(build_quiver(loop_star(4))), field=F))
+        assert A.dropped
+    else:
+        A = quotient_basis(p, field=F)
+    rng = random.Random(31)
+    for v in A.vertices:
+        assert A.block(v, v)[0] == ()
+        assert A.e(v).coeffs == A.reduce_word(v, ()).coeffs
+        assert A.e(v).scalar_part() == F.one
+    for (i, j), words in A.blocks.items():
+        if not words:
+            continue
+        units = tuple(((pos, F.one),) for pos in range(len(words)))
+        assert A.times_basis(A.e(i), j) == units and A.basis_times(i, A.e(j)) == units
+        x = AlgebraElement(A, i, j, [F.from_int(rng.randint(-3, 3)) for _ in words])
+        assert A.multiply(A.e(i), x) == x and A.multiply(x, A.e(j)) == x

@@ -1,4 +1,5 @@
-"""Every one-loop Brauer graph up to 8 edges, through the CLI.
+"""Every one-loop Brauer graph up to 8 edges, and samples of 9 and 10, through
+the CLI.
 
 Up to isomorphism, a one-loop Brauer graph with n edges is a plane tree with
 n - 1 edges whose root carries the loop in one of its corners.  Cutting the
@@ -6,6 +7,10 @@ root's circular order at that corner turns the root's children into a
 sequence, so there are Catalan(n - 1) such graphs.  ``plane_trees`` lists
 them all; relabelled through the program's own canonical edge order, no two
 of them coincide.
+
+``uniform_plane_tree`` samples the same trees uniformly, by the cycle
+lemma, which is how shapes of 9 and 10 edges are tested and how
+``test_scale`` draws a 40-edge graph of uniform shape.
 
 Each graph is reduced with ``reduce --certify --json`` and the trace checked
 again with ``verify``.  Every reduction ends at the loop-star with n edges
@@ -15,6 +20,9 @@ reduction runs the basis engine's completion on every graph it meets, so
 its final inclusion check sees every shape, not only sampled ones.
 """
 import json
+import random
+from collections import Counter
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -41,6 +49,27 @@ def plane_trees(edges):
         for head in plane_trees(inside)
         for rest in plane_trees(edges - 1 - inside)
     ]
+
+
+def uniform_plane_tree(rng, edges):
+    """A plane tree with the given number of edges, uniform among all
+    Catalan(edges) of them, as ``plane_trees`` writes it.  By the cycle
+    lemma, of the rotations of a shuffled walk of ``edges`` up-steps and
+    edges + 1 down-steps exactly one stays at or above 0 until its last
+    step: the one that starts just after the walk's first minimum.  Without
+    that last step it is the walk around the tree's contour."""
+    steps = [1] * edges + [-1] * (edges + 1)
+    rng.shuffle(steps)
+    sums = list(accumulate(steps))
+    k = sums.index(min(sums)) + 1
+    stack = [[]]  # the subtrees met so far below each vertex on the path
+    for step in (steps[k:] + steps[:k])[:-1]:
+        if step > 0:
+            stack.append([])
+        else:
+            child = tuple(stack.pop())
+            stack[-1].append(child)
+    return tuple(stack[0])
 
 
 def one_loop_graph(tree):
@@ -89,11 +118,24 @@ def test_every_shape_takes_its_cartan_determinant_from_its_half_edges(n):
         assert factored_det_exact(C) and C.det() == 4
 
 
-@pytest.mark.parametrize("n", EDGES)
-def test_every_shape_reduces_to_the_loop_star(n, tmp_path, capsys):
+@pytest.mark.parametrize("edges", range(5))
+def test_uniform_plane_trees_hit_every_tree_evenly(edges):
+    """6,000 samples land on every plane tree with up to 4 edges, and on
+    each within 25% of the mean 6,000 / Catalan(edges): at least 5.4
+    standard deviations of a uniform count."""
+    rng, trees = random.Random(8000 + edges), plane_trees(edges)
+    counts = Counter(uniform_plane_tree(rng, edges) for _ in range(6000))
+    assert set(counts) == set(trees)
+    mean = 6000 / len(trees)
+    assert all(abs(c - mean) <= 0.25 * mean for c in counts.values())
+
+
+def _assert_reduce_to_the_loop_star(trees, n, tmp_path, capsys):
+    """Each tree's graph reduces to the loop-star with n edges, its trace
+    verifies, and every graph has one |det Cartan|."""
     graph, trace = tmp_path / "graph.json", tmp_path / "trace.json"
     dets = set()
-    for tree in plane_trees(n - 1):
+    for tree in trees:
         graph.write_text(one_loop_graph(tree), encoding="utf-8")
         out = _cli(capsys, "reduce", str(graph), "--certify", "--json")
         payload = json.loads(out)
@@ -105,3 +147,18 @@ def test_every_shape_reduces_to_the_loop_star(n, tmp_path, capsys):
         assert _cli(capsys, "classify", str(graph)) == f"{n}\n"
         dets.add(abs(json.loads(_cli(capsys, "cartan", str(graph), "--json"))["det"]))
     assert len(dets) == 1
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_every_shape_reduces_to_the_loop_star(n, tmp_path, capsys):
+    _assert_reduce_to_the_loop_star(plane_trees(n - 1), n, tmp_path, capsys)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [9, 10])
+def test_sampled_shapes_reduce_to_the_loop_star(n, tmp_path, capsys):
+    """50 uniform samples of the 1,430 shapes with 9 edges, or of the 4,862
+    with 10, too many to enumerate here."""
+    rng = random.Random(9000 + n)
+    trees = [uniform_plane_tree(rng, n - 1) for _ in range(50)]
+    _assert_reduce_to_the_loop_star(trees, n, tmp_path, capsys)

@@ -10,7 +10,9 @@ does not depend on the solver and is far from 0.
 Certified reductions of random graphs with 20 and 30 edges go through the
 CLI's JSON trace and are checked again from that artifact.  One of 40 edges,
 the 40-edge size of the reduce scaling sweep, goes through ``reduce
---certify --json`` and then the CLI's ``verify`` on the stored trace.
+--certify --json`` and then the CLI's ``verify`` on the stored trace, and so
+does one drawn uniformly from all 40-edge shapes (``uniform_plane_tree``),
+not only from those the random graphs make.
 
 Two scaling families go further: a chain of depth 24 and a fan of 20 leaf
 edges at one vertex.  Each gets the certificates above and a certified
@@ -28,11 +30,12 @@ generator relations.
 ``multiply``, ``times_basis`` and ``basis_times`` are checked against the
 normal forms of the product words on the chain13 and deep21 algebras and on
 a socle quotient, over Q and GF(2).  On the chain13 and deep21 shrink
-complexes, the memos are checked too: a product asked for twice is reduced
-once and equals the normal-form sum over Q, GF(2) and GF(3); each chain map
-is square-checked once however often it is asked for; and a broken
-generator map (a successor negated, the loop map doubled) still fails the
-relations after the shared maps and products have been built.
+complexes, the caches are checked too: a product asked for twice reads no
+path's class the second time and equals the normal-form sum over Q, GF(2)
+and GF(3); each chain map is square-checked once however often it is asked
+for; and a broken generator map (a successor negated, the loop map doubled)
+still fails the relations after the shared maps and products have been
+built.
 
 The largest basis-star inputs, Omega(59) and A(14) with its socle
 comparison, go through the CLI over Q and GF(2), and ``cartan --omega 36``,
@@ -69,6 +72,7 @@ from brauer_derive.tilting import (
 )
 
 from conftest import certificate_valid, class_oracle
+from test_every_shape import one_loop_graph, uniform_plane_tree
 from test_random_graphs import random_one_loop_graph
 
 
@@ -236,7 +240,7 @@ def test_products_match_normal_forms_at_benchmark_size(case, field):
     assert bool(dropped) == socle
 
 
-# the two shapes of the shrink-deep benchmark that the memo tests run on
+# the two shapes of the shrink-deep benchmark that the cache tests run on
 MEMO_CASES = {"chain13_twigs": GRAPHS["chain13_twigs"], "deep21": deep_tree(21, seed=3)}
 
 
@@ -250,10 +254,11 @@ def _shrink(text, field):
 @pytest.mark.parametrize("name", sorted(MEMO_CASES))
 def test_repeated_products_match_normal_forms(name, field, monkeypatch):
     """``multiply`` asked twice for the same pair, the second time through
-    equal but new elements, reduces no product word the second time and
-    returns the normal-form sum both times.  Two left and two right factors
-    per block triple share their blocks, so a memo key that missed either
-    factor would return the wrong product.  No cache keeps an element."""
+    equal but new elements, reduces no product word the second time, as
+    each path's class is kept per block, and returns the normal-form sum
+    both times.  Two left and two right factors per block triple share
+    their blocks, so a product that mixed up factors would differ from the
+    sum.  No cache keeps an element."""
     A = quotient_basis(omega_relations(build_quiver(parse_graph(MEMO_CASES[name]))), field=field)
     reduced = []
     read = A._class
@@ -283,9 +288,7 @@ def test_repeated_products_match_normal_forms(name, field, monkeypatch):
                     coords = tuple((p, c) for p, c in enumerate(xy.coeffs) if c)
                     assert coords == _oracle_sum(A, i, k, pairs)
         A.times_basis(lefts[0], k), A.basis_times(i, rights[0])
-    assert reduced and A._products and A._entries and A._basis_products
-    for coeffs in A._products.values():
-        assert type(coeffs) is tuple and not any(isinstance(c, AlgebraElement) for c in coeffs)
+    assert reduced and A._entries and A._basis_products
     for cache in A._entries.values():
         for entry in cache.values():
             assert entry is None or not any(isinstance(c, AlgebraElement) for c in entry)
@@ -321,7 +324,7 @@ def test_each_chain_map_is_built_and_checked_once(name, field, monkeypatch):
 @pytest.mark.parametrize("name", sorted(MEMO_CASES))
 def test_shared_maps_never_hide_a_broken_generator(name, field, monkeypatch):
     """Once ``check_tilting`` and ``verify_end_generators`` have built the
-    shared tree-path maps and filled the product memo, negating any one
+    shared tree-path maps and filled the class caches, negating any one
     successor map, or scaling the loop map by 2, still breaks the loop
     relation alpha^2 = alpha b_1...b_n; the intact maps pass after every
     broken run."""
@@ -428,19 +431,32 @@ def test_certified_reduction_round_trip(n, field, tmp_path, capsys):
     _assert_reduction_round_trip(serialize_graph(g), field, tmp_path, capsys)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
-def test_forty_edge_reduction_verifies_through_cli(field, tmp_path, capsys):
-    g = random_one_loop_graph(random.Random(5000), 40)
-    assert edge_count(g) == 40
+def _assert_reduce_and_verify(text, field, tmp_path, capsys):
+    """``reduce --certify --json`` on a graph, then ``verify`` on its trace."""
     path, trace = tmp_path / "g.json", tmp_path / "trace.json"
-    path.write_text(serialize_graph(g), encoding="utf-8")
-    flags = [] if field == QQ else ["--field", "2"]
+    path.write_text(text, encoding="utf-8")
+    flags = [] if field == QQ else ["--field", str(field.p)]
     assert run(["reduce", str(path), "--certify", "--json", *flags]) == 0
     out = capsys.readouterr().out
     assert len(json.loads(out)["steps"]) > 0
     trace.write_text(out, encoding="utf-8")
     assert run(["verify", str(trace), *flags]) == 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+def test_forty_edge_reduction_verifies_through_cli(field, tmp_path, capsys):
+    g = random_one_loop_graph(random.Random(5000), 40)
+    assert edge_count(g) == 40
+    _assert_reduce_and_verify(serialize_graph(g), field, tmp_path, capsys)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=repr)
+def test_forty_edge_uniform_reduction_verifies_through_cli(field, tmp_path, capsys):
+    text = one_loop_graph(uniform_plane_tree(random.Random(8000), 39))
+    assert edge_count(parse_graph(text)) == 40
+    _assert_reduce_and_verify(text, field, tmp_path, capsys)
 
 
 @pytest.mark.slow

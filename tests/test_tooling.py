@@ -16,6 +16,14 @@ unless ``NOT_ENTERED`` names it with the reason it stays.  One stays:
 compares the set never entered with ``NOT_ENTERED`` exactly, so an entry
 that the corpus starts to reach, or whose function is gone, fails it too.
 
+The raise-site test shows that every certificate check can reject: it lists
+every ``raise`` in the package by module, function, exception class and
+message, runs the fault corpus (every test elsewhere that expects a fault:
+``pytest.raises``, an ``except``, a failing exit code) in a child pytest
+under a tracer of exception events, and fails unless the raises never
+reached are exactly the internal guards of ``NEVER_RAISED``, each with the
+reason no input reaches it.
+
 The benchmark's tracer reads the program from outside (the arguments and
 results of the functions it wraps), so a last test runs every workload's
 tiny plan traced and checks that each declared per-layer metric comes out."""
@@ -23,8 +31,10 @@ import ast
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from pathlib import Path
@@ -385,6 +395,178 @@ def test_traffic_flags_a_stray_method_the_name_count_misses():
     assert orphan_helpers(sources, _benchmark_sources()) == []
     assert never_entered(sources, cli_traffic()) == sorted(
         [*NOT_ENTERED, ("linalg.py", "_Stray.reduce")]
+    )
+
+
+# -- every raise site is reached by a test that expects a fault ------------
+
+EXIT_FAULTS = {"EXIT_INVALID", "EXIT_NOT_STABILIZED", "EXIT_CERTIFICATE", "EXIT_USAGE"}
+
+
+def raise_sites(sources):
+    """{(module, function, exception class, message): [(first line, last
+    line), ...]} of every ``raise`` with an exception in the package.  The
+    function is the qualified name of the innermost enclosing one, and the
+    message the literal text of the exception's first argument, each
+    formatted value written {}, which tells apart two raises of one class
+    in one function."""
+    found = {}
+
+    def message(exc):
+        arg = exc.args[0] if isinstance(exc, ast.Call) and exc.args else None
+        if isinstance(arg, ast.JoinedStr):
+            return "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in arg.values)
+        return arg.value if isinstance(arg, ast.Constant) else ""
+
+    def visit(module, node, function, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + sub.name
+                visit(module, sub, name if isinstance(sub, ast.FunctionDef) else function,
+                      name + ".")
+                continue
+            if isinstance(sub, ast.Raise) and sub.exc is not None:
+                key = (module, function, _class_name(sub.exc), message(sub.exc))
+                found.setdefault(key, []).append((sub.lineno, sub.end_lineno))
+            visit(module, sub, function, prefix)
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), "", "")
+    return found
+
+
+def _expects_a_fault(test):
+    """Whether a test function expects a fault: it uses ``pytest.raises``,
+    catches an exception, names a failing exit code, or compares what
+    ``run`` or ``main`` returns with a nonzero constant."""
+    for node in ast.walk(test):
+        if isinstance(node, ast.ExceptHandler):
+            return True
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            if (node.id if isinstance(node, ast.Name) else node.attr) in EXIT_FAULTS | {"raises"}:
+                return True
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call):
+            if _class_name(node.left) in ("run", "main") and any(
+                isinstance(c, ast.Constant) and c.value for c in node.comparators
+            ):
+                return True
+    return False
+
+
+def fault_corpus():
+    """Node ids of every test function, outside this module, that expects
+    a fault."""
+    return [
+        f"tests/{path.name}::{node.name}"
+        for path in sorted((ROOT / "tests").glob("test_*.py")) if path.name != "test_tooling.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+        and _expects_a_fault(node)
+    ]
+
+
+def trace_exceptions(out, argv):
+    """Run pytest on ``argv`` with a tracer that records, as JSON in the
+    file ``out``, each (module, line) at which an exception is raised in or
+    passes through a frame of the package.  Line events are switched off in
+    those frames and no other frame is traced, so the run stays fast."""
+    package, seen = str(PACKAGE), set()
+
+    def local(frame, event, arg):
+        if event == "exception":
+            seen.add((os.path.basename(frame.f_code.co_filename), frame.f_lineno))
+        return local
+
+    def trace(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        frame.f_trace_lines = False
+        return local
+
+    sys.settrace(trace)
+    threading.settrace(trace)
+    try:
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    Path(out).write_text(json.dumps(sorted(seen)), encoding="utf-8")
+    return int(code)
+
+
+@lru_cache(maxsize=None)
+def traced_fault_corpus():
+    """The (module, line) pairs ``trace_exceptions`` records on the fault
+    corpus, run by pytest in a child process."""
+    with tempfile.TemporaryDirectory() as folder:
+        out = Path(folder) / "raised.json"
+        child = (
+            "import sys; from test_tooling import trace_exceptions; "
+            "sys.exit(trace_exceptions(sys.argv[1], sys.argv[2:]))"
+        )
+        path = os.pathsep.join([str(PACKAGE.parent), str(ROOT / "tests")])
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(out), *fault_corpus()],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+        return frozenset(tuple(pair) for pair in json.loads(out.read_text(encoding="utf-8")))
+
+
+def never_raised(sources, reached):
+    """Sorted keys of ``raise_sites(sources)`` none of whose raises has a
+    line in ``reached``."""
+    return sorted(
+        key for key, spans in raise_sites(sources).items()
+        if not any((key[0], line) in reached for a, b in spans for line in range(a, b + 1))
+    )
+
+
+# Raises that no test can reach, each an internal guard, with the reason no
+# input gets there.
+NEVER_RAISED = {
+    ("homological.py", "_local_inverse", "ChainMapFailure",
+     "radical part of a unit is not nilpotent"): (
+        "r is radical in the finite-dimensional local ring e_i A e_i, so its powers "
+        "vanish within dim e_i A e_i steps"
+    ),
+    ("tilting.py", "_unique_hom", "NonUniqueHom",
+     "Hom(P({}),P({})) has dimension {}, expected 1"): (
+        "its callers ask only for Hom between the projectives of two distinct edges "
+        "sharing one vertex of multiplicity one, a block with one basis word"
+    ),
+    ("tilting.py", "_shrink_generator_maps", "RelationFailure",
+     "cycle step {}->{} does not land on P({})"): (
+        "the exceptional arrow out of a cycle edge ends at the next cycle edge around "
+        "the loop vertex, and shrink_ordering roots every summand that comes next there"
+    ),
+    ("tilting.py", "verify_end_generators", "RelationFailure",
+     "unexpected relation coefficient"): (
+        "omega_relations writes only the coefficients 1 and -1"
+    ),
+}
+
+
+def test_fault_corpus_reaches_every_raise_site():
+    """The one test of ``_local_inverse`` that expects a non-unit reaches
+    its first raise; the guard of the same class in the same function stays
+    apart, by its message."""
+    sources = _package_sources()
+    sites, never = raise_sites(sources), never_raised(sources, traced_fault_corpus())
+    assert len(sites) > 70
+    assert never == sorted(NEVER_RAISED)
+    reached = ("homological.py", "_local_inverse", "ChainMapFailure", "entry is not a unit")
+    assert reached in sites and reached not in never
+
+
+def test_raise_sites_flag_an_unreached_raise():
+    """A raise appended at the end of its module, so that no recorded line
+    moves, is never reached."""
+    sources = _package_sources()
+    sources["linalg.py"] += '\n\ndef _stray(x):\n    raise ValueError(f"stray {x}")\n'
+    assert never_raised(sources, traced_fault_corpus()) == sorted(
+        [*NEVER_RAISED, ("linalg.py", "_stray", "ValueError", "stray {}")]
     )
 
 
