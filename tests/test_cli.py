@@ -1511,6 +1511,9 @@ JSON_CASES = [
     {"order": ["1", "10", "ü"], "cyclic": ("x", "y")},
     ["1", 2, "3"],
     [2, "1"],
+    {"s": "é\n", "i": -7, "big": 10**30, "t": True, "f": False, "z": None, "x": 2.5,
+     "l": [1, "a"], "d": {"k": "v", "n": 0}, "e": {}, "u": [], "c": ("w",)},
+    {"order": "1", "name": "ü☃", "empty": "", "quote": "a\"b"},
     "plain",
     7,
 ]

@@ -20,12 +20,18 @@ from brauer_derive.homological import (
     minimize,
     _HomSolver,
     _local_inverse,
+    _then,
     _vanishes_mod_2,
 )
 from brauer_derive import linalg
 from brauer_derive.linalg import QQ, BitEchelon, NotIntegral, PrimeField, SparseEchelon
 from brauer_derive.quiver import build_quiver
-from brauer_derive.tilting import shrink_complex
+from brauer_derive.tilting import (
+    enlarge_complex,
+    enlarge_data,
+    shrink_complex,
+    verify_end_generators,
+)
 
 from conftest import (
     CORPUS_TEXTS,
@@ -39,6 +45,7 @@ from conftest import (
     shift,
     zero_element,
 )
+from test_scale import deep_tree
 
 
 @pytest.fixture(scope="module")
@@ -531,3 +538,82 @@ def test_local_inverse_on_corpus_local_rings(p):
                 nonunit = nonunit + b.scale(field.from_int(rng.randint(1, 3)))
             with pytest.raises(ChainMapFailure, match="not a unit"):
                 _local_inverse(nonunit)
+
+
+@pytest.mark.parametrize(
+    "p,scalars", [(0, (1, -1, 2)), (3, (1, -1, 2)), (2, (1,))], ids=["Q", "GF(3)", "GF(2)"]
+)
+def test_local_inverse_of_a_scalar_unit_takes_no_product(p, scalars, monkeypatch):
+    """_local_inverse(c e_i) is c^-1 e_i, read without a product; a unit
+    with a radical part still runs the series, whose products are counted."""
+    field = linalg.PrimeField(p) if p else linalg.QQ
+    A = quotient_basis(omega_relations(build_quiver(parse_graph(G_MIN_TEXT))), field=field)
+    products = []
+    multiply = type(A).multiply
+    monkeypatch.setattr(
+        type(A), "multiply", lambda self, x, y: products.append(1) or multiply(self, x, y)
+    )
+    for i in A.vertices:
+        e, *radical = A.block_basis(i, i)
+        for c in map(field.from_int, scalars):
+            products.clear()
+            inverse = _local_inverse(e.scale(c))
+            assert not products, (i, c)
+            assert inverse == A.e(i).scale(field.div(field.one, c)), (i, c)
+            assert e.scale(c) * inverse == e, (i, c)
+            if radical:
+                products.clear()
+                u = e.scale(c) + radical[0]
+                assert u * _local_inverse(u) == e, (i, c)
+                assert len(products) > 1, (i, c)
+
+
+def _as_items(f):
+    """f's comps with their key order, degree by degree."""
+    return [(n, list(matrix.items())) for n, matrix in f.comps.items()]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+def test_compose_and_negate_match_the_checked_constructor(field, monkeypatch):
+    """Every ``compose`` and negation that ``verify_end_generators`` makes
+    on the corpus and on the deep21 shrink complex, the negation of every
+    composite, and the square of each shrink complex's identity give the comps, in the same key order, of rebuilding
+    the result through ``ChainMap(..., check=False)``, which sorts keys and
+    drops zeros."""
+    compose, negate = ChainMap.compose, ChainMap.__neg__
+    seen = {"compose": 0, "negate": 0, "dropped": 0, "wide": 0}
+
+    def checked_compose(f, g):
+        h = compose(f, g)
+        comps = {n: _then(m, g.comps[n]) for n, m in f.comps.items() if n in g.comps}
+        seen["dropped"] += len(comps) - len(h.comps)
+        assert _as_items(h) == _as_items(ChainMap(f.source, g.target, comps, check=False))
+        seen["compose"] += 1
+        checked_negate(h)
+        return h
+
+    def checked_negate(f):
+        h = negate(f)
+        comps = {n: {rc: -e for rc, e in m.items()} for n, m in f.comps.items()}
+        assert _as_items(h) == _as_items(ChainMap(f.source, f.target, comps, check=False))
+        assert (h.source, h.target) == (f.source, f.target)
+        seen["negate"] += 1
+        seen["wide"] += any(len(m) > 1 for m in h.comps.values())
+        return h
+
+    monkeypatch.setattr(ChainMap, "compose", checked_compose)
+    monkeypatch.setattr(ChainMap, "__neg__", checked_negate)
+    graphs = dict(corpus_graphs())
+    graphs["deep21"] = parse_graph(deep_tree(21, seed=3))
+    for name, g in graphs.items():
+        A = quotient_basis(omega_relations(build_quiver(g)), field=field)
+        Q = shrink_complex(A, g)
+        assert verify_end_generators(Q), name
+        total = identity(Q.direct_sum())
+        total.compose(total)
+        if not g.is_loop_star():
+            at = next(c for c in g.cycle_edges[1:] if g.trees[c])
+            Q = enlarge_complex(A, g, enlarge_data(g, at))
+            assert verify_end_generators(Q), name
+    assert seen["compose"] > 100 and seen["negate"] > 10 and seen["dropped"] > 0, seen
+    assert seen["wide"] > 0, seen

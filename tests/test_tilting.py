@@ -1,11 +1,20 @@
+import random
+
 import pytest
 
 from brauer_derive import tilting
 from brauer_derive.algebra import omega_relations, quotient_basis
 from brauer_derive.graph import edge_count, loop_star, parse_graph
-from brauer_derive.homological import ProjComplex, homotopy_hom, is_stalk
+from brauer_derive.homological import (
+    ProjComplex,
+    _HomSolver,
+    homotopy_hom,
+    is_stalk,
+    shifts_with_variables,
+)
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
+from brauer_derive.reduction import reduce_to_normal_form
 from brauer_derive.tilting import (
     CertificateFailure,
     EmptyTree,
@@ -24,10 +33,13 @@ from conftest import (
     algebra_for,
     canonical_relabel,
     certificate_valid,
+    corpus_graphs,
     diff_entry,
     map_entry,
     structure_key,
 )
+from test_hom_solver_oracle import SHRINK, TRACES
+from test_random_graphs import random_one_loop_graph
 
 CHAIN2_TEXT = (
     '{"vertices":[{"id":"S","cyclic":["1","1","2"]},'
@@ -272,3 +284,52 @@ def test_det_invariance_corpus(corpus):
         A = algebra_for(g)
         cert = check_tilting(shrink_complex(A, g))
         assert abs(cert.det_source) == abs(cert.det_end) == 4
+
+
+def _complexes_of_every_shape():
+    """(name, complex) for the shrink complexes of the Hom-solver oracle
+    test's shapes and of every corpus graph, and the enlarge complexes
+    along the oracle test's reduce traces and every corpus graph's, over Q."""
+    graphs = {name: parse_graph(text) for name, text in SHRINK.items()}
+    graphs.update(corpus_graphs())
+    traced = dict(graphs)
+    for seed, edges in TRACES:
+        traced[f"random{seed}_{edges}"] = random_one_loop_graph(random.Random(seed), edges)
+    for name, g in graphs.items():
+        yield name, shrink_complex(algebra_for(g), g)
+    for name, g in traced.items():
+        for step in reduce_to_normal_form(g).steps:
+            before = step.before
+            yield (f"{name} at {step.at}",
+                   enlarge_complex(algebra_for(before), before, enlarge_data(before, step.at)))
+
+
+@pytest.mark.slow
+def test_check_tilting_solves_exactly_the_shifts_with_variables(monkeypatch):
+    """``check_tilting`` hands ``homotopy_hom`` exactly the shifts of its
+    window whose solver has variables, reports 0 at the others, and lists
+    every shift of the window in ``homVanishing``; ``shifts_with_variables``
+    is that set of shifts, also at 0."""
+    solved = []
+
+    def spy(C, D, shift_by=0):
+        solved.append(shift_by)
+        return homotopy_hom(C, D, shift_by)
+
+    monkeypatch.setattr(tilting, "homotopy_hom", spy)
+    seen = 0
+    for name, Q in _complexes_of_every_shape():
+        solved.clear()
+        cert = check_tilting(Q)
+        total = Q.direct_sum()
+        w = total.width
+        window = [r for r in range(-w - 1, w + 2) if r]
+        has_variables = {
+            r for r in range(-w - 1, w + 2) if _HomSolver(total, total, r).nvars
+        }
+        assert sorted(cert.hom_vanishing) == window, name
+        assert solved == [r for r in window if r in has_variables], name
+        assert all(cert.hom_vanishing[r] == 0 for r in window), name
+        assert shifts_with_variables(total, total) == has_variables, name
+        seen += 1
+    assert seen > 60
