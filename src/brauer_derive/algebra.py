@@ -397,16 +397,6 @@ class QuotientAlgebra:
     def dim(self):
         return sum(self._counts.values())
 
-    @cached_property
-    def blocks_from(self):
-        """{vertex i: ((j, dim e_i A e_j), ...)} over the non-empty blocks
-        (i, j), read off ``_counts``; every vertex has one, as e_i is in
-        block (i, i)."""
-        out = {}
-        for (i, j), count in self._counts.items():
-            out.setdefault(i, []).append((j, count))
-        return {i: tuple(pairs) for i, pairs in out.items()}
-
     def block(self, i, j):
         return self.blocks.get((i, j), ())
 

@@ -104,11 +104,9 @@ def _dumps(payload):
 
     ``indent`` makes ``json`` fall back to its pure-Python encoder; this
     writer produces the same text with less work: strings go through the C
-    string encoder, a dict's string and int values are written with their
-    key, and a list of ints, or of strings, is joined in one step; other
-    scalars (bools, None, floats) go through ``json.dumps``.  Every payload
-    has string keys; the string encoder raises ``TypeError`` on any other
-    key.
+    string encoder, and a list of ints, or of strings, is joined in one
+    step.  Every payload has string keys; the string encoder raises
+    ``TypeError`` on any other key.
     """
     out = []
     put = out.append
@@ -123,15 +121,8 @@ def _dumps(payload):
             inner = indent + "  "
             sep = "{\n" + inner
             for key, item in value.items():
-                head = sep + encode_basestring_ascii(key) + ": "
-                kind = type(item)
-                if kind is str:
-                    put(head + encode_basestring_ascii(item))
-                elif kind is int:
-                    put(head + int.__repr__(item))
-                else:
-                    put(head)
-                    walk(item, inner)
+                put(sep + encode_basestring_ascii(key) + ": ")
+                walk(item, inner)
                 sep = ",\n" + inner
             put("\n" + indent + "}")
         elif isinstance(value, (list, tuple)):

@@ -16,22 +16,20 @@ two complexes.  Over GF(2) the ranks are taken on rows laid out as bits;
 over Q a screen that takes them mod 2, on the same bit layout, may prove a
 Hom space 0 first.  The solver reads D[r] off D, its sign (-1)^r folded
 into the products of D's entries, so no shifted copy is built.  It lays
-out each degree's variables by vertex groups, walking only the non-empty
-blocks out of each source vertex (``blocks_from`` on the algebra), and
-builds the rows and the homotopy columns from the stored entries.  An
+out each degree's variables by vertex groups, block sizes read from the
+algebra's ``_counts`` with no word table built, and builds the rows and the homotopy columns from the stored entries.  An
 entry's products with a block's basis come from ``times_basis`` and
 ``basis_times``, memoized on the algebra, which sums the product words'
 signed classes, each read once per block; a row's entry whose products
 land in an empty block is skipped unread.  Each distinct product is turned
-into pieces once per degree's rows or columns, not once per entry.  One
+into pieces once per walk over one differential, not once per entry.  One
 walk over the entries and vertex groups serves both layouts: for
 ``SparseEchelon`` each group's pieces become dict entries, for
 ``BitEchelon`` one mask per coordinate, shifted and ORed into one int per
 row or column (``_gather``).  The solver's layout finds the variables: a
 shift with no nonzero block from a summand of C^n to one of D^(n+r) has
 none, and ``homotopy_hom`` returns 0 there, which is exact, as no nonzero
-map exists; ``shifts_with_variables`` names the other shifts without
-building a solver.  Null-homotopic maps are chain maps, so the homotopy
+map exists.  Null-homotopic maps are chain maps, so the homotopy
 span is built only when the commutation rows leave some chain map.
 ``homotopy_hom`` returns the dimension alone: the certificates rest on
 dimensions, Hom(T, T[r]) = 0 and the Cartan matrix of End(T).  One echelon
@@ -384,13 +382,12 @@ def _pieces(memo, products, negate, rows, bits):
     (i, k, x) for each coordinate t, x of basis element b's product,
     negated if asked, with i, k = t, b for the rows and b, t for the
     columns; with ``bits``, (i, mask), bit k of mask ``mod_2(x)``, as mod 2
-    a sign changes nothing.  Kept in ``memo``, unless it is None, by the
-    identity of ``products`` (see ``_HomSolver``)."""
-    if memo is not None:
-        key = id(products)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    a sign changes nothing.  ``memo`` serves one walk over one
+    differential, so one sign: it keeps (products, pieces) by the id of
+    ``products``, which it holds, so a hit is that very tuple."""
+    hit = memo.get(id(products))
+    if hit is not None and hit[0] is products:
+        return hit[1]
     terms = [(t, b, x) if rows else (b, t, x) for b, coords in enumerate(products) for t, x in coords]
     if not bits:
         got = [(i, k, -x) for i, k, x in terms] if negate else terms
@@ -400,16 +397,8 @@ def _pieces(memo, products, negate, rows, bits):
             if mod_2(x):
                 masks[i] = masks.get(i, 0) | 1 << k
         got = masks.items()
-    if memo is not None:
-        memo[key] = got
+    memo[id(products)] = products, got
     return got
-
-
-def _memo_for(ds, es):
-    """A memo for ``_pieces`` over the entries of ``ds`` and ``es``, or None
-    when each has at most one: a product tuple can repeat only within one
-    of them, so a walk of single entries would only pay for the memo."""
-    return {} if len(ds) > 1 or len(es) > 1 else None
 
 
 def _gather(blocks, bits):
@@ -447,20 +436,18 @@ class _HomSolver:
     vertex, and each (source vertex, target vertex) pair with a nonzero
     block lays out all its (c, r) at once: f^n[r][c] starts at at_c + at_r,
     where ``by_source[(n, c)][target vertex]`` is (at_c, {r: at_r}) and
-    ``by_target[(n, r)][source vertex]`` is (at_r, {c: at_c}).  The layout
-    walks only the non-empty blocks out of each source vertex
-    (``blocks_from``); with none between the terms, ``nvars`` is 0, no
-    nonzero map C^n -> D^(n+shift_by) exists, and Hom is 0 exactly.
+    ``by_target[(n, r)][source vertex]`` is (at_r, {c: at_c}).  Block
+    sizes come from the algebra's ``_counts``, which holds the non-empty
+    blocks only; with none between the terms, ``nvars`` is 0, no nonzero
+    map C^n -> D^(n+shift_by) exists, and Hom is 0 exactly.
     Rows and columns walk the nonzero differential entries and read an
     entry's products with a block basis once per vertex group; the rows
     skip an entry whose products land in an empty block, and a column
     entry's land in a block of the layout.  ``times_basis`` and
-    ``basis_times`` return the tuple they memoize, alive in the algebra's
-    cache, so within one call for one degree a tuple's identity keys its
-    pieces (``_pieces``), made once per distinct product; only the empty
-    tuple is shared, and it has no pieces under either sign.  That memo
-    lives for the call, and only when some walk has two entries or more
-    (``_memo_for``).  ``_gather`` places the pieces at the offset
+    ``basis_times`` return the tuple they memoize, so equal products are
+    one tuple, and each walk over one differential's entries turns each
+    distinct tuple into pieces once (``_pieces``), in a memo that lives
+    for that walk.  ``_gather`` places the pieces at the offset
     of every summand of the group, one degree n at a time, into row
     (c, r, t) or column (r, c, basis index), each numbered by one int:
     dict entries for ``SparseEchelon``, or for ``BitEchelon`` one mask per
@@ -479,15 +466,16 @@ class _HomSolver:
             raise ChainMapFailure("Hom between complexes over different algebras")
         self.C, self.D, self.shift_by = C, D, shift_by
         self.A = A = C.algebra
+        counts = A._counts  # the non-empty blocks and their dimensions
         self.nvars = 0
         self.by_source = {}  # (n, c) -> {target vertex: (at_c, {r: at_r})}
         self.by_target = {}  # (n, r) -> {source vertex: (at_r, {c: at_c})}
         for n in C.terms:
             groups = D.positions(n + shift_by)
             for sv, cs in C.positions(n).items() if groups else ():
-                for tv, dim in A.blocks_from[sv]:
-                    rs = groups.get(tv)
-                    if rs is None:
+                for tv, rs in groups.items():
+                    dim = counts.get((sv, tv))
+                    if not dim:
                         continue
                     at_r = {r: j * dim for j, r in enumerate(rs)}
                     at_c = {c: self.nvars + k * len(rs) * dim for k, c in enumerate(cs)}
@@ -513,16 +501,16 @@ class _HomSolver:
         coordinates in a block."""
         C, D, A, k = self.C, self.D, self.A, self.shift_by
         W, T, nonzero = len(D.term(n + 1 + k)), A.dim, A._counts
-        ds, es = C.diffs.get(n, {}), D.diffs.get(n + k, {})
-        memo = _memo_for(ds, es)
-        for (m, c), d in ds.items():  # d_C then f^(n+1)
+        memo = {}
+        for (m, c), d in C.diffs.get(n, {}).items():  # d_C then f^(n+1)
             for tv, (at, targets) in self.by_source.get((n + 1, m), {}).items():
                 if (d.source, tv) not in nonzero:  # d b lands in an empty block
                     continue
                 got = _pieces(memo, A.times_basis(d, tv), False, True, bits)
                 if got:
                     yield c * W * T, T, targets, at, got
-        for (r, m), e in es.items():  # minus f^n then d
+        memo = {}
+        for (r, m), e in D.diffs.get(n + k, {}).items():  # minus f^n then d
             for sv, (at, sources) in self.by_target.get((n, m), {}).items():
                 if (sv, e.target) not in nonzero:  # b e lands in an empty block
                     continue
@@ -548,14 +536,14 @@ class _HomSolver:
         dimension of the algebra, which bounds the coordinates in a block."""
         C, D, A, k = self.C, self.D, self.A, self.shift_by
         W, T = len(C.term(n)), A.dim
-        ds, es = C.diffs.get(n - 1, {}), D.diffs.get(n - 1 + k, {})
-        memo = _memo_for(ds, es)
-        for (c, c2), d in ds.items():
+        memo = {}
+        for (c, c2), d in C.diffs.get(n - 1, {}).items():
             for tv, (at, targets) in self.by_source.get((n - 1, c2), {}).items():
                 got = _pieces(memo, A.times_basis(d, tv), False, False, bits)
                 if got:
                     yield c * T, W * T, targets, at, got
-        for (r2, r), e in es.items():
+        memo = {}
+        for (r2, r), e in D.diffs.get(n - 1 + k, {}).items():
             for sv, (at, sources) in self.by_target.get((n, r2), {}).items():
                 got = _pieces(memo, A.basis_times(sv, e), k % 2, False, bits)
                 if got:
@@ -618,22 +606,6 @@ def homotopy_hom(C: ProjComplex, D: ProjComplex, shift_by: int = 0) -> int:
     if field == QQ and _vanishes_mod_2(solver):
         return 0
     return solver.dimension(lambda: echelon_for(field))
-
-
-def shifts_with_variables(C: ProjComplex, D: ProjComplex) -> set:
-    """The shifts r at which ``_HomSolver(C, D, r)`` has variables: those
-    with a summand of some C^n and one of D^(n+r) whose vertices span a
-    non-empty block, read off the algebra's ``blocks_from``.  At every
-    other shift there is no nonzero map C^n -> D^(n+r) in any degree, so
-    Hom(C, D[r]) = 0 exactly, which ``homotopy_hom`` returns there too."""
-    reach = C.algebra.blocks_from
-    out = set()
-    for n, term in C.terms.items():
-        targets = {tv for sv in set(term) for tv, _ in reach[sv]}
-        for m, other in D.terms.items():
-            if m - n not in out and not targets.isdisjoint(other):
-                out.add(m - n)
-    return out
 
 
 def _vanishes_mod_2(solver):

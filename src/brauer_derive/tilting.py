@@ -13,11 +13,11 @@ are cross-checked through Cartan matrices rather than trusting the surgery.
 
 ``check_tilting`` certifies the tilting axioms: vanishing of homotopy Homs
 of the full direct sum at all nonzero shifts within the provable window
-(solved only at the shifts where Hom has variables; at the others no
-nonzero map exists between the terms, so 0 is exact and no solver is
-built), plus one generation witness per simple projective (a mapping cone
-that minimizes to the expected stalk), Happel's Cartan matrix S C S^T of
-End(T) and |det| invariance.  No Cartan matrix is eliminated for the last: with
+(a shift where no summand of T^n has a nonzero block to one of T^(n+r)
+has no variables, so no nonzero map, and its 0 is exact), plus one
+generation witness per simple projective (a mapping cone that minimizes
+to the expected stalk), Happel's Cartan matrix S C S^T of End(T) and
+|det| invariance.  No Cartan matrix is eliminated for the last: with
 S square, det_end = det(S)^2 det_source (see ``homological``), so with
 det_source != 0 the check holds exactly when det(S)^2 = 1, that is, when
 the classes of T's summands form a basis of K_0, as a tilting complex's
@@ -56,7 +56,6 @@ from .homological import (
     is_stalk,
     mapping_cone,
     minimize,
-    shifts_with_variables,
 )
 from .quiver import BETA, build_quiver, cycle_words
 
@@ -271,21 +270,19 @@ def check_tilting(Q: TiltingComplex) -> TiltCertificate:
     """The certificate of Q (see the module docstring), or
     ``CertificateFailure`` naming the axiom that fails.
 
-    ``homVanishing`` lists every nonzero shift r with |r| <= width + 1.  The
-    Hom solver runs only at the shifts of ``shifts_with_variables``; at any
-    other shift no summand of T^n has a nonzero block to one of T^(n+r), so
-    every map T -> T[r] is 0 and its 0 is exact, the value ``homotopy_hom``
-    returns there without variables."""
+    ``homVanishing`` lists every nonzero shift r with |r| <= width + 1.  At
+    a shift where no summand of T^n has a nonzero block to one of T^(n+r),
+    the Hom solver has no variables and ``homotopy_hom`` returns 0 without
+    a rank: every map T -> T[r] is 0 there, so that 0 is exact."""
     for z in Q.ordering:
         check_complex(Q.summands[z])
     total = Q.direct_sum()
     width = total.width
     hom_vanishing = {}
-    solved = shifts_with_variables(total, total)
     for r in range(-width - 1, width + 2):
         if r == 0:
             continue
-        dim = homotopy_hom(total, total, r) if r in solved else 0
+        dim = homotopy_hom(total, total, r)
         hom_vanishing[r] = dim
         if dim:
             raise CertificateFailure(

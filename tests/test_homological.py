@@ -20,6 +20,7 @@ from brauer_derive.homological import (
     minimize,
     _HomSolver,
     _local_inverse,
+    _pieces,
     _then,
     _vanishes_mod_2,
 )
@@ -538,6 +539,20 @@ def test_local_inverse_on_corpus_local_rings(p):
                 nonunit = nonunit + b.scale(field.from_int(rng.randint(1, 3)))
             with pytest.raises(ChainMapFailure, match="not a unit"):
                 _local_inverse(nonunit)
+
+
+@pytest.mark.parametrize("bits", [False, True])
+def test_pieces_memo_answers_only_for_the_tuple_it_holds(bits):
+    """``_pieces`` returns a memo's pieces only for the very tuple stored
+    with them: a memo entry under the same id but another tuple (as a
+    reused id would leave) is recomputed, and a hit is the stored list."""
+    products = (((0, 1), (2, 3)), (), ((1, -1),))
+    fresh = _pieces({}, products, True, True, bits)
+    memo = {id(products): ((((5, 7),),), "stale")}
+    got = _pieces(memo, products, True, True, bits)
+    assert list(got) == list(fresh)
+    assert memo[id(products)][0] is products
+    assert _pieces(memo, products, True, True, bits) is got
 
 
 @pytest.mark.parametrize(

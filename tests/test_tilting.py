@@ -10,7 +10,6 @@ from brauer_derive.homological import (
     _HomSolver,
     homotopy_hom,
     is_stalk,
-    shifts_with_variables,
 )
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
@@ -305,31 +304,38 @@ def _complexes_of_every_shape():
 
 
 @pytest.mark.slow
-def test_check_tilting_solves_exactly_the_shifts_with_variables(monkeypatch):
-    """``check_tilting`` hands ``homotopy_hom`` exactly the shifts of its
-    window whose solver has variables, reports 0 at the others, and lists
-    every shift of the window in ``homVanishing``; ``shifts_with_variables``
-    is that set of shifts, also at 0."""
-    solved = []
+def test_check_tilting_asks_every_shift_and_the_layout_counts_every_block(monkeypatch):
+    """``check_tilting`` hands ``homotopy_hom`` every shift of its window,
+    in order, and lists each in ``homVanishing`` with 0; at every shift,
+    and at 0, the solver's variables, laid out from the block counts,
+    number the sum of dim e_c A e_t over all summand pairs c of T^n and t
+    of T^(n+shift), so a shift without variables has no nonzero map and
+    its 0 is exact."""
+    asked = []
 
     def spy(C, D, shift_by=0):
-        solved.append(shift_by)
+        asked.append(shift_by)
         return homotopy_hom(C, D, shift_by)
 
     monkeypatch.setattr(tilting, "homotopy_hom", spy)
-    seen = 0
+    seen = without = 0
     for name, Q in _complexes_of_every_shape():
-        solved.clear()
+        asked.clear()
         cert = check_tilting(Q)
         total = Q.direct_sum()
-        w = total.width
+        A, w = total.algebra, total.width
         window = [r for r in range(-w - 1, w + 2) if r]
-        has_variables = {
-            r for r in range(-w - 1, w + 2) if _HomSolver(total, total, r).nvars
-        }
+        assert asked == window, name
         assert sorted(cert.hom_vanishing) == window, name
-        assert solved == [r for r in window if r in has_variables], name
         assert all(cert.hom_vanishing[r] == 0 for r in window), name
-        assert shifts_with_variables(total, total) == has_variables, name
+        for r in [0, *window]:
+            blocks = sum(
+                len(A.block(c, t))
+                for n, term in total.terms.items()
+                for c in term
+                for t in total.term(n + r)
+            )
+            assert _HomSolver(total, total, r).nvars == blocks, (name, r)
+            without += not blocks
         seen += 1
-    assert seen > 60
+    assert seen > 60 and without
