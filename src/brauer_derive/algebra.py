@@ -6,8 +6,9 @@ two cycles at each vertex with the loop-adjusted cycle on the exceptional
 one, and the two loop relations), with the degenerate replacements at
 vertices whose second cycle is trivial.  ``a_n_presentation`` builds the
 socle-deformed comparison algebra on the same quiver.  Both build relations
-as arrow-id terms from one walk per quiver cycle (``cycle_words``), which is
-what completion reads; named relations are made only when asked for.
+as terms of words, one character per arrow id (see ``quiver``), from one
+walk per quiver cycle (``cycle_words``), which is what completion reads;
+named relations are made only when asked for.
 
 ``quotient_basis`` turns a presentation into exact structure: a normal-form
 basis for every ordered pair of vertices, a reduction map for paths, and
@@ -106,9 +107,9 @@ def _render(terms, source, one):
 
 
 class Presentation:
-    """A quiver and its relations, each a tuple of (arrow-id word,
-    coefficient) terms (``id_relations``), which is what completion reads.
-    ``relations`` names them as ``PathElement``s, made on first use."""
+    """A quiver and its relations, each a tuple of (word, coefficient) terms
+    (``id_relations``), which is what completion reads.  ``relations`` names
+    them as ``PathElement``s, made on first use."""
 
     def __init__(self, quiver, id_relations):
         self.quiver = quiver
@@ -116,10 +117,10 @@ class Presentation:
 
     @cached_property
     def relations(self):
-        a = self.quiver.arrows
+        q, a = self.quiver, self.quiver.arrows
         return tuple(
-            PathElement(a[t[0][0][0]].source, a[t[0][0][-1]].target,
-                        tuple((tuple(a[i].name for i in w), c) for w, c in t))
+            PathElement(q.source[t[0][0][0]], q.target[t[0][0][-1]],
+                        tuple((tuple(a[ord(x)].name for x in w), c) for w, c in t))
             for t in self.id_relations
         )
 
@@ -130,18 +131,18 @@ class Presentation:
 
 
 def _relation(q, words, coeffs=(1,)):
-    """Terms of the relation sum c * w over parallel arrow-id words w and
-    coefficients c, in ``PathElement`` order (by length, then by arrow
-    names); the words must share one source and one target."""
-    arrows = q.arrows
-    src, tgt = arrows[words[0][0]].source, arrows[words[0][-1]].target
+    """Terms of the relation sum c * w over parallel words w and coefficients
+    c, in ``PathElement`` order (by length, then by arrow names); the words
+    must share one source and one target."""
+    arrows, source, target = q.arrows, q.source, q.target
+    src, tgt = source[words[0][0]], target[words[0][-1]]
     terms = {}
     for word, c in zip(words, coeffs):
-        if arrows[word[0]].source != src or arrows[word[-1]].target != tgt:
+        if source[word[0]] != src or target[word[-1]] != tgt:
             raise InhomogeneousRelation("relation terms are not source/target homogeneous")
         terms[word] = terms.get(word, 0) + c
     return tuple(
-        sorted(terms.items(), key=lambda t: (len(t[0]), [arrows[a].name for a in t[0]]))
+        sorted(terms.items(), key=lambda t: (len(t[0]), [arrows[ord(a)].name for a in t[0]]))
     )
 
 
@@ -155,9 +156,9 @@ def omega_relations(q: BrauerQuiver) -> Presentation:
             continue
         for into, out in ((q.beta_in, q.alpha_out), (q.alpha_in, q.beta_out)):
             if v in into and v in out:
-                rels.append(_relation(q, [(ids[into[v].name], ids[out[v].name])]))
+                rels.append(_relation(q, [ids[into[v].name] + ids[out[v].name]]))
     # The broken step of the exceptional cycle.
-    rels.append(_relation(q, [(ids[q.beta_in[loop].name], ids[q.beta_out[loop].name])]))
+    rels.append(_relation(q, [ids[q.beta_in[loop].name] + ids[q.beta_out[loop].name]]))
     # Cycle equalities, degenerating to overshoot relations at leaves.
     for v in q.vertices:
         if v == loop:
@@ -170,8 +171,8 @@ def omega_relations(q: BrauerQuiver) -> Presentation:
             rels.append(_relation(q, [word + word[:1]]))
     # Loop relations.
     a1, b_full = ids[q.loop_arrow.name], cycles[(loop, BETA)]
-    rels.append(_relation(q, [(a1, a1), (a1,) + b_full], (1, -1)))
-    rels.append(_relation(q, [(a1,) + b_full, b_full + (a1,)], (1, 1)))
+    rels.append(_relation(q, [a1 + a1, a1 + b_full], (1, -1)))
+    rels.append(_relation(q, [a1 + b_full, b_full + a1], (1, 1)))
     return Presentation(q, rels)
 
 
@@ -184,9 +185,9 @@ def a_n_presentation(n: int) -> Presentation:
     cycles = cycle_words(q)
     a1, b_full = ids[q.loop_arrow.name], cycles[(loop, BETA)]
     rels = [
-        _relation(q, [(a1, a1)]),
-        _relation(q, [(ids[q.beta_in[loop].name], ids[q.beta_out[loop].name])]),
-        _relation(q, [(a1,) + b_full, b_full + (a1,)], (1, 1)),
+        _relation(q, [a1 + a1]),
+        _relation(q, [ids[q.beta_in[loop].name] + ids[q.beta_out[loop].name]]),
+        _relation(q, [a1 + b_full, b_full + a1], (1, 1)),
     ]
     for v in q.vertices:
         if v != loop:
@@ -327,7 +328,7 @@ class AlgebraElement:
 
     def __str__(self):
         arrows = self.algebra.quiver.arrows
-        terms = [(tuple(arrows[a].name for a in w), c) for w, c in self.terms()]
+        terms = [(tuple(arrows[ord(a)].name for a in w), c) for w, c in self.terms()]
         return _render(terms, self.source, self.algebra.field.one)
 
     def __repr__(self):
@@ -410,7 +411,7 @@ class QuotientAlgebra:
         return out
 
     def e(self, v):
-        """The vertex idempotent e_v: the trivial word () comes first in block
+        """The vertex idempotent e_v: the trivial word "" comes first in block
         (v, v), whose words are in length-lexicographic order, and is never
         a dropped socle word, as an arrow leaves every vertex."""
         coeffs = (self.field.one,) + (self.field.zero,) * (len(self.block(v, v)) - 1)
@@ -418,7 +419,7 @@ class QuotientAlgebra:
 
     def arrow_element(self, name):
         a = self.quiver.by_name[name]
-        return self.reduce_word(a.source, (self.quiver.ids[name],))
+        return self.reduce_word(a.source, self.quiver.ids[name])
 
     def path_element(self, names):
         """Reduce the path given by arrow names (must be composable)."""
@@ -428,10 +429,10 @@ class QuotientAlgebra:
         for a, b in zip(arrows, arrows[1:]):
             if a.target != b.source:
                 raise CompositionMismatch(f"{a.name} then {b.name} do not compose")
-        return self.reduce_word(arrows[0].source, tuple(self.quiver.ids[n] for n in names))
+        return self.reduce_word(arrows[0].source, "".join(self.quiver.ids[n] for n in names))
 
     def reduce_word(self, source, word):
-        """Normal-form coordinates of a path given as arrow-id tuple."""
+        """Normal-form coordinates of a path given as a word (see ``quiver``)."""
         target = source if not word else self.quiver.target[word[-1]]
         coeffs = [self.field.zero] * len(self.block(source, target))
         for pos, c in self._class_sum(source, target, [(word, self.field.one)]):
@@ -534,11 +535,11 @@ class QuotientAlgebra:
         return term
 
     def _word_text(self, source, word):
-        return "*".join(self.quiver.arrows[a].name for a in word) if word else f"e_{source}"
+        return "*".join(self.quiver.arrows[ord(a)].name for a in word) if word else f"e_{source}"
 
     def arrow_rows(self):
         """{(i, w, a): class of w * a, as ``_class`` gives it} for every basis
-        word w of every block (i, j) and every arrow id a out of j.
+        word w of every block (i, j) and every one-arrow word a out of j.
 
         Every non-empty basis word w must be the class of w[:-1] * w[-1],
         else ``FactorMismatch``.  With that, x * (y'a) = (x * y') * a gives
@@ -551,7 +552,7 @@ class QuotientAlgebra:
         for (i, j), words in self.blocks.items():
             for w in words:
                 for a in out.get(j, ()):
-                    rows[(i, w, a)] = self._class(i, w + (a,))
+                    rows[(i, w, a)] = self._class(i, w + a)
         one = self.field.one
         for (i, j), words in self.blocks.items():
             for w in words:
@@ -568,8 +569,8 @@ class QuotientAlgebra:
         found = []
         for (i, j), words in self.blocks.items():
             for w in words:
-                if not any(self._class(i, w + (a,)) for a in q.out_ids.get(j, ())) and not any(
-                    self._class(q.source[a], (a,) + w) for a in q.in_ids.get(i, ())
+                if not any(self._class(i, w + a) for a in q.out_ids.get(j, ())) and not any(
+                    self._class(q.source[a], a + w) for a in q.in_ids.get(i, ())
                 ):
                     found.append((i, w))
         return found
@@ -592,7 +593,7 @@ def _default_bounds(q: BrauerQuiver):
 
 
 def _relation_combos(p: Presentation, field):
-    """Each relation of p as {arrow-id word: coefficient in field}, in order."""
+    """Each relation of p as {word: coefficient in field}, in order."""
     convert = field.from_int
     return [
         {w: field.div(convert(c.numerator), convert(c.denominator)) for w, c in terms}
@@ -603,8 +604,8 @@ def _relation_combos(p: Presentation, field):
 def _keyed_levels(q, levels):
     """(keys, words) of each level of ``rewriting.normal_words``: the words
     and the block (source, target) of each, level 0 giving the trivial word
-    () of every vertex.  The one place that reads the level format."""
-    yield [(v, v) for v in levels[0]], [()] * len(levels[0])
+    "" of every vertex.  The one place that reads the level format."""
+    yield [(v, v) for v in levels[0]], [""] * len(levels[0])
     for level in levels[1:]:
         yield [(q.source[w[0]], q.target[w[-1]]) for w in level], level
 

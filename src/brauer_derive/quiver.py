@@ -13,8 +13,11 @@ sit at adjacent distances and always get different camps.
 
 ``build_quiver`` makes the cycles in one pass over the graph's cycle edges,
 vertex lists and depths; a leaf of T keeps its trivial cycle, with no arrows.
-Arrow ids index ``arrows``; the quiver holds the one table of their sources,
-targets, and ascending ids out of and into each vertex.
+A word of arrows is a ``str`` whose k-th character is ``chr(i)`` for the
+index i in ``arrows`` of its k-th arrow, and the trivial word is "".  So
+code point order is arrow order, and ``ids`` maps each arrow name to its
+one-arrow word.  The quiver holds the one table of the one-arrow words'
+sources and targets, and of those out of and into each vertex, ascending.
 """
 from __future__ import annotations
 
@@ -53,13 +56,14 @@ class BrauerQuiver:
         self.arrows = tuple(arrows)
         self.cycles = tuple(cycles)
         self.by_name = {a.name: a for a in self.arrows}
-        self.ids = {a.name: i for i, a in enumerate(self.arrows)}
-        self.source = tuple(a.source for a in self.arrows)  # by arrow id
-        self.target = tuple(a.target for a in self.arrows)
-        self.out_ids, self.in_ids = {}, {}  # vertex -> ascending arrow ids
-        for i, a in enumerate(self.arrows):
-            self.out_ids.setdefault(a.source, []).append(i)
-            self.in_ids.setdefault(a.target, []).append(i)
+        self.ids = {a.name: chr(i) for i, a in enumerate(self.arrows)}  # one-arrow words
+        self.source, self.target = {}, {}  # by one-arrow word
+        self.out_ids, self.in_ids = {}, {}  # vertex -> one-arrow words, ascending
+        for a in self.arrows:
+            x = self.ids[a.name]
+            self.source[x], self.target[x] = a.source, a.target
+            self.out_ids.setdefault(a.source, []).append(x)
+            self.in_ids.setdefault(a.target, []).append(x)
         self.alpha_out = {a.source: a for a in self.arrows if a.camp == ALPHA}
         self.beta_out = {a.source: a for a in self.arrows if a.camp == BETA}
         self.alpha_in = {a.target: a for a in self.arrows if a.camp == ALPHA}
@@ -96,26 +100,25 @@ def _cycle(vid, steps, camp, exceptional):
 
 
 class CycleWords(dict):
-    """{(v, camp): arrow ids of the full cycle word at v in the camp}; no
-    arrow out of v in the camp gives the empty word, and a camp other than
-    alpha or beta raises ``UnknownCamp``."""
+    """{(v, camp): the full cycle word at v in the camp}; no arrow out of v
+    in the camp gives the empty word "", and a camp other than alpha or beta
+    raises ``UnknownCamp``."""
 
     def __missing__(self, key):
         if key[1] not in (ALPHA, BETA):
             raise UnknownCamp(f"camp must be {ALPHA!r} or {BETA!r}, got {key[1]!r}")
-        return ()
+        return ""
 
 
 def cycle_words(q: BrauerQuiver) -> CycleWords:
-    """The cycle word of every vertex and camp, ids indexing ``q.arrows``: the
-    rotations of one walk per cycle.  The exceptional cycle starts at the loop
-    vertex, and every later start on it inserts the loop arrow on passing the
-    loop vertex."""
+    """The cycle word of every vertex and camp: the rotations of one walk per
+    cycle.  The exceptional cycle starts at the loop vertex, and every later
+    start on it inserts the loop arrow on passing the loop vertex."""
     ids = q.ids
     out = CycleWords()
     for c in q.cycles:
-        word = tuple(ids[a.name] for a in c.arrows)
-        passing = word + (ids[q.loop_arrow.name],) if c.exceptional else word
+        word = "".join(ids[a.name] for a in c.arrows)
+        passing = word + ids[q.loop_arrow.name] if c.exceptional else word
         for k, a in enumerate(c.arrows):
             w = passing if k else word
             out[(a.source, c.camp)] = w[k:] + w[:k]

@@ -1,11 +1,14 @@
 """Rewriting engine for two-sided path-algebra ideals.
 
-A word engine: paths are tuples of small integer arrow ids, compared length
-first, then lexicographically by id, and only ``normal_words`` reads arrow
-ends, which its caller passes.  Relations are completed into a rewriting
-system by resolving overlaps of leading words (bounded by a maximum word
-length), after which normal forms are unique and the surviving factor-free
-words of each length enumerate a basis of the quotient.
+A word engine: a path is a ``str`` with one character per arrow, ``chr``
+of the arrow's id (see ``quiver``), so slicing, concatenation, hashing and
+comparison run in C on one flat object.  Words are compared length first,
+then lexicographically by code point, which is by arrow id; only
+``normal_words`` reads arrow ends, which its caller passes.  Relations are
+completed into a rewriting system by resolving overlaps of leading words
+(bounded by a maximum word length), after which normal forms are unique and
+the surviving factor-free words of each length enumerate a basis of the
+quotient.
 
 Relations must be binomial, one path or a sum or difference of two, as is
 every one ``algebra`` builds (else ``NonBinomialRelation``, an engine
@@ -42,6 +45,10 @@ each question reads only the leads that can answer it.
   lookup is taken only when ``truncated`` is already set or when no
   monomial pair can exceed ``maxlen``:
   len(lead) + (longest monomial lead) - 1 <= maxlen.
+  When the binomial leads are fewer than the new lead's overlap lengths,
+  ``overlaps`` tests each of them directly instead, at the positions in the
+  new lead of its first and of its last arrow, which ``str.find`` and
+  ``str.rfind`` give; sorting makes the order the same.
 - The lead lengths present per first and per last arrow bound the slices
   ``find_factor`` and ``lead_suffix`` try at each position.
 
@@ -78,7 +85,8 @@ class RewriteSystem:
     (word, coefficient), or to None for a monomial lead.  Every lead is
     indexed by its insertion stamp, its first arrow and its last arrow,
     binomial leads (tail a word) also in their own first- and last-arrow
-    indexes, and the lead lengths present are kept per first and last arrow.
+    indexes and in a list, and the lead lengths present are kept per first
+    and last arrow.
     ``longest_monomial`` is the length of the longest monomial lead.
     """
 
@@ -90,6 +98,7 @@ class RewriteSystem:
         self._by_last = {}  # arrow -> set of leads ending with it
         self._binomial_first = {}  # arrow -> set of binomial leads starting with it
         self._binomial_last = {}
+        self._binomial = []  # the binomial leads
         self.longest_monomial = 0
         self._first_lengths = {}  # arrow -> ascending lengths of its leads
         self._last_lengths = {}
@@ -107,6 +116,7 @@ class RewriteSystem:
         if term is not None:
             self._binomial_first.setdefault(lead[0], set()).add(lead)
             self._binomial_last.setdefault(lead[-1], set()).add(lead)
+            self._binomial.append(lead)
         else:
             self.longest_monomial = max(self.longest_monomial, len(lead))
         self.rules[lead] = term
@@ -142,26 +152,42 @@ class RewriteSystem:
         the suffix of first of length k equals the prefix of second.  They
         come in rule insertion order, (lead, other) before (other, lead),
         then by k; lead against itself appears once on each side.  With
-        ``binomial`` only the rules whose tail is a word are read."""
-        if binomial:
-            by_first, by_last = self._binomial_first, self._binomial_last
-        else:
-            by_first, by_last = self._by_first, self._by_last
+        ``binomial`` only the rules whose tail is a word are read, and when
+        they are fewer than the lead's overlap lengths each is tested at
+        every k directly, not looked up per k."""
         hits = []
         n = len(lead)
-        for k in range(1, n):
-            others = by_first.get(lead[-k])
-            if others:
-                tail = lead[-k:]
-                for other in others:
-                    if len(other) > k and other[:k] == tail:
-                        hits.append((self._stamp[other], 0, k, other))
-            others = by_last.get(lead[k - 1])
-            if others:
-                head = lead[:k]
-                for other in others:
-                    if len(other) > k and other[-k:] == head:
-                        hits.append((self._stamp[other], 1, k, other))
+        if binomial and len(self._binomial) < n - 1:
+            for other in self._binomial:
+                stamp, m = self._stamp[other], len(other)
+                i = lead.find(other[0], max(1, n - m + 1))
+                while i >= 0:  # k = n - i if other starts with lead[i:]
+                    if other.startswith(lead[i:]):
+                        hits.append((stamp, 0, n - i, other))
+                    i = lead.find(other[0], i + 1)
+                j = lead.rfind(other[-1], 0, min(n, m) - 1)
+                while j >= 0:  # k = j + 1 if other ends with lead[:j + 1]
+                    if other.endswith(lead[: j + 1]):
+                        hits.append((stamp, 1, j + 1, other))
+                    j = lead.rfind(other[-1], 0, j)
+        else:
+            if binomial:
+                by_first, by_last = self._binomial_first, self._binomial_last
+            else:
+                by_first, by_last = self._by_first, self._by_last
+            for k in range(1, n):
+                others = by_first.get(lead[-k])
+                if others:
+                    tail = lead[-k:]
+                    for other in others:
+                        if len(other) > k and other[:k] == tail:
+                            hits.append((self._stamp[other], 0, k, other))
+                others = by_last.get(lead[k - 1])
+                if others:
+                    head = lead[:k]
+                    for other in others:
+                        if len(other) > k and other[-k:] == head:
+                            hits.append((self._stamp[other], 1, k, other))
         hits.sort()
         return [(lead, other, k) if side == 0 else (other, lead, k) for _, side, k, other in hits]
 
@@ -251,7 +277,9 @@ def complete(relations, field, maxlen):
             hit = rs.find_factor(lead[:-1])
             inner = hit[1] if hit else rs.lead_suffix(lead[1:])
             if inner is not None:
-                raise InclusionAmbiguity(f"lead {lead} contains the lead {inner}")
+                raise InclusionAmbiguity(
+                    f"lead {tuple(map(ord, lead))} contains the lead {tuple(map(ord, inner))}"
+                )
     return rs, truncated
 
 
@@ -259,18 +287,19 @@ def normal_words(rs, vertices, arrows_by_source, target, maxlen):
     """Factor-free words by length: levels[0] lists the vertices, one per
     trivial word e_v, and levels[k] for k >= 1 the words of length k, whose
     source is their first arrow's.  So sum(len(level)) is the dimension.
-    ``arrows_by_source[v]``: ascending ids out of v; ``target[a]``: a's target.
+    ``arrows_by_source[v]``: the one-arrow words out of v, ascending;
+    ``target[a]``: the target of the one-arrow word a.
 
     Stops early once a length yields no survivors (normal words are closed
     under taking factors, so nothing longer can survive either).
     """
     lead_suffix = rs.lead_suffix
     levels = [list(vertices)]
-    words = [(a,) for v in vertices for a in arrows_by_source.get(v, ())]
+    words = [a for v in vertices for a in arrows_by_source.get(v, ())]
     for _ in range(maxlen):
         survivors = [w for w in words if lead_suffix(w) is None]
         if not survivors:
             break
         levels.append(survivors)
-        words = [w + (a,) for w in survivors for a in arrows_by_source.get(target[w[-1]], ())]
+        words = [w + a for w in survivors for a in arrows_by_source.get(target[w[-1]], ())]
     return levels

@@ -112,6 +112,23 @@ def g_min():
     return parse_graph(G_MIN_TEXT)
 
 
+def word(ids):
+    """The word of a sequence of arrow ids: one code point per id, as the
+    package spells every word (see ``quiver``)."""
+    return "".join(map(chr, ids))
+
+
+def word_ids(w):
+    """The arrow ids of a word, as a tuple of ints: golden digests pin words
+    in this form."""
+    return tuple(map(ord, w))
+
+
+def path_word(q, names):
+    """The word of a path given by arrow names."""
+    return "".join(q.ids[n] for n in names)
+
+
 def path_element(source, target, d):
     """PathElement of {arrow-name word: coefficient} d, terms ordered by
     length, then by names."""
@@ -125,16 +142,15 @@ def relation_words(rel):
 def word_element(q, words, coeffs):
     """The named relation sum c * w over arrow-name words w, through the
     package's homogeneity check and term order."""
-    terms = _relation(q, [tuple(q.ids[n] for n in w) for w in words], coeffs)
+    terms = _relation(q, [path_word(q, w) for w in words], coeffs)
     return Presentation(q, [terms]).relations[0]
 
 
 def named_presentation(q, relations):
     """The presentation of q with the given named relations
-    (``PathElement``s), their arrow names turned into arrow ids."""
-    ids = q.ids
+    (``PathElement``s), their arrow names turned into words."""
     return Presentation(
-        q, [tuple((tuple(ids[n] for n in w), c) for w, c in rel.terms) for rel in relations]
+        q, [tuple((path_word(q, w), c) for w, c in rel.terms) for rel in relations]
     )
 
 

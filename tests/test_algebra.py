@@ -594,8 +594,8 @@ IDEMPOTENT_CASES = _idempotent_cases()
 @pytest.mark.parametrize("case", sorted(IDEMPOTENT_CASES))
 def test_vertex_idempotent_is_the_first_basis_word(case, field):
     """``e`` and ``scalar_part`` read position 0 of a diagonal block as the
-    trivial word, and ``multiply`` returns the other factor of e_v: () is
-    the first word of every block (v, v), e_v is the class of (), and e_i b
+    trivial word, and ``multiply`` returns the other factor of e_v: "" is
+    the first word of every block (v, v), e_v is the class of "", and e_i b
     and b e_j are b for every basis element b, summed from path classes by
     ``times_basis`` and ``basis_times``, which take no short cut."""
     p, F = IDEMPOTENT_CASES[case], FIELDS[field]
@@ -606,8 +606,8 @@ def test_vertex_idempotent_is_the_first_basis_word(case, field):
         A = quotient_basis(p, field=F)
     rng = random.Random(31)
     for v in A.vertices:
-        assert A.block(v, v)[0] == ()
-        assert A.e(v).coeffs == A.reduce_word(v, ()).coeffs
+        assert A.block(v, v)[0] == ""
+        assert A.e(v).coeffs == A.reduce_word(v, "").coeffs
         assert A.e(v).scalar_part() == F.one
     for (i, j), words in A.blocks.items():
         if not words:

@@ -33,6 +33,7 @@ from conftest import (
     G_MIN_TEXT,
     corpus_graphs,
     named_presentation,
+    path_word,
     word_element,
 )
 
@@ -873,11 +874,10 @@ def test_broken_factor_fails_the_socle_comparison(capsys, monkeypatch):
     """A normal form that breaks w = w'a for one basis word w voids the
     arrow-action comparison: exit 3, naming the word."""
     nf_word = rewriting.RewriteSystem.nf_word
-    ids = {a.name: k for k, a in enumerate(a_n_presentation(3).quiver.arrows)}
-    word = (ids["a_1"], ids["b_1"])
+    broken = path_word(a_n_presentation(3).quiver, ("a_1", "b_1"))
     monkeypatch.setattr(
         rewriting.RewriteSystem, "nf_word",
-        lambda rs, w, c: None if w == word else nf_word(rs, w, c),
+        lambda rs, w, c: None if w == broken else nf_word(rs, w, c),
     )
     assert run(["an", "3", "--compare-socle"]) == EXIT_CERTIFICATE
     err = capsys.readouterr().err

@@ -8,7 +8,7 @@ from brauer_derive.algebra import omega_relations
 from brauer_derive.graph import BrauerGraph, GraphVertex, loop_star, parse_graph
 from brauer_derive.quiver import ALPHA, BETA, build_quiver, cycle_words, quiver_to_dot
 
-from conftest import G_MIN_TEXT, corpus_graphs, cycle_at
+from conftest import G_MIN_TEXT, corpus_graphs, cycle_at, word_ids
 from test_random_graphs import random_one_loop_graph
 from test_scale import chain_with_twigs, deep_tree, graph_text
 
@@ -45,7 +45,7 @@ def test_g_min_arrows():
 
 
 def cycle_names(q, v, camp):
-    return tuple(q.arrows[a].name for a in cycle_words(q)[(v, camp)])
+    return tuple(q.arrows[a].name for a in word_ids(cycle_words(q)[(v, camp)]))
 
 
 def test_cycle_at_b_prime():
@@ -188,12 +188,12 @@ def _quiver_structure(g):
     return [
         list(q.vertices),
         [[a.name, a.source, a.target, a.camp] for a in q.arrows],
-        sorted([v, camp, list(w)] for (v, camp), w in cycle_words(q).items()),
+        sorted([v, camp, list(word_ids(w))] for (v, camp), w in cycle_words(q).items()),
         sorted(
             [c.graph_vertex, c.camp, c.exceptional, [a.name for a in c.arrows]]
             for c in q.cycles
         ),
-        [[[list(w), c] for w, c in rel] for rel in omega_relations(q).id_relations],
+        [[[list(word_ids(w)), c] for w, c in rel] for rel in omega_relations(q).id_relations],
     ]
 
 

@@ -9,7 +9,9 @@ them as they are.
 
 A seeded property test adds rules with fresh leads in random order and
 checks every indexed lookup of ``RewriteSystem`` against a brute-force scan
-of ``rules`` after each step.
+of ``rules`` after each step.  A second one keeps the binomial leads fewer
+than a long probe's overlap lengths, where ``overlaps`` tests each binomial
+lead directly instead of reading its indexes.
 
 An oracle keeps the completion loop over a plain dict of rules that
 resolves every pair of leads, monomial pairs included, and interreduces:
@@ -50,7 +52,7 @@ from brauer_derive.rewriting import (
     complete,
 )
 
-from conftest import corpus_graphs
+from conftest import corpus_graphs, word, word_ids
 from test_random_graphs import random_one_loop_graph
 
 
@@ -75,7 +77,8 @@ def golden_presentations():
 FIELDS = {"Q": QQ, "GF2": PrimeField(2)}
 
 # "presentation/field": (SHA-256 of repr(list(rules.items())), of repr(blocks)),
-# with every Q tail coefficient written as a Fraction (see ``_pinned_rules``)
+# with every word written as its tuple of arrow ids and every Q tail
+# coefficient as a Fraction (see ``_pinned_rules`` and ``_pinned_blocks``)
 COMPLETION_DIGESTS = {
     "g_min/Q": ("8faad153a5aab7690074cb7ede15c92e3468c0be58974269200507dd34736ae4", "6014daab18a85e25ed4a553f725f0d374a4f55116d651543620b12070953a984"),
     "g_min/GF2": ("2d6cabd6da847bd466e2b655d86facfb6eff444ed5cd5efb56cf64c9fc925ed0", "6014daab18a85e25ed4a553f725f0d374a4f55116d651543620b12070953a984"),
@@ -188,13 +191,20 @@ def oracle_rules(rules):
 
 
 def _pinned_rules(rules, field):
-    """The rules as (lead, {word: coefficient}) pairs; over Q each tail
-    coefficient is written as a ``Fraction``, so the digest pins values and
-    not whether a coefficient is held as an int or a Fraction."""
-    rules = oracle_rules(rules)
-    if field != QQ:
-        return list(rules.items())
-    return [(lead, {w: Fraction(c) for w, c in tail.items()}) for lead, tail in rules.items()]
+    """The rules as (lead, {word: coefficient}) pairs, each word as its
+    tuple of arrow ids; over Q each tail coefficient is written as a
+    ``Fraction``, so the digest pins values and not whether a coefficient is
+    held as an int or a Fraction."""
+    cast = Fraction if field == QQ else (lambda c: c)
+    return [
+        (word_ids(lead), {word_ids(w): cast(c) for w, c in tail.items()})
+        for lead, tail in oracle_rules(rules).items()
+    ]
+
+
+def _pinned_blocks(blocks):
+    """The word table with each word as its tuple of arrow ids."""
+    return {key: tuple(map(word_ids, words)) for key, words in blocks.items()}
 
 
 @pytest.mark.parametrize("key", sorted(COMPLETION_DIGESTS))
@@ -203,7 +213,7 @@ def test_completion_digest(key):
     A = quotient_basis(golden_presentations()[name](), field=FIELDS[field])
     pinned = _pinned_rules(A._rsys.rules, FIELDS[field])
     rules = hashlib.sha256(repr(pinned).encode("utf-8")).hexdigest()
-    blocks = hashlib.sha256(repr(A.blocks).encode("utf-8")).hexdigest()
+    blocks = hashlib.sha256(repr(_pinned_blocks(A.blocks)).encode("utf-8")).hexdigest()
     assert (rules, blocks) == COMPLETION_DIGESTS[key]
 
 
@@ -242,7 +252,7 @@ def brute_stale(rules, lead):
 
 
 def random_word(rng, arrows, longest):
-    return tuple(rng.randrange(arrows) for _ in range(rng.randint(1, longest)))
+    return word(rng.randrange(arrows) for _ in range(rng.randint(1, longest)))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -255,7 +265,7 @@ def test_indexes_match_brute_force(seed):
         while lead in rs.rules:
             lead = random_word(rng, arrows, 5)
         # every third rule is monomial
-        rs.add_rule(lead, ((), QQ.from_int(step)) if step % 3 else None)
+        rs.add_rule(lead, ("", QQ.from_int(step)) if step % 3 else None)
         rules = rs.rules
         live = set(rules)
         for index in (rs._by_first, rs._by_last):
@@ -280,7 +290,24 @@ def test_indexes_match_brute_force(seed):
             assert rs.overlaps(lead) == brute_overlaps(rules, lead)
             binomial_rules = {w: t for w, t in rules.items() if t}
             assert rs.overlaps(lead, binomial=True) == brute_overlaps(binomial_rules, lead)
-    assert rs.find_factor(()) is None and rs.lead_suffix(()) is None
+    assert rs.find_factor("") is None and rs.lead_suffix("") is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_few_binomial_leads_match_brute_force(seed):
+    rng = Random(seed)
+    rs = RewriteSystem(QQ)
+    for step in range(60):
+        lead = random_word(rng, 3, 8)
+        while lead in rs.rules:
+            lead = random_word(rng, 3, 8)
+        # every tenth rule is binomial
+        rs.add_rule(lead, None if step % 10 else ("", QQ.one))
+        binomial_rules = {w: t for w, t in rs.rules.items() if t}
+        for _ in range(4):
+            probe = random_word(rng, 3, 24)
+            if len(binomial_rules) < len(probe) - 1:
+                assert rs.overlaps(probe, binomial=True) == brute_overlaps(binomial_rules, probe)
 
 
 # -- completion against the all-pairs oracle ------------------------------
@@ -426,8 +453,8 @@ def test_every_rule_has_at_most_one_tail_term(name):
         assert not truncated
         for term in rs.rules.values():
             if term is not None:
-                word, coeff = term
-                assert type(word) is tuple and coeff, (field, term)
+                w, coeff = term
+                assert type(w) is str and coeff, (field, term)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "GF2", "GF3"])
@@ -438,13 +465,14 @@ def test_two_terms_reducing_to_one_word_merge(field):
     (0,1) -> 0 unless 2 = 0, as over GF(2).  Of (2,3) - (0,1) the two terms
     cancel in every field."""
     one = field.one
-    first = {(0, 1): one, (2, 3): -one}
+    u, v = word((0, 1)), word((2, 3))
+    first = {u: one, v: -one}
     for second, monomial in (
-        ({(0, 1): one, (2, 3): one}, bool(one + one)),
-        ({(2, 3): one, (0, 1): -one}, False),
+        ({u: one, v: one}, bool(one + one)),
+        ({v: one, u: -one}, False),
     ):
         rs, truncated = complete([first, second], field, 6)
-        expected = {(2, 3): ((0, 1), one)} | ({(0, 1): None} if monomial else {})
+        expected = {v: (u, one)} | ({u: None} if monomial else {})
         assert list(rs.rules.items()) == list(expected.items()) and not truncated, second
         ref, ref_truncated = reference_complete([first, second], field, 6)
         assert list(oracle_rules(rs.rules).items()) == list(ref.items()), second
@@ -455,12 +483,12 @@ def test_two_terms_reducing_to_one_word_merge(field):
 def test_a_relation_of_three_terms_is_refused(field):
     """``complete`` takes relations of at most two nonzero terms only."""
     one = field.one
-    complete([{(0, 0): one, (0, 1): one, (1, 0): field.zero}], field, 8)
-    three = {(0, 0): one, (0, 1): one, (1, 0): one}
+    complete([{word((0, 0)): one, word((0, 1)): one, word((1, 0)): field.zero}], field, 8)
+    three = {word((0, 0)): one, word((0, 1)): one, word((1, 0)): one}
     with pytest.raises(
         NonBinomialRelation, match="^relation of 3 terms, not at most two$"
     ):
-        complete([{(1, 1): one}, three], field, 8)
+        complete([{word((1, 1)): one}, three], field, 8)
 
 
 @pytest.mark.parametrize("outer", ["bcd", "dbc"])
@@ -471,17 +499,17 @@ def test_inclusion_ambiguity_is_refused(field, outer):
     older lead bcd (and at its end in the variant dbc).  The oracle drops
     that lead and requeues it; ``complete`` keeps every rule and refuses
     the result."""
-    a, b, c, d = range(4)
-    word = tuple("abcd".index(x) for x in outer)
+    ids = tuple("abcd".index(x) for x in outer)
+    aaaa, bc = word((0, 0, 0, 0)), word((1, 2))
     relations = [
-        {word: field.one},
-        {(a, a, a, a): field.one, (b, c): field.one},
-        {(a, a, a, a): field.one},
+        {word(ids): field.one},
+        {aaaa: field.one, bc: field.one},
+        {aaaa: field.one},
     ]
     rules, truncated = reference_complete(relations, field, 8)
-    assert rules == {(a, a, a, a): {(b, c): -field.one}, (b, c): {}}
+    assert rules == {aaaa: {bc: -field.one}, bc: {}}
     assert not truncated
-    with pytest.raises(InclusionAmbiguity, match=re.escape(f"lead {word} contains the lead (1, 2)")):
+    with pytest.raises(InclusionAmbiguity, match=re.escape(f"lead {ids} contains the lead (1, 2)")):
         complete(relations, field, 8)
 
 
@@ -490,7 +518,8 @@ def test_a_lead_of_one_arrow_is_not_admissible(field):
     """A relation a, or aa + a once aa is a rule, leaves a consequence whose
     lead is the arrow a: the ideal is not admissible and ``complete`` says so
     instead of adding a rule of length 1."""
-    for relations in ([{(0,): field.one}], [{(0, 0): field.one}, {(0, 0): field.one, (0,): field.one}]):
+    a, aa = word((0,)), word((0, 0))
+    for relations in ([{a: field.one}], [{aa: field.one}, {aa: field.one, a: field.one}]):
         with pytest.raises(NotAdmissible, match="^ideal contains a generator of length 1$"):
             complete(relations, field, 8)
 
@@ -507,9 +536,9 @@ def test_nf_word_matches_brute_force(field):
     arrows = len(q.arrows)
     seen = set()
     for _ in range(300):
-        word = random_word(rng, arrows, 7)
+        w = random_word(rng, arrows, 7)
         coeff = field.from_int(rng.choice([-2, -1, 1, 2]))
-        term = rs.nf_word(word, coeff)
-        assert ({} if term is None else dict([term])) == brute_nf(rules, {word: coeff}, field), word
+        term = rs.nf_word(w, coeff)
+        assert ({} if term is None else dict([term])) == brute_nf(rules, {w: coeff}, field), w
         seen.add(term is None)
     assert seen == {True, False}

@@ -25,9 +25,14 @@ reached are exactly the internal guards of ``NEVER_RAISED``, each with the
 reason no input reaches it.
 
 The benchmark's tracer reads the program from outside (the arguments and
-results of the functions it wraps), so a last test runs every workload's
-tiny plan traced and checks that each declared per-layer metric comes out."""
+results of the functions it wraps), so a test runs every workload's tiny
+plan traced and checks that each declared per-layer metric comes out.
+
+``tools/identity_corpus.py`` prints one digest per invocation of the corpus
+that a change's outputs are compared on, parent against change; a last test
+pins its 826 invocations."""
 import ast
+import importlib.util
 import io
 import json
 import os
@@ -599,3 +604,26 @@ def test_traced_tiny_plans_report_every_declared_layer_metric(workload, tmp_path
     metrics, _ = report.per_layer(runner.records)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert [m["name"] for m in declared if m["name"] not in metrics] == []
+
+
+# -- the byte-identity corpus ----------------------------------------------
+
+
+def test_identity_corpus_has_826_invocations():
+    """21 graphs, 12 invocations on each over q, 2 and 3, ``classify`` on
+    each, 48 loop-star builds and one exit-2 bound; every ``verify`` reads
+    the trace that an earlier ``reduce --certify --json`` saved."""
+    spec = importlib.util.spec_from_file_location(
+        "identity_corpus", ROOT / "tools" / "identity_corpus.py"
+    )
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    texts = corpus.graph_texts()
+    plan = corpus.invocations(texts)
+    assert len(texts) == 21 and len(plan) == 826
+    saved = set()
+    for argv, save in plan:
+        assert argv[0] != "verify" or argv[1] in saved, argv
+        if save is not None:
+            saved.add(save)
+    assert len(saved) == 63

@@ -7,8 +7,15 @@ every block) is built on first read.  The tests check that the Cartan paths
 never build it, that a table built on read is the one the engine used to
 build eagerly from (source, word) pairs, and that the levels still add up
 to the dimension, which the benchmark's word counter reads.
+
+A word is a ``str`` with one code point per arrow id, so past 256 arrows its
+characters no longer fit one byte each.  A 200-edge random graph with 299
+arrows checks that the engine is the same there: its basis passes the
+half-edge Cartan check and every product w[:-1] * w[-1] of ``arrow_rows``,
+and every block's words come in length-lexicographic order of arrow ids.
 """
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -19,7 +26,8 @@ from brauer_derive.graph import loop_star
 from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
 
-from conftest import CORPUS_TEXTS, corpus_graphs
+from conftest import CORPUS_TEXTS, corpus_graphs, word, word_ids
+from test_random_graphs import random_one_loop_graph
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["Q", "GF2"])
 CORPUS = corpus_graphs()
@@ -32,17 +40,17 @@ def reference_blocks(A):
     q, rs = A.quiver, A._rsys
     by_source = {}
     for a, arrow in enumerate(q.arrows):
-        by_source.setdefault(arrow.source, []).append(a)
-    level, found = [(v, ()) for v in q.vertices], {}
+        by_source.setdefault(arrow.source, []).append(word((a,)))
+    level, found = [(v, "") for v in q.vertices], {}
     while level:
         nxt = []
-        for source, word in level:
-            at = q.target[word[-1]] if word else source
-            if (source, word) not in A.dropped:
-                found.setdefault((source, at), []).append(word)
+        for source, w in level:
+            at = q.target[w[-1]] if w else source
+            if (source, w) not in A.dropped:
+                found.setdefault((source, at), []).append(w)
             for a in by_source.get(at, ()):
-                if rs.lead_suffix(word + (a,)) is None:
-                    nxt.append((source, word + (a,)))
+                if rs.lead_suffix(w + a) is None:
+                    nxt.append((source, w + a))
         level = nxt
     blocks = dict.fromkeys(product(q.vertices, repeat=2), ())
     blocks.update((key, tuple(words)) for key, words in found.items())
@@ -133,3 +141,16 @@ def test_levels_add_up_to_the_dimension(name, field, monkeypatch):
     assert found[0] == list(A.vertices)
     assert all(len(word) == k for k, level in enumerate(found[1:], 1) for word in level)
     assert sum(len(level) for level in found) == A.dim
+
+
+@FIELDS
+def test_words_past_one_byte_per_arrow(field):
+    q = build_quiver(random_one_loop_graph(Random(5000), 200))
+    assert len(q.arrows) == 299 and max(map(ord, q.ids.values())) > 255
+    A = quotient_basis(omega_relations(q), field=field)  # the half-edge Cartan check
+    assert A.cartan().det() == 4
+    assert sum(len(words) for words in A.blocks.values()) == A.dim
+    assert any(ord(w[-1]) > 255 for words in A.blocks.values() for w in words if w)
+    for words in A.blocks.values():
+        assert list(words) == sorted(words, key=lambda w: (len(w), word_ids(w)))
+    A.arrow_rows()  # raises FactorMismatch unless every basis word is w[:-1] * w[-1]
