@@ -45,10 +45,6 @@ each question reads only the leads that can answer it.
   lookup is taken only when ``truncated`` is already set or when no
   monomial pair can exceed ``maxlen``:
   len(lead) + (longest monomial lead) - 1 <= maxlen.
-  When the binomial leads are fewer than the new lead's overlap lengths,
-  ``overlaps`` tests each of them directly instead, at the positions in the
-  new lead of its first and of its last arrow, which ``str.find`` and
-  ``str.rfind`` give; sorting makes the order the same.
 - The lead lengths present per first and per last arrow bound the slices
   ``find_factor`` and ``lead_suffix`` try at each position.
 
@@ -85,8 +81,7 @@ class RewriteSystem:
     (word, coefficient), or to None for a monomial lead.  Every lead is
     indexed by its insertion stamp, its first arrow and its last arrow,
     binomial leads (tail a word) also in their own first- and last-arrow
-    indexes and in a list, and the lead lengths present are kept per first
-    and last arrow.
+    indexes, and the lead lengths present are kept per first and last arrow.
     ``longest_monomial`` is the length of the longest monomial lead.
     """
 
@@ -98,7 +93,6 @@ class RewriteSystem:
         self._by_last = {}  # arrow -> set of leads ending with it
         self._binomial_first = {}  # arrow -> set of binomial leads starting with it
         self._binomial_last = {}
-        self._binomial = []  # the binomial leads
         self.longest_monomial = 0
         self._first_lengths = {}  # arrow -> ascending lengths of its leads
         self._last_lengths = {}
@@ -116,7 +110,6 @@ class RewriteSystem:
         if term is not None:
             self._binomial_first.setdefault(lead[0], set()).add(lead)
             self._binomial_last.setdefault(lead[-1], set()).add(lead)
-            self._binomial.append(lead)
         else:
             self.longest_monomial = max(self.longest_monomial, len(lead))
         self.rules[lead] = term
@@ -152,42 +145,26 @@ class RewriteSystem:
         the suffix of first of length k equals the prefix of second.  They
         come in rule insertion order, (lead, other) before (other, lead),
         then by k; lead against itself appears once on each side.  With
-        ``binomial`` only the rules whose tail is a word are read, and when
-        they are fewer than the lead's overlap lengths each is tested at
-        every k directly, not looked up per k."""
+        ``binomial`` only the rules whose tail is a word are read."""
+        if binomial:
+            by_first, by_last = self._binomial_first, self._binomial_last
+        else:
+            by_first, by_last = self._by_first, self._by_last
         hits = []
         n = len(lead)
-        if binomial and len(self._binomial) < n - 1:
-            for other in self._binomial:
-                stamp, m = self._stamp[other], len(other)
-                i = lead.find(other[0], max(1, n - m + 1))
-                while i >= 0:  # k = n - i if other starts with lead[i:]
-                    if other.startswith(lead[i:]):
-                        hits.append((stamp, 0, n - i, other))
-                    i = lead.find(other[0], i + 1)
-                j = lead.rfind(other[-1], 0, min(n, m) - 1)
-                while j >= 0:  # k = j + 1 if other ends with lead[:j + 1]
-                    if other.endswith(lead[: j + 1]):
-                        hits.append((stamp, 1, j + 1, other))
-                    j = lead.rfind(other[-1], 0, j)
-        else:
-            if binomial:
-                by_first, by_last = self._binomial_first, self._binomial_last
-            else:
-                by_first, by_last = self._by_first, self._by_last
-            for k in range(1, n):
-                others = by_first.get(lead[-k])
-                if others:
-                    tail = lead[-k:]
-                    for other in others:
-                        if len(other) > k and other[:k] == tail:
-                            hits.append((self._stamp[other], 0, k, other))
-                others = by_last.get(lead[k - 1])
-                if others:
-                    head = lead[:k]
-                    for other in others:
-                        if len(other) > k and other[-k:] == head:
-                            hits.append((self._stamp[other], 1, k, other))
+        for k in range(1, n):
+            others = by_first.get(lead[-k])
+            if others:
+                tail = lead[-k:]
+                for other in others:
+                    if len(other) > k and other[:k] == tail:
+                        hits.append((self._stamp[other], 0, k, other))
+            others = by_last.get(lead[k - 1])
+            if others:
+                head = lead[:k]
+                for other in others:
+                    if len(other) > k and other[-k:] == head:
+                        hits.append((self._stamp[other], 1, k, other))
         hits.sort()
         return [(lead, other, k) if side == 0 else (other, lead, k) for _, side, k, other in hits]
 

@@ -9,9 +9,7 @@ them as they are.
 
 A seeded property test adds rules with fresh leads in random order and
 checks every indexed lookup of ``RewriteSystem`` against a brute-force scan
-of ``rules`` after each step.  A second one keeps the binomial leads fewer
-than a long probe's overlap lengths, where ``overlaps`` tests each binomial
-lead directly instead of reading its indexes.
+of ``rules`` after each step.
 
 An oracle keeps the completion loop over a plain dict of rules that
 resolves every pair of leads, monomial pairs included, and interreduces:
@@ -291,23 +289,6 @@ def test_indexes_match_brute_force(seed):
             binomial_rules = {w: t for w, t in rules.items() if t}
             assert rs.overlaps(lead, binomial=True) == brute_overlaps(binomial_rules, lead)
     assert rs.find_factor("") is None and rs.lead_suffix("") is None
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_few_binomial_leads_match_brute_force(seed):
-    rng = Random(seed)
-    rs = RewriteSystem(QQ)
-    for step in range(60):
-        lead = random_word(rng, 3, 8)
-        while lead in rs.rules:
-            lead = random_word(rng, 3, 8)
-        # every tenth rule is binomial
-        rs.add_rule(lead, None if step % 10 else ("", QQ.one))
-        binomial_rules = {w: t for w, t in rs.rules.items() if t}
-        for _ in range(4):
-            probe = random_word(rng, 3, 24)
-            if len(binomial_rules) < len(probe) - 1:
-                assert rs.overlaps(probe, binomial=True) == brute_overlaps(binomial_rules, probe)
 
 
 # -- completion against the all-pairs oracle ------------------------------

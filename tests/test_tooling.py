@@ -612,7 +612,9 @@ def test_traced_tiny_plans_report_every_declared_layer_metric(workload, tmp_path
 def test_identity_corpus_has_826_invocations():
     """21 graphs, 12 invocations on each over q, 2 and 3, ``classify`` on
     each, 48 loop-star builds and one exit-2 bound; every ``verify`` reads
-    the trace that an earlier ``reduce --certify --json`` saved."""
+    the trace that an earlier ``reduce --certify --json`` saved.  Loading
+    and planning leave ``sys.path`` as it was."""
+    path = list(sys.path)
     spec = importlib.util.spec_from_file_location(
         "identity_corpus", ROOT / "tools" / "identity_corpus.py"
     )
@@ -620,6 +622,7 @@ def test_identity_corpus_has_826_invocations():
     spec.loader.exec_module(corpus)
     texts = corpus.graph_texts()
     plan = corpus.invocations(texts)
+    assert sys.path == path
     assert len(texts) == 21 and len(plan) == 826
     saved = set()
     for argv, save in plan:

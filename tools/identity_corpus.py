@@ -19,8 +19,9 @@ The corpus (826 invocations) is:
   --json``, ``omega N`` and ``cartan --omega N --json``;
 - ``cartan --omega 3 --cap 2``, which exits 2.
 
-It imports the package and the test helpers from the ``src`` and ``tests``
-of the checkout it lies in, and runs in a temporary directory:
+Run as a script, it imports the package and the test helpers from the
+``src`` and ``tests`` of the checkout it lies in (importing it as a module
+changes no import path), and runs in a temporary directory:
 
     python tools/identity_corpus.py > digests.txt
 """
@@ -34,20 +35,16 @@ from pathlib import Path
 from random import Random
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from brauer_derive.cli import run  # noqa: E402
-from brauer_derive.graph import serialize_graph  # noqa: E402
-
-from conftest import corpus_graphs  # noqa: E402
-from test_random_graphs import random_one_loop_graph  # noqa: E402
-from test_scale import chain_with_twigs, deep_tree  # noqa: E402
-
 FIELDS = ("q", "2", "3")
 
 
 def graph_texts():
     """name -> graph file text, in corpus order."""
+    from brauer_derive.graph import serialize_graph
+    from conftest import corpus_graphs
+    from test_random_graphs import random_one_loop_graph
+    from test_scale import chain_with_twigs, deep_tree
+
     out = {name: serialize_graph(g) for name, g in corpus_graphs().items()}
     for seed in range(5000, 5008):
         out[f"random{seed}"] = serialize_graph(random_one_loop_graph(Random(seed), seed - 4994))
@@ -105,6 +102,9 @@ def digest(argv, code, out, err):
 
 
 def main():
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from brauer_derive.cli import run
+
     texts = graph_texts()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
