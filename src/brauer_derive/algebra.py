@@ -209,8 +209,10 @@ class CartanMatrix:
     check proves C = M·Mᵀ with, and ``homological.happel_cartan`` gives
     Happel's S·C·Sᵀ the factor (S, det C) when S is square.  A matrix
     without a factor has its determinant eliminated from its rows.  Either
-    way the determinant is computed when first read and kept; the factor
-    takes no part in equality.
+    way the determinant is computed from the matrix's own data when first
+    read and kept, so every algebra proves its own determinant, and an
+    equal matrix built elsewhere lends it none; the factor takes no part
+    in equality.
     """
 
     order: tuple[str, ...]
@@ -230,16 +232,6 @@ class CartanMatrix:
             return det_int([{j: v for j, v in enumerate(r) if v} for r in self.rows])
         F, d = self.factor
         return det_int(F) ** 2 * d
-
-    def reorder(self, order):
-        """The matrix P·C·Pᵀ in vertex order ``order``, a permutation of
-        ``self.order``, which carries C's determinant: det(P)² = 1."""
-        index = {v: k for k, v in enumerate(self.order)}
-        idx = [index[v] for v in order]
-        columns = list(zip(*[self.rows[i] for i in idx]))  # of P C
-        out = CartanMatrix(tuple(order), tuple(zip(*[columns[j] for j in idx])))
-        out.__dict__["_det"] = self.det()
-        return out
 
     def to_json(self):
         return {

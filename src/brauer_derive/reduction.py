@@ -7,19 +7,18 @@ endomorphism ring.  The trace ends at a loop-star with the same number of
 edges, which indexes the derived-equivalence class.
 
 A graph's constructor is its validation, so only the graph a reduction
-starts from is validated again.  No step eliminates a Cartan matrix.  The
-input's determinant is det(M)^2, M the half-edge matrix with C = M M^T,
-which the algebra's Cartan check proves (see ``algebra``).  A step's
+starts from is validated again.  No step eliminates a Cartan matrix.  Each
+algebra's determinant is det(M)^2, M its half-edge matrix with C = M M^T,
+which the algebra's own Cartan check proves (see ``algebra``).  A step's
 det_end is det(S)^2 det(C), S the square class matrix of the enlarging
 complex and C the source algebra's Cartan matrix (see ``homological``).
-As det C = 4, the step's |det| check holds exactly when det(S)^2 = 1: the
-classes of the complex's summands form a basis of K_0.  A moved graph whose
-Cartan rows equal the endomorphism ring's, reordered to its vertices, has
-that matrix up to a simultaneous permutation of rows and columns, which
-keeps the determinant; so the moved graph's algebra takes that matrix, with
-det_end, as its own, and the next step reads its det C from there.  A
-reduction thus eliminates the input's M once and each step's S once, both
-sparse and triangular up to a permutation.
+The step checks that the moved graph's algebra has the endomorphism ring's
+block counts, by vertex names, and that |det C| = |det_end| = det(M')^2,
+M' the moved algebra's own half-edge matrix; as det C = 4, the first
+equality holds exactly when det(S)^2 = 1: the classes of the complex's
+summands form a basis of K_0.  The moved algebra is carried to the next
+step as the source.  A reduction thus eliminates each graph's M once and
+each step's S once, all sparse and triangular up to a permutation.
 """
 from __future__ import annotations
 
@@ -118,19 +117,16 @@ def _certified_step(g, A, at, cap, margin, field):
             f"surgery edge mismatch at edge {at}: endomorphism ring and moved graph "
             "have different edges"
         )
-    expected = cert.end_cartan.reorder(A2.vertices)
-    # A2's rows hold its block counts, zero where a block is empty
-    order = expected.order
+    # A2's counts hold its non-empty blocks, keyed by vertex names
+    end = cert.end_cartan
     if A2._counts != {
-        (i, j): c for i, row in zip(order, expected.rows) for j, c in zip(order, row) if c
+        (i, j): c for i, row in zip(end.order, end.rows) for j, c in zip(end.order, row) if c
     }:
         raise CertificateFailure(
             f"surgery Cartan mismatch at edge {at}: endomorphism ring and "
             "moved graph disagree"
         )
-    # an equal matrix that carries det_end (see the module docstring)
-    A2._cartan = expected
-    if abs(cert.det_source) != abs(expected.det()):
+    if not abs(cert.det_source) == abs(cert.det_end) == abs(A2.cartan().det()):
         raise CertificateFailure(f"|det Cartan| changed at edge {at}")
     return moved, A2, cert
 

@@ -25,7 +25,7 @@ from brauer_derive.cli import (
 )
 from brauer_derive.graph import BrauerGraph, GraphVertex, loop_star, parse_graph, serialize_graph
 from brauer_derive.homological import ChainMap
-from brauer_derive.linalg import PrimeField
+from brauer_derive.linalg import QQ, PrimeField
 from brauer_derive.quiver import build_quiver
 
 from conftest import (
@@ -260,12 +260,13 @@ def _transpose(a):
     return [list(c) for c in zip(*a)]
 
 
-def test_reduce_eliminates_the_input_half_edges_and_each_step_class_matrix(
+def test_reduce_eliminates_each_half_edge_matrix_and_each_step_class_matrix(
     tmp_path, capsys, monkeypatch
 ):
-    """reduce --certify hands ``det_int`` the input's half-edge matrix M once,
-    with M M^T its Cartan matrix, and each step's class matrix S once, with
-    S C S^T the step's endomorphism-ring matrix; never a Cartan matrix."""
+    """reduce --certify hands ``det_int``, in order, M_0, S_0, M_1, S_1, ...,
+    M_k: each graph's half-edge matrix M once, with M M^T its Cartan matrix,
+    and each step's class matrix S once, with S C S^T the step's
+    endomorphism-ring matrix; never a Cartan matrix."""
     seen = []
     det_int = algebra.det_int
 
@@ -277,12 +278,14 @@ def test_reduce_eliminates_the_input_half_edges_and_each_step_class_matrix(
     payload = _certified_trace(tmp_path, capsys, "mixed7", [])
     monkeypatch.setattr(algebra, "det_int", det_int)
     steps = payload["steps"]
-    assert len(seen) == len(steps) + 1 == 5
+    assert len(seen) == 2 * len(steps) + 1 == 9
+    assert all(len(rows) == 7 for rows in seen)
     graphs = [parse_graph(json.dumps(payload["input"]))]
     graphs += [parse_graph(json.dumps(s["after"])) for s in steps]
     cartans = [quotient_basis(omega_relations(build_quiver(g))).cartan() for g in graphs]
-    M, classes = seen[0], seen[1:]
-    assert _times(M, _transpose(M)) == [list(r) for r in cartans[0].rows]
+    halves, classes = seen[0::2], seen[1::2]
+    for M, C in zip(halves, cartans, strict=True):
+        assert _times(M, _transpose(M)) == [list(r) for r in C.rows]
     for S, C, step in zip(classes, cartans, steps):
         end = step["certificate"]["endCartan"]
         assert end["order"] == list(C.order)
@@ -409,6 +412,44 @@ def test_reduce_rejects_a_tampered_source_determinant(tmp_path, capsys, monkeypa
     code, err = _reduce_mixed7_fails(tmp_path, capsys)
     assert code == EXIT_CERTIFICATE
     assert "|det Cartan| changed at edge" in err
+
+
+def test_reduce_rejects_a_tampered_end_determinant(tmp_path, capsys, monkeypatch):
+    """A certificate whose det_end is changed after ``check_tilting`` fails
+    the step's |det| comparison, which reads the moved algebra's own
+    determinant rather than one handed over from the certificate."""
+    check_tilting = reduction.check_tilting
+
+    def tampered(Q):
+        cert = check_tilting(Q)
+        cert.det_end += 1
+        return cert
+
+    monkeypatch.setattr(reduction, "check_tilting", tampered)
+    code, err = _reduce_mixed7_fails(tmp_path, capsys)
+    assert code == EXIT_CERTIFICATE
+    assert err == "CertificateFailure: |det Cartan| changed at edge 2\n"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["Q", "GF2"])
+def test_certified_steps_keep_each_algebra_half_edge_factor(field, monkeypatch):
+    """Every algebra a certified step hands on reads its determinant from
+    its own half-edge matrix: its Cartan factor is (M, 1)."""
+    moved = []
+    certified_step = reduction._certified_step
+
+    def recording_step(*args):
+        out = certified_step(*args)
+        moved.append(out[1])
+        return out
+
+    monkeypatch.setattr(reduction, "_certified_step", recording_step)
+    for g in corpus_graphs().values():
+        reduction.reduce_to_normal_form(g, certify=True, field=field)
+    assert moved
+    for A2 in moved:
+        assert A2.cartan().factor == (A2._half_edges, 1)
+        assert abs(A2.cartan().det()) == 4
 
 
 def test_cartan_omega_json(capsys):

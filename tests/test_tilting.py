@@ -260,12 +260,16 @@ def test_enlarge_graph_move_reattaches_fan():
     assert edge_count(moved) == 4
 
 
+def _entries_by_names(C):
+    return {(i, j): c for i, row in zip(C.order, C.rows) for j, c in zip(C.order, row)}
+
+
 def test_enlarge_cartan_cross_check(g_min):
     A = algebra_for(g_min)
     cert = check_tilting(enlarge_complex(A, g_min, enlarge_data(g_min, "2")))
     moved = enlarge_graph_move(g_min, enlarge_data(g_min, "2"))
     A2 = algebra_for(moved)
-    assert A2.cartan().rows == cert.end_cartan.reorder(A2.vertices).rows
+    assert _entries_by_names(A2.cartan()) == _entries_by_names(cert.end_cartan)
     # and the moved graph is the loop-star up to the canonical relabeling
     relabeled, _ = canonical_relabel(moved)
     assert structure_key(relabeled) == structure_key(loop_star(3))
